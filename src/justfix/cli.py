@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from .fixedpoint import FixedPointError, fp_axiom
 from .kernel import (DerivationError, check_derivation, format_report,
-                     load_derivation, parse_fix_decl, parse_spec_file,
+                     load_derivation, parse_fix_decl, parse_spec_value,
                      print_derivation)
-from .registry import EMPTY, TOTAL, UnknownLogic, get_logic, known_logics
+from .registry import UnknownLogic, get_logic, known_logics
 from .semantics import (ModelError, check_evidence_conditions, check_model,
                         is_valid, load_model)
 from .syntax import (ParseError, parse_formula, parse_term, print_formula,
@@ -30,15 +29,10 @@ def _retarget(d, args):
         d = dataclasses.replace(d, logic_id=args.logic)
     spec = getattr(args, 'spec', None)
     if spec:
-        logic = get_logic(d.logic_id)
-        if spec == 'tcs':
-            d = dataclasses.replace(d, spec=TOTAL, spec_src='tcs')
-        elif spec == 'empty':
-            d = dataclasses.replace(d, spec=EMPTY, spec_src='empty')
-        else:
-            d = dataclasses.replace(
-                d, spec=parse_spec_file(spec, logic.profile),
-                spec_src='file %s' % spec)
+        src = spec if spec in ('tcs', 'empty') else 'file %s' % spec
+        d = dataclasses.replace(
+            d, spec=parse_spec_value(src, get_logic(d.logic_id), ''),
+            spec_src=src)
     return d
 
 
@@ -75,7 +69,8 @@ def _cmd_transform(args) -> int:
 
     def need(n, usage):
         if len(extra) != n:
-            raise SystemExit('usage: justfix transform %s' % usage)
+            print('usage: justfix transform %s' % usage, file=sys.stderr)
+            raise SystemExit(2)
 
     if verb == 'deduce':
         need(1, 'deduce <file> <premise>')

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
-    Formula, Iff, Mu, FixApp, Atom,
+    Formula, Iff, Mu, FixApp,
     OCCURRENCE_MODES, occurrence_ok, free_atoms, walk,
     subst_prop, subst_prop_multi, nu_formula,
 )

@@ -22,15 +22,16 @@ later steps are checked against the stated formulas, so one broken
 citation yields one diagnostic rather than a cascade.
 """
 
+import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
-    Formula, Term, Atom, Falsum, Neg, Imp, Iff, Box, Knows, Just,
+    Formula, Neg, Imp, Iff, Box, Knows, Just,
     Forall, Exists, Mu, FixApp,
     Var, Const, Prim,
-    ParseError, ProfileError,
+    ProfileError,
     parse_formula, parse_term, print_formula, print_term,
     check_profile, free_vars, walk,
     subst_prop,
@@ -121,7 +122,8 @@ _CLOSED = frozenset(('ax', 'ian', 'an', 'fp', 'mu-cl', 'inline')) | _NEC_LIKE
 _STEP_RE = re.compile(r'^(\d+)\.\s*(.*)$')
 
 
-def _strip_comment(line: str) -> str:
+def strip_comment(line: str) -> str:
+    """Drop a '#' comment: one that opens the line or follows whitespace."""
     s = line.lstrip()
     if s.startswith('#'):
         return ''
@@ -242,10 +244,23 @@ def parse_spec_file(path: str, profile) -> Spec:
         text = fh.read()
     entries = []
     for line in text.splitlines():
-        line = _strip_comment(line).strip()
+        line = strip_comment(line).strip()
         if line:
             entries.append(parse_formula(line, profile))
     return Spec('explicit', frozenset(entries))
+
+
+def parse_spec_value(src: str, logic, base_dir: str) -> Optional[Spec]:
+    """The specification a `spec:` header names: tcs, empty, or file <path>
+    relative to base_dir.  None when src is none of these."""
+    if src == 'tcs':
+        return TOTAL
+    if src == 'empty':
+        return EMPTY
+    if src.startswith('file'):
+        return parse_spec_file(os.path.join(base_dir, src[len('file'):].strip()),
+                               logic.profile)
+    return None
 
 
 def parse_fix_decl(line: str, logic) -> FPOperator:
@@ -262,7 +277,6 @@ def parse_fix_decl(line: str, logic) -> FPOperator:
 
 
 def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
-    import os
     logic_id = None
     logic = None
     spec = TOTAL
@@ -272,7 +286,7 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
     premises = []
     steps = []
     for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         m = _STEP_RE.match(line)
@@ -299,17 +313,10 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             continue
         if line.startswith('spec:'):
             spec_src = line[len('spec:'):].strip()
-            if spec_src == 'tcs':
-                spec = TOTAL
-            elif spec_src == 'empty':
-                spec = EMPTY
-            elif spec_src.startswith('file'):
-                if logic is None:
-                    raise DerivationError("spec file before logic header")
-                path = spec_src[len('file'):].strip()
-                spec = parse_spec_file(os.path.join(base_dir, path),
-                                       logic.profile)
-            else:
+            if spec_src.startswith('file') and logic is None:
+                raise DerivationError("spec file before logic header")
+            spec = parse_spec_value(spec_src, logic, base_dir)
+            if spec is None:
                 raise DerivationError("spec must be tcs, empty, or file <path>")
             continue
         if line.startswith('agents:'):
@@ -343,7 +350,6 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
 
 
 def load_derivation(path: str) -> Derivation:
-    import os
     with open(path) as fh:
         return parse_derivation(fh.read(), os.path.dirname(path) or '.')
 

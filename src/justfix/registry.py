@@ -12,14 +12,14 @@ schema for Taut both need it, and the kernel already imports us).
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .syntax import (
     Term, Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll, TMeta,
-    Formula, Atom, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows, Just,
+    Formula, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows, Just,
     Forall, Exists, Mu, FixApp, FMeta,
-    LanguageProfile, check_profile, ProfileError,
+    LanguageProfile, PROP_NODES, check_profile, ProfileError, children,
     free_vars, term_vars, subst_prop, subst_term_for_var, NotFreeFor,
 )
 
@@ -167,22 +167,27 @@ def _is_meta_name(name: str) -> bool:
     return name.startswith('?')
 
 
+def _bind(b: dict, key: str, val) -> bool:
+    if key in b:
+        return b[key] == val
+    b[key] = val
+    return True
+
+
+def _match_slot(kind: str, pat, val, b: dict) -> bool:
+    # a '?'-named bound-variable, time or agent slot binds; anything else
+    # must be equal
+    if isinstance(pat, str) and _is_meta_name(pat):
+        return _bind(b, kind + ':' + pat[1:], val)
+    return pat == val
+
+
 def match_term(pat: Term, t: Term, b: dict) -> bool:
     if isinstance(pat, TMeta):
-        key = 'T:' + pat.name
-        if key in b:
-            return b[key] == t
-        b[key] = t
-        return True
+        return _bind(b, 'T:' + pat.name, t)
     if isinstance(pat, Var) and _is_meta_name(pat.name):
         # a variable slot in term position: matches variables only
-        if not isinstance(t, Var):
-            return False
-        key = 'v:' + pat.name[1:]
-        if key in b:
-            return b[key] == t.name
-        b[key] = t.name
-        return True
+        return isinstance(t, Var) and _bind(b, 'v:' + pat.name[1:], t.name)
     if type(pat) is not type(t):
         return False
     if isinstance(pat, (Var, Const)):
@@ -198,172 +203,45 @@ def match_term(pat: Term, t: Term, b: dict) -> bool:
     if isinstance(pat, (Bang, Quest, WQuest)):
         return match_term(pat.t, t.t, b)
     if isinstance(pat, UAll):
-        if not _match_binder_var(pat.var, t.var, b):
-            return False
-        return match_term(pat.inner, t.inner, b)
+        return (_match_slot('v', pat.var, t.var, b)
+                and match_term(pat.inner, t.inner, b))
     return False
-
-
-def _match_binder_var(pat_var: str, var: str, b: dict) -> bool:
-    if _is_meta_name(pat_var):
-        key = 'v:' + pat_var[1:]
-        if key in b:
-            return b[key] == var
-        b[key] = var
-        return True
-    return pat_var == var
-
-
-def _match_time(pat_time, time, b: dict) -> bool:
-    if isinstance(pat_time, str) and _is_meta_name(pat_time):
-        key = 'i:' + pat_time[1:]
-        if key in b:
-            return b[key] == time
-        b[key] = time
-        return True
-    return pat_time == time
-
-
-def _match_agent(pat_agent, agent, b: dict) -> bool:
-    if pat_agent is not None and _is_meta_name(pat_agent):
-        key = 'a:' + pat_agent[1:]
-        if key in b:
-            return b[key] == agent
-        b[key] = agent
-        return True
-    return pat_agent == agent
 
 
 def match_formula(pat: Formula, f: Formula, b: dict) -> bool:
     if isinstance(pat, FMeta):
-        key = 'F:' + pat.name
-        if key in b:
-            return b[key] == f
-        b[key] = f
-        return True
+        return _bind(b, 'F:' + pat.name, f)
     if type(pat) is not type(f):
         return False
-    if isinstance(pat, Atom):
-        return pat.name == f.name
-    if isinstance(pat, Falsum):
-        return True
-    if isinstance(pat, Neg):
-        return match_formula(pat.a, f.a, b)
-    if isinstance(pat, (And, Or, Imp, Iff, Xor)):
-        return (match_formula(pat.a, f.a, b)
-                and match_formula(pat.b, f.b, b))
-    if isinstance(pat, Box):
-        return match_formula(pat.a, f.a, b)
-    if isinstance(pat, Knows):
-        return _match_time(pat.time, f.time, b) and match_formula(pat.a, f.a, b)
-    if isinstance(pat, Just):
-        return (match_term(pat.t, f.t, b)
-                and _match_agent(pat.agent, f.agent, b)
-                and match_formula(pat.a, f.a, b))
-    if isinstance(pat, (Forall, Exists, Mu)):
-        if not _match_binder_var(pat.var, f.var, b):
-            return False
-        return match_formula(pat.a, f.a, b)
-    if isinstance(pat, FixApp):
-        if pat.name != f.name or len(pat.args) != len(f.args):
-            return False
-        return all(match_formula(p, a, b) for p, a in zip(pat.args, f.args))
-    return False
-
-
-def infer_term(template: Formula, instance: Formula, x: str) -> Optional[Term]:
-    """Find t with template[t/x] == instance, walking both in parallel.
-
-    Positions where template has a free occurrence of Var(x) may differ;
-    everything else must agree.  The caller re-runs the substitution as the
-    authoritative check, so this only has to propose a candidate.
-    """
-    cands: list = []
-
-    def wt(u: Term, v: Term, bound: frozenset) -> bool:
-        if isinstance(u, Var) and u.name == x and x not in bound:
-            cands.append(v)
-            return True
-        if type(u) is not type(v):
-            return False
-        if isinstance(u, (Var, Const)):
-            return u.name == v.name
-        if isinstance(u, Prim):
-            if u.symbol != v.symbol or len(u.args) != len(v.args):
+    kp, kf = children(pat), children(f)
+    if not kp:
+        return pat == f
+    match pat:
+        case Knows(i, _):
+            if not _match_slot('i', i, f.time, b):
                 return False
-            for p, q in zip(u.args, v.args):
-                if p == x and x not in bound:
-                    cands.append(Var(q))
-                elif p != q:
-                    return False
-            return True
-        if isinstance(u, App):
-            return wt(u.fn, v.fn, bound) and wt(u.arg, v.arg, bound)
-        if isinstance(u, TSum):
-            return wt(u.left, v.left, bound) and wt(u.right, v.right, bound)
-        if isinstance(u, (Bang, Quest, WQuest)):
-            return wt(u.t, v.t, bound)
-        if isinstance(u, UAll):
-            if u.var != v.var:
+        case Just(t, agent, _):
+            if not (match_term(t, f.t, b)
+                    and _match_slot('a', agent, f.agent, b)):
                 return False
-            return wt(u.inner, v.inner, bound | {u.var})
-        return False
-
-    def wf(a: Formula, c: Formula, bound: frozenset) -> bool:
-        if type(a) is not type(c):
-            return False
-        if isinstance(a, Atom):
-            return a.name == c.name
-        if isinstance(a, Falsum):
-            return True
-        if isinstance(a, Neg):
-            return wf(a.a, c.a, bound)
-        if isinstance(a, (And, Or, Imp, Iff, Xor)):
-            return wf(a.a, c.a, bound) and wf(a.b, c.b, bound)
-        if isinstance(a, Box):
-            return wf(a.a, c.a, bound)
-        if isinstance(a, Knows):
-            return a.time == c.time and wf(a.a, c.a, bound)
-        if isinstance(a, Just):
-            if a.agent != c.agent:
+        case Forall(v, _) | Exists(v, _) | Mu(v, _):
+            if not _match_slot('v', v, f.var, b):
                 return False
-            return wt(a.t, c.t, bound) and wf(a.a, c.a, bound)
-        if isinstance(a, (Forall, Exists)):
-            if a.var != c.var:
+        case FixApp(name, args):
+            if name != f.name or len(args) != len(f.args):
                 return False
-            return wf(a.a, c.a, bound | {a.var})
-        if isinstance(a, Mu):
-            return a.var == c.var and wf(a.a, c.a, bound)
-        if isinstance(a, FixApp):
-            if a.name != c.name or len(a.args) != len(c.args):
-                return False
-            return all(wf(p, q, bound) for p, q in zip(a.args, c.args))
-        return False
-
-    if not wf(template, instance, frozenset()):
-        return None
-    if not cands:
-        return Var(x)  # x not free: identity instance
-    t0 = cands[0]
-    if any(t != t0 for t in cands):
-        return None
-    try:
-        if subst_term_for_var(template, x, t0) != instance:
-            return None
-    except NotFreeFor:
-        return None
-    return t0
+    return all(match_formula(p, a, b) for p, a in zip(kp, kf))
 
 
-def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
-    """Match target as base[sigma] for a substitution sigma of base's free
-    justification variables by terms.  Binders are not renamed; a candidate
-    that would capture a bound variable is rejected.  Returns sigma (possibly
-    empty, meaning base == target) or None."""
+def _match_free(base: Formula, target: Formula, binds) -> Optional[dict]:
+    """Match target as base with each free occurrence of a variable in
+    binds replaced by one term, the same at every occurrence.  Binders are
+    not renamed; a term that a binder of base would capture is rejected.
+    Returns the substitution found, or None."""
     sigma: dict = {}
 
     def wt(u: Term, v: Term, bound: frozenset) -> bool:
-        if isinstance(u, Var) and u.name not in bound:
+        if isinstance(u, Var) and u.name in binds and u.name not in bound:
             if term_vars(v) & bound:
                 return False  # capture
             if u.name in sigma:
@@ -377,16 +255,8 @@ def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
         if isinstance(u, Prim):
             if u.symbol != v.symbol or len(u.args) != len(v.args):
                 return False
-            for p, q in zip(u.args, v.args):
-                if p in bound:
-                    if p != q:
-                        return False
-                elif p in sigma:
-                    if sigma[p] != Var(q):
-                        return False
-                else:
-                    sigma[p] = Var(q)
-            return True
+            return all(wt(Var(p), Var(q), bound)
+                       for p, q in zip(u.args, v.args))
         if isinstance(u, App):
             return wt(u.fn, v.fn, bound) and wt(u.arg, v.arg, bound)
         if isinstance(u, TSum):
@@ -402,37 +272,63 @@ def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
     def wf(a: Formula, c: Formula, bound: frozenset) -> bool:
         if type(a) is not type(c):
             return False
-        if isinstance(a, Atom):
-            return a.name == c.name
-        if isinstance(a, Falsum):
-            return True
-        if isinstance(a, Neg):
-            return wf(a.a, c.a, bound)
-        if isinstance(a, (And, Or, Imp, Iff, Xor)):
-            return wf(a.a, c.a, bound) and wf(a.b, c.b, bound)
-        if isinstance(a, Box):
-            return wf(a.a, c.a, bound)
-        if isinstance(a, Knows):
-            return a.time == c.time and wf(a.a, c.a, bound)
-        if isinstance(a, Just):
-            if a.agent != c.agent:
+        ka, kc = children(a), children(c)
+        if not ka:
+            return a == c
+        match a:
+            case Just(t, agent, _):
+                if agent != c.agent or not wt(t, c.t, bound):
+                    return False
+            case Forall(v, _) | Exists(v, _):
+                if v != c.var:
+                    return False
+                bound = bound | {v}
+            case Knows(i, _):
+                if i != c.time:
+                    return False
+            case Mu(v, _):
+                if v != c.var:
+                    return False
+            case FixApp(name, args):
+                if name != c.name or len(args) != len(c.args):
+                    return False
+        for p, q in zip(ka, kc):
+            if not wf(p, q, bound):
                 return False
-            return wt(a.t, c.t, bound) and wf(a.a, c.a, bound)
-        if isinstance(a, (Forall, Exists)):
-            if a.var != c.var:
-                return False
-            return wf(a.a, c.a, bound | {a.var})
-        if isinstance(a, Mu):
-            return a.var == c.var and wf(a.a, c.a, bound)
-        if isinstance(a, FixApp):
-            if a.name != c.name or len(a.args) != len(c.args):
-                return False
-            return all(wf(p, q, bound) for p, q in zip(a.args, c.args))
-        return False
+        return True
 
     if not wf(base, target, frozenset()):
         return None
     return sigma
+
+
+def infer_term(template: Formula, instance: Formula, x: str) -> Optional[Term]:
+    """Find t with template[t/x] == instance, walking both in parallel.
+
+    Positions where template has a free occurrence of Var(x) may differ;
+    everything else must agree.  The substitution is re-run as the
+    authoritative check, so the walk only has to propose a candidate.
+    """
+    sigma = _match_free(template, instance, frozenset((x,)))
+    if sigma is None:
+        return None
+    if x not in sigma:
+        return Var(x)  # x not free: identity instance
+    t = sigma[x]
+    try:
+        if subst_term_for_var(template, x, t) != instance:
+            return None
+    except NotFreeFor:
+        return None
+    return t
+
+
+def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
+    """Match target as base[sigma] for a substitution sigma of base's free
+    justification variables by terms.  Binders are not renamed; a candidate
+    that would capture a bound variable is rejected.  Returns sigma (possibly
+    empty, meaning base == target) or None."""
+    return _match_free(base, target, free_vars(base))
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +405,6 @@ def _taut_match(f: Formula) -> Optional[dict]:
     return {} if is_tautology(f) else None
 
 
-def _tv(key):
-    return lambda b: b[key]
-
-
 def _fv_cond(var_key: str, formula_key: str, absent: bool = True):
     def cond(b):
         inside = b[var_key] in free_vars(b[formula_key])
@@ -572,12 +464,6 @@ SCHEMAS = {
                           lambda b: b['v:y'] not in term_vars(b['T:t']),
                           _fv_cond('v:y', 'F:A'),
                       )),
-    # uniform Barcan variant; registered for reference, in no stock logic
-    'ub': AxiomSchema('ub', Imp(Forall('?x', Just(_t, '?g', _A)),
-                                Just(UAll(_t, '?x'), '?g', Forall('?x', _A))),
-                      conditions=(
-                          lambda b: b['v:x'] not in term_vars(b['T:t']),
-                      )),
     # timed knowledge
     'tk': AxiomSchema('tk', Imp(Knows('?i', Imp(_A, _B)),
                                 Imp(Knows('?j', _A), Knows('?k', _B))),
@@ -618,9 +504,6 @@ class LogicSpec:
     mu: bool = False
 
 
-_PROP_NODES = frozenset({'Atom', 'Falsum', 'Neg', 'And', 'Or', 'Imp',
-                         'Iff', 'Xor'})
-
 _MODAL_AXIOMS = {
     'K': ('K',), 'T': ('K', 'T'), 'D': ('K', 'D'), 'K4': ('K', '4'),
     'KB': ('K', 'B'), 'K5': ('K', '5'), 'KB5': ('K', 'B', '5'),
@@ -660,7 +543,7 @@ def _modal_logic(base: str, fp: bool, mu: bool, extra_schema=None) -> LogicSpec:
     schemas = [SCHEMAS[n] for n in names]
     if extra_schema is not None:
         schemas.append(extra_schema)
-    fnodes = set(_PROP_NODES) | {'Box'}
+    fnodes = set(PROP_NODES) | {'Box'}
     rules = {'ax', 'mp', 'nec', 'prop', 'reg', 'premise'}
     if fp:
         fnodes.add('FixApp')
@@ -684,7 +567,7 @@ def _jl_logic(base: str, fp: bool, mu: bool) -> LogicSpec:
     tnodes = {'Var', 'Const', 'App', 'TSum'}
     for n in names:
         tnodes |= _TERM_OPS[n]
-    fnodes = set(_PROP_NODES) | {'Just'}
+    fnodes = set(PROP_NODES) | {'Just'}
     rules = {'ax', 'mp', 'ian', 'prop', 'premise', 'inline'}
     if 'j4' in names:
         rules.add('an')
@@ -710,7 +593,7 @@ def _qlp_logic(minus: bool, multi: bool, fp: bool) -> LogicSpec:
     tnodes = {'Var', 'Prim', 'App', 'TSum', 'Bang'}
     if not minus:
         tnodes.add('UAll')
-    fnodes = set(_PROP_NODES) | {'Just', 'Forall', 'Exists'}
+    fnodes = set(PROP_NODES) | {'Just', 'Forall', 'Exists'}
     rules = {'ax', 'mp', 'gen', 'an', 'prop', 'premise', 'inline'}
     if not minus:
         rules.add('qnec')
@@ -731,7 +614,7 @@ def _tmel_logic(base: str, fp: bool) -> LogicSpec:
     names = {'tK': ('tk', 'mon'), 'tT': ('tk', 'mon', 'tt'),
              'tS4': ('tk', 'mon', 'tt', 't4')}[base]
     schemas = [SCHEMAS[n] for n in names]
-    fnodes = set(_PROP_NODES) | {'Knows'}
+    fnodes = set(PROP_NODES) | {'Knows'}
     rules = {'ax', 'mp', 'prop', 'e', 'de', 'reg', 'premise'}
     if base == 'tS4':
         rules.add('admk')
@@ -842,10 +725,6 @@ class Spec:
 
 TOTAL = Spec('total')
 EMPTY = Spec('empty')
-
-
-class SpecError(Exception):
-    pass
 
 
 def _peel_constants(f: Formula):

@@ -38,6 +38,7 @@ Model files (.mdl):
 """
 
 import itertools
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -46,9 +47,10 @@ from .syntax import (
     Formula, Term, Atom, Falsum, Neg, And, Or, Imp, Iff, Xor,
     Just, Forall, Exists, FixApp,
     Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll,
-    parse_formula, print_formula, free_vars, uall_vars, walk, formula_terms,
+    parse_formula, print_formula, free_vars, uall_vars, formula_terms,
 )
-from .registry import get_logic, Spec, TOTAL, EMPTY
+from .registry import get_logic, Spec, EMPTY
+from .kernel import parse_spec_value, strip_comment
 
 
 class ModelError(Exception):
@@ -326,19 +328,7 @@ def check_strong(m: MModel, universe) -> list:
 _OPS = ('app', 'sum', 'bang', 'uall')
 
 
-def _strip_comment(line: str) -> str:
-    s = line.lstrip()
-    if s.startswith('#'):
-        return ''
-    for k in range(1, len(line)):
-        if line[k] == '#' and line[k - 1].isspace():
-            return line[:k]
-    return line
-
-
 def parse_model(text: str, base_dir: str = '.') -> MModel:
-    import os
-    from .kernel import parse_spec_file
     logic_id = 'QLP-'
     logic = get_logic(logic_id)
     spec = EMPTY
@@ -351,7 +341,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
     agents = None
     claims = []
     for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
+        line = strip_comment(raw).strip()
         if not line:
             continue
         if line.startswith('logic:'):
@@ -360,15 +350,8 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             continue
         if line.startswith('spec:'):
             spec_src = line[len('spec:'):].strip()
-            if spec_src == 'tcs':
-                spec = TOTAL
-            elif spec_src == 'empty':
-                spec = EMPTY
-            elif spec_src.startswith('file'):
-                spec = parse_spec_file(
-                    os.path.join(base_dir, spec_src[len('file'):].strip()),
-                    logic.profile)
-            else:
+            spec = parse_spec_value(spec_src, logic, base_dir)
+            if spec is None:
                 raise ModelError("spec must be tcs, empty, or file <path>")
             continue
         if line.startswith('agents:'):
@@ -442,7 +425,6 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
 
 
 def load_model(path: str) -> MModel:
-    import os
     with open(path) as fh:
         return parse_model(fh.read(), os.path.dirname(path) or '.')
 

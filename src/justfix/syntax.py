@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 
 class ParseError(Exception):
@@ -241,9 +241,6 @@ class LanguageProfile:
     term_nodes: frozenset[str]
     agents: str = "single"
 
-    def allows(self, cls_name: str) -> bool:
-        return cls_name in self.formula_nodes or cls_name in self.term_nodes
-
 
 _ALL_FORMULA_NODES = frozenset({
     "Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor",
@@ -255,7 +252,7 @@ _ALL_TERM_NODES = frozenset({
 
 FULL = LanguageProfile("full", _ALL_FORMULA_NODES, _ALL_TERM_NODES, "any")
 
-_BOOLEAN_NODES = {"Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor"}
+PROP_NODES = frozenset({"Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor"})
 
 
 def check_profile(f: Formula, profile: LanguageProfile) -> None:
@@ -278,22 +275,61 @@ def check_profile(f: Formula, profile: LanguageProfile) -> None:
 
 # ----------------------------------------------------------- traversals
 
+def _body(f: Formula) -> tuple[Formula, ...]:
+    return (f.a,)
+
+
+def _pair(f: Formula) -> tuple[Formula, ...]:
+    return (f.a, f.b)
+
+
+# The one place that knows which fields of each node are subformulas.
+# Nodes without an entry (Atom, Falsum, FMeta) are leaves.
+_CHILDREN = {
+    Neg: _body, Box: _body, Knows: _body, Just: _body,
+    Forall: _body, Exists: _body, Mu: _body,
+    And: _pair, Or: _pair, Imp: _pair, Iff: _pair, Xor: _pair,
+    FixApp: lambda f: f.args,
+}
+_REBUILD = {
+    Neg: lambda f, k: Neg(k[0]),
+    Box: lambda f, k: Box(k[0]),
+    Knows: lambda f, k: Knows(f.time, k[0]),
+    Just: lambda f, k: Just(f.t, f.agent, k[0]),
+    Forall: lambda f, k: Forall(f.var, k[0]),
+    Exists: lambda f, k: Exists(f.var, k[0]),
+    Mu: lambda f, k: Mu(f.var, k[0]),
+    And: lambda f, k: And(k[0], k[1]),
+    Or: lambda f, k: Or(k[0], k[1]),
+    Imp: lambda f, k: Imp(k[0], k[1]),
+    Iff: lambda f, k: Iff(k[0], k[1]),
+    Xor: lambda f, k: Xor(k[0], k[1]),
+    FixApp: lambda f, k: FixApp(f.name, tuple(k)),
+}
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """Immediate subformulas, left to right (fix arguments in order)."""
+    kids = _CHILDREN.get(type(f))
+    return kids(f) if kids else ()
+
+
+def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """f with its immediate subformulas replaced by kids, in children()
+    order; every other field is kept.  A rebuilt mu re-checks positivity."""
+    make = _REBUILD.get(type(f))
+    return make(f, kids) if make else f
+
+
 def walk(f: Formula) -> Iterator[Formula]:
     """Pre-order over all subformulas, including fix arguments."""
-    yield f
-    match f:
-        case Neg(a) | Box(a) | Knows(_, a) | Forall(_, a) | Exists(_, a) | Mu(_, a):
-            yield from walk(a)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b) | Xor(a, b):
-            yield from walk(a)
-            yield from walk(b)
-        case Just(_, _, a):
-            yield from walk(a)
-        case FixApp(_, args):
-            for g in args:
-                yield from walk(g)
-        case _:
-            pass
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        kids = _CHILDREN.get(type(g))
+        if kids:
+            stack.extend(reversed(kids(g)))
 
 
 def subterms(t: Term) -> Iterator[Term]:
@@ -338,17 +374,10 @@ def free_vars(f: Formula) -> frozenset[str]:
             return term_vars(t) | free_vars(a)
         case Forall(v, a) | Exists(v, a):
             return free_vars(a) - {v}
-        case Neg(a) | Box(a) | Knows(_, a) | Mu(_, a):
-            return free_vars(a)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b) | Xor(a, b):
-            return free_vars(a) | free_vars(b)
-        case FixApp(_, args):
-            out: frozenset[str] = frozenset()
-            for g in args:
-                out |= free_vars(g)
-            return out
-        case _:
-            return frozenset()
+    out: frozenset[str] = frozenset()
+    for g in children(f):
+        out |= free_vars(g)
+    return out
 
 
 def uall_vars(f: Formula) -> frozenset[str]:
@@ -369,41 +398,10 @@ def free_atoms(f: Formula) -> frozenset[str]:
             return frozenset({n})
         case Mu(v, a):
             return free_atoms(a) - {v}
-        case Neg(a) | Box(a) | Knows(_, a) | Forall(_, a) | Exists(_, a) | Just(_, _, a):
-            return free_atoms(a)
-        case And(a, b) | Or(a, b) | Imp(a, b) | Iff(a, b) | Xor(a, b):
-            return free_atoms(a) | free_atoms(b)
-        case FixApp(_, args):
-            out: frozenset[str] = frozenset()
-            for g in args:
-                out |= free_atoms(g)
-            return out
-        case _:
-            return frozenset()
-
-
-def prim_symbols(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, Just):
-            for t in subterms(g.t):
-                if isinstance(t, Prim):
-                    out.add(t.symbol)
-    return frozenset(out)
-
-
-def const_names(f: Formula) -> frozenset[str]:
-    out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, Just):
-            for t in subterms(g.t):
-                if isinstance(t, Const):
-                    out.add(t.name)
-    return frozenset(out)
-
-
-def fix_names(f: Formula) -> frozenset[str]:
-    return frozenset(g.name for g in walk(f) if isinstance(g, FixApp))
+    out: frozenset[str] = frozenset()
+    for g in children(f):
+        out |= free_atoms(g)
+    return out
 
 
 # ---------------------------------------------------------- occurrences
@@ -514,42 +512,15 @@ def subst_term_for_var(f: Formula, x: str, t: Term) -> Formula:
 
     def go(g: Formula) -> Formula:
         match g:
-            case Neg(a):
-                return Neg(go(a))
-            case And(a, b):
-                return And(go(a), go(b))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case Imp(a, b):
-                return Imp(go(a), go(b))
-            case Iff(a, b):
-                return Iff(go(a), go(b))
-            case Xor(a, b):
-                return Xor(go(a), go(b))
-            case Box(a):
-                return Box(go(a))
-            case Knows(i, a):
-                return Knows(i, go(a))
             case Just(s, ag, a):
                 return Just(subst_in_term(s, x, t), ag, go(a))
-            case Forall(v, a):
+            case Forall(v, a) | Exists(v, a):
                 if v == x:
                     return g
                 if x in free_vars(a) and v in tfv:
-                    raise NotFreeFor(f"{t} not free for {x}: capture by all {v}")
-                return Forall(v, go(a))
-            case Exists(v, a):
-                if v == x:
-                    return g
-                if x in free_vars(a) and v in tfv:
-                    raise NotFreeFor(f"{t} not free for {x}: capture by ex {v}")
-                return Exists(v, go(a))
-            case Mu(q, a):
-                return Mu(q, go(a))
-            case FixApp(n, args):
-                return FixApp(n, tuple(go(u) for u in args))
-            case _:
-                return g
+                    kw = "all" if isinstance(g, Forall) else "ex"
+                    raise NotFreeFor(f"{t} not free for {x}: capture by {kw} {v}")
+        return rebuild(g, [go(k) for k in children(g)])
 
     return go(f)
 
@@ -562,39 +533,16 @@ def subst_prop_multi(f: Formula, mapping: dict[str, Formula]) -> Formula:
         match g:
             case Atom(n):
                 return m.get(n, g)
-            case Neg(a):
-                return Neg(go(a, m))
-            case And(a, b):
-                return And(go(a, m), go(b, m))
-            case Or(a, b):
-                return Or(go(a, m), go(b, m))
-            case Imp(a, b):
-                return Imp(go(a, m), go(b, m))
-            case Iff(a, b):
-                return Iff(go(a, m), go(b, m))
-            case Xor(a, b):
-                return Xor(go(a, m), go(b, m))
-            case Box(a):
-                return Box(go(a, m))
-            case Knows(i, a):
-                return Knows(i, go(a, m))
-            case Just(t, ag, a):
-                return Just(t, ag, go(a, m))
             case Forall(v, a) | Exists(v, a):
                 live = {k: r for k, r in m.items() if k in free_atoms(a)}
                 if any(v in free_vars(r) for r in live.values()):
                     raise NotFreeFor(f"substitution captured by quantifier on {v}")
-                cls = Forall if isinstance(g, Forall) else Exists
-                return cls(v, go(a, m))
             case Mu(q, a):
                 m2 = {k: r for k, r in m.items() if k != q and k in free_atoms(a)}
                 if any(q in free_atoms(r) for r in m2.values()):
                     raise NotFreeFor(f"substitution captured by mu {q}")
                 return Mu(q, go(a, m2))
-            case FixApp(n, args):
-                return FixApp(n, tuple(go(u, m) for u in args))
-            case _:
-                return g
+        return rebuild(g, [go(k, m) for k in children(g)])
 
     return go(f, dict(mapping))
 
@@ -610,15 +558,6 @@ def nu_formula(var: str, body: Formula) -> Formula:
 
 def diamond(a: Formula) -> Formula:
     return Neg(Box(Neg(a)))
-
-
-def big_and(parts: list[Formula]) -> Formula:
-    if not parts:
-        return Neg(Falsum())
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 def imp_chain(premises: list[Formula], goal: Formula) -> Formula:

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    Formula, Term, Atom, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows,
-    Just, Forall, Exists, Mu, FixApp,
-    Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll,
-    NotFreeFor, print_formula, print_term,
-    free_vars, term_vars, subst_term_for_var, subst_in_term, imp_chain,
+    Formula, Term, Falsum, Neg, Imp, Iff, Box, Knows,
+    Just, Forall, Exists, Mu, FixApp, FMeta,
+    Var, Const, Prim, App, Bang, UAll,
+    NotFreeFor, PROP_NODES, print_formula, children, rebuild,
+    free_vars, subst_term_for_var, subst_in_term, imp_chain,
 )
 from .registry import (
-    get_logic, match_axiom, Spec, TOTAL, EMPTY,
+    get_logic, match_axiom, Spec, TOTAL,
 )
 from .fixedpoint import FPOperator, make_operator, fp_axiom_instance
 from . import kernel
@@ -159,6 +159,54 @@ def _chain(b: _Build, state: dict, tau: dict, refs, goal: Formula,
     return t, cur
 
 
+def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
+                 what: str) -> LiftResult:
+    """The loop lift and internalize_qlp share.  Premises become fresh
+    proof variables, modus ponens goes through two jk applications, and
+    prop steps through the implication chain.  cases(s, b, fresh, tau,
+    state) handles every other rule and returns (term, step index)."""
+    fresh = _Fresh()
+    b = _Build()
+    state = {}   # original index -> step proving tau : F
+    tau = {}     # original index -> (term, original formula)
+    pvar = {p.name: Var(fresh('x')) for p in d.premises}
+    premises = tuple(Premise(p.name, Just(pvar[p.name], agent, p.formula))
+                     for p in d.premises)
+
+    for s in d.steps:
+        f = s.formula
+        if s.rule == 'premise':
+            t = pvar[s.args[0]]
+            state[s.index] = b.add(Just(t, agent, f), 'premise', (), s.args)
+        elif s.rule == 'mp':
+            i, j = s.refs
+            t = App(tau[j][0], tau[i][0])
+            jk = Imp(Just(tau[j][0], agent, tau[j][1]),
+                     Imp(Just(tau[i][0], agent, tau[i][1]),
+                         Just(t, agent, f)))
+            k = b.add(jk, 'ax', (), ('jk',))
+            m1 = b.add(jk.b, 'mp', (state[j], k))
+            state[s.index] = b.add(jk.b.b, 'mp', (state[i], m1))
+        elif s.rule == 'prop':
+            t, state[s.index] = _chain(b, state, tau, s.refs, f, agent,
+                                       fresh, intro_rule, mk_term)
+        else:
+            t, state[s.index] = cases(s, b, fresh, tau, state)
+        tau[s.index] = (t, f)
+
+    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
+                     premises, b.tuple())
+    return LiftResult(tau[d.steps[-1].index][0], _checked(out, what))
+
+
+def _const(fresh) -> Term:
+    return Const(fresh('c'))
+
+
+def _prim(fresh) -> Term:
+    return Prim(fresh('f'), ())
+
+
 def lift(d: Derivation) -> LiftResult:
     """Internalization for justification logics: from a derivation of A
     over premises A1..An, build one of  t : A  over  x#1 : A1, ...
@@ -176,48 +224,17 @@ def lift(d: Derivation) -> LiftResult:
         raise TransformError("lift requires the total specification, "
                              "which is closed under fresh constants")
     _require_ok(d, "lift")
-    d = elaborate(d)
 
-    fresh = _Fresh()
-    b = _Build()
-    state = {}   # original index -> step proving tau : F
-    tau = {}     # original index -> (term, original formula)
-    pvar = {p.name: Var(fresh('x')) for p in d.premises}
-    premises = tuple(Premise(p.name, Just(pvar[p.name], None, p.formula))
-                     for p in d.premises)
-
-    for s in d.steps:
-        f = s.formula
-        if s.rule == 'premise':
-            t = pvar[s.args[0]]
-            state[s.index] = b.add(Just(t, None, f), 'premise', (), s.args)
-        elif s.rule in ('ax', 'fp', 'mu-cl', 'ian', 'an'):
-            t = Const(fresh('c'))
-            state[s.index] = b.add(Just(t, None, f), 'ian')
-        elif s.rule == 'mp':
-            i, j = s.refs
-            tj = App(tau[j][0], tau[i][0])
-            jk = Imp(Just(tau[j][0], None, tau[j][1]),
-                     Imp(Just(tau[i][0], None, tau[i][1]),
-                         Just(tj, None, f)))
-            k = b.add(jk, 'ax', (), ('jk',))
-            m1 = b.add(jk.b, 'mp', (state[j], k))
-            state[s.index] = b.add(jk.b.b, 'mp', (state[i], m1))
-            t = tj
-        elif s.rule == 'prop':
-            t, state[s.index] = _chain(b, state, tau, s.refs, f, None,
-                                       fresh, 'ian',
-                                       lambda fr: Const(fr('c')))
-        elif s.rule == 'mu-ind':
+    def cases(s, b, fresh, tau, state):
+        if s.rule in ('ax', 'fp', 'mu-cl', 'ian', 'an'):
+            t = _const(fresh)
+            return t, b.add(Just(t, None, s.formula), 'ian')
+        if s.rule == 'mu-ind':
             raise TransformError("induction steps cannot be lifted")
-        else:
-            raise TransformError("unexpected rule %r in a justification "
-                                 "derivation" % s.rule)
-        tau[s.index] = (t, f)
+        raise TransformError("unexpected rule %r in a justification "
+                             "derivation" % s.rule)
 
-    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                     premises, b.tuple())
-    return LiftResult(tau[d.steps[-1].index][0], _checked(out, "lift"))
+    return _internalize(elaborate(d), None, 'ian', _const, cases, "lift")
 
 
 # -- quantified internalization ----------------------------------------------
@@ -240,28 +257,14 @@ def internalize_qlp(d: Derivation) -> LiftResult:
     minus = 'qnec' not in logic.rules
     _require_ok(d, "internalize")
     d = elaborate(d)
-
     agent = d.agents[0] if d.agents else None
-    fresh = _Fresh()
-    b = _Build()
-    state = {}
-    tau = {}
-    pvar = {p.name: Var(fresh('x')) for p in d.premises}
-    premises = tuple(Premise(p.name, Just(pvar[p.name], agent, p.formula))
-                     for p in d.premises)
 
-    def prim():
-        return Prim(fresh('f'), ())
-
-    for s in d.steps:
+    def cases(s, b, fresh, tau, state):
         f = s.formula
-        if s.rule == 'premise':
-            t = pvar[s.args[0]]
-            state[s.index] = b.add(Just(t, agent, f), 'premise', (), s.args)
-        elif s.rule in ('ax', 'fp'):
-            t = prim()
-            state[s.index] = b.add(Just(t, agent, f), 'an')
-        elif s.rule == 'an':
+        if s.rule in ('ax', 'fp'):
+            t = _prim(fresh)
+            return t, b.add(Just(t, agent, f), 'an')
+        if s.rule == 'an':
             # f is already  p : A  for a primitive p; re-prefix with the
             # proof checker instead of asking the specification for a
             # second layer
@@ -269,21 +272,8 @@ def internalize_qlp(d: Derivation) -> LiftResult:
             a0 = b.add(f, 'an')
             j4 = Imp(f, Just(t, agent, f))
             k = b.add(j4, 'ax', (), ('j4',))
-            state[s.index] = b.add(j4.b, 'mp', (a0, k))
-        elif s.rule == 'mp':
-            i, j = s.refs
-            t = App(tau[j][0], tau[i][0])
-            jk = Imp(Just(tau[j][0], agent, tau[j][1]),
-                     Imp(Just(tau[i][0], agent, tau[i][1]),
-                         Just(t, agent, f)))
-            k = b.add(jk, 'ax', (), ('jk',))
-            m1 = b.add(jk.b, 'mp', (state[j], k))
-            state[s.index] = b.add(jk.b.b, 'mp', (state[i], m1))
-        elif s.rule == 'prop':
-            t, state[s.index] = _chain(b, state, tau, s.refs, f, agent,
-                                       fresh, 'an',
-                                       lambda fr: Prim(fr('f'), ()))
-        elif s.rule == 'gen':
+            return t, b.add(j4.b, 'mp', (a0, k))
+        if s.rule == 'gen':
             if minus:
                 raise TransformError(
                     "Gen step %d cannot be internalized without uniform "
@@ -297,15 +287,15 @@ def internalize_qlp(d: Derivation) -> LiftResult:
             t = UAll(u, x)
             uf = Imp(ex, Just(t, agent, f))
             g3 = b.add(uf, 'ax', (), ('uf',))
-            state[s.index] = b.add(uf.b, 'mp', (g2, g3))
-        elif s.rule == 'qnec':
-            i, x = s.refs[0], s.args[0]
+            return t, b.add(uf.b, 'mp', (g2, g3))
+        if s.rule == 'qnec':
+            i = s.refs[0]
             u, g = tau[i]
             ju = Just(u, agent, g)
             j4 = Imp(ju, Just(Bang(u), agent, ju))
             k = b.add(j4, 'ax', (), ('j4',))
             m1 = b.add(j4.b, 'mp', (state[i], k))
-            p = prim()
+            p = _prim(fresh)
             q3 = Imp(ju, f)
             a1 = b.add(Just(p, agent, q3), 'an')
             t = App(p, Bang(u))
@@ -313,16 +303,11 @@ def internalize_qlp(d: Derivation) -> LiftResult:
                      Imp(Just(Bang(u), agent, ju), Just(t, agent, f)))
             k2 = b.add(jk, 'ax', (), ('jk',))
             m2 = b.add(jk.b, 'mp', (a1, k2))
-            state[s.index] = b.add(jk.b.b, 'mp', (m1, m2))
-        else:
-            raise TransformError("unexpected rule %r in a quantified "
-                                 "derivation" % s.rule)
-        tau[s.index] = (t, f)
+            return t, b.add(jk.b.b, 'mp', (m1, m2))
+        raise TransformError("unexpected rule %r in a quantified "
+                             "derivation" % s.rule)
 
-    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                     premises, b.tuple())
-    return LiftResult(tau[d.steps[-1].index][0],
-                      _checked(out, "internalize"))
+    return _internalize(d, agent, 'an', _prim, cases, "internalize")
 
 
 # -- substitution ------------------------------------------------------------
@@ -490,27 +475,10 @@ def project(f: Formula) -> Formula:
             return Box(project(a))
         case Exists(x, Just(Var(n), _, a)) if n == x and x not in free_vars(a):
             return Box(project(a))
-        case Atom() | Falsum():
-            return f
-        case Neg(a):
-            return Neg(project(a))
-        case And(a, b):
-            return And(project(a), project(b))
-        case Or(a, b):
-            return Or(project(a), project(b))
-        case Imp(a, b):
-            return Imp(project(a), project(b))
-        case Iff(a, b):
-            return Iff(project(a), project(b))
-        case Xor(a, b):
-            return Xor(project(a), project(b))
-        case Mu(v, a):
-            return Mu(v, project(a))
-        case FixApp(name, args):
-            return FixApp(name, tuple(project(a) for a in args))
-        case _:
+        case Box() | Knows() | Forall() | Exists() | FMeta():
             raise TransformError("projection undefined on %s"
                                  % type(f).__name__)
+    return rebuild(f, [project(k) for k in children(f)])
 
 
 def _project_op(op: FPOperator) -> FPOperator:
@@ -613,28 +581,14 @@ def exists_translate(f: Formula) -> Formula:
     counter = [0]
 
     def go(g: Formula) -> Formula:
-        match g:
-            case Box(a):
-                counter[0] += 1
-                x = 'x#%d' % counter[0]
-                return Exists(x, Just(Var(x), None, go(a)))
-            case Atom() | Falsum():
-                return g
-            case Neg(a):
-                return Neg(go(a))
-            case And(a, c):
-                return And(go(a), go(c))
-            case Or(a, c):
-                return Or(go(a), go(c))
-            case Imp(a, c):
-                return Imp(go(a), go(c))
-            case Iff(a, c):
-                return Iff(go(a), go(c))
-            case Xor(a, c):
-                return Xor(go(a), go(c))
-            case _:
-                raise TransformError("translation is defined on "
-                                     "propositional modal formulas")
+        if isinstance(g, Box):
+            counter[0] += 1
+            x = 'x#%d' % counter[0]
+            return Exists(x, Just(Var(x), None, go(g.a)))
+        if type(g).__name__ not in PROP_NODES:
+            raise TransformError("translation is defined on "
+                                 "propositional modal formulas")
+        return rebuild(g, [go(k) for k in children(g)])
     return go(f)
 
 
@@ -644,29 +598,10 @@ def collapse_agents(f: Formula) -> Formula:
     match f:
         case Just(t, _, a):
             return Just(t, None, collapse_agents(a))
-        case Atom() | Falsum():
-            return f
-        case Neg(a):
-            return Neg(collapse_agents(a))
-        case And(a, b):
-            return And(collapse_agents(a), collapse_agents(b))
-        case Or(a, b):
-            return Or(collapse_agents(a), collapse_agents(b))
-        case Imp(a, b):
-            return Imp(collapse_agents(a), collapse_agents(b))
-        case Iff(a, b):
-            return Iff(collapse_agents(a), collapse_agents(b))
-        case Xor(a, b):
-            return Xor(collapse_agents(a), collapse_agents(b))
-        case Forall(x, a):
-            return Forall(x, collapse_agents(a))
-        case Exists(x, a):
-            return Exists(x, collapse_agents(a))
-        case FixApp(name, args):
-            return FixApp(name, tuple(collapse_agents(a) for a in args))
-        case _:
+        case Box() | Knows() | Mu() | FMeta():
             raise TransformError("agent collapse undefined on %s"
                                  % type(f).__name__)
+    return rebuild(f, [collapse_agents(k) for k in children(f)])
 
 
 def collapse_derivation(d: Derivation) -> Derivation:

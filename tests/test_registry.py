@@ -7,9 +7,9 @@ import hypothesis.strategies as st
 from conftest import any_formulas, bool_formulas, corpus_paths, jl_formulas
 from justfix.kernel import load_derivation
 from justfix.registry import (EMPTY, TOTAL, SCHEMAS, Spec, UnknownLogic,
-                              get_logic, is_tautology, known_logics,
-                              match_axiom, sigma_match, spec_membership,
-                              taut_consequence)
+                              get_logic, infer_term, is_tautology,
+                              known_logics, match_axiom, sigma_match,
+                              spec_membership, taut_consequence)
 from justfix.syntax import (And, Atom, Bang, Const, Falsum, Iff, Imp, Just,
                             Neg, Or, Var, Xor, parse_formula, print_formula)
 
@@ -296,6 +296,20 @@ def test_sigma_match_rejects_capture():
     assert sigma_match(base, bad) is None
 
 
+def test_sigma_match_rejects_capture_in_primitive_argument():
+    qlp = get_logic('QLP').profile
+    base = parse_formula('all y . f(x) : p', qlp)
+    assert sigma_match(base, parse_formula('all y . f(z) : p', qlp)) == \
+        {'x': Var('z')}
+    assert sigma_match(base, parse_formula('all y . f(y) : p', qlp)) is None
+
+
+def test_sigma_match_needs_one_term_per_variable():
+    base = parse_formula('x : p & x : q')
+    assert sigma_match(base, parse_formula('y : p & y : q')) == {'x': Var('y')}
+    assert sigma_match(base, parse_formula('y : p & z : q')) is None
+
+
 def test_sigma_match_identity():
     f = parse_formula('x : p -> p')
     sub = sigma_match(f, f)
@@ -336,3 +350,31 @@ def test_rule_availability():
 def test_unknown_logic():
     with pytest.raises(UnknownLogic):
         get_logic('S6')
+
+
+# -- quantifier schemas: instances found by term inference ---------------------
+
+@pytest.mark.parametrize('text, want', [
+    ('(all x . f(x) : p) -> f(y) : p', ('q1', {'v:x': 'x', 'T:t': Var('y')})),
+    ('(all x . q) -> q', ('q1', {'v:x': 'x', 'T:t': Var('x')})),
+    ('f(y) : p -> (ex x . f(x) : p)', ('q3', {'v:x': 'x', 'T:t': Var('y')})),
+    # the two occurrences of x would need different terms
+    ('(all x . x : p -> x : q) -> (y : p -> z : q)', None),
+    # y would be captured by ex y
+    ('(all x . ex y . x : p) -> (ex y . y : p)', None),
+    # a verifier's bound variable is never replaced
+    ('(all x . (z all x) : p) -> (z all y) : p', None),
+])
+def test_qlp_quantifier_schemas(text, want):
+    qlp = get_logic('QLP')
+    assert match_axiom(qlp, parse_formula(text, qlp.profile)) == want
+
+
+def test_infer_term_primitive_argument_occurrences():
+    qlp = get_logic('QLP').profile
+    template = parse_formula('x : p & all y . f(x, y) : q', qlp)
+    instance = parse_formula('(g * z) : p & all y . f(z, y) : q', qlp)
+    # x would stand for g * z in x : p but for z in f(x, y)
+    assert infer_term(template, instance, 'x') is None
+    instance = parse_formula('z : p & all y . f(z, y) : q', qlp)
+    assert infer_term(template, instance, 'x') == Var('z')

@@ -1,16 +1,18 @@
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from conftest import (any_formulas, bool_formulas, jl_formulas, lp_terms,
                       modal_formulas, qlp_formulas, qlp_terms, timed_formulas)
 from justfix.registry import get_logic
 from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
-                            Forall, Iff, Imp, Just, Knows, Mu, Neg,
+                            FixApp, Forall, Iff, Imp, Just, Knows, Mu, Neg,
                             NotFreeFor, Or, ParseError, Prim, ProfileError,
                             TSum, UAll, Var, free_vars, imp_chain,
                             occurrence_ok, parse_formula, parse_term,
                             print_formula, print_term, subst_prop,
-                            subst_term_for_var, term_vars, uall_vars)
+                            subst_term_for_var, term_vars, uall_vars,
+                            children, rebuild, walk)
 from justfix.transforms import project
 
 QLP = get_logic('QLP').profile
@@ -236,3 +238,31 @@ def _uall_in(t):
             if hasattr(v, '__dataclass_fields__'):
                 out |= _uall_in(v)
     return out
+
+
+# -- the generic traversal ----------------------------------------------------
+
+def _with_fix(f):
+    return st.recursive(
+        f, lambda ch: st.lists(ch, max_size=3).map(
+            lambda xs: FixApp('d', tuple(xs))),
+        max_leaves=4)
+
+
+def _preorder(f):
+    yield f
+    for k in children(f):
+        yield from _preorder(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_with_fix(any_formulas(max_leaves=4)))
+def test_rebuild_children_and_walk_order(f):
+    assert rebuild(f, children(f)) == f
+    assert list(walk(f)) == list(_preorder(f))
+
+
+def test_walk_visits_fix_arguments_left_to_right():
+    a, b = Atom('p'), Neg(Atom('q'))
+    f = And(FixApp('d', (a, b)), Atom('r'))
+    assert list(walk(f)) == [f, f.a, a, b, b.a, Atom('r')]
