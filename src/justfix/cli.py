@@ -18,8 +18,8 @@ from .kernel import (DerivationError, check_derivation, format_report,
 from .registry import UnknownLogic, get_logic, known_logics
 from .semantics import (ModelError, check_evidence_conditions, check_model,
                         is_valid, load_model)
-from .syntax import (ParseError, parse_formula, parse_term, print_formula,
-                     print_term)
+from .syntax import (ParseError, PositivityError, ProfileError,
+                     parse_formula, parse_term, print_formula, print_term)
 from . import corpus as corpus_mod
 from . import transforms
 
@@ -236,8 +236,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DerivationError, ParseError, ModelError, FixedPointError,
-            UnknownLogic, transforms.TransformError,
+    except (DerivationError, ParseError, ProfileError, PositivityError,
+            ModelError, FixedPointError, UnknownLogic,
+            transforms.TransformError,
             corpus_mod.CorpusError, OSError) as ex:
         print('error: %s' % ex, file=sys.stderr)
         return 1

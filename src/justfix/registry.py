@@ -8,7 +8,15 @@ first-order structural unification: metavariables bind whole subtrees, and
 nothing matches through the defined connectives.
 
 The tautological-consequence engine also lives here (the kernel and the
-schema for Taut both need it, and the kernel already imports us).
+schema for Taut both need it, and the kernel already imports us).  It
+decides each query with a reduced ordered BDD (Bryant 1986) built for
+that call alone: every maximal subformula that is not a boolean connective
+becomes one atom, atoms are ordered by first sight (goal first, then the
+premises last to first), and the node and memo tables are freed when the
+call returns.  Separable goals such as excluded-middle conjunctions and
+parity equivalences stay linear in the atom count.  An atom order can
+still make the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every
+a seen before any b takes about 8,200 nodes.
 """
 
 import dataclasses
@@ -25,135 +33,107 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# propositional skeletons and tautological consequence
+# tautological consequence: a reduced ordered BDD built fresh for each call
+#
+# Node 0 is false, node 1 is true, and node u >= 2 is nodes[u] = (var, lo,
+# hi): "if atom var then hi else lo".  Atoms are numbered in first-seen
+# order (goal first, then the premises last to first), and a lower number
+# sits nearer the root.  The unique table keeps the graph reduced, so a
+# function has exactly one node and "is a tautology" is "is node 1".  The
+# apply memo makes each (connective, node, node) pair cost one visit.  The
+# tables belong to one call and are freed when it returns; nothing is
+# cached across calls.
 
-_TRUE = ('1',)
-_FALSE = ('0',)
-
-
-def skeleton(f: Formula, table: dict) -> tuple:
-    """Boolean skeleton of f; non-boolean maximal subformulas become shared
-    atoms via table (Formula -> index)."""
-    if isinstance(f, Falsum):
-        return _FALSE
-    if isinstance(f, Neg):
-        return ('-', skeleton(f.a, table))
-    if isinstance(f, And):
-        return ('&', skeleton(f.a, table), skeleton(f.b, table))
-    if isinstance(f, Or):
-        return ('|', skeleton(f.a, table), skeleton(f.b, table))
-    if isinstance(f, Imp):
-        return ('>', skeleton(f.a, table), skeleton(f.b, table))
-    if isinstance(f, Iff):
-        return ('=', skeleton(f.a, table), skeleton(f.b, table))
-    if isinstance(f, Xor):
-        return ('^', skeleton(f.a, table), skeleton(f.b, table))
-    # Atom, Box, Knows, Just, Forall, Exists, Mu, FixApp: opaque
-    if f not in table:
-        table[f] = len(table)
-    return ('v', table[f])
+# truth tables f(0,0), f(0,1), f(1,0), f(1,1); negation ignores its second
+# argument
+_CONNECTIVES = {And: (0, 0, 0, 1), Or: (0, 1, 1, 1), Imp: (1, 1, 0, 1),
+                Iff: (1, 0, 0, 1), Xor: (0, 1, 1, 0)}
+_NOT = (1, 1, 0, 0)
+_LEAF = float('inf')
 
 
-def _reduce(e: tuple) -> tuple:
-    op = e[0]
-    if op in ('v', '0', '1'):
-        return e
-    if op == '-':
-        a = _reduce(e[1])
-        if a == _TRUE:
-            return _FALSE
-        if a == _FALSE:
-            return _TRUE
-        return ('-', a)
-    a = _reduce(e[1])
-    b = _reduce(e[2])
-    if op == '&':
-        if a == _FALSE or b == _FALSE:
-            return _FALSE
-        if a == _TRUE:
-            return b
-        if b == _TRUE:
-            return a
-    elif op == '|':
-        if a == _TRUE or b == _TRUE:
-            return _TRUE
-        if a == _FALSE:
-            return b
-        if b == _FALSE:
-            return a
-    elif op == '>':
-        if a == _FALSE or b == _TRUE:
-            return _TRUE
-        if a == _TRUE:
-            return b
-        if b == _FALSE:
-            return ('-', a)
-    elif op == '=':
-        if a == _TRUE:
-            return b
-        if b == _TRUE:
-            return a
-        if a == _FALSE:
-            return _reduce(('-', b))
-        if b == _FALSE:
-            return _reduce(('-', a))
-    elif op == '^':
-        if a == _FALSE:
-            return b
-        if b == _FALSE:
-            return a
-        if a == _TRUE:
-            return _reduce(('-', b))
-        if b == _TRUE:
-            return _reduce(('-', a))
-    return (op, a, b)
+class _BDD:
+    def __init__(self):
+        # a leaf tests no atom (it sorts below every var) and is its own
+        # cofactor
+        self.nodes: list = [(_LEAF, 0, 0), (_LEAF, 1, 1)]
+        self.unique: dict = {}   # (var, lo, hi) -> node
+        self.memo: dict = {}     # (op, u, v) -> node
+        self.atoms: dict = {}    # Formula -> var
+
+    def node(self, var: int, lo: int, hi: int) -> int:
+        if lo == hi:
+            return lo
+        key = (var, lo, hi)
+        u = self.unique.get(key)
+        if u is None:
+            u = self.unique[key] = len(self.nodes)
+            self.nodes.append(key)
+        return u
+
+    def apply(self, op: tuple, u: int, v: int) -> int:
+        if u < 2 and v < 2:
+            return op[2 * u + v]
+        key = (op, u, v)
+        r = self.memo.get(key)
+        if r is None:
+            iu, u0, u1 = self.nodes[u]
+            iv, v0, v1 = self.nodes[v]
+            var = min(iu, iv)
+            if iu > var:
+                u0 = u1 = u
+            if iv > var:
+                v0 = v1 = v
+            r = self.memo[key] = self.node(var, self.apply(op, u0, v0),
+                                           self.apply(op, u1, v1))
+        return r
+
+    def build(self, f: Formula) -> int:
+        """The node of f; every maximal subformula that is not a boolean
+        connective or Falsum is one atom, shared by formula equality."""
+        kind = type(f)
+        op = _CONNECTIVES.get(kind)
+        if kind is Imp:
+            return self.apply(op, self.build(f.a), self.build(f.b))
+        if op is not None:
+            # And, Or, Iff and Xor are associative and commutative: join
+            # the operands of a chain from the deepest top atom upwards, so
+            # that each join adds nodes only above those built so far (a
+            # parity chain then stays linear in either atom order)
+            operands, todo = [], [f]
+            while todo:
+                g = todo.pop()
+                if type(g) is kind:
+                    todo += (g.b, g.a)
+                else:
+                    operands.append(self.build(g))
+            operands.sort(key=lambda u: self.nodes[u][0], reverse=True)
+            u = operands[0]
+            for v in operands[1:]:
+                u = self.apply(op, v, u)
+            return u
+        if isinstance(f, Neg):
+            return self.apply(_NOT, self.build(f.a), 0)
+        if isinstance(f, Falsum):
+            return 0
+        # Atom, Box, Knows, Just, Forall, Exists, Mu, FixApp: opaque
+        return self.node(self.atoms.setdefault(f, len(self.atoms)), 0, 1)
 
 
-def _assign(e: tuple, idx: int, val: bool) -> tuple:
-    op = e[0]
-    if op == 'v':
-        if e[1] == idx:
-            return _TRUE if val else _FALSE
-        return e
-    if op in ('0', '1'):
-        return e
-    if op == '-':
-        return ('-', _assign(e[1], idx, val))
-    return (op, _assign(e[1], idx, val), _assign(e[2], idx, val))
-
-
-def _count_vars(e: tuple, acc: dict) -> None:
-    op = e[0]
-    if op == 'v':
-        acc[e[1]] = acc.get(e[1], 0) + 1
-    elif op == '-':
-        _count_vars(e[1], acc)
-    elif op not in ('0', '1'):
-        _count_vars(e[1], acc)
-        _count_vars(e[2], acc)
-
-
-def _taut(e: tuple) -> bool:
-    # Quine splitting on the most frequent atom, folding constants as we go
-    e = _reduce(e)
-    if e == _TRUE:
-        return True
-    if e == _FALSE:
-        return False
-    counts: dict = {}
-    _count_vars(e, counts)
-    v = max(counts, key=lambda k: (counts[k], -k))
-    return _taut(_assign(e, v, False)) and _taut(_assign(e, v, True))
+def _consequence_bdd(goal: Formula, premises: list) -> tuple:
+    """(node, bdd) of the implication from premises to goal; the bdd is
+    returned so that tests can read the size of its node table."""
+    bdd = _BDD()
+    u = bdd.build(goal)
+    for p in reversed(premises):
+        u = bdd.apply(_CONNECTIVES[Imp], bdd.build(p), u)
+    return u, bdd
 
 
 def taut_consequence(goal: Formula, premises: list) -> bool:
     """True iff goal follows truth-functionally from premises, atomizing
     maximal non-boolean subformulas consistently across all of them."""
-    table: dict = {}
-    e = skeleton(goal, table)
-    for p in reversed(premises):
-        e = ('>', skeleton(p, table), e)
-    return _taut(e)
+    return _consequence_bdd(goal, premises)[0] == 1
 
 
 def is_tautology(f: Formula) -> bool:

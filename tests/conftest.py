@@ -40,8 +40,8 @@ def _bool_layer(children):
     )
 
 
-def bool_formulas(max_leaves=8):
-    return st.recursive(atoms | st.just(Falsum()), _bool_layer,
+def bool_formulas(max_leaves=8, leaves=atoms):
+    return st.recursive(leaves | st.just(Falsum()), _bool_layer,
                         max_leaves=max_leaves)
 
 

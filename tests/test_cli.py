@@ -21,3 +21,18 @@ def test_transform_usage_error_exits_2(argv, usage, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'usage: justfix transform %s\n' % usage
+
+
+@pytest.mark.parametrize('text, message', [
+    ('logic: K\n\n1. x : p -> x : p ; prop\n',
+     'Just not in language modal'),
+    ('logic: K(mu)\n\n1. (mu p . ~p) -> (mu p . ~p) ; prop\n',
+     'p has a non-positive occurrence in mu body'),
+], ids=['profile', 'positivity'])
+def test_load_time_formula_error_exits_1(text, message, tmp_path, capsys):
+    path = tmp_path / 'bad.drv'
+    path.write_text(text)
+    assert cli.main(['check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: %s\n' % message

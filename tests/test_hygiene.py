@@ -1,4 +1,5 @@
-"""Every name a justfix module imports is used in that module."""
+"""Every name a justfix module imports is used in that module, and every
+private module-level name is used somewhere in justfix."""
 
 import ast
 import glob
@@ -37,3 +38,51 @@ def test_no_unused_imports(path):
 def test_detector_sees_unused_import():
     tree = ast.parse('import os\nfrom re import match, sub\nsub\n')
     assert _unused_imports(tree) == [(1, 'os'), (2, 'match')]
+
+
+def _dead_private_names(trees: dict) -> list:
+    """(module, name) of each module-level _name function, class or constant
+    that no statement of any module, other than its own definition, names."""
+    defined = []
+    used = set()   # (name, module, index of the top-level statement)
+    for mod, tree in trees.items():
+        for k, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(mod, name, k) for name in names
+                        if name.startswith('_') and not name.startswith('__')]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and \
+                        not isinstance(node.ctx, ast.Store):
+                    used.add((node.id, mod, k))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, mod, k))
+                elif isinstance(node, ast.ImportFrom):
+                    used.update((a.name, mod, k) for a in node.names)
+    return sorted((mod, name) for mod, name, k in defined
+                  if not any(n == name and (m, j) != (mod, k)
+                             for n, m, j in used))
+
+
+def test_no_dead_private_names():
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(SRC, '*.py'))):
+        with open(path) as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
+    assert _dead_private_names(trees) == []
+
+
+def test_detector_sees_dead_private_name():
+    a = ast.parse('def _dead(n):\n    return _dead(n - 1)\n'
+                  'def _live():\n    pass\n'
+                  '_C = 1\n_D = 2\n__all__ = []\nx = _live() + _C\n'
+                  '_imported = _used = 0\n')
+    b = ast.parse('from a import _imported\nimport a\na._used\n')
+    assert _dead_private_names({'a.py': a, 'b.py': b}) == [('a.py', '_D'),
+                                                           ('a.py', '_dead')]

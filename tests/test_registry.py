@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -7,11 +8,12 @@ import hypothesis.strategies as st
 from conftest import any_formulas, bool_formulas, corpus_paths, jl_formulas
 from justfix.kernel import load_derivation
 from justfix.registry import (EMPTY, TOTAL, SCHEMAS, Spec, UnknownLogic,
-                              get_logic, infer_term, is_tautology,
-                              known_logics, match_axiom, sigma_match,
-                              spec_membership, taut_consequence)
-from justfix.syntax import (And, Atom, Bang, Const, Falsum, Iff, Imp, Just,
-                            Neg, Or, Var, Xor, parse_formula, print_formula)
+                              _consequence_bdd, get_logic, infer_term,
+                              is_tautology, known_logics, match_axiom,
+                              sigma_match, spec_membership, taut_consequence)
+from justfix.syntax import (And, Atom, Bang, Box, Const, Falsum, Iff, Imp,
+                            Just, Knows, Neg, Or, Var, Xor, parse_formula,
+                            print_formula)
 
 
 # -- independent boolean oracle -----------------------------------------------
@@ -135,6 +137,131 @@ def test_taut_pins():
 def test_taut_treats_boxes_opaquely():
     assert is_tautology(parse_formula('[]p -> []p'))
     assert not is_tautology(parse_formula('[](p & q) -> []p'))
+
+
+# -- ten-atom oracle and scaling ----------------------------------------------
+# Each example draws a pool of at most ten opaque atoms: names, and []A or
+# K@n A over small formulas of those names, so equal opaque subformulas
+# recur and must share one atom.  Formulas are built over the pool only,
+# which keeps the truth table at 1024 rows or fewer.
+
+TEN_NAMES = ('p', 'q', 'r', 's', 'u', 'v', 'w', 'E1', 'E2', 'E3')
+_ten_names = st.sampled_from(TEN_NAMES).map(Atom)
+_opaque = (_ten_names
+           | bool_formulas(3, _ten_names).map(Box)
+           | st.builds(Knows, st.integers(0, 2), bool_formulas(3, _ten_names)))
+_pools = st.lists(_opaque, min_size=5, max_size=10, unique=True)
+
+
+@st.composite
+def _pooled(draw, pool, max_leaves):
+    # a random tree over as many distinct pool atoms as max_leaves allows,
+    # plus repeats and Falsum; plain recursive strategies mostly draw one
+    # or two atoms
+    rnd = draw(st.randoms(use_true_random=False))
+    parts = rnd.sample(pool, min(len(pool), max_leaves))
+    parts += [rnd.choice(pool + [Falsum()])
+              for _ in range(rnd.randint(0, max_leaves - len(parts)))]
+    rnd.shuffle(parts)
+    while len(parts) > 1:
+        k = rnd.randrange(len(parts) - 1)
+        join = rnd.choice((And, Or, Imp, Iff, Xor))
+        parts[k:k + 2] = [join(parts[k], parts[k + 1])]
+        if rnd.random() < 0.5:
+            parts[k] = Neg(parts[k])
+    return parts[0]
+
+
+def _mirror(f):
+    # an equivalent formula built afresh: operands swapped, implications
+    # contraposed, atoms copied
+    if isinstance(f, Imp):
+        return Imp(Neg(_mirror(f.b)), Neg(_mirror(f.a)))
+    if isinstance(f, (And, Or, Iff, Xor)):
+        return type(f)(_mirror(f.b), _mirror(f.a))
+    if isinstance(f, Neg):
+        return Neg(_mirror(f.a))
+    return copy.deepcopy(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pools.flatmap(lambda pool: st.tuples(st.just(pool),
+                                             _pooled(pool, 20))))
+def test_taut_oracle_ten_atoms(case):
+    pool, f = case
+    assert is_tautology(f) == table_consequence([], f)
+    # equal atoms are one atom, however often they are built ...
+    assert is_tautology(Iff(f, _mirror(f)))
+    # ... and distinct ones are never merged
+    for a, b in zip(pool, pool[1:]):
+        assert not is_tautology(Iff(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pools.flatmap(lambda pool: st.tuples(
+           st.lists(_pooled(pool, 8), max_size=3), _pooled(pool, 12))),
+       st.booleans())
+def test_taut_consequence_ten_atoms(case, weaken):
+    prems, goal = case
+    if weaken and prems:
+        goal = Or(goal, prems[-1])  # a consequence by construction
+    assert taut_consequence(goal, prems) == table_consequence(prems, goal)
+
+
+def test_taut_oracle_on_corpus_prop_steps_ten_atoms():
+    checked = 0
+    for path in corpus_paths():
+        d = load_derivation(path)
+        by_index = {s.index: s for s in d.steps}
+        for s in d.steps:
+            if s.rule != 'prop':
+                continue
+            prems = [by_index[i].formula for i in s.refs]
+            acc = {}
+            for g in prems + [s.formula]:
+                _atomize(g, acc)
+            if len(acc) > 10:
+                continue
+            where = '%s step %d' % (path, s.index)
+            assert table_consequence(prems, s.formula), where
+            assert taut_consequence(s.formula, prems), where
+            checked += 1
+    assert checked >= 80
+
+
+def _family_atoms(n):
+    # every fifth atom is opaque, as in the perfbench prop workload
+    return ['[]a%d' % k if k % 5 == 4 else 'a%d' % k for k in range(n)]
+
+
+def _excluded_middle(n, crossed=False):
+    # crossed: the first conjunct negates the second atom
+    a = _family_atoms(n)
+    return ' & '.join('(%s | ~%s)' % (x, a[1] if crossed and k == 0 else x)
+                      for k, x in enumerate(a))
+
+
+def _parity(n, dropped=False):
+    # dropped: the right side loses its last atom
+    a = _family_atoms(n)
+    right = a[::-1][:-1] if dropped else a[::-1]
+    return '(%s) <-> (%s)' % (' xor '.join(a), ' xor '.join(right))
+
+
+@pytest.mark.parametrize('n', [20, 60])
+@pytest.mark.parametrize('family, valid', [
+    (_excluded_middle, True),
+    (_parity, True),
+    (lambda n: _excluded_middle(n, crossed=True), False),
+    (lambda n: _parity(n, dropped=True), False),
+], ids=['excluded-middle', 'parity', 'crossed', 'dropped'])
+def test_taut_node_table_linear_in_atoms(family, valid, n):
+    # a count, not a wall time, so the bound does not flake; splitting on
+    # atoms one by one could never finish at 60
+    node, bdd = _consequence_bdd(parse_formula(family(n)), [])
+    assert len(bdd.atoms) == n
+    assert (node == 1) == valid
+    assert len(bdd.nodes) <= 4 * n
 
 
 # -- schema matching ----------------------------------------------------------
