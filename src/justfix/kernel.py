@@ -24,7 +24,7 @@ citation yields one diagnostic rather than a cascade.
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .syntax import (
@@ -705,62 +705,64 @@ def _check_step(d, logic, s, deps, gl, gls, is_axiom):
     return False, "unknown rule %r" % s.rule, flags
 
 
+# what a mismatching image of step i is reported as, per cone transform
+_INLINE_MISMATCH = {'lift': "lift of step %d proves %s",
+                    'internalize': "internalization of step %d proves %s",
+                    'subst': "substitution image of step %d is %s"}
+
+
+def inline_image(d: Derivation, s: Step) -> Derivation:
+    """The sub-derivation inline step s stands for, built by its transform,
+    which re-checks what it builds.  A cone internalized over the empty
+    specification is read under the total one."""
+    from . import transforms
+    form = s.args[0]
+    if form == 'jd':
+        f = s.formula
+        return transforms.jd_lemma(f.a.t, f.b.a.t, f.a.a.a, d.logic_id,
+                                   f.a.agent, d.ops)
+    cone = cone_derivation(d, s.refs[0])
+    if form == 'lift':
+        return transforms.lift(cone).derivation
+    if form == 'internalize':
+        if d.spec.kind == 'empty':
+            cone = replace(cone, spec=TOTAL, spec_src='tcs')
+        return transforms.internalize_qlp(cone).derivation
+    return transforms.substitute_proof(cone, s.args[1], s.args[2])
+
+
 def _check_inline(d, logic, s, deps, flags):
     from . import transforms
     form = s.args[0]
     f = s.formula
-    try:
-        if form == 'jd':
-            if not (isinstance(f, Imp) and isinstance(f.a, Just)
-                    and isinstance(f.a.a, Neg) and isinstance(f.b, Neg)
-                    and isinstance(f.b.a, Just)
-                    and f.a.agent == f.b.a.agent):
-                return False, ("inline jd expects s : ~A -> ~ t : A"), flags
-            if f.a.a.a != f.b.a.a:
-                return False, "antecedent and consequent bodies differ", flags
-            if d.spec.kind != 'total':
-                return False, ("inline jd needs a total specification"), flags
-            sub = transforms.jd_lemma(f.a.t, f.b.a.t, f.a.a.a,
-                                      d.logic_id, f.a.agent, d.ops)
-            if sub.final != f:
-                return False, "generated lemma proves %s" % (
-                    print_formula(sub.final)), flags
-            return True, None, flags
+    if form == 'jd':
+        if not (isinstance(f, Imp) and isinstance(f.a, Just)
+                and isinstance(f.a.a, Neg) and isinstance(f.b, Neg)
+                and isinstance(f.b.a, Just)
+                and f.a.agent == f.b.a.agent):
+            return False, ("inline jd expects s : ~A -> ~ t : A"), flags
+        if f.a.a.a != f.b.a.a:
+            return False, "antecedent and consequent bodies differ", flags
+        if d.spec.kind != 'total':
+            return False, ("inline jd needs a total specification"), flags
+    else:
         i = s.refs[0]
         if deps.get(i):
             return False, ("inline %s applied to step %d, which depends on "
                            "premises %s" % (form, i, sorted(deps[i]))), flags
-        sub = cone_derivation(d, i)
-        if form == 'lift':
-            res = transforms.lift(sub)
-            if res.derivation.final != f:
-                return False, "lift of step %d proves %s" % (
-                    i, print_formula(res.derivation.final)), flags
-            return True, None, flags
-        if form == 'internalize':
-            if d.spec.kind == 'empty':
-                flags.append('internalized under the total specification')
-                sub = _with_spec(sub, TOTAL, 'tcs')
-            res = transforms.internalize_qlp(sub)
-            if res.derivation.final != f:
-                return False, "internalization of step %d proves %s" % (
-                    i, print_formula(res.derivation.final)), flags
-            return True, None, flags
-        if form == 'subst':
-            x, t = s.args[1], s.args[2]
-            img = transforms.substitute_proof(sub, x, t)
-            if img.final != f:
-                return False, "substitution image of step %d is %s" % (
-                    i, print_formula(img.final)), flags
-            return True, None, flags
+        if form not in _INLINE_MISMATCH:
+            return False, "unknown inline transform %r" % form, flags
+        if form == 'internalize' and d.spec.kind == 'empty':
+            flags.append('internalized under the total specification')
+    try:
+        img = inline_image(d, s).final
     except transforms.TransformError as e:
         return False, "inline %s failed: %s" % (form, e), flags
-    return False, "unknown inline transform %r" % form, flags
-
-
-def _with_spec(d: Derivation, spec: Spec, src: str) -> Derivation:
-    return Derivation(d.logic_id, spec, src, d.agents, d.ops, d.premises,
-                      d.steps)
+    if img == f:
+        return True, None, flags
+    if form == 'jd':
+        return False, "generated lemma proves %s" % print_formula(img), flags
+    return False, _INLINE_MISMATCH[form] % (s.refs[0], print_formula(img)), flags
 
 
 def elaborate(d: Derivation) -> Derivation:
@@ -768,7 +770,6 @@ def elaborate(d: Derivation) -> Derivation:
     The result contains only primitive rules and proves the same final
     formula; premise-bearing steps are untouched (inline steps are always
     premise-free)."""
-    from . import transforms
     if not any(s.rule == 'inline' for s in d.steps):
         return d
     new_steps = []
@@ -783,21 +784,7 @@ def elaborate(d: Derivation) -> Derivation:
             remap[s.index] = emit(s.formula, s.rule,
                                   tuple(remap[r] for r in s.refs), s.args)
             continue
-        form = s.args[0]
-        if form == 'jd':
-            f = s.formula
-            sub = transforms.jd_lemma(f.a.t, f.b.a.t, f.a.a.a,
-                                      d.logic_id, f.a.agent, d.ops)
-        else:
-            cone = cone_derivation(d, s.refs[0])
-            if form == 'lift':
-                sub = transforms.lift(cone).derivation
-            elif form == 'internalize':
-                if d.spec.kind == 'empty':
-                    cone = _with_spec(cone, TOTAL, 'tcs')
-                sub = transforms.internalize_qlp(cone).derivation
-            else:
-                sub = transforms.substitute_proof(cone, s.args[1], s.args[2])
+        sub = inline_image(d, s)
         offset = len(new_steps)
         for t in sub.steps:
             if t.rule == 'inline':

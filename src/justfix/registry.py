@@ -170,22 +170,12 @@ def match_term(pat: Term, t: Term, b: dict) -> bool:
         return isinstance(t, Var) and _bind(b, 'v:' + pat.name[1:], t.name)
     if type(pat) is not type(t):
         return False
-    if isinstance(pat, (Var, Const)):
-        return pat.name == t.name
-    if isinstance(pat, Prim):
-        return pat.symbol == t.symbol and pat.args == t.args
-    if isinstance(pat, App):
-        return (match_term(pat.fn, t.fn, b)
-                and match_term(pat.arg, t.arg, b))
-    if isinstance(pat, TSum):
-        return (match_term(pat.left, t.left, b)
-                and match_term(pat.right, t.right, b))
-    if isinstance(pat, (Bang, Quest, WQuest)):
-        return match_term(pat.t, t.t, b)
-    if isinstance(pat, UAll):
-        return (_match_slot('v', pat.var, t.var, b)
-                and match_term(pat.inner, t.inner, b))
-    return False
+    kp = children(pat)
+    if not kp:
+        return pat == t
+    if isinstance(pat, UAll) and not _match_slot('v', pat.var, t.var, b):
+        return False
+    return all(match_term(p, s, b) for p, s in zip(kp, children(t)))
 
 
 def match_formula(pat: Formula, f: Formula, b: dict) -> bool:
@@ -230,24 +220,19 @@ def _match_free(base: Formula, target: Formula, binds) -> Optional[dict]:
             return True
         if type(u) is not type(v):
             return False
-        if isinstance(u, (Var, Const)):
-            return u.name == v.name
         if isinstance(u, Prim):
             if u.symbol != v.symbol or len(u.args) != len(v.args):
                 return False
             return all(wt(Var(p), Var(q), bound)
                        for p, q in zip(u.args, v.args))
-        if isinstance(u, App):
-            return wt(u.fn, v.fn, bound) and wt(u.arg, v.arg, bound)
-        if isinstance(u, TSum):
-            return wt(u.left, v.left, bound) and wt(u.right, v.right, bound)
-        if isinstance(u, (Bang, Quest, WQuest)):
-            return wt(u.t, v.t, bound)
         if isinstance(u, UAll):
             if u.var != v.var:
                 return False
-            return wt(u.inner, v.inner, bound | {u.var})
-        return False
+            bound = bound | {u.var}
+        ku = children(u)
+        if not ku:
+            return u == v
+        return all(wt(p, q, bound) for p, q in zip(ku, children(v)))
 
     def wf(a: Formula, c: Formula, bound: frozenset) -> bool:
         if type(a) is not type(c):
@@ -518,93 +503,73 @@ _TERM_OPS = {
 _MU_BASES = {'K', 'S4', 'S5', 'J', 'LP', 'JT45'}
 
 
+def _assemble(name: str, family: str, schemas: list, fnodes: set,
+              tnodes: set, rules: set, fp: bool, mu: bool, fp_mode: str,
+              spec_kind: Optional[str] = None,
+              agents: str = 'single') -> LogicSpec:
+    """A base logic plus its (FP) and (mu) extensions; taut is tried last."""
+    fnodes = set(PROP_NODES) | fnodes
+    if fp:
+        fnodes.add('FixApp')
+        rules.add('fp')
+    if mu:
+        fnodes.add('Mu')
+        rules |= {'mu-cl', 'mu-ind'}
+        schemas.append(SCHEMAS['mu-cl'])
+    schemas.append(SCHEMAS['taut'])
+    profile = LanguageProfile(family, frozenset(fnodes), frozenset(tnodes),
+                              agents)
+    return LogicSpec(name, family, profile, tuple(schemas), frozenset(rules),
+                     spec_kind, fp, fp_mode if fp else None, mu)
+
+
 def _modal_logic(base: str, fp: bool, mu: bool, extra_schema=None) -> LogicSpec:
     names = _MODAL_AXIOMS[base] if extra_schema is None else ('K',)
     schemas = [SCHEMAS[n] for n in names]
     if extra_schema is not None:
         schemas.append(extra_schema)
-    fnodes = set(PROP_NODES) | {'Box'}
-    rules = {'ax', 'mp', 'nec', 'prop', 'reg', 'premise'}
-    if fp:
-        fnodes.add('FixApp')
-        rules.add('fp')
-    if mu:
-        fnodes.add('Mu')
-        rules |= {'mu-cl', 'mu-ind'}
-        schemas.append(SCHEMAS['mu-cl'])
-    schemas.append(SCHEMAS['taut'])
     name = (extra_schema.name.capitalize() if extra_schema is not None
             else base)
-    profile = LanguageProfile('modal', frozenset(fnodes), frozenset(), 'single')
-    return LogicSpec(name, 'modal', profile, tuple(schemas),
-                     frozenset(rules), None, fp,
-                     'modalized' if fp else None, mu)
+    return _assemble(name, 'modal', schemas, {'Box'}, set(),
+                     {'ax', 'mp', 'nec', 'prop', 'reg', 'premise'},
+                     fp, mu, 'modalized')
 
 
 def _jl_logic(base: str, fp: bool, mu: bool) -> LogicSpec:
     names = _JL_AXIOMS[base]
-    schemas = [SCHEMAS[n] for n in names]
     tnodes = {'Var', 'Const', 'App', 'TSum'}
     for n in names:
         tnodes |= _TERM_OPS[n]
-    fnodes = set(PROP_NODES) | {'Just'}
     rules = {'ax', 'mp', 'ian', 'prop', 'premise', 'inline'}
     if 'j4' in names:
         rules.add('an')
-    if fp:
-        fnodes.add('FixApp')
-        rules.add('fp')
-    if mu:
-        fnodes.add('Mu')
-        rules |= {'mu-cl', 'mu-ind'}
-        schemas.append(SCHEMAS['mu-cl'])
-    schemas.append(SCHEMAS['taut'])
-    profile = LanguageProfile('jl', frozenset(fnodes), frozenset(tnodes),
-                              'single')
-    return LogicSpec(base, 'jl', profile, tuple(schemas), frozenset(rules),
-                     'cs', fp, 'justified' if fp else None, mu)
+    return _assemble(base, 'jl', [SCHEMAS[n] for n in names], {'Just'},
+                     tnodes, rules, fp, mu, 'justified', 'cs')
 
 
 def _qlp_logic(minus: bool, multi: bool, fp: bool) -> LogicSpec:
     names = ['q1', 'q2', 'q3', 'q4', 'jk', 'jt', 'j4', 'sum']
-    if not minus:
-        names.append('uf')
-    schemas = [SCHEMAS[n] for n in names]
     tnodes = {'Var', 'Prim', 'App', 'TSum', 'Bang'}
-    if not minus:
-        tnodes.add('UAll')
-    fnodes = set(PROP_NODES) | {'Just', 'Forall', 'Exists'}
     rules = {'ax', 'mp', 'gen', 'an', 'prop', 'premise', 'inline'}
     if not minus:
+        names.append('uf')
+        tnodes.add('UAll')
         rules.add('qnec')
-    if fp:
-        fnodes.add('FixApp')
-        rules.add('fp')
-    schemas.append(SCHEMAS['taut'])
-    name = 'QLP-' if minus else 'QLP'
-    if multi:
-        name += '_n'
-    profile = LanguageProfile('qlp', frozenset(fnodes), frozenset(tnodes),
-                              'multi' if multi else 'single')
-    return LogicSpec(name, 'qlp', profile, tuple(schemas), frozenset(rules),
-                     'pts', fp, 'exists_justified' if fp else None, False)
+    name = ('QLP-' if minus else 'QLP') + ('_n' if multi else '')
+    return _assemble(name, 'qlp', [SCHEMAS[n] for n in names],
+                     {'Just', 'Forall', 'Exists'}, tnodes, rules, fp, False,
+                     'exists_justified', 'pts',
+                     'multi' if multi else 'single')
 
 
 def _tmel_logic(base: str, fp: bool) -> LogicSpec:
     names = {'tK': ('tk', 'mon'), 'tT': ('tk', 'mon', 'tt'),
              'tS4': ('tk', 'mon', 'tt', 't4')}[base]
-    schemas = [SCHEMAS[n] for n in names]
-    fnodes = set(PROP_NODES) | {'Knows'}
     rules = {'ax', 'mp', 'prop', 'e', 'de', 'reg', 'premise'}
     if base == 'tS4':
         rules.add('admk')
-    if fp:
-        fnodes.add('FixApp')
-        rules.add('fp')
-    schemas.append(SCHEMAS['taut'])
-    profile = LanguageProfile('tmel', frozenset(fnodes), frozenset(), 'single')
-    return LogicSpec(base, 'tmel', profile, tuple(schemas), frozenset(rules),
-                     None, fp, 'modalized' if fp else None, False)
+    return _assemble(base, 'tmel', [SCHEMAS[n] for n in names], {'Knows'},
+                     set(), rules, fp, False, 'modalized')
 
 
 _MODAL_IDS = set(_MODAL_AXIOMS)
@@ -623,20 +588,22 @@ class UnknownLogic(Exception):
     pass
 
 
+def split_logic_id(logic_id: str) -> tuple:
+    """(base, suffix) of a logic id.  The suffix is '', '(FP)', '(mu)' or
+    '(mu)(FP)'; the base alias JT4 reads as LP."""
+    base = logic_id.strip()
+    suffix = ''
+    for tag in ('(FP)', '(mu)'):
+        if base.endswith(tag):
+            base, suffix = base[:-len(tag)], tag + suffix
+    return ('LP' if base == 'JT4' else base), suffix
+
+
 def get_logic(logic_id: str) -> LogicSpec:
     """Resolve a logic id, including (FP)/(mu) suffixes and the multi-agent
     QLP variants.  JT4 is accepted as an alias for LP."""
-    name = logic_id.strip()
-    fp = False
-    mu = False
-    if name.endswith('(FP)'):
-        fp = True
-        name = name[:-4]
-    if name.endswith('(mu)'):
-        mu = True
-        name = name[:-4]
-    if name == 'JT4':
-        name = 'LP'
+    name, suffix = split_logic_id(logic_id)
+    fp, mu = '(FP)' in suffix, '(mu)' in suffix
     if mu and name not in _MU_BASES:
         raise UnknownLogic("no mu extension registered for %r" % name)
     spec = None
@@ -645,9 +612,7 @@ def get_logic(logic_id: str) -> LogicSpec:
             n = int(name[len('Sacchetti-'):])
         except ValueError:
             raise UnknownLogic(logic_id)
-        base = _modal_logic('K', fp, mu, extra_schema=sacchetti_schema(n))
-        spec = LogicSpec('Sacchetti-%d' % n, 'modal', base.profile,
-                         base.axioms, base.rules, None, fp, base.fp_mode, mu)
+        spec = _modal_logic('K', fp, mu, extra_schema=sacchetti_schema(n))
     elif name in _MODAL_IDS:
         spec = _modal_logic(name, fp, mu)
     elif name in _JL_IDS:
@@ -663,13 +628,8 @@ def get_logic(logic_id: str) -> LogicSpec:
     if spec is None:
         raise UnknownLogic(logic_id)
     # display name carries the extension suffixes
-    disp = spec.name
-    if mu:
-        disp += '(mu)'
-    if fp:
-        disp += '(FP)'
-    if disp != spec.name:
-        spec = dataclasses.replace(spec, name=disp)
+    if suffix:
+        spec = dataclasses.replace(spec, name=spec.name + suffix)
     return spec
 
 

@@ -267,7 +267,7 @@ def check_profile(f: Formula, profile: LanguageProfile) -> None:
                 raise ProfileError(f"agent label in single-agent language {profile.name}")
             if profile.agents == "multi" and g.agent is None:
                 raise ProfileError(f"missing agent label in {profile.name}")
-            for t in subterms(g.t):
+            for t in walk(g.t):
                 tcls = type(t).__name__
                 if tcls != "TMeta" and tcls not in profile.term_nodes:
                     raise ProfileError(f"term {tcls} not in language {profile.name}")
@@ -283,13 +283,18 @@ def _pair(f: Formula) -> tuple[Formula, ...]:
     return (f.a, f.b)
 
 
-# The one place that knows which fields of each node are subformulas.
-# Nodes without an entry (Atom, Falsum, FMeta) are leaves.
+# The one place that knows which fields of each node are subformulas or
+# subterms.  Nodes without an entry (Atom, Falsum, FMeta, and the terms Var,
+# Const, Prim, TMeta) are leaves.  A formula's children are formulas (the
+# term of t : A is a field, not a child); a term's children are terms.
 _CHILDREN = {
     Neg: _body, Box: _body, Knows: _body, Just: _body,
     Forall: _body, Exists: _body, Mu: _body,
     And: _pair, Or: _pair, Imp: _pair, Iff: _pair, Xor: _pair,
     FixApp: lambda f: f.args,
+    App: lambda t: (t.fn, t.arg), TSum: lambda t: (t.left, t.right),
+    Bang: lambda t: (t.t,), Quest: lambda t: (t.t,), WQuest: lambda t: (t.t,),
+    UAll: lambda t: (t.inner,),
 }
 _REBUILD = {
     Neg: lambda f, k: Neg(k[0]),
@@ -305,24 +310,34 @@ _REBUILD = {
     Iff: lambda f, k: Iff(k[0], k[1]),
     Xor: lambda f, k: Xor(k[0], k[1]),
     FixApp: lambda f, k: FixApp(f.name, tuple(k)),
+    App: lambda t, k: App(k[0], k[1]),
+    TSum: lambda t, k: TSum(k[0], k[1]),
+    Bang: lambda t, k: Bang(k[0]),
+    Quest: lambda t, k: Quest(k[0]),
+    WQuest: lambda t, k: WQuest(k[0]),
+    UAll: lambda t, k: UAll(k[0], t.var),
 }
 
+Node = Union[Formula, Term]
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    """Immediate subformulas, left to right (fix arguments in order)."""
+
+def children(f: Node) -> tuple[Node, ...]:
+    """Immediate subformulas of a formula (fix arguments in order), or
+    immediate subterms of a term, left to right."""
     kids = _CHILDREN.get(type(f))
     return kids(f) if kids else ()
 
 
-def rebuild(f: Formula, kids: Sequence[Formula]) -> Formula:
-    """f with its immediate subformulas replaced by kids, in children()
+def rebuild(f: Node, kids: Sequence[Node]) -> Node:
+    """f with its immediate children replaced by kids, in children()
     order; every other field is kept.  A rebuilt mu re-checks positivity."""
     make = _REBUILD.get(type(f))
     return make(f, kids) if make else f
 
 
-def walk(f: Formula) -> Iterator[Formula]:
-    """Pre-order over all subformulas, including fix arguments."""
+def walk(f: Node) -> Iterator[Node]:
+    """Pre-order over all subformulas (including fix arguments) of a
+    formula, or over all subterms of a term."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -330,20 +345,6 @@ def walk(f: Formula) -> Iterator[Formula]:
         kids = _CHILDREN.get(type(g))
         if kids:
             stack.extend(reversed(kids(g)))
-
-
-def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    match t:
-        case App(a, b) | TSum(a, b):
-            yield from subterms(a)
-            yield from subterms(b)
-        case Bang(s) | Quest(s) | WQuest(s):
-            yield from subterms(s)
-        case UAll(inner, _):
-            yield from subterms(inner)
-        case _:
-            pass
 
 
 def formula_terms(f: Formula) -> list[Term]:
@@ -357,14 +358,12 @@ def term_vars(t: Term) -> frozenset[str]:
             return frozenset({n})
         case Prim(_, args):
             return frozenset(args)
-        case App(a, b) | TSum(a, b):
-            return term_vars(a) | term_vars(b)
-        case Bang(s) | Quest(s) | WQuest(s):
-            return term_vars(s)
         case UAll(inner, v):
             return term_vars(inner) - {v}
-        case _:
-            return frozenset()
+    out: frozenset[str] = frozenset()
+    for s in children(t):
+        out |= term_vars(s)
+    return out
 
 
 def free_vars(f: Formula) -> frozenset[str]:
@@ -385,7 +384,7 @@ def uall_vars(f: Formula) -> frozenset[str]:
     out: set[str] = set()
     for g in walk(f):
         if isinstance(g, Just):
-            for t in subterms(g.t):
+            for t in walk(g.t):
                 if isinstance(t, UAll):
                     out.add(t.var)
     return frozenset(out)
@@ -416,33 +415,18 @@ def occurrences(f: Formula, p: str) -> list[tuple[bool, bool, bool, int, bool]]:
             case Atom(n):
                 if n == p:
                     occs.append((box, just, ejust, pol, opq))
-            case Neg(a):
-                go(a, box, just, ejust, -pol, opq)
-            case And(a, b) | Or(a, b):
-                go(a, box, just, ejust, pol, opq)
-                go(b, box, just, ejust, pol, opq)
-            case Imp(a, b):
-                go(a, box, just, ejust, -pol, opq)
-                go(b, box, just, ejust, pol, opq)
-            case Iff(a, b) | Xor(a, b):
-                go(a, box, just, ejust, 0, opq)
-                go(b, box, just, ejust, 0, opq)
-            case Box(a) | Knows(_, a):
-                go(a, True, just, ejust, pol, opq)
-            case Just(_, _, a):
-                go(a, box, True, ejust, pol, opq)
+                return
+            case Mu(q, _) if q == p:
+                return
             case Exists(v, Just(Var(w), _, a)) if w == v:
-                go(a, box, True, True, pol, opq)
-            case Forall(_, a) | Exists(_, a):
-                go(a, box, just, ejust, pol, opq)
-            case Mu(q, a):
-                if q != p:
-                    go(a, box, just, ejust, pol, opq)
-            case FixApp(_, args):
-                for x in args:
-                    go(x, box, just, ejust, pol, True)
-            case _:
-                pass
+                return go(a, box, True, True, pol, opq)
+        kind = type(g)
+        box = box or kind in (Box, Knows)
+        just = just or kind is Just
+        opq = opq or kind is FixApp
+        pol = 0 if kind in (Iff, Xor) else -pol if kind is Neg else pol
+        for k, x in enumerate(children(g)):
+            go(x, box, just, ejust, -pol if kind is Imp and k == 0 else pol, opq)
 
     go(f, False, False, False, 1, False)
     return occs
@@ -486,24 +470,13 @@ def subst_in_term(s: Term, x: str, t: Term) -> Term:
                         f"cannot put compound term {t} in argument place of {sym}")
                 return Prim(sym, tuple(t.name if a == x else a for a in args))
             return s
-        case App(a, b):
-            return App(subst_in_term(a, x, t), subst_in_term(b, x, t))
-        case TSum(a, b):
-            return TSum(subst_in_term(a, x, t), subst_in_term(b, x, t))
-        case Bang(u):
-            return Bang(subst_in_term(u, x, t))
-        case Quest(u):
-            return Quest(subst_in_term(u, x, t))
-        case WQuest(u):
-            return WQuest(subst_in_term(u, x, t))
         case UAll(inner, v):
             if v == x:
                 return s
             if x in term_vars(inner) and v in term_vars(t):
                 raise NotFreeFor(f"{t} not free for {x}: capture by verifier on {v}")
             return UAll(subst_in_term(inner, x, t), v)
-        case _:
-            return s
+    return rebuild(s, [subst_in_term(k, x, t) for k in children(s)])
 
 
 def subst_term_for_var(f: Formula, x: str, t: Term) -> Formula:
@@ -788,23 +761,27 @@ class _Parser:
         return Const(tok)
 
 
-def parse_formula(text: str, profile: LanguageProfile = FULL) -> Formula:
+def _parse(text: str, profile: LanguageProfile, rule):
+    """Run one parser rule over the whole of text."""
     p = _Parser(text, profile)
-    f = p.imp()
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise ParseError("formula nested too deeply") from None
     if p.pos != len(p.toks):
         tok, at = p.toks[p.pos]
         raise ParseError(f"trailing input {tok!r} at {at} in {text!r}")
+    return out
+
+
+def parse_formula(text: str, profile: LanguageProfile = FULL) -> Formula:
+    f = _parse(text, profile, _Parser.imp)
     check_profile(f, profile)
     return f
 
 
 def parse_term(text: str, profile: LanguageProfile = FULL) -> Term:
-    p = _Parser(text, profile)
-    t = p.term()
-    if p.pos != len(p.toks):
-        tok, at = p.toks[p.pos]
-        raise ParseError(f"trailing input {tok!r} at {at} in {text!r}")
-    return t
+    return _parse(text, profile, _Parser.term)
 
 
 # ------------------------------------------------------------- printing

@@ -34,7 +34,7 @@ from .syntax import (
     free_vars, subst_term_for_var, subst_in_term, imp_chain,
 )
 from .registry import (
-    get_logic, match_axiom, Spec, TOTAL,
+    get_logic, match_axiom, split_logic_id, Spec, TOTAL,
 )
 from .fixedpoint import FPOperator, make_operator, fp_axiom_instance
 from . import kernel
@@ -453,14 +453,7 @@ _PROJ_AXIOM = {
 
 
 def project_logic_id(logic_id: str) -> str:
-    name = logic_id.strip()
-    suffix = ''
-    for tag in ('(FP)', '(mu)'):
-        if name.endswith(tag):
-            suffix = tag + suffix
-            name = name[:-len(tag)]
-    if name == 'JT4':
-        name = 'LP'
+    name, suffix = split_logic_id(logic_id)
     if name not in _PROJ_LOGIC:
         raise TransformError("no modal counterpart for %s" % logic_id)
     return _PROJ_LOGIC[name] + suffix
@@ -611,7 +604,8 @@ def collapse_derivation(d: Derivation) -> Derivation:
     if logic.profile.agents != 'multi':
         raise TransformError("input is already single-agent")
     _require_ok(d, "agent collapse")
-    target = d.logic_id[:-2] if d.logic_id.endswith('_n') else d.logic_id
+    base, suffix = split_logic_id(d.logic_id)
+    target = base[:-2] + suffix   # every multi-agent base ends in _n
     spec = d.spec
     if spec.kind == 'explicit':
         spec = Spec('explicit',

@@ -36,3 +36,16 @@ def test_load_time_formula_error_exits_1(text, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: %s\n' % message
+
+
+@pytest.mark.parametrize('step', [
+    '(' * 200 + 'p -> p' + ')' * 200 + ' ; prop',
+    '~' * 1000 + '(p -> p) ; prop',
+], ids=['parentheses', 'negations'])
+def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
+    path = tmp_path / 'deep.drv'
+    path.write_text('logic: K\n\n1. %s\n' % step)
+    assert cli.main(['check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: formula nested too deeply\n'

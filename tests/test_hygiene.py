@@ -1,5 +1,6 @@
-"""Every name a justfix module imports is used in that module, and every
-private module-level name is used somewhere in justfix."""
+"""Every name a justfix module imports is used in that module, every
+private module-level name is used somewhere in justfix, and only the
+registry spells out the pieces of the logic-id grammar."""
 
 import ast
 import glob
@@ -86,3 +87,30 @@ def test_detector_sees_dead_private_name():
     b = ast.parse('from a import _imported\nimport a\na._used\n')
     assert _dead_private_names({'a.py': a, 'b.py': b}) == [('a.py', '_D'),
                                                            ('a.py', '_dead')]
+
+
+# the suffixes and the alias that registry.split_logic_id reads; a full id
+# such as 'T(FP)' is a name, not grammar, and may appear anywhere
+_LOGIC_ID_PIECES = frozenset(('(FP)', '(mu)', '_n', 'JT4'))
+
+
+def _logic_id_pieces(tree: ast.Module) -> list:
+    return sorted((node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant)
+                  and node.value in _LOGIC_ID_PIECES)
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_logic_id_grammar_only_in_registry(path):
+    if os.path.basename(path) == 'registry.py':
+        return
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    assert _logic_id_pieces(tree) == []
+
+
+def test_detector_sees_logic_id_piece():
+    tree = ast.parse("MANIFEST = ['T(FP)', 'QLP_n']\n"
+                     "def f(x):\n    return x.endswith('_n') or x == 'JT4'\n")
+    assert _logic_id_pieces(tree) == [(3, 'JT4'), (3, '_n')]

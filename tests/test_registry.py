@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import any_formulas, bool_formulas, corpus_paths, jl_formulas
+from conftest import (ATOM_NAMES, any_formulas, bool_formulas, corpus_paths,
+                      jl_formulas)
 from justfix.kernel import load_derivation
 from justfix.registry import (EMPTY, TOTAL, SCHEMAS, Spec, UnknownLogic,
                               _consequence_bdd, get_logic, infer_term,
@@ -116,6 +117,34 @@ def test_taut_oracle_on_corpus_prop_steps():
 @given(bool_formulas(max_leaves=6))
 def test_taut_oracle_random(f):
     assert is_tautology(f) == table_consequence([], f)
+
+
+@st.composite
+def _five_atom_formulas(draw):
+    # every ATOM_NAMES atom once plus up to five repeats, in a drawn order,
+    # folded pairwise by drawn connectives, each part perhaps negated
+    names = list(ATOM_NAMES) + draw(st.lists(st.sampled_from(ATOM_NAMES),
+                                             max_size=5))
+    parts = [Atom(n) for n in draw(st.permutations(names))]
+    parts = [Neg(a) if draw(st.booleans()) else a for a in parts]
+    while len(parts) > 1:
+        k = draw(st.integers(0, len(parts) - 2))
+        f = draw(st.sampled_from((And, Or, Imp, Iff, Xor)))(parts[k],
+                                                            parts[k + 1])
+        parts[k:k + 2] = [Neg(f) if draw(st.booleans()) else f]
+    return parts[0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_five_atom_formulas())
+def test_taut_oracle_five_atoms(f):
+    acc = {}
+    _atomize(f, acc)
+    assert len(acc) == 5
+    assert is_tautology(f) == table_consequence([], f)
+    # few such draws are tautologies, so also prove one consequence each
+    g = _mirror(f)
+    assert taut_consequence(g, [f]) == table_consequence([f], g)
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import (any_formulas, bool_formulas, jl_formulas, lp_terms,
-                      modal_formulas, qlp_formulas, qlp_terms, timed_formulas)
+from conftest import (ATOM_NAMES, any_formulas, bool_formulas, jl_formulas,
+                      lp_terms, modal_formulas, qlp_formulas, qlp_terms,
+                      timed_formulas)
 from justfix.registry import get_logic
 from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             FixApp, Forall, Iff, Imp, Just, Knows, Mu, Neg,
@@ -12,7 +13,8 @@ from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             occurrence_ok, parse_formula, parse_term,
                             print_formula, print_term, subst_prop,
                             subst_term_for_var, term_vars, uall_vars,
-                            children, rebuild, walk)
+                            children, rebuild, walk, App, Quest, WQuest, Xor,
+                            occurrences, subst_in_term)
 from justfix.transforms import project
 
 QLP = get_logic('QLP').profile
@@ -266,3 +268,165 @@ def test_walk_visits_fix_arguments_left_to_right():
     a, b = Atom('p'), Neg(Atom('q'))
     f = And(FixApp('d', (a, b)), Atom('r'))
     assert list(walk(f)) == [f, f.a, a, b, b.a, Atom('r')]
+
+
+# -- differential oracles: the per-node recursions the generic traversal ------
+# -- replaced, frozen as they were written before it --------------------------
+
+def _ref_subterms(t):
+    yield t
+    match t:
+        case App(a, b) | TSum(a, b):
+            yield from _ref_subterms(a)
+            yield from _ref_subterms(b)
+        case Bang(s) | Quest(s) | WQuest(s):
+            yield from _ref_subterms(s)
+        case UAll(inner, _):
+            yield from _ref_subterms(inner)
+        case _:
+            pass
+
+
+def _ref_term_vars(t):
+    match t:
+        case Var(n):
+            return frozenset({n})
+        case Prim(_, args):
+            return frozenset(args)
+        case App(a, b) | TSum(a, b):
+            return _ref_term_vars(a) | _ref_term_vars(b)
+        case Bang(s) | Quest(s) | WQuest(s):
+            return _ref_term_vars(s)
+        case UAll(inner, v):
+            return _ref_term_vars(inner) - {v}
+        case _:
+            return frozenset()
+
+
+def _ref_subst_in_term(s, x, t):
+    match s:
+        case Var(n):
+            return t if n == x else s
+        case Prim(sym, args):
+            if x in args:
+                if not isinstance(t, Var):
+                    raise NotFreeFor(
+                        f"cannot put compound term {t} in argument place of {sym}")
+                return Prim(sym, tuple(t.name if a == x else a for a in args))
+            return s
+        case App(a, b):
+            return App(_ref_subst_in_term(a, x, t), _ref_subst_in_term(b, x, t))
+        case TSum(a, b):
+            return TSum(_ref_subst_in_term(a, x, t), _ref_subst_in_term(b, x, t))
+        case Bang(u):
+            return Bang(_ref_subst_in_term(u, x, t))
+        case Quest(u):
+            return Quest(_ref_subst_in_term(u, x, t))
+        case WQuest(u):
+            return WQuest(_ref_subst_in_term(u, x, t))
+        case UAll(inner, v):
+            if v == x:
+                return s
+            if x in _ref_term_vars(inner) and v in _ref_term_vars(t):
+                raise NotFreeFor(f"{t} not free for {x}: capture by verifier on {v}")
+            return UAll(_ref_subst_in_term(inner, x, t), v)
+        case _:
+            return s
+
+
+def _ref_occurrences(f, p):
+    occs = []
+
+    def go(g, box, just, ejust, pol, opq):
+        match g:
+            case Atom(n):
+                if n == p:
+                    occs.append((box, just, ejust, pol, opq))
+            case Neg(a):
+                go(a, box, just, ejust, -pol, opq)
+            case And(a, b) | Or(a, b):
+                go(a, box, just, ejust, pol, opq)
+                go(b, box, just, ejust, pol, opq)
+            case Imp(a, b):
+                go(a, box, just, ejust, -pol, opq)
+                go(b, box, just, ejust, pol, opq)
+            case Iff(a, b) | Xor(a, b):
+                go(a, box, just, ejust, 0, opq)
+                go(b, box, just, ejust, 0, opq)
+            case Box(a) | Knows(_, a):
+                go(a, True, just, ejust, pol, opq)
+            case Just(_, _, a):
+                go(a, box, True, ejust, pol, opq)
+            case Exists(v, Just(Var(w), _, a)) if w == v:
+                go(a, box, True, True, pol, opq)
+            case Forall(_, a) | Exists(_, a):
+                go(a, box, just, ejust, pol, opq)
+            case Mu(q, a):
+                if q != p:
+                    go(a, box, just, ejust, pol, opq)
+            case FixApp(_, args):
+                for x in args:
+                    go(x, box, just, ejust, pol, True)
+            case _:
+                pass
+
+    go(f, False, False, False, 1, False)
+    return occs
+
+
+def _positive_mu(vf):
+    # mu over an atom that occurs only positively, else over a fresh one
+    v, f = vf
+    if all(pol == 1 for _, _, _, pol, _ in _ref_occurrences(f, v)):
+        return Mu(v, f)
+    return Mu('m', f)
+
+
+def _ex_just(vf):
+    # the ex x . x : A shape, the one place ejust is set
+    v, f = vf
+    return Exists(v, Just(Var(v), None, f))
+
+
+_occurrence_formulas = st.recursive(
+    jl_formulas(max_leaves=6) | qlp_formulas(max_leaves=6),
+    lambda ch: st.one_of(
+        ch.map(Box),
+        st.tuples(st.integers(0, 3), ch).map(lambda tf: Knows(*tf)),
+        st.tuples(st.sampled_from(ATOM_NAMES), ch).map(_positive_mu),
+        st.tuples(st.sampled_from(('x', 'y')), ch).map(_ex_just),
+        st.lists(ch, max_size=3).map(lambda xs: FixApp('d', tuple(xs))),
+        ch.map(Neg),
+        st.tuples(ch, ch).map(lambda ab: Imp(*ab)),
+        st.tuples(ch, ch).map(lambda ab: Iff(*ab))),
+    max_leaves=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_occurrence_formulas)
+def test_occurrences_match_reference(f):
+    for p in ATOM_NAMES:
+        assert occurrences(f, p) == _ref_occurrences(f, p)
+
+
+@settings(max_examples=500, deadline=None)
+@given(qlp_terms | lp_terms)
+def test_term_traversals_match_reference(t):
+    assert rebuild(t, children(t)) == t
+    assert list(walk(t)) == list(_preorder(t)) == list(_ref_subterms(t))
+    assert term_vars(t) == _ref_term_vars(t)
+
+
+def _subst_outcome(subst, s, x, t):
+    try:
+        return subst(s, x, t)
+    except NotFreeFor as e:
+        return 'NotFreeFor: %s' % e
+
+
+@settings(max_examples=500, deadline=None)
+@given(qlp_terms | lp_terms, st.sampled_from(('x', 'y', 'z')),
+       qlp_terms | lp_terms)
+def test_subst_in_term_matches_reference(s, x, t):
+    assert _subst_outcome(subst_in_term, s, x, t) == \
+        _subst_outcome(_ref_subst_in_term, s, x, t)

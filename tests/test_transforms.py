@@ -1,5 +1,6 @@
 """Derivation-to-derivation constructions."""
 
+import dataclasses
 import os
 
 import pytest
@@ -398,6 +399,15 @@ def test_collapse_derivation_targets_single_agent_logic():
     assert out.agents is None
     for e in out.spec.entries:
         assert ':@' not in print_formula(e)
+    assert check_derivation(out).ok
+
+
+def test_collapse_keeps_fixed_point_suffix():
+    # the _n marker sits before the suffix: QLP-_n(FP) collapses to QLP-(FP)
+    d = dataclasses.replace(entry('qlp-blindspot.drv'), logic_id='QLP-_n(FP)')
+    out = collapse_derivation(d)
+    assert out.logic_id == 'QLP-(FP)'
+    assert out.agents is None
     assert check_derivation(out).ok
 
 
