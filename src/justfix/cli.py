@@ -242,6 +242,11 @@ def main(argv=None) -> int:
             corpus_mod.CorpusError, OSError) as ex:
         print('error: %s' % ex, file=sys.stderr)
         return 1
+    except RecursionError:
+        # the parser bounds nesting itself; a recursion past it (the
+        # tautology engine on a chain of over a thousand atoms) ends here
+        print('error: formula nested too deeply', file=sys.stderr)
+        return 1
 
 
 if __name__ == '__main__':

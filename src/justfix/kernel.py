@@ -22,6 +22,7 @@ later steps are checked against the stated formulas, so one broken
 citation yields one diagnostic rather than a cascade.
 """
 
+import functools
 import os
 import re
 from dataclasses import dataclass, replace
@@ -150,12 +151,19 @@ def _split_top(text: str, sep: str):
     return parts
 
 
+def _number(tok: str, what: str = 'step reference') -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise DerivationError("%s %r is not a number" % (what, tok)) from None
+
+
 def _parse_refs(tokens) -> tuple:
     refs = []
     for tok in tokens:
         for piece in tok.split(','):
             if piece:
-                refs.append(int(piece))
+                refs.append(_number(piece))
     return tuple(refs)
 
 
@@ -184,7 +192,7 @@ def _parse_justification(text: str, profile) -> tuple:
     if rule in ('gen', 'qnec'):
         if len(rest) != 2:
             raise DerivationError("%s takes a step reference and a variable" % rule)
-        return rule, (int(rest[0]),), (rest[1],)
+        return rule, (_number(rest[0]),), (rest[1],)
     if rule in ('ian', 'an', 'mu-cl'):
         if rest:
             raise DerivationError("%s takes no arguments" % rule)
@@ -192,11 +200,12 @@ def _parse_justification(text: str, profile) -> tuple:
     if rule == 'e':
         if len(rest) != 2:
             raise DerivationError("e takes a step reference and a time")
-        return 'e', (int(rest[0]),), (int(rest[1]),)
+        return 'e', (_number(rest[0]),), (_number(rest[1], 'time'),)
     if rule == 'de':
         if len(rest) != 3:
             raise DerivationError("de takes a step reference and two times")
-        return 'de', (int(rest[0]),), (int(rest[1]), int(rest[2]))
+        return 'de', (_number(rest[0]),), (_number(rest[1], 'time'),
+                                         _number(rest[2], 'time'))
     if rule == 'fp':
         if len(rest) != 1:
             raise DerivationError("fp takes an operator name")
@@ -211,7 +220,7 @@ def _parse_justification(text: str, profile) -> tuple:
     if rule == 'admk':
         if len(rest) < 2:
             raise DerivationError("admk takes step references and a time")
-        return 'admk', _parse_refs(rest[:-1]), (int(rest[-1]),)
+        return 'admk', _parse_refs(rest[:-1]), (_number(rest[-1], 'time'),)
     if rule == 'premise':
         if len(rest) != 1:
             raise DerivationError("premise takes a name")
@@ -223,7 +232,7 @@ def _parse_justification(text: str, profile) -> tuple:
         if form == 'lift' or form == 'internalize':
             if len(rest) != 2:
                 raise DerivationError("inline %s takes one step reference" % form)
-            return 'inline', (int(rest[1]),), (form,)
+            return 'inline', (_number(rest[1]),), (form,)
         if form == 'subst':
             m = re.match(r'^subst\s+(\d+)\s+(\S+)\s*:=\s*(.+)$',
                          ' '.join(rest))
@@ -472,6 +481,29 @@ def _agent_ok(f: Formula, agents) -> Optional[str]:
     return None
 
 
+# The inline images built during the outermost check_derivation or
+# elaborate call (see inline_image); None outside such a call, so no image
+# outlives the call that built it.
+_IMAGES = None
+
+
+def _image_scope(fn):
+    """Open the inline-image memo for the outermost call of fn and drop it
+    when that call returns or raises; nested calls share it."""
+    @functools.wraps(fn)
+    def scoped(d: Derivation):
+        global _IMAGES
+        if _IMAGES is not None:
+            return fn(d)
+        _IMAGES = {}
+        try:
+            return fn(d)
+        finally:
+            _IMAGES = None
+    return scoped
+
+
+@_image_scope
 def check_derivation(d: Derivation) -> CheckReport:
     logic = get_logic(d.logic_id)
     verdicts = []
@@ -714,7 +746,30 @@ _INLINE_MISMATCH = {'lift': "lift of step %d proves %s",
 def inline_image(d: Derivation, s: Step) -> Derivation:
     """The sub-derivation inline step s stands for, built by its transform,
     which re-checks what it builds.  A cone internalized over the empty
-    specification is read under the total one."""
+    specification is read under the total one.
+
+    The image depends only on the key below, so within one outermost call
+    it is built once; a TransformError is kept and raised again.  The cone
+    of step j reindexed inside the cone of step k equals the cone of j, so
+    nested steps find the images built for the levels below them."""
+    from . import transforms
+    if s.args[0] == 'jd':
+        key = (s.formula, d.logic_id, d.ops)
+    else:
+        key = (cone_derivation(d, s.refs[0]), s.args)
+    images = {} if _IMAGES is None else _IMAGES
+    if key not in images:
+        try:
+            images[key] = _build_image(d, s)
+        except transforms.TransformError as e:
+            images[key] = e
+    img = images[key]
+    if isinstance(img, transforms.TransformError):
+        raise img.with_traceback(None)
+    return img
+
+
+def _build_image(d: Derivation, s: Step) -> Derivation:
     from . import transforms
     form = s.args[0]
     if form == 'jd':
@@ -765,6 +820,7 @@ def _check_inline(d, logic, s, deps, flags):
     return False, _INLINE_MISMATCH[form] % (s.refs[0], print_formula(img)), flags
 
 
+@_image_scope
 def elaborate(d: Derivation) -> Derivation:
     """Expand inline transform steps into their generated sub-derivations.
     The result contains only primitive rules and proves the same final

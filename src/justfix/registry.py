@@ -612,6 +612,8 @@ def get_logic(logic_id: str) -> LogicSpec:
             n = int(name[len('Sacchetti-'):])
         except ValueError:
             raise UnknownLogic(logic_id)
+        if n < 1:
+            raise UnknownLogic(logic_id)
         spec = _modal_logic('K', fp, mu, extra_schema=sacchetti_schema(n))
     elif name in _MODAL_IDS:
         spec = _modal_logic(name, fp, mu)

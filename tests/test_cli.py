@@ -49,3 +49,34 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: formula nested too deeply\n'
+
+
+@pytest.mark.parametrize('text, message', [
+    ('logic: Sacchetti-0\n\n1. p -> p ; prop\n', 'Sacchetti-0'),
+    ('logic: Sacchetti--1\n\n1. p -> p ; prop\n', 'Sacchetti--1'),
+    ('logic: K\n\n1. p -> p ; prop\n2. p -> p ; mp a 1\n',
+     "step reference 'a' is not a number"),
+    ('logic: K\n\n1. p -> p ; prop\n2. [](p -> p) ; nec x\n',
+     "step reference 'x' is not a number"),
+    ('logic: K\n\n1. p -> p ; prop x\n',
+     "step reference 'x' is not a number"),
+], ids=['sacchetti-0', 'sacchetti--1', 'mp', 'nec', 'prop'])
+def test_bad_logic_index_or_step_reference_exits_1(text, message, tmp_path,
+                                                   capsys):
+    path = tmp_path / 'bad.drv'
+    path.write_text(text)
+    assert cli.main(['check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: %s\n' % message
+
+
+def test_tautology_deeper_than_the_stack_exits_1(tmp_path, capsys):
+    atoms = ['a%d' % k for k in range(1500)]
+    path = tmp_path / 'parity.drv'
+    path.write_text('logic: K\n\n1. (%s) <-> (%s) ; prop\n'
+                    % (' xor '.join(atoms), ' xor '.join(atoms[::-1])))
+    assert cli.main(['check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: formula nested too deeply\n'

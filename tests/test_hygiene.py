@@ -1,6 +1,7 @@
 """Every name a justfix module imports is used in that module, every
-private module-level name is used somewhere in justfix, and only the
-registry spells out the pieces of the logic-id grammar."""
+private module-level name is used somewhere in justfix, only the
+registry spells out the pieces of the logic-id grammar, and no module
+keeps a functools memo, which would outlive the call that filled it."""
 
 import ast
 import glob
@@ -114,3 +115,37 @@ def test_detector_sees_logic_id_piece():
     tree = ast.parse("MANIFEST = ['T(FP)', 'QLP_n']\n"
                      "def f(x):\n    return x.endswith('_n') or x == 'JT4'\n")
     assert _logic_id_pieces(tree) == [(3, 'JT4'), (3, '_n')]
+
+
+_PROCESS_MEMOS = frozenset(('lru_cache', 'cache'))
+
+
+def _process_memos(tree: ast.Module) -> list:
+    """(line, name) of each functools.lru_cache or functools.cache named,
+    as an attribute of functools or imported from it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _PROCESS_MEMOS \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == 'functools':
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == 'functools':
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name in _PROCESS_MEMOS]
+    return sorted(found)
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_no_process_wide_memo(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    assert _process_memos(tree) == []
+
+
+def test_detector_sees_process_memo():
+    tree = ast.parse('import functools\nfrom functools import cache, wraps\n'
+                     '@functools.lru_cache(maxsize=None)\ndef f(x):\n'
+                     '    return x\n@functools.wraps(f)\ndef g(x):\n'
+                     '    return x\n')
+    assert _process_memos(tree) == [(2, 'cache'), (3, 'lru_cache')]

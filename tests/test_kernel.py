@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from justfix import kernel, transforms
 from justfix.kernel import (DerivationError, check_derivation,
                             cone_derivation, elaborate, format_report,
                             load_derivation, parse_derivation,
@@ -499,3 +500,88 @@ premise k: K@1 p
 2. K@5 K@1 p ; admk 1 5
 """)
     assert 'note: admissible-knowledge rule used' in format_report(rep)
+
+
+# -- the inline-image memo ---------------------------------------------------------
+
+def _lift_chain(depth, bad=0):
+    """A prop step under `depth` nested `inline lift` steps, each stating
+    the lift of the step below it; level `bad` states the lift of a
+    different tautology.  Lifting a chain doubles its constants per level."""
+    good, other = 'p -> q | p', 'p -> p | q'
+    lines = ['logic: J', '', '1. %s ; prop' % good]
+    for level in range(1, depth + 1):
+        good = '(c#%d) : (%s)' % (2 ** (level - 1), good)
+        other = '(c#%d) : (%s)' % (2 ** (level - 1), other)
+        lines.append('%d. %s ; inline lift %d'
+                     % (level + 1, other if level == bad else good, level))
+    return parse_derivation('\n'.join(lines) + '\n')
+
+
+def test_nested_inline_builds_each_image_once(monkeypatch):
+    calls = {'check': 0, 'lift': 0}
+
+    def counted(name, fn):
+        def wrapper(d):
+            calls[name] += 1
+            return fn(d)
+        return wrapper
+
+    check = counted('check', kernel.check_derivation)
+    monkeypatch.setattr(kernel, 'check_derivation', check)
+    monkeypatch.setattr(transforms, 'check_derivation', check)
+    monkeypatch.setattr(transforms, 'lift', counted('lift', transforms.lift))
+    depth = 6
+    assert kernel.check_derivation(_lift_chain(depth)).ok
+    # re-deriving every level three times took 3 ** depth = 729 checks
+    assert calls['check'] <= 2 * depth + 1
+    assert calls['lift'] <= 3 * depth + 2
+
+
+_MUTANT_REPORT = """\
+step 1: ok
+step 2: ok
+step 3: FAIL  lift of step 2 proves c#2 : c#1 : (p -> q | p)
+step 4: FAIL  inline lift failed: lift needs an accepted input derivation \
+(step 3: lift of step 2 proves c#2 : c#1 : (p -> q | p))
+step 5: FAIL  inline lift failed: lift needs an accepted input derivation \
+(step 3: lift of step 2 proves c#2 : c#1 : (p -> q | p))
+step 6: FAIL  inline lift failed: lift needs an accepted input derivation \
+(step 3: lift of step 2 proves c#2 : c#1 : (p -> q | p))
+FAIL step 3: lift of step 2 proves c#2 : c#1 : (p -> q | p)"""
+
+
+def test_nested_inline_mutant_report_is_unchanged():
+    rep = check_derivation(_lift_chain(5, bad=2))
+    assert format_report(rep, verbose=True) == _MUTANT_REPORT
+
+
+def test_inline_steps_over_one_cone_are_each_compared():
+    rep = check_text("""
+logic: J
+1. p -> q | p ; prop
+2. c#1 : (p -> q | p) ; inline lift 1
+3. c#1 : (p -> p | q) ; inline lift 1
+""")
+    assert [v.ok for v in rep.verdicts] == [True, True, False]
+    assert rep.verdicts[2].reason == 'lift of step 1 proves c#1 : (p -> q | p)'
+    rep = check_text("""
+logic: LP
+1. x : p -> x : p ; prop
+2. c : p -> c : p ; inline subst 1 x := c
+3. d : p -> d : p ; inline subst 1 x := d
+4. c : p -> c : p ; inline subst 1 x := d
+""")
+    assert [v.ok for v in rep.verdicts] == [True, True, True, False]
+    assert rep.verdicts[3].reason == 'substitution image of step 1 is d : p -> d : p'
+
+
+def test_image_memo_lives_for_one_call():
+    d = _lift_chain(3)
+    assert check_derivation(d).ok
+    assert kernel._IMAGES is None
+    assert elaborate(d).final == d.final
+    assert kernel._IMAGES is None
+    with pytest.raises(DerivationError):
+        check_text("logic: QLP-_n\n1. p -> p ; prop\n")
+    assert kernel._IMAGES is None
