@@ -13,8 +13,8 @@ import sys
 
 from .fixedpoint import FixedPointError, fp_axiom
 from .kernel import (DerivationError, check_derivation, format_report,
-                     load_derivation, parse_fix_decl, parse_spec_value,
-                     print_derivation)
+                     load_derivation, memo_scope, parse_fix_decl,
+                     parse_spec_value, print_derivation)
 from .registry import UnknownLogic, get_logic, known_logics
 from .semantics import (ModelError, check_evidence_conditions, check_model,
                         is_valid, load_model)
@@ -36,6 +36,7 @@ def _retarget(d, args):
     return d
 
 
+@memo_scope()
 def _cmd_check(args) -> int:
     d = _retarget(load_derivation(args.file), args)
     rep = check_derivation(d)
@@ -63,6 +64,9 @@ def _cmd_print(args) -> int:
     return 0
 
 
+# one memo scope per command, so a transform's own check of its input and
+# its expansion of the input's inline steps share the images they build
+@memo_scope()
 def _cmd_transform(args) -> int:
     d = _retarget(load_derivation(args.file), args)
     verb, extra = args.verb, list(args.args)

@@ -14,7 +14,8 @@ import dataclasses
 import fnmatch
 import pathlib
 
-from .kernel import (Derivation, Step, check_derivation, load_derivation)
+from .kernel import (Derivation, Step, check_derivation, load_derivation,
+                     memo_scope)
 from .semantics import check_model, load_model
 from .syntax import Falsum, Imp, print_formula
 from . import transforms
@@ -177,7 +178,10 @@ def _run_post(entry: CorpusEntry, d: Derivation) -> str | None:
     return None
 
 
+@memo_scope()
 def run_entry(entry: CorpusEntry, root=None) -> EntryResult:
+    """Check one entry and its follow-up obligations in one memo scope, so
+    the obligations reuse what the check of the entry built."""
     path = (pathlib.Path(root) if root else corpus_dir()) / entry.path
     try:
         if entry.kind == 'mdl':

@@ -22,7 +22,7 @@ later steps are checked against the stated formulas, so one broken
 citation yields one diagnostic rather than a cascade.
 """
 
-import functools
+import contextlib
 import os
 import re
 from dataclasses import dataclass, replace
@@ -34,7 +34,7 @@ from .syntax import (
     Var, Const, Prim,
     ProfileError,
     parse_formula, parse_term, print_formula, print_term,
-    check_profile, free_vars, walk,
+    check_profile, free_vars, is_ident,
     subst_prop,
 )
 from .registry import (
@@ -330,10 +330,15 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             continue
         if line.startswith('agents:'):
             names = line[len('agents:'):].replace(',', ' ').split()
-            if len(names) == 1 and names[0].isdigit():
+            # isdigit alone also accepts digits such as '²' that int refuses
+            if len(names) == 1 and names[0].isascii() and names[0].isdigit():
                 agents = tuple('a%d' % (k + 1) for k in range(int(names[0])))
-            else:
-                agents = tuple(names)
+                continue
+            bad = next((a for a in names if not is_ident(a)), None)
+            if bad is not None:
+                raise DerivationError("agent name %r is not an identifier"
+                                      % bad)
+            agents = tuple(names)
             continue
         if line.startswith('fix '):
             if logic is None:
@@ -466,45 +471,42 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
                       premises, tuple(steps))
 
 
-def _agent_ok(f: Formula, agents) -> Optional[str]:
-    declared = set(agents) if agents else None
-    for node in walk(f):
-        if isinstance(node, Just):
-            if declared is None:
-                if node.agent is not None:
-                    return "agent label %r in single-agent logic" % node.agent
-            else:
-                if node.agent is None:
-                    return "missing agent label in multi-agent logic"
-                if node.agent not in declared:
-                    return "undeclared agent %r" % node.agent
-    return None
-
-
-# The inline images built during the outermost check_derivation or
-# elaborate call (see inline_image); None outside such a call, so no image
-# outlives the call that built it.
+# The memo of one scope (see memo_scope): the inline images built in it
+# (see inline_image), and the report of each derivation checked in it, keyed
+# by id and kept with the derivation so that no id is reused while the
+# scope is open.  Both are None outside a scope, so nothing outlives it.
 _IMAGES = None
+_VERDICTS = None
 
 
-def _image_scope(fn):
-    """Open the inline-image memo for the outermost call of fn and drop it
-    when that call returns or raises; nested calls share it."""
-    @functools.wraps(fn)
-    def scoped(d: Derivation):
-        global _IMAGES
-        if _IMAGES is not None:
-            return fn(d)
-        _IMAGES = {}
-        try:
-            return fn(d)
-        finally:
-            _IMAGES = None
-    return scoped
+@contextlib.contextmanager
+def memo_scope():
+    """Open the memo for the outermost scope and drop it when that scope
+    ends or raises; nested scopes share it.  check_derivation and elaborate
+    open one per call; the corpus runner and the command line open one per
+    entry, so a derivation checked twice in an entry is checked once."""
+    global _IMAGES, _VERDICTS
+    if _IMAGES is not None:
+        yield
+        return
+    _IMAGES, _VERDICTS = {}, {}
+    try:
+        yield
+    finally:
+        _IMAGES = _VERDICTS = None
 
 
-@_image_scope
+@memo_scope()
 def check_derivation(d: Derivation) -> CheckReport:
+    """Check every step of d.  Within one scope the same Derivation object
+    is checked once; a changed copy is a new object and is checked anew."""
+    seen = _VERDICTS.get(id(d))
+    if seen is None:
+        seen = _VERDICTS[id(d)] = (d, _check(d))
+    return seen[1]
+
+
+def _check(d: Derivation) -> CheckReport:
     logic = get_logic(d.logic_id)
     verdicts = []
     deps = {}
@@ -557,12 +559,9 @@ def _check_step(d, logic, s, deps, gl, gls, is_axiom):
     f = s.formula
     flags = []
     try:
-        check_profile(f, logic.profile)
+        check_profile(f, logic.profile, d.agents or ())
     except ProfileError as e:
         return False, str(e), flags
-    err = _agent_ok(f, d.agents)
-    if err:
-        return False, err, flags
     if s.rule not in logic.rules:
         return False, "rule %r not available in %s" % (s.rule, logic.name), flags
     if s.rule in _NEC_LIKE:
@@ -748,10 +747,11 @@ def inline_image(d: Derivation, s: Step) -> Derivation:
     which re-checks what it builds.  A cone internalized over the empty
     specification is read under the total one.
 
-    The image depends only on the key below, so within one outermost call
-    it is built once; a TransformError is kept and raised again.  The cone
-    of step j reindexed inside the cone of step k equals the cone of j, so
-    nested steps find the images built for the levels below them."""
+    The image depends only on the key below, so within one scope (see
+    memo_scope) it is built once; a TransformError is kept and raised
+    again.  The cone of step j reindexed inside the cone of step k equals
+    the cone of j, so nested steps find the images built for the levels
+    below them."""
     from . import transforms
     if s.args[0] == 'jd':
         key = (s.formula, d.logic_id, d.ops)
@@ -820,7 +820,7 @@ def _check_inline(d, logic, s, deps, flags):
     return False, _INLINE_MISMATCH[form] % (s.refs[0], print_formula(img)), flags
 
 
-@_image_scope
+@memo_scope()
 def elaborate(d: Derivation) -> Derivation:
     """Expand inline transform steps into their generated sub-derivations.
     The result contains only primitive rules and proves the same final

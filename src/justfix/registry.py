@@ -446,6 +446,11 @@ SCHEMAS = {
 }
 
 
+# The schema is built eagerly, and the parser refuses a formula nested as
+# deep as the schema of a larger index, so no step could instantiate one.
+_SACCHETTI_MAX = 1000
+
+
 def sacchetti_schema(n: int) -> AxiomSchema:
     if n < 1:
         raise ValueError("sacchetti index must be >= 1")
@@ -612,7 +617,7 @@ def get_logic(logic_id: str) -> LogicSpec:
             n = int(name[len('Sacchetti-'):])
         except ValueError:
             raise UnknownLogic(logic_id)
-        if n < 1:
+        if not 1 <= n <= _SACCHETTI_MAX:
             raise UnknownLogic(logic_id)
         spec = _modal_logic('K', fp, mu, extra_schema=sacchetti_schema(n))
     elif name in _MODAL_IDS:

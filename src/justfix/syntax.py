@@ -255,7 +255,13 @@ FULL = LanguageProfile("full", _ALL_FORMULA_NODES, _ALL_TERM_NODES, "any")
 PROP_NODES = frozenset({"Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor"})
 
 
-def check_profile(f: Formula, profile: LanguageProfile) -> None:
+def check_profile(f: Formula, profile: LanguageProfile,
+                  agents: Optional[tuple] = None) -> None:
+    """Raise ProfileError at the first node of f outside the profile.  Given
+    the declared agents (empty when none are declared), the same walk also
+    finds the first agent label the declaration does not allow, raised only
+    when f has no profile error."""
+    agent_err = None
     for g in walk(f):
         cls = type(g).__name__
         if cls == "FMeta":
@@ -271,6 +277,17 @@ def check_profile(f: Formula, profile: LanguageProfile) -> None:
                 tcls = type(t).__name__
                 if tcls != "TMeta" and tcls not in profile.term_nodes:
                     raise ProfileError(f"term {tcls} not in language {profile.name}")
+            if agents is None or agent_err:
+                continue
+            if not agents:
+                if g.agent is not None:
+                    agent_err = "agent label %r in single-agent logic" % g.agent
+            elif g.agent is None:
+                agent_err = "missing agent label in multi-agent logic"
+            elif g.agent not in agents:
+                agent_err = "undeclared agent %r" % g.agent
+    if agent_err:
+        raise ProfileError(agent_err)
 
 
 # ----------------------------------------------------------- traversals
@@ -565,7 +582,7 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
     return toks
 
 
-def _is_ident(tok: str) -> bool:
+def is_ident(tok: str) -> bool:
     return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_#]*", tok)) and tok not in _KEYWORDS
 
 
@@ -598,7 +615,7 @@ class _Parser:
 
     def ident(self) -> str:
         tok = self.next()
-        if not _is_ident(tok):
+        if not is_ident(tok):
             raise ParseError(f"expected identifier, got {tok!r} in {self.text!r}")
         return tok
 
@@ -695,7 +712,7 @@ class _Parser:
             f = self.imp()
             self.expect(")")
             return f
-        if _is_ident(tok):
+        if is_ident(tok):
             return Atom(tok)
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
 
@@ -741,7 +758,7 @@ class _Parser:
                 return UAll(inner, v)
             self.expect(")")
             return inner
-        if not _is_ident(tok):
+        if not is_ident(tok):
             raise ParseError(f"expected term, got {tok!r} in {self.text!r}")
         if self.peek() == "(":
             self.next()

@@ -54,13 +54,16 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
 @pytest.mark.parametrize('text, message', [
     ('logic: Sacchetti-0\n\n1. p -> p ; prop\n', 'Sacchetti-0'),
     ('logic: Sacchetti--1\n\n1. p -> p ; prop\n', 'Sacchetti--1'),
+    ('logic: Sacchetti-10000000000\n\n1. p -> p ; prop\n',
+     'Sacchetti-10000000000'),
     ('logic: K\n\n1. p -> p ; prop\n2. p -> p ; mp a 1\n',
      "step reference 'a' is not a number"),
     ('logic: K\n\n1. p -> p ; prop\n2. [](p -> p) ; nec x\n',
      "step reference 'x' is not a number"),
     ('logic: K\n\n1. p -> p ; prop x\n',
      "step reference 'x' is not a number"),
-], ids=['sacchetti-0', 'sacchetti--1', 'mp', 'nec', 'prop'])
+], ids=['sacchetti-0', 'sacchetti--1', 'sacchetti-huge', 'mp', 'nec',
+        'prop'])
 def test_bad_logic_index_or_step_reference_exits_1(text, message, tmp_path,
                                                    capsys):
     path = tmp_path / 'bad.drv'
@@ -80,3 +83,12 @@ def test_tautology_deeper_than_the_stack_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: formula nested too deeply\n'
+
+
+def test_agents_header_of_non_ascii_digits_exits_1(tmp_path, capsys):
+    path = tmp_path / 'agents.drv'
+    path.write_text('logic: QLP_n\nagents: \u00b2\n\n1. p -> p ; prop\n')
+    assert cli.main(['check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == "error: agent name '\u00b2' is not an identifier\n"

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from justfix import kernel
 from justfix.corpus import (CorpusEntry, CorpusError, FALSUM_IDS, MANIFEST,
                             corpus_dir, run_corpus, run_entry)
 
@@ -139,3 +140,33 @@ def test_retarget_must_fail():
     res = run_entry(_tweak('gl-lob-fp', post=(('refused', 'GL(FP)', 1),)))
     assert not res.ok
     assert 'still checks' in res.line
+
+
+# -- one check per derivation and entry ------------------------------------
+
+def test_each_entry_checks_each_derivation_once(monkeypatch):
+    steps = dict.fromkeys((e.id for e in MANIFEST), 0)
+    current = []
+
+    def counted(*args, fn=kernel._check_step):
+        steps[current[-1]] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(kernel, '_check_step', counted)
+    for e in MANIFEST:
+        current.append(e.id)
+        assert run_entry(e).ok
+    # re-checking what the entry had already checked took 1,344 step
+    # checks per pass, 112 of them on ts4-bot
+    assert sum(steps.values()) <= 740
+    assert steps['ts4-bot'] <= 68
+
+
+@pytest.mark.parametrize('entry', [
+    MANIFEST[0],
+    CorpusEntry('ghost', 'ghost.drv', 'drv', 'p'),
+    _tweak('ts4-bot', post=(('deduce',), ('frobnicate',))),
+], ids=['ok', 'missing-file', 'unknown-post-op'])
+def test_memo_is_gone_after_run_entry(entry):
+    run_entry(entry)
+    assert kernel._IMAGES is None and kernel._VERDICTS is None

@@ -1,5 +1,6 @@
 """Derivation parsing, checking, and the inline transform hooks."""
 
+import dataclasses
 import os
 
 import pytest
@@ -585,3 +586,76 @@ def test_image_memo_lives_for_one_call():
     with pytest.raises(DerivationError):
         check_text("logic: QLP-_n\n1. p -> p ; prop\n")
     assert kernel._IMAGES is None
+
+
+# -- one check per derivation and scope --------------------------------------------
+
+def test_transform_lift_builds_each_image_once(monkeypatch, tmp_path, capsys):
+    from justfix import cli
+    for depth in (5, 7):
+        path = tmp_path / ('chain%d.drv' % depth)
+        path.write_text(print_derivation(_lift_chain(depth)))
+        calls = []
+        monkeypatch.setattr(transforms, 'lift', lambda d, fn=transforms.lift:
+                            calls.append(d) or fn(d))
+        assert cli.main(['transform', 'lift', str(path)]) == 0
+        monkeypatch.undo()
+        # the input's own check and its expansion opened a scope each and
+        # built every image twice: 2 * depth + 1 lifts
+        assert len(calls) <= depth + 1
+    assert capsys.readouterr().out.startswith('# term: ')
+
+
+def test_verdict_memo_checks_each_derivation_once(monkeypatch):
+    checked = []
+    monkeypatch.setattr(kernel, '_check',
+                        lambda d, fn=kernel._check: checked.append(d) or fn(d))
+    d = _lift_chain(3)
+    with kernel.memo_scope():
+        rep = check_derivation(d)
+        assert rep.ok and check_derivation(d) is rep
+        assert transforms.lift(d).derivation.final.a == d.final
+    assert checked.count(d) == 1
+    assert check_derivation(d).ok
+    assert checked.count(d) == 2      # a new scope checks anew
+
+
+def test_mutated_copy_is_not_served_from_the_memo():
+    d = _lift_chain(3)
+    wrong = _lift_chain(3, bad=3).final
+    with kernel.memo_scope():
+        assert check_derivation(d).ok
+        mutant = dataclasses.replace(
+            d, steps=d.steps[:-1] + (dataclasses.replace(d.steps[-1],
+                                                         formula=wrong),))
+        rep = check_derivation(mutant)
+        assert [v.ok for v in rep.verdicts] == [True, True, True, False]
+        assert not check_derivation(dataclasses.replace(d, logic_id='K')).ok
+        assert check_derivation(d).ok
+    assert kernel._IMAGES is None and kernel._VERDICTS is None
+
+
+def test_memo_scope_closes_when_its_body_raises():
+    with pytest.raises(ZeroDivisionError):
+        with kernel.memo_scope():
+            assert check_derivation(_lift_chain(2)).ok
+            with kernel.memo_scope():
+                1 / 0
+    assert kernel._IMAGES is None and kernel._VERDICTS is None
+
+
+def test_profile_error_wins_over_agent_error():
+    from justfix.kernel import Derivation, Step
+    from justfix.syntax import FULL
+    for text in ('x :@t p -> []p', '[]p -> x :@t p'):
+        f = parse_formula(text, FULL)
+        d = Derivation('QLP-_n', TOTAL, 'tcs', ('s',), (), (),
+                       (Step(1, f, 'prop', (), ()),))
+        assert first_reason(check_derivation(d)) == \
+            'Box not in language qlp'
+    assert first_reason(check_text("logic: QLP-_n\nagents: s\n"
+                                   "1. x :@t p -> x :@u p ; prop\n")) == \
+        "undeclared agent 't'"
+    assert first_reason(check_text("logic: LP\nagents: s\n"
+                                   "1. x : p -> x : p ; prop\n")) == \
+        'missing agent label in multi-agent logic'

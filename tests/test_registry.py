@@ -13,8 +13,8 @@ from justfix.registry import (EMPTY, TOTAL, SCHEMAS, Spec, UnknownLogic,
                               is_tautology, known_logics, match_axiom,
                               sigma_match, spec_membership, taut_consequence)
 from justfix.syntax import (And, Atom, Bang, Box, Const, Falsum, Iff, Imp,
-                            Just, Knows, Neg, Or, Var, Xor, parse_formula,
-                            print_formula)
+                            Just, Knows, Neg, Or, ParseError, Var, Xor,
+                            parse_formula, print_formula)
 
 
 # -- independent boolean oracle -----------------------------------------------
@@ -387,6 +387,15 @@ def test_sacchetti_schema():
     assert match_axiom(logic, parse_formula('[]([]p -> p) -> []p')) is None
     with pytest.raises((UnknownLogic, ValueError)):
         get_logic('Sacchetti-0')
+
+
+def test_sacchetti_index_is_bounded_by_the_parser_depth():
+    assert get_logic('Sacchetti-1000').name == 'Sacchetti-1000'
+    for n in (1001, 10 ** 10):
+        with pytest.raises(UnknownLogic):
+            get_logic('Sacchetti-%d' % n)
+    with pytest.raises(ParseError):
+        parse_formula('[]' * 1000 + 'p')
 
 
 # -- specifications -----------------------------------------------------------

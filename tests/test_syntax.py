@@ -375,9 +375,11 @@ def _ref_occurrences(f, p):
 
 
 def _positive_mu(vf):
-    # mu over an atom that occurs only positively, else over a fresh one
+    # mu over an atom that occurs only positively and never inside a
+    # fixed-point argument (what Mu demands), else over a fresh one
     v, f = vf
-    if all(pol == 1 for _, _, _, pol, _ in _ref_occurrences(f, v)):
+    if all(pol == 1 and not opq
+           for _, _, _, pol, opq in _ref_occurrences(f, v)):
         return Mu(v, f)
     return Mu('m', f)
 
