@@ -68,17 +68,26 @@ def make_operator(name: str, var: str, params: Sequence[str], body: Formula,
     return FPOperator(name, var, params, body, mode)
 
 
-def fp_axiom(op: FPOperator, args: Sequence[Formula]) -> Formula:
-    """The defining biconditional for op at the given argument formulas."""
+def _unfold(op: FPOperator, head: Formula, args: Sequence[Formula],
+            boxed: bool = False) -> Formula:
+    """body[p := head, params := args]; boxed demands a boxed recursion."""
     args = tuple(args)
     if len(args) != len(op.params):
         raise FixedPointError(
             "%s expects %d arguments, got %d"
             % (op.name, len(op.params), len(args)))
-    head = FixApp(op.name, args)
+    if boxed and not occurrence_ok(op.body, op.var, 'modalized'):
+        raise FixedPointError(
+            "explicit definability only applies to boxed recursion")
     env = {op.var: head}
     env.update(zip(op.params, args))
-    return Iff(head, subst_prop_multi(op.body, env))
+    return subst_prop_multi(op.body, env)
+
+
+def fp_axiom(op: FPOperator, args: Sequence[Formula]) -> Formula:
+    """The defining biconditional for op at the given argument formulas."""
+    head = FixApp(op.name, tuple(args))
+    return Iff(head, _unfold(op, head, head.args))
 
 
 def fp_axiom_instance(op: FPOperator, f: Formula) -> Optional[dict]:
@@ -89,16 +98,13 @@ def fp_axiom_instance(op: FPOperator, f: Formula) -> Optional[dict]:
     argument formulas are read off the left-hand head, so images whose
     arguments were themselves rewritten are accepted too.
     """
-    if not isinstance(f, Iff):
+    if not (isinstance(f, Iff) and isinstance(f.a, FixApp)
+            and f.a.name == op.name):
         return None
-    head = f.a
-    if not isinstance(head, FixApp) or head.name != op.name:
+    try:
+        base = _unfold(op, f.a, f.a.args)
+    except FixedPointError:   # wrong arity
         return None
-    if len(head.args) != len(op.params):
-        return None
-    env = {op.var: head}
-    env.update(zip(op.params, head.args))
-    base = subst_prop_multi(op.body, env)
     return sigma_match(base, f.b)
 
 
@@ -118,14 +124,4 @@ def gl_obligation(op: FPOperator, candidate: Formula,
     """Explicit-definability obligation for a boxed-position operator: the
     candidate formula must satisfy candidate <-> body[p := candidate].
     The returned biconditional is what a kernel check must accept."""
-    args = tuple(args)
-    if len(args) != len(op.params):
-        raise FixedPointError(
-            "%s expects %d arguments, got %d"
-            % (op.name, len(op.params), len(args)))
-    if not occurrence_ok(op.body, op.var, 'modalized'):
-        raise FixedPointError(
-            "explicit definability only applies to boxed recursion")
-    env = {op.var: candidate}
-    env.update(zip(op.params, args))
-    return Iff(candidate, subst_prop_multi(op.body, env))
+    return Iff(candidate, _unfold(op, candidate, args, boxed=True))

@@ -122,6 +122,10 @@ _CLOSED = frozenset(('ax', 'ian', 'an', 'fp', 'mu-cl', 'inline')) | _NEC_LIKE
 
 _STEP_RE = re.compile(r'^(\d+)\.\s*(.*)$')
 
+# `agents: <n>` builds its n names eagerly (about 65 bytes each); a count
+# above this is refused before any is built
+_AGENTS_MAX = 1000
+
 
 def strip_comment(line: str) -> str:
     """Drop a '#' comment: one that opens the line or follows whitespace."""
@@ -218,9 +222,10 @@ def _parse_justification(text: str, profile) -> tuple:
     if rule == 'prop':
         return 'prop', _parse_refs(rest), ()
     if rule == 'admk':
-        if len(rest) < 2:
+        refs = _parse_refs(rest[:-1])
+        if not refs:
             raise DerivationError("admk takes step references and a time")
-        return 'admk', _parse_refs(rest[:-1]), (_number(rest[-1], 'time'),)
+        return 'admk', refs, (_number(rest[-1], 'time'),)
     if rule == 'premise':
         if len(rest) != 1:
             raise DerivationError("premise takes a name")
@@ -332,6 +337,9 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             names = line[len('agents:'):].replace(',', ' ').split()
             # isdigit alone also accepts digits such as '²' that int refuses
             if len(names) == 1 and names[0].isascii() and names[0].isdigit():
+                if int(names[0]) > _AGENTS_MAX:
+                    raise DerivationError("agent count %s exceeds %d"
+                                          % (names[0], _AGENTS_MAX))
                 agents = tuple('a%d' % (k + 1) for k in range(int(names[0])))
                 continue
             bad = next((a for a in names if not is_ident(a)), None)

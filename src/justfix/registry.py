@@ -1,11 +1,15 @@
 """Logic registry: axiom schemas, rule vocabularies, and specifications.
 
 Every logic the workbench knows is assembled here from a shared schema
-table.  A schema is a pattern formula over metavariables (FMeta/TMeta for
-formula/term slots, '?'-prefixed names for bound-variable, time, and agent
-slots) plus side conditions on the resulting binding.  Matching is plain
-first-order structural unification: metavariables bind whole subtrees, and
-nothing matches through the defined connectives.
+table.  A schema is one or more alternative pattern formulas over
+metavariables (FMeta/TMeta for formula/term slots, '?'-prefixed names for
+bound-variable, time, and agent slots) plus side conditions on the
+resulting binding.  One matcher, match_node, serves schemas, term
+substitution instances (sigma_match, and infer_term for the quantifier
+axioms) and, through sigma_match, fixed-point instances: metavariables bind
+whole subtrees, so do the free variables a caller names unless a binder
+would capture the term, and nothing matches through the defined
+connectives.
 
 The tautological-consequence engine also lives here (the kernel and the
 schema for Taut both need it, and the kernel already imports us).  It
@@ -26,7 +30,7 @@ from typing import Callable, Optional
 from .syntax import (
     Term, Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll, TMeta,
     Formula, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows, Just,
-    Forall, Exists, Mu, FixApp, FMeta,
+    Forall, Exists, Mu, FixApp, FMeta, Node,
     LanguageProfile, PROP_NODES, check_profile, ProfileError, children,
     free_vars, term_vars, subst_prop, subst_term_for_var, NotFreeFor,
 )
@@ -141,11 +145,8 @@ def is_tautology(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pattern matching
-
-def _is_meta_name(name: str) -> bool:
-    return name.startswith('?')
-
+# pattern matching: one walk for schemas, substitution instances and
+# fixed-point instances
 
 def _bind(b: dict, key: str, val) -> bool:
     if key in b:
@@ -154,117 +155,66 @@ def _bind(b: dict, key: str, val) -> bool:
     return True
 
 
-def _match_slot(kind: str, pat, val, b: dict) -> bool:
+def _slot(b: dict, kind: str, pat, val) -> bool:
     # a '?'-named bound-variable, time or agent slot binds; anything else
     # must be equal
-    if isinstance(pat, str) and _is_meta_name(pat):
+    if isinstance(pat, str) and pat.startswith('?'):
         return _bind(b, kind + ':' + pat[1:], val)
     return pat == val
 
 
-def match_term(pat: Term, t: Term, b: dict) -> bool:
-    if isinstance(pat, TMeta):
-        return _bind(b, 'T:' + pat.name, t)
-    if isinstance(pat, Var) and _is_meta_name(pat.name):
-        # a variable slot in term position: matches variables only
-        return isinstance(t, Var) and _bind(b, 'v:' + pat.name[1:], t.name)
-    if type(pat) is not type(t):
+def match_node(pat: Node, tgt: Node, b: dict, binds: frozenset = frozenset(),
+               bound: frozenset = frozenset()) -> bool:
+    """Match the formula or term tgt against pat, extending the binding b.
+
+    A schema metavariable binds what it meets, the same at every
+    occurrence: FMeta under 'F:name', TMeta under 'T:name', a '?name'
+    variable (variables only) and a '?name' bound-variable, time or agent
+    slot under 'v:', 'i:' or 'a:'.  So does a free occurrence of a variable
+    in binds, under its own name, unless a binder of pat would capture a
+    variable of the term it meets.  Everything else must agree node for
+    node; binders are not renamed.  bound is internal: the individual
+    variables bound by the binders of pat above this node.
+    """
+    kind = type(pat)
+    if kind is FMeta:
+        return _bind(b, 'F:' + pat.name, tgt)
+    if kind is TMeta:
+        return _bind(b, 'T:' + pat.name, tgt)
+    if kind is Var:
+        if pat.name.startswith('?'):
+            return type(tgt) is Var and _bind(b, 'v:' + pat.name[1:], tgt.name)
+        if pat.name in binds and pat.name not in bound:
+            return not term_vars(tgt) & bound and _bind(b, pat.name, tgt)
+    if kind is not type(tgt):
         return False
-    kp = children(pat)
-    if not kp:
-        return pat == t
-    if isinstance(pat, UAll) and not _match_slot('v', pat.var, t.var, b):
-        return False
-    return all(match_term(p, s, b) for p, s in zip(kp, children(t)))
-
-
-def match_formula(pat: Formula, f: Formula, b: dict) -> bool:
-    if isinstance(pat, FMeta):
-        return _bind(b, 'F:' + pat.name, f)
-    if type(pat) is not type(f):
-        return False
-    kp, kf = children(pat), children(f)
-    if not kp:
-        return pat == f
-    match pat:
-        case Knows(i, _):
-            if not _match_slot('i', i, f.time, b):
-                return False
-        case Just(t, agent, _):
-            if not (match_term(t, f.t, b)
-                    and _match_slot('a', agent, f.agent, b)):
-                return False
-        case Forall(v, _) | Exists(v, _) | Mu(v, _):
-            if not _match_slot('v', v, f.var, b):
-                return False
-        case FixApp(name, args):
-            if name != f.name or len(args) != len(f.args):
-                return False
-    return all(match_formula(p, a, b) for p, a in zip(kp, kf))
-
-
-def _match_free(base: Formula, target: Formula, binds) -> Optional[dict]:
-    """Match target as base with each free occurrence of a variable in
-    binds replaced by one term, the same at every occurrence.  Binders are
-    not renamed; a term that a binder of base would capture is rejected.
-    Returns the substitution found, or None."""
-    sigma: dict = {}
-
-    def wt(u: Term, v: Term, bound: frozenset) -> bool:
-        if isinstance(u, Var) and u.name in binds and u.name not in bound:
-            if term_vars(v) & bound:
-                return False  # capture
-            if u.name in sigma:
-                return sigma[u.name] == v
-            sigma[u.name] = v
-            return True
-        if type(u) is not type(v):
+    if kind is Just:
+        if not (match_node(pat.t, tgt.t, b, binds, bound)
+                and _slot(b, 'a', pat.agent, tgt.agent)):
             return False
-        if isinstance(u, Prim):
-            if u.symbol != v.symbol or len(u.args) != len(v.args):
-                return False
-            return all(wt(Var(p), Var(q), bound)
-                       for p, q in zip(u.args, v.args))
-        if isinstance(u, UAll):
-            if u.var != v.var:
-                return False
-            bound = bound | {u.var}
-        ku = children(u)
-        if not ku:
-            return u == v
-        return all(wt(p, q, bound) for p, q in zip(ku, children(v)))
-
-    def wf(a: Formula, c: Formula, bound: frozenset) -> bool:
-        if type(a) is not type(c):
+    elif kind is Knows:
+        if not _slot(b, 'i', pat.time, tgt.time):
             return False
-        ka, kc = children(a), children(c)
-        if not ka:
-            return a == c
-        match a:
-            case Just(t, agent, _):
-                if agent != c.agent or not wt(t, c.t, bound):
-                    return False
-            case Forall(v, _) | Exists(v, _):
-                if v != c.var:
-                    return False
-                bound = bound | {v}
-            case Knows(i, _):
-                if i != c.time:
-                    return False
-            case Mu(v, _):
-                if v != c.var:
-                    return False
-            case FixApp(name, args):
-                if name != c.name or len(args) != len(c.args):
-                    return False
-        for p, q in zip(ka, kc):
-            if not wf(p, q, bound):
-                return False
-        return True
-
-    if not wf(base, target, frozenset()):
-        return None
-    return sigma
+    elif kind in (Forall, Exists, UAll, Mu):
+        if not _slot(b, 'v', pat.var, tgt.var):
+            return False
+        if kind is not Mu:   # mu binds an atom, not an individual variable
+            bound = bound | {pat.var}
+    elif kind is FixApp:
+        if pat.name != tgt.name or len(pat.args) != len(tgt.args):
+            return False
+    elif kind is Prim:
+        # the arguments are variable names; each is matched as a variable
+        return (pat.symbol == tgt.symbol and len(pat.args) == len(tgt.args)
+                and all(match_node(Var(x), Var(y), b, binds, bound)
+                        for x, y in zip(pat.args, tgt.args)))
+    kids = children(pat)
+    if not kids:
+        return pat == tgt
+    for p, q in zip(kids, children(tgt)):
+        if not match_node(p, q, b, binds, bound):
+            return False
+    return True
 
 
 def infer_term(template: Formula, instance: Formula, x: str) -> Optional[Term]:
@@ -274,8 +224,8 @@ def infer_term(template: Formula, instance: Formula, x: str) -> Optional[Term]:
     everything else must agree.  The substitution is re-run as the
     authoritative check, so the walk only has to propose a candidate.
     """
-    sigma = _match_free(template, instance, frozenset((x,)))
-    if sigma is None:
+    sigma: dict = {}
+    if not match_node(template, instance, sigma, frozenset((x,))):
         return None
     if x not in sigma:
         return Var(x)  # x not free: identity instance
@@ -293,7 +243,8 @@ def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
     justification variables by terms.  Binders are not renamed; a candidate
     that would capture a bound variable is rejected.  Returns sigma (possibly
     empty, meaning base == target) or None."""
-    return _match_free(base, target, free_vars(base))
+    sigma: dict = {}
+    return sigma if match_node(base, target, sigma, free_vars(base)) else None
 
 
 # ---------------------------------------------------------------------------
@@ -302,58 +253,33 @@ def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
 @dataclass(frozen=True)
 class AxiomSchema:
     name: str
-    pattern: Optional[Formula] = None
-    conditions: tuple = ()          # callables binding -> bool
-    custom: Optional[Callable] = None  # Formula -> Optional[binding]
+    match: Callable   # Formula -> Optional[binding]
 
-    def match(self, f: Formula) -> Optional[dict]:
-        if self.custom is not None:
-            return self.custom(f)
-        b: dict = {}
-        if not match_formula(self.pattern, f, b):
+
+def _schema(name: str, *patterns: Formula, conditions: tuple = ()) -> AxiomSchema:
+    """The schema whose instances match one of the patterns, tried in order,
+    with a binding that meets every condition (callables binding -> bool)."""
+    def match_schema(f: Formula) -> Optional[dict]:
+        for pat in patterns:
+            b: dict = {}
+            if match_node(pat, f, b) and all(cond(b) for cond in conditions):
+                return b
+        return None
+    return AxiomSchema(name, match_schema)
+
+
+def _quantifier_schema(name: str, binder: type) -> AxiomSchema:
+    """q1, (all x . A) -> A[t/x], or q3, A[t/x] -> (ex x . A), with t free
+    for x in A, read off the side without the quantifier."""
+    def match_schema(f: Formula) -> Optional[dict]:
+        if type(f) is not Imp:
             return None
-        for cond in self.conditions:
-            if not cond(b):
-                return None
-        return b
-
-
-_A = FMeta('A')
-_B = FMeta('B')
-_s = TMeta('s')
-_t = TMeta('t')
-
-
-def _sum_match(f: Formula) -> Optional[dict]:
-    # both Sum forms under one name: s:A -> (s+t):A and s:A -> (t+s):A
-    for left in (TSum(_s, _t), TSum(_t, _s)):
-        b: dict = {}
-        pat = Imp(Just(_s, '?g', _A), Just(left, '?g', _A))
-        if match_formula(pat, f, b):
-            return b
-    return None
-
-
-def _q1_match(f: Formula) -> Optional[dict]:
-    # (all x . A) -> A[t/x], t free for x in A
-    if not (isinstance(f, Imp) and isinstance(f.a, Forall)):
-        return None
-    x = f.a.var
-    t = infer_term(f.a.a, f.b, x)
-    if t is None:
-        return None
-    return {'v:x': x, 'T:t': t}
-
-
-def _q3_match(f: Formula) -> Optional[dict]:
-    # A[t/x] -> (ex x . A), t free for x in A
-    if not (isinstance(f, Imp) and isinstance(f.b, Exists)):
-        return None
-    x = f.b.var
-    t = infer_term(f.b.a, f.a, x)
-    if t is None:
-        return None
-    return {'v:x': x, 'T:t': t}
+        q, instance = (f.a, f.b) if binder is Forall else (f.b, f.a)
+        if type(q) is not binder:
+            return None
+        t = infer_term(q.a, instance, q.var)
+        return None if t is None else {'v:x': q.var, 'T:t': t}
+    return AxiomSchema(name, match_schema)
 
 
 def _mu_cl_match(f: Formula) -> Optional[dict]:
@@ -366,83 +292,70 @@ def _mu_cl_match(f: Formula) -> Optional[dict]:
     return {'v:p': mu.var, 'F:A': mu.a}
 
 
-def _taut_match(f: Formula) -> Optional[dict]:
-    return {} if is_tautology(f) else None
-
-
-def _fv_cond(var_key: str, formula_key: str, absent: bool = True):
-    def cond(b):
-        inside = b[var_key] in free_vars(b[formula_key])
-        return not inside if absent else inside
-    return cond
+def _not_free(var_key: str, formula_key: str):
+    return lambda b: b[var_key] not in free_vars(b[formula_key])
 
 
 def _lt(key1: str, key2: str):
     return lambda b: b[key1] < b[key2]
 
 
-def _box_n(n: int, f: Formula) -> Formula:
-    for _ in range(n):
-        f = Box(f)
-    return f
+_A = FMeta('A')
+_B = FMeta('B')
+_s = TMeta('s')
+_t = TMeta('t')
 
 
 SCHEMAS = {
     # modal
-    'K': AxiomSchema('K', Imp(Box(Imp(_A, _B)), Imp(Box(_A), Box(_B)))),
-    'T': AxiomSchema('T', Imp(Box(_A), _A)),
-    'D': AxiomSchema('D', Imp(Box(_A), Neg(Box(Neg(_A))))),
-    '4': AxiomSchema('4', Imp(Box(_A), Box(Box(_A)))),
-    'B': AxiomSchema('B', Imp(Neg(_A), Box(Neg(Box(_A))))),
-    '5': AxiomSchema('5', Imp(Neg(Box(_A)), Box(Neg(Box(_A))))),
-    'lob': AxiomSchema('lob', Imp(Box(Imp(Box(_A), _A)), Box(_A))),
+    'K': _schema('K', Imp(Box(Imp(_A, _B)), Imp(Box(_A), Box(_B)))),
+    'T': _schema('T', Imp(Box(_A), _A)),
+    'D': _schema('D', Imp(Box(_A), Neg(Box(Neg(_A))))),
+    '4': _schema('4', Imp(Box(_A), Box(Box(_A)))),
+    'B': _schema('B', Imp(Neg(_A), Box(Neg(Box(_A))))),
+    '5': _schema('5', Imp(Neg(Box(_A)), Box(Neg(Box(_A))))),
+    'lob': _schema('lob', Imp(Box(Imp(Box(_A), _A)), Box(_A))),
     # justification
-    'jk': AxiomSchema('jk', Imp(Just(_s, '?g', Imp(_A, _B)),
-                                Imp(Just(_t, '?g', _A),
-                                    Just(App(_s, _t), '?g', _B)))),
-    'sum': AxiomSchema('sum', custom=_sum_match),
-    'jt': AxiomSchema('jt', Imp(Just(_t, '?g', _A), _A)),
-    'jd': AxiomSchema('jd', Imp(Just(_t, '?g', Falsum()), Falsum())),
-    'j4': AxiomSchema('j4', Imp(Just(_t, '?g', _A),
-                                Just(Bang(_t), '?g', Just(_t, '?g', _A)))),
-    'jb': AxiomSchema('jb', Imp(Neg(_A),
-                                Just(WQuest(_t), '?g',
-                                     Neg(Just(_t, '?g', _A))))),
-    'j5': AxiomSchema('j5', Imp(Neg(Just(_t, '?g', _A)),
-                                Just(Quest(_t), '?g',
-                                     Neg(Just(_t, '?g', _A))))),
-    'elob': AxiomSchema('elob', Imp(Just(_s, '?g', Imp(Just(_t, '?g', _A), _A)),
-                                    Just(_t, '?g', _A))),
+    'jk': _schema('jk', Imp(Just(_s, '?g', Imp(_A, _B)),
+                            Imp(Just(_t, '?g', _A),
+                                Just(App(_s, _t), '?g', _B)))),
+    'sum': _schema('sum', Imp(Just(_s, '?g', _A), Just(TSum(_s, _t), '?g', _A)),
+                   Imp(Just(_s, '?g', _A), Just(TSum(_t, _s), '?g', _A))),
+    'jt': _schema('jt', Imp(Just(_t, '?g', _A), _A)),
+    'jd': _schema('jd', Imp(Just(_t, '?g', Falsum()), Falsum())),
+    'j4': _schema('j4', Imp(Just(_t, '?g', _A),
+                            Just(Bang(_t), '?g', Just(_t, '?g', _A)))),
+    'jb': _schema('jb', Imp(Neg(_A),
+                            Just(WQuest(_t), '?g', Neg(Just(_t, '?g', _A))))),
+    'j5': _schema('j5', Imp(Neg(Just(_t, '?g', _A)),
+                            Just(Quest(_t), '?g', Neg(Just(_t, '?g', _A))))),
+    'elob': _schema('elob', Imp(Just(_s, '?g', Imp(Just(_t, '?g', _A), _A)),
+                                Just(_t, '?g', _A))),
     # quantifiers
-    'q1': AxiomSchema('q1', custom=_q1_match),
-    'q2': AxiomSchema('q2', Imp(Forall('?x', Imp(_A, _B)),
-                                Imp(_A, Forall('?x', _B))),
-                      conditions=(_fv_cond('v:x', 'F:A'),)),
-    'q3': AxiomSchema('q3', custom=_q3_match),
-    'q4': AxiomSchema('q4', Imp(Forall('?x', Imp(_A, _B)),
-                                Imp(Exists('?x', _A), _B)),
-                      conditions=(_fv_cond('v:x', 'F:B'),)),
-    'uf': AxiomSchema('uf', Imp(Exists('?y', Just(Var('?y'), '?g',
-                                                  Forall('?x', Just(_t, '?g', _A)))),
-                                Just(UAll(_t, '?x'), '?g', Forall('?x', _A))),
-                      conditions=(
-                          lambda b: b['v:y'] not in term_vars(b['T:t']),
-                          _fv_cond('v:y', 'F:A'),
-                      )),
+    'q1': _quantifier_schema('q1', Forall),
+    'q2': _schema('q2', Imp(Forall('?x', Imp(_A, _B)), Imp(_A, Forall('?x', _B))),
+                  conditions=(_not_free('v:x', 'F:A'),)),
+    'q3': _quantifier_schema('q3', Exists),
+    'q4': _schema('q4', Imp(Forall('?x', Imp(_A, _B)), Imp(Exists('?x', _A), _B)),
+                  conditions=(_not_free('v:x', 'F:B'),)),
+    'uf': _schema('uf', Imp(Exists('?y', Just(Var('?y'), '?g',
+                                              Forall('?x', Just(_t, '?g', _A)))),
+                            Just(UAll(_t, '?x'), '?g', Forall('?x', _A))),
+                  conditions=(lambda b: b['v:y'] not in term_vars(b['T:t']),
+                              _not_free('v:y', 'F:A'))),
     # timed knowledge
-    'tk': AxiomSchema('tk', Imp(Knows('?i', Imp(_A, _B)),
-                                Imp(Knows('?j', _A), Knows('?k', _B))),
-                      conditions=(_lt('i:i', 'i:k'), _lt('i:j', 'i:k'))),
-    'mon': AxiomSchema('mon', Imp(Knows('?i', _A), Knows('?j', _A)),
-                       conditions=(_lt('i:i', 'i:j'),)),
-    'tt': AxiomSchema('tt', Imp(Knows('?i', _A), _A)),
-    't4': AxiomSchema('t4', Imp(Knows('?i', _A),
-                                Knows('?j', Knows('?i', _A))),
-                      conditions=(_lt('i:i', 'i:j'),)),
+    'tk': _schema('tk', Imp(Knows('?i', Imp(_A, _B)),
+                            Imp(Knows('?j', _A), Knows('?k', _B))),
+                  conditions=(_lt('i:i', 'i:k'), _lt('i:j', 'i:k'))),
+    'mon': _schema('mon', Imp(Knows('?i', _A), Knows('?j', _A)),
+                   conditions=(_lt('i:i', 'i:j'),)),
+    'tt': _schema('tt', Imp(Knows('?i', _A), _A)),
+    't4': _schema('t4', Imp(Knows('?i', _A), Knows('?j', Knows('?i', _A))),
+                  conditions=(_lt('i:i', 'i:j'),)),
     # fixed points over mu
-    'mu-cl': AxiomSchema('mu-cl', custom=_mu_cl_match),
+    'mu-cl': AxiomSchema('mu-cl', _mu_cl_match),
     # last resort
-    'taut': AxiomSchema('taut', custom=_taut_match),
+    'taut': AxiomSchema('taut', lambda f: {} if is_tautology(f) else None),
 }
 
 
@@ -454,8 +367,10 @@ _SACCHETTI_MAX = 1000
 def sacchetti_schema(n: int) -> AxiomSchema:
     if n < 1:
         raise ValueError("sacchetti index must be >= 1")
-    return AxiomSchema('sacchetti-%d' % n,
-                       Imp(Box(Imp(_box_n(n, _A), _A)), Box(_A)))
+    box_n = _A
+    for _ in range(n):
+        box_n = Box(box_n)
+    return _schema('sacchetti-%d' % n, Imp(Box(Imp(box_n, _A)), Box(_A)))
 
 
 # ---------------------------------------------------------------------------

@@ -364,7 +364,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             continue
         if line.startswith('interp'):
             toks = line.split()
-            if '->' not in toks:
+            if '->' not in toks[:-1]:
                 raise ModelError("interp needs '-> reason': %r" % line)
             arrow = toks.index('->')
             opname, args, val = toks[1], toks[2:arrow], toks[arrow + 1]
@@ -379,8 +379,8 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             rest = line[len('evidence'):].strip()
             agent = None
             if rest.startswith('@'):
-                agent, rest = rest.split(None, 1)
-                agent = agent[1:]
+                agent, *rest = rest.split(None, 1)
+                agent, rest = agent[1:], ''.join(rest)
             m2 = re.match(r'^(\S+)\s*(\{[^}]*\})?\s*:\s*(.+)$', rest)
             if not m2:
                 raise ModelError("bad evidence line: %r" % line)

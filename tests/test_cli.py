@@ -1,6 +1,7 @@
 """Command line exit codes."""
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -62,8 +63,10 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
      "step reference 'x' is not a number"),
     ('logic: K\n\n1. p -> p ; prop x\n',
      "step reference 'x' is not a number"),
+    ('logic: tS4\n\n1. K@1 p -> p ; ax\n2. K@5 K@1 p ; admk , 5\n',
+     'admk takes step references and a time'),
 ], ids=['sacchetti-0', 'sacchetti--1', 'sacchetti-huge', 'mp', 'nec',
-        'prop'])
+        'prop', 'admk'])
 def test_bad_logic_index_or_step_reference_exits_1(text, message, tmp_path,
                                                    capsys):
     path = tmp_path / 'bad.drv'
@@ -92,3 +95,33 @@ def test_agents_header_of_non_ascii_digits_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == "error: agent name '\u00b2' is not an identifier\n"
+
+
+def test_agents_count_above_bound_exits_1(tmp_path, capsys):
+    # refused before any agent name is built: a million names took 64 MB
+    path = tmp_path / 'agents.drv'
+    path.write_text('logic: QLP_n\nagents: 10000000000\n\n1. p -> p ; prop\n')
+    tracemalloc.start()
+    try:
+        assert cli.main(['check', str(path)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: agent count 10000000000 exceeds 1000\n'
+
+
+@pytest.mark.parametrize('line, message', [
+    ('interp app ->', "interp needs '-> reason': 'interp app ->'"),
+    ('evidence @s', "bad evidence line: 'evidence @s'"),
+    ('evidence @', "bad evidence line: 'evidence @'"),
+], ids=['interp-no-reason', 'evidence-agent-only', 'evidence-bare-at'])
+def test_truncated_model_line_exits_1(line, message, tmp_path, capsys):
+    path = tmp_path / 'bad.mdl'
+    path.write_text('logic: QLP-\ndomain a\n%s\n' % line)
+    assert cli.main(['model', 'check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: %s\n' % message

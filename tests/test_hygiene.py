@@ -1,7 +1,8 @@
 """Every name a justfix module imports is used in that module, every
 private module-level name is used somewhere in justfix, only the
-registry spells out the pieces of the logic-id grammar, and no module
-keeps a functools memo, which would outlive the call that filled it."""
+registry spells out the pieces of the logic-id grammar, no module
+keeps a functools memo, which would outlive the call that filled it, and
+only one function walks two structures in parallel."""
 
 import ast
 import glob
@@ -149,3 +150,80 @@ def test_detector_sees_process_memo():
                      '    return x\n@functools.wraps(f)\ndef g(x):\n'
                      '    return x\n')
     assert _process_memos(tree) == [(2, 'cache'), (3, 'lru_cache')]
+
+
+def _own_nodes(fn):
+    # the nodes of a function, not descending into nested functions
+    todo = [fn]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo += [n for n in ast.iter_child_nodes(node)
+                 if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))]
+
+
+def _is_children_call(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Name) and node.func.id == 'children'
+        or isinstance(node.func, ast.Attribute)
+        and node.func.attr == 'children')
+
+
+def _parallel_walks(tree: ast.Module) -> list:
+    """(line, name) of each function that zips two children(...)
+    sequences, called directly or bound to a local name first."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(_own_nodes(fn))
+        local = set()
+        for node in nodes:
+            if not isinstance(node, ast.Assign):
+                continue
+            for target in node.targets:
+                pairs = [(target, node.value)]
+                if isinstance(target, ast.Tuple) and \
+                        isinstance(node.value, ast.Tuple):
+                    pairs = zip(target.elts, node.value.elts)
+                local.update(t.id for t, v in pairs
+                             if isinstance(t, ast.Name) and _is_children_call(v))
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == 'zip'
+               and sum(_is_children_call(a) or isinstance(a, ast.Name)
+                       and a.id in local for a in node.args) >= 2
+               for node in nodes):
+            found.append((fn.lineno, fn.name))
+    return sorted(found)
+
+
+def test_one_parallel_structural_walk():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, '*.py'))):
+        with open(path) as fh:
+            found += [(os.path.basename(path), name) for _, name in
+                      _parallel_walks(ast.parse(fh.read(), path))]
+    assert len(found) <= 1, found
+
+
+def test_detector_sees_parallel_walk():
+    tree = ast.parse(
+        'def direct(a, b):\n'
+        '    return all(f(p, q) for p, q in zip(children(a), children(b)))\n'
+        'def named(a, b):\n'
+        '    ka, kb = children(a), children(b)\n'
+        '    return zip(ka, kb)\n'
+        'def mixed(a, b):\n'
+        '    kids = syntax.children(a)\n'
+        '    return zip(kids, children(b))\n'
+        'def outer(a, b):\n'
+        '    def inner(u, v):\n'
+        '        ku = children(u)\n'
+        '        return zip(ku, children(v))\n'
+        '    return inner(a, b)\n'
+        'def single(a, xs):\n'
+        '    ka = children(a)\n'
+        '    return zip(ka, xs), zip(a.args, children(a))\n')
+    assert _parallel_walks(tree) == [(1, 'direct'), (3, 'named'),
+                                     (6, 'mixed'), (10, 'inner')]

@@ -543,3 +543,508 @@ def test_infer_term_primitive_argument_occurrences():
     assert infer_term(template, instance, 'x') is None
     instance = parse_formula('z : p & all y . f(z, y) : q', qlp)
     assert infer_term(template, instance, 'x') == Var('z')
+
+
+# -- one matcher against the matchers it replaced -----------------------------
+# The schema walker (match_term, match_formula), the substitution walker
+# (_match_free) and the custom schemas (_sum_match, _q1_match, _q3_match),
+# with the schema table and the fixed-point builders, frozen as they were
+# written before registry.match_node took their place.
+
+from justfix.fixedpoint import (FixedPointError, fp_axiom,  # noqa: E402
+                                fp_axiom_instance, gl_obligation,
+                                make_operator, mu_closure_instance)
+from justfix.registry import sacchetti_schema  # noqa: E402
+from justfix.syntax import (Exists, FixApp, FMeta, Forall, Mu,  # noqa: E402
+                            NotFreeFor, Prim, TMeta, UAll, children,
+                            free_atoms, free_vars, occurrence_ok, parse_term,
+                            rebuild, subst_prop, subst_prop_multi,
+                            subst_term_for_var, term_vars)
+from hypothesis import example  # noqa: E402
+from conftest import _bool_layer, atoms  # noqa: E402
+
+
+def _ref_bind(b, key, val):
+    if key in b:
+        return b[key] == val
+    b[key] = val
+    return True
+
+
+def _ref_match_slot(kind, pat, val, b):
+    if isinstance(pat, str) and pat.startswith('?'):
+        return _ref_bind(b, kind + ':' + pat[1:], val)
+    return pat == val
+
+
+def _ref_match_term(pat, t, b):
+    if isinstance(pat, TMeta):
+        return _ref_bind(b, 'T:' + pat.name, t)
+    if isinstance(pat, Var) and pat.name.startswith('?'):
+        return isinstance(t, Var) and _ref_bind(b, 'v:' + pat.name[1:], t.name)
+    if type(pat) is not type(t):
+        return False
+    kp = children(pat)
+    if not kp:
+        return pat == t
+    if isinstance(pat, UAll) and not _ref_match_slot('v', pat.var, t.var, b):
+        return False
+    return all(_ref_match_term(p, s, b) for p, s in zip(kp, children(t)))
+
+
+def _ref_match_formula(pat, f, b):
+    if isinstance(pat, FMeta):
+        return _ref_bind(b, 'F:' + pat.name, f)
+    if type(pat) is not type(f):
+        return False
+    kp, kf = children(pat), children(f)
+    if not kp:
+        return pat == f
+    match pat:
+        case Knows(i, _):
+            if not _ref_match_slot('i', i, f.time, b):
+                return False
+        case Just(t, agent, _):
+            if not (_ref_match_term(t, f.t, b)
+                    and _ref_match_slot('a', agent, f.agent, b)):
+                return False
+        case Forall(v, _) | Exists(v, _) | Mu(v, _):
+            if not _ref_match_slot('v', v, f.var, b):
+                return False
+        case FixApp(name, args):
+            if name != f.name or len(args) != len(f.args):
+                return False
+    return all(_ref_match_formula(p, a, b) for p, a in zip(kp, kf))
+
+
+def _ref_match_free(base, target, binds):
+    sigma = {}
+
+    def wt(u, v, bound):
+        if isinstance(u, Var) and u.name in binds and u.name not in bound:
+            if term_vars(v) & bound:
+                return False
+            if u.name in sigma:
+                return sigma[u.name] == v
+            sigma[u.name] = v
+            return True
+        if type(u) is not type(v):
+            return False
+        if isinstance(u, Prim):
+            if u.symbol != v.symbol or len(u.args) != len(v.args):
+                return False
+            return all(wt(Var(p), Var(q), bound)
+                       for p, q in zip(u.args, v.args))
+        if isinstance(u, UAll):
+            if u.var != v.var:
+                return False
+            bound = bound | {u.var}
+        ku = children(u)
+        if not ku:
+            return u == v
+        return all(wt(p, q, bound) for p, q in zip(ku, children(v)))
+
+    def wf(a, c, bound):
+        if type(a) is not type(c):
+            return False
+        ka, kc = children(a), children(c)
+        if not ka:
+            return a == c
+        match a:
+            case Just(t, agent, _):
+                if agent != c.agent or not wt(t, c.t, bound):
+                    return False
+            case Forall(v, _) | Exists(v, _):
+                if v != c.var:
+                    return False
+                bound = bound | {v}
+            case Knows(i, _):
+                if i != c.time:
+                    return False
+            case Mu(v, _):
+                if v != c.var:
+                    return False
+            case FixApp(name, args):
+                if name != c.name or len(args) != len(c.args):
+                    return False
+        return all(wf(p, q, bound) for p, q in zip(ka, kc))
+
+    return sigma if wf(base, target, frozenset()) else None
+
+
+def _ref_infer_term(template, instance, x):
+    sigma = _ref_match_free(template, instance, frozenset((x,)))
+    if sigma is None:
+        return None
+    if x not in sigma:
+        return Var(x)
+    t = sigma[x]
+    try:
+        if subst_term_for_var(template, x, t) != instance:
+            return None
+    except NotFreeFor:
+        return None
+    return t
+
+
+def _ref_sigma_match(base, target):
+    return _ref_match_free(base, target, free_vars(base))
+
+
+_RA, _RB, _RS, _RT = FMeta('A'), FMeta('B'), TMeta('s'), TMeta('t')
+
+
+def _ref_sum_match(f):
+    for left in (TSum(_RS, _RT), TSum(_RT, _RS)):
+        b = {}
+        pat = Imp(Just(_RS, '?g', _RA), Just(left, '?g', _RA))
+        if _ref_match_formula(pat, f, b):
+            return b
+    return None
+
+
+def _ref_q1_match(f):
+    if not (isinstance(f, Imp) and isinstance(f.a, Forall)):
+        return None
+    x = f.a.var
+    t = _ref_infer_term(f.a.a, f.b, x)
+    if t is None:
+        return None
+    return {'v:x': x, 'T:t': t}
+
+
+def _ref_q3_match(f):
+    if not (isinstance(f, Imp) and isinstance(f.b, Exists)):
+        return None
+    x = f.b.var
+    t = _ref_infer_term(f.b.a, f.a, x)
+    if t is None:
+        return None
+    return {'v:x': x, 'T:t': t}
+
+
+def _ref_mu_cl_match(f):
+    if not (isinstance(f, Iff) and isinstance(f.b, Mu)):
+        return None
+    mu = f.b
+    if subst_prop(mu.a, mu.var, mu) != f.a:
+        return None
+    return {'v:p': mu.var, 'F:A': mu.a}
+
+
+def _ref_not_free(var_key, formula_key):
+    return lambda b: b[var_key] not in free_vars(b[formula_key])
+
+
+def _ref_lt(key1, key2):
+    return lambda b: b[key1] < b[key2]
+
+
+_REF_PATTERNS = {
+    'K': (Imp(Box(Imp(_RA, _RB)), Imp(Box(_RA), Box(_RB))),),
+    'T': (Imp(Box(_RA), _RA),),
+    'D': (Imp(Box(_RA), Neg(Box(Neg(_RA)))),),
+    '4': (Imp(Box(_RA), Box(Box(_RA))),),
+    'B': (Imp(Neg(_RA), Box(Neg(Box(_RA)))),),
+    '5': (Imp(Neg(Box(_RA)), Box(Neg(Box(_RA)))),),
+    'lob': (Imp(Box(Imp(Box(_RA), _RA)), Box(_RA)),),
+    'jk': (Imp(Just(_RS, '?g', Imp(_RA, _RB)),
+               Imp(Just(_RT, '?g', _RA), Just(App(_RS, _RT), '?g', _RB))),),
+    'jt': (Imp(Just(_RT, '?g', _RA), _RA),),
+    'jd': (Imp(Just(_RT, '?g', Falsum()), Falsum()),),
+    'j4': (Imp(Just(_RT, '?g', _RA),
+               Just(Bang(_RT), '?g', Just(_RT, '?g', _RA))),),
+    'jb': (Imp(Neg(_RA), Just(WQuest(_RT), '?g',
+                               Neg(Just(_RT, '?g', _RA)))),),
+    'j5': (Imp(Neg(Just(_RT, '?g', _RA)),
+               Just(Quest(_RT), '?g', Neg(Just(_RT, '?g', _RA)))),),
+    'elob': (Imp(Just(_RS, '?g', Imp(Just(_RT, '?g', _RA), _RA)),
+                 Just(_RT, '?g', _RA)),),
+    'q2': (Imp(Forall('?x', Imp(_RA, _RB)), Imp(_RA, Forall('?x', _RB))),
+           _ref_not_free('v:x', 'F:A')),
+    'q4': (Imp(Forall('?x', Imp(_RA, _RB)), Imp(Exists('?x', _RA), _RB)),
+           _ref_not_free('v:x', 'F:B')),
+    'uf': (Imp(Exists('?y', Just(Var('?y'), '?g',
+                                 Forall('?x', Just(_RT, '?g', _RA)))),
+               Just(UAll(_RT, '?x'), '?g', Forall('?x', _RA))),
+           lambda b: b['v:y'] not in term_vars(b['T:t']),
+           _ref_not_free('v:y', 'F:A')),
+    'tk': (Imp(Knows('?i', Imp(_RA, _RB)),
+               Imp(Knows('?j', _RA), Knows('?k', _RB))),
+           _ref_lt('i:i', 'i:k'), _ref_lt('i:j', 'i:k')),
+    'mon': (Imp(Knows('?i', _RA), Knows('?j', _RA)), _ref_lt('i:i', 'i:j')),
+    'tt': (Imp(Knows('?i', _RA), _RA),),
+    't4': (Imp(Knows('?i', _RA), Knows('?j', Knows('?i', _RA))),
+           _ref_lt('i:i', 'i:j')),
+}
+_REF_CUSTOM = {'sum': _ref_sum_match, 'q1': _ref_q1_match,
+               'q3': _ref_q3_match, 'mu-cl': _ref_mu_cl_match,
+               'taut': lambda f: {} if is_tautology(f) else None}
+
+
+def _ref_sacchetti(n):
+    box_n = _RA
+    for _ in range(n):
+        box_n = Box(box_n)
+    return (Imp(Box(Imp(box_n, _RA)), Box(_RA)),)
+
+
+def _ref_schema_match(entry, f):
+    # entry: a schema name, or the (pattern, *conditions) of one
+    if entry in _REF_CUSTOM:
+        return _REF_CUSTOM[entry](f)
+    pat, *conditions = _REF_PATTERNS.get(entry, entry)
+    b = {}
+    if not _ref_match_formula(pat, f, b):
+        return None
+    return b if all(cond(b) for cond in conditions) else None
+
+
+def _ref_fp_axiom(op, args):
+    args = tuple(args)
+    if len(args) != len(op.params):
+        raise FixedPointError("%s expects %d arguments, got %d"
+                              % (op.name, len(op.params), len(args)))
+    head = FixApp(op.name, args)
+    env = {op.var: head}
+    env.update(zip(op.params, args))
+    return Iff(head, subst_prop_multi(op.body, env))
+
+
+def _ref_fp_axiom_instance(op, f):
+    if not isinstance(f, Iff):
+        return None
+    head = f.a
+    if not isinstance(head, FixApp) or head.name != op.name:
+        return None
+    if len(head.args) != len(op.params):
+        return None
+    env = {op.var: head}
+    env.update(zip(op.params, head.args))
+    return _ref_sigma_match(subst_prop_multi(op.body, env), f.b)
+
+
+def _ref_gl_obligation(op, candidate, args):
+    args = tuple(args)
+    if len(args) != len(op.params):
+        raise FixedPointError("%s expects %d arguments, got %d"
+                              % (op.name, len(op.params), len(args)))
+    if not occurrence_ok(op.body, op.var, 'modalized'):
+        raise FixedPointError(
+            "explicit definability only applies to boxed recursion")
+    env = {op.var: candidate}
+    env.update(zip(op.params, args))
+    return Iff(candidate, subst_prop_multi(op.body, env))
+
+
+# formulas and terms for the comparison: primitive terms with variable
+# arguments, uniform verifiers (t all x), quantifiers that can capture the
+# variables terms use, agent labels, and fix(d; ...) heads
+_DVARS = ('x', 'y', 'z')
+_dvars = st.sampled_from(_DVARS)
+_dterms = st.recursive(
+    _dvars.map(Var) | st.just(Const('c'))
+    | st.builds(Prim, st.sampled_from(('f', 'g')),
+                st.lists(_dvars, max_size=2).map(tuple)),
+    lambda ch: st.one_of(st.builds(App, ch, ch), st.builds(TSum, ch, ch),
+                         st.builds(Bang, ch), st.builds(Quest, ch),
+                         st.builds(WQuest, ch), st.builds(UAll, ch, _dvars)),
+    max_leaves=3)
+_dagents = st.sampled_from((None, 'a', 'b'))
+
+
+def _dformulas(heads=True, max_leaves=4):
+    leaves = atoms | st.just(Falsum())
+    if heads:
+        leaves |= st.just(FixApp('d', ()))
+
+    def layer(ch):
+        out = (_bool_layer(ch) | st.builds(Just, _dterms, _dagents, ch)
+               | st.builds(Forall, _dvars, ch) | st.builds(Exists, _dvars, ch)
+               | st.builds(Box, ch) | st.builds(Knows, st.integers(0, 3), ch))
+        if heads:
+            out |= st.lists(ch, min_size=1, max_size=2).map(
+                lambda a: FixApp('d', tuple(a)))
+            # m is not an atom name of the leaves, so the body is positive
+            out |= ch.map(lambda a: Mu('m', Or(Atom('m'), a)))
+        return out
+    return st.recursive(leaves, layer, max_leaves=max_leaves)
+
+
+_sigmas = st.dictionaries(_dvars, _dterms, max_size=3)
+
+
+def _naive_subst(node, sigma, bound=frozenset()):
+    """node with each free occurrence of a variable in sigma replaced by its
+    term, capture ignored; a primitive argument takes only a variable."""
+    kind = type(node)
+    if kind is Var:
+        return node if node.name in bound else sigma.get(node.name, node)
+    if kind is Prim:
+        return Prim(node.symbol, tuple(
+            sigma[a].name if a in sigma and a not in bound
+            and isinstance(sigma[a], Var) else a for a in node.args))
+    if kind in (Forall, Exists, UAll):
+        bound = bound | {node.var}
+    if kind is Just:
+        return Just(_naive_subst(node.t, sigma, bound), node.agent,
+                    _naive_subst(node.a, sigma, bound))
+    return rebuild(node, [_naive_subst(k, sigma, bound)
+                          for k in children(node)])
+
+
+def _instantiate(pat, env, alt, rnd):
+    """pat with each metavariable replaced by its filler in env, or now and
+    then in alt, so that repeated metavariables sometimes disagree."""
+    def pick(key):
+        return (alt if rnd.random() < 0.15 else env)[key]
+
+    def slot(val, kind):
+        if isinstance(val, str) and val.startswith('?'):
+            return pick(kind + ':' + val[1:])
+        return val
+
+    def go(p):
+        kind = type(p)
+        if kind is FMeta:
+            return pick('F:' + p.name)
+        if kind is TMeta:
+            return pick('T:' + p.name)
+        if kind is Var:
+            return Var(slot(p.name, 'v'))
+        if kind is Just:
+            return Just(go(p.t), slot(p.agent, 'a'), go(p.a))
+        if kind is Knows:
+            return Knows(slot(p.time, 'i'), go(p.a))
+        if kind in (Forall, Exists):
+            return kind(slot(p.var, 'v'), go(p.a))
+        if kind is UAll:
+            return UAll(go(p.inner), slot(p.var, 'v'))
+        return rebuild(p, [go(k) for k in children(p)])
+    return go(pat)
+
+
+_dformula = _dformulas()
+
+
+@st.composite
+def _fillers(draw):
+    return {'F:A': draw(_dformula), 'F:B': draw(_dformula),
+            'T:s': draw(_dterms), 'T:t': draw(_dterms),
+            'a:g': draw(_dagents), 'v:x': draw(_dvars), 'v:y': draw(_dvars),
+            'i:i': draw(st.integers(0, 3)), 'i:j': draw(st.integers(0, 3)),
+            'i:k': draw(st.integers(0, 3))}
+
+
+@st.composite
+def _schema_candidates(draw):
+    """A formula that is, or nearly is, an instance of a drawn schema."""
+    env, alt = draw(_fillers()), draw(_fillers())
+    rnd = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(sorted(_REF_PATTERNS)
+                                 + ['sum', 'q1', 'q3', 'mu-cl', 'random']))
+    if shape == 'random':
+        return draw(_dformula)
+    if shape in _REF_PATTERNS:
+        return _instantiate(_REF_PATTERNS[shape][0], env, alt, rnd)
+    a, t, x = env['F:A'], env['T:t'], env['v:x']
+    if shape == 'sum':
+        s = TSum(t, env['T:s']) if rnd.random() < 0.5 else TSum(env['T:s'], t)
+        return Imp(Just(t, env['a:g'], a), Just(s, env['a:g'], a))
+    if shape == 'mu-cl':
+        return mu_closure_instance('m', Or(Atom('m'), a))
+    inst = _naive_subst(a, {x: t})
+    if shape == 'q1':
+        return Imp(Forall(x, a), inst)
+    return Imp(inst, Exists(x, a))
+
+
+def test_reference_table_names_every_schema():
+    assert sorted(SCHEMAS) == sorted(list(_REF_PATTERNS) + list(_REF_CUSTOM))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schema_candidates())
+@example(parse_formula('x : p -> (x + y) : p'))
+@example(parse_formula('x : p -> (y + x) : p'))
+@example(parse_formula('(all x . ex y . x : p) -> (ex y . y : p)'))
+def test_schemas_agree_with_the_replaced_matchers(f):
+    for name, schema in SCHEMAS.items():
+        assert schema.match(f) == _ref_schema_match(name, f), name
+    for n in (1, 2):
+        assert sacchetti_schema(n).match(f) == \
+            _ref_schema_match(_ref_sacchetti(n), f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), _fillers(), _fillers(),
+       st.randoms(use_true_random=False))
+def test_sacchetti_agrees_with_the_replaced_matcher(n, env, alt, rnd):
+    f = _instantiate(_ref_sacchetti(n)[0], env, alt, rnd)
+    assert sacchetti_schema(n).match(f) == \
+        _ref_schema_match(_ref_sacchetti(n), f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dformula, _sigmas, _dvars, _dterms)
+@example(parse_formula('all y . x : p'), {'x': parse_term('y * y')}, 'x',
+         Var('x'))
+@example(parse_formula('x : p & (x all x) : q'), {'x': Var('z')}, 'x',
+         Var('x'))
+@example(parse_formula('(y all x) : p'), {'y': Var('x')}, 'x', Var('x'))
+@example(parse_formula('f(x) : p'), {'x': Var('z')}, 'x', Var('x'))
+def test_substitution_instances_agree_with_the_replaced_matcher(base, sigma,
+                                                                v, u):
+    # base also under a quantifier and beside a verifier on v, where the
+    # terms of sigma can be captured
+    for base in (base, Forall(v, base), And(Just(UAll(u, v), None, base),
+                                            Just(u, None, base))):
+        target = _naive_subst(base, sigma)
+        for a, b in ((base, target), (target, base)):
+            assert sigma_match(a, b) == _ref_sigma_match(a, b)
+            for x in _DVARS:
+                assert infer_term(a, b, x) == _ref_infer_term(a, b, x)
+
+
+_dbodies = _dformulas(heads=False)
+
+
+@st.composite
+def _operators(draw):
+    # the body wraps every occurrence of the recursion atom p in the guard
+    # of a drawn mode; every other atom is a parameter
+    guard, mode = draw(st.sampled_from((
+        (Box, 'modalized'),
+        (lambda a: Just(draw(_dterms), None, a), 'justified'),
+        (lambda a: Exists('x', Just(Var('x'), None, a)), 'exists_justified'),
+    )))
+    body = guard(draw(_dbodies))
+    params = sorted(free_atoms(body) - {'p'})
+    return make_operator('d', 'p', draw(st.permutations(params)), body, mode)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (FixedPointError, NotFreeFor) as ex:
+        return type(ex).__name__, str(ex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operators(), st.lists(_dformula, max_size=3), _sigmas, _dformula)
+def test_fixed_point_instances_agree_with_the_replaced_builders(op, args,
+                                                                sigma, cand):
+    assert _outcome(fp_axiom, op, args) == _outcome(_ref_fp_axiom, op, args)
+    assert _outcome(gl_obligation, op, cand, args) == \
+        _outcome(_ref_gl_obligation, op, cand, args)
+    head = FixApp('d', tuple(args))
+    env = {'p': head}
+    env.update(zip(op.params, args))
+    try:
+        rhs = subst_prop_multi(op.body, env)
+    except NotFreeFor:
+        rhs = op.body
+    for f in (Iff(head, rhs), Iff(head, _naive_subst(rhs, sigma)),
+              Iff(cand, rhs), Iff(head, cand)):
+        assert _outcome(fp_axiom_instance, op, f) == \
+            _outcome(_ref_fp_axiom_instance, op, f)
