@@ -30,9 +30,10 @@ def _retarget(d, args):
     spec = getattr(args, 'spec', None)
     if spec:
         src = spec if spec in ('tcs', 'empty') else 'file %s' % spec
-        d = dataclasses.replace(
-            d, spec=parse_spec_value(src, get_logic(d.logic_id), ''),
-            spec_src=src)
+        parsed = parse_spec_value(src, get_logic(d.logic_id), '')
+        if parsed is None:
+            raise DerivationError("spec must be tcs, empty, or file <path>")
+        d = dataclasses.replace(d, spec=parsed, spec_src=src)
     return d
 
 
@@ -126,7 +127,7 @@ def _cmd_model(args) -> int:
         if args.formula:
             claims = (parse_formula(args.formula, logic.profile),)
         if not claims:
-            raise SystemExit('model file has no validity claims')
+            raise ModelError('model file has no validity claims')
         bad = 0
         for c in claims:
             ok = is_valid(m, c)

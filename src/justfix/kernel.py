@@ -179,6 +179,8 @@ def _parse_justification(text: str, profile) -> tuple:
         raise DerivationError("empty justification")
     rule = toks[0]
     rest = toks[1:]
+    if len(head) > 1 and rule != 'fp':
+        raise DerivationError("%s takes no ';' part" % rule)
     if rule == 'ax':
         if len(rest) > 1:
             raise DerivationError("ax takes at most one schema id")
@@ -271,8 +273,9 @@ def parse_spec_value(src: str, logic, base_dir: str) -> Optional[Spec]:
         return TOTAL
     if src == 'empty':
         return EMPTY
-    if src.startswith('file'):
-        return parse_spec_file(os.path.join(base_dir, src[len('file'):].strip()),
+    parts = src.split(None, 1)
+    if len(parts) == 2 and parts[0] == 'file':
+        return parse_spec_file(os.path.join(base_dir, parts[1].strip()),
                                logic.profile)
     return None
 
@@ -327,7 +330,7 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             continue
         if line.startswith('spec:'):
             spec_src = line[len('spec:'):].strip()
-            if spec_src.startswith('file') and logic is None:
+            if spec_src.split()[:1] == ['file'] and logic is None:
                 raise DerivationError("spec file before logic header")
             spec = parse_spec_value(spec_src, logic, base_dir)
             if spec is None:

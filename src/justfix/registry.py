@@ -1,15 +1,15 @@
 """Logic registry: axiom schemas, rule vocabularies, and specifications.
 
-Every logic the workbench knows is assembled here from a shared schema
-table.  A schema is one or more alternative pattern formulas over
-metavariables (FMeta/TMeta for formula/term slots, '?'-prefixed names for
-bound-variable, time, and agent slots) plus side conditions on the
-resulting binding.  One matcher, match_node, serves schemas, term
-substitution instances (sigma_match, and infer_term for the quantifier
-axioms) and, through sigma_match, fixed-point instances: metavariables bind
-whole subtrees, so do the free variables a caller names unless a binder
-would capture the term, and nothing matches through the defined
-connectives.
+Every logic the workbench knows is declared once, in the base table, and
+assembled from its family and its schemas.  A schema is one or more
+alternative pattern formulas over metavariables (FMeta/TMeta for
+formula/term slots, '?'-prefixed names for bound-variable, time, and agent
+slots) plus side conditions on the resulting binding.  One matcher,
+match_node, serves schemas, term substitution instances (sigma_match, and
+infer_term for the quantifier axioms) and, through sigma_match,
+fixed-point instances: metavariables bind whole subtrees, so do the free
+variables a caller names unless a binder would capture the term, and
+nothing matches through the defined connectives.
 
 The tautological-consequence engine also lives here (the kernel and the
 schema for Taut both need it, and the kernel already imports us).  It
@@ -23,7 +23,6 @@ still make the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every
 a seen before any b takes about 8,200 nodes.
 """
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -389,119 +388,80 @@ class LogicSpec:
     mu: bool = False
 
 
-_MODAL_AXIOMS = {
-    'K': ('K',), 'T': ('K', 'T'), 'D': ('K', 'D'), 'K4': ('K', '4'),
-    'KB': ('K', 'B'), 'K5': ('K', '5'), 'KB5': ('K', 'B', '5'),
-    'K45': ('K', '4', '5'), 'D5': ('K', 'D', '5'), 'DB': ('K', 'D', 'B'),
-    'D4': ('K', 'D', '4'), 'D45': ('K', 'D', '4', '5'),
-    'TB': ('K', 'T', 'B'), 'S4': ('K', 'T', '4'), 'S5': ('K', 'T', '4', '5'),
-    'GL': ('K', '4', 'lob'),
-    'GLS': ('K', '4', 'lob', 'T'),
+# base logic -> (family, schema names in match order).  Every logic is
+# declared here once, and `logics list` follows this order.
+_BASES = {
+    'D': ('modal', 'K D'), 'D4': ('modal', 'K D 4'), 'D45': ('modal', 'K D 4 5'),
+    'D5': ('modal', 'K D 5'), 'DB': ('modal', 'K D B'),
+    'GL': ('modal', 'K 4 lob'), 'K': ('modal', 'K'), 'K4': ('modal', 'K 4'),
+    'K45': ('modal', 'K 4 5'), 'K5': ('modal', 'K 5'), 'KB': ('modal', 'K B'),
+    'KB5': ('modal', 'K B 5'), 'S4': ('modal', 'K T 4'),
+    'S5': ('modal', 'K T 4 5'), 'T': ('modal', 'K T'), 'TB': ('modal', 'K T B'),
+    'GLS': ('modal', 'K 4 lob T'),
+    'EGL': ('jl', 'jk sum j4 elob'), 'J': ('jl', 'jk sum'),
+    'J4': ('jl', 'jk sum j4'), 'J5': ('jl', 'jk sum j5'),
+    'JB': ('jl', 'jk sum jb'), 'JD': ('jl', 'jk sum jd'),
+    'JD4': ('jl', 'jk sum jd j4'), 'JT': ('jl', 'jk sum jt'),
+    'JT45': ('jl', 'jk sum jt j4 j5'), 'LP': ('jl', 'jk sum jt j4'),
+    'QLP': ('qlp', 'q1 q2 q3 q4 jk jt j4 sum uf'),
+    'QLP-': ('qlp', 'q1 q2 q3 q4 jk jt j4 sum'),
+    'tK': ('tmel', 'tk mon'), 'tT': ('tmel', 'tk mon tt'),
+    'tS4': ('tmel', 'tk mon tt t4'),
 }
 
-_JL_AXIOMS = {
-    'J': ('jk', 'sum'),
-    'JT': ('jk', 'sum', 'jt'),
-    'JD': ('jk', 'sum', 'jd'),
-    'J4': ('jk', 'sum', 'j4'),
-    'JB': ('jk', 'sum', 'jb'),
-    'J5': ('jk', 'sum', 'j5'),
-    'LP': ('jk', 'sum', 'jt', 'j4'),
-    'JD4': ('jk', 'sum', 'jd', 'j4'),
-    'JT45': ('jk', 'sum', 'jt', 'j4', 'j5'),
-    'EGL': ('jk', 'sum', 'j4', 'elob'),
+# family -> (formula nodes beyond PROP_NODES, term nodes, rules, FP
+# occurrence mode, specification kind)
+_FAMILIES = {
+    'modal': ({'Box'}, (), ('ax', 'mp', 'nec', 'prop', 'reg', 'premise'),
+              'modalized', None),
+    'jl': ({'Just'}, ('Var', 'Const'),
+           ('ax', 'mp', 'ian', 'prop', 'premise', 'inline'), 'justified', 'cs'),
+    'qlp': ({'Just', 'Forall', 'Exists'}, ('Var', 'Prim'),
+            ('ax', 'mp', 'gen', 'prop', 'premise', 'inline'),
+            'exists_justified', 'pts'),
+    'tmel': ({'Knows'}, (), ('ax', 'mp', 'prop', 'e', 'de', 'reg', 'premise'),
+             'modalized', None),
 }
 
-# term operators demanded by each justification axiom
-_TERM_OPS = {
-    'jk': {'App'}, 'sum': {'TSum'}, 'j4': {'Bang'}, 'j5': {'Quest'},
-    'jb': {'WQuest'}, 'elob': {'App'},
-    'q1': set(), 'q2': set(), 'q3': set(), 'q4': set(), 'uf': {'UAll'},
-    'jt': set(), 'jd': set(),
+# schema -> (term operators, rules) it brings to every logic that has it
+_SCHEMA_ADDS = {
+    'jk': (('App',), ()), 'elob': (('App',), ()), 'sum': (('TSum',), ()),
+    'j4': (('Bang',), ('an',)), 'j5': (('Quest',), ()), 'jb': (('WQuest',), ()),
+    'uf': (('UAll',), ('qnec',)), 't4': ((), ('admk',)),
 }
 
 _MU_BASES = {'K', 'S4', 'S5', 'J', 'LP', 'JT45'}
 
 
-def _assemble(name: str, family: str, schemas: list, fnodes: set,
-              tnodes: set, rules: set, fp: bool, mu: bool, fp_mode: str,
-              spec_kind: Optional[str] = None,
+def _assemble(name: str, family: str, schemas: list, fp: bool, mu: bool,
               agents: str = 'single') -> LogicSpec:
-    """A base logic plus its (FP) and (mu) extensions; taut is tried last."""
-    fnodes = set(PROP_NODES) | fnodes
+    """The logic of a family with the given schemas, extended by (FP) and
+    (mu); name is its display name, suffixes included.  taut is tried
+    last."""
+    fnodes, tnodes, rules, fp_mode, spec_kind = _FAMILIES[family]
+    fnodes, tnodes, rules = PROP_NODES | fnodes, set(tnodes), set(rules)
+    for schema in schemas:
+        ops, more = _SCHEMA_ADDS.get(schema.name, ((), ()))
+        tnodes.update(ops)
+        rules.update(more)
     if fp:
-        fnodes.add('FixApp')
+        fnodes |= {'FixApp'}
         rules.add('fp')
     if mu:
-        fnodes.add('Mu')
+        fnodes |= {'Mu'}
         rules |= {'mu-cl', 'mu-ind'}
         schemas.append(SCHEMAS['mu-cl'])
     schemas.append(SCHEMAS['taut'])
-    profile = LanguageProfile(family, frozenset(fnodes), frozenset(tnodes),
-                              agents)
+    profile = LanguageProfile(family, fnodes, frozenset(tnodes), agents)
     return LogicSpec(name, family, profile, tuple(schemas), frozenset(rules),
                      spec_kind, fp, fp_mode if fp else None, mu)
 
 
-def _modal_logic(base: str, fp: bool, mu: bool, extra_schema=None) -> LogicSpec:
-    names = _MODAL_AXIOMS[base] if extra_schema is None else ('K',)
-    schemas = [SCHEMAS[n] for n in names]
-    if extra_schema is not None:
-        schemas.append(extra_schema)
-    name = (extra_schema.name.capitalize() if extra_schema is not None
-            else base)
-    return _assemble(name, 'modal', schemas, {'Box'}, set(),
-                     {'ax', 'mp', 'nec', 'prop', 'reg', 'premise'},
-                     fp, mu, 'modalized')
-
-
-def _jl_logic(base: str, fp: bool, mu: bool) -> LogicSpec:
-    names = _JL_AXIOMS[base]
-    tnodes = {'Var', 'Const', 'App', 'TSum'}
-    for n in names:
-        tnodes |= _TERM_OPS[n]
-    rules = {'ax', 'mp', 'ian', 'prop', 'premise', 'inline'}
-    if 'j4' in names:
-        rules.add('an')
-    return _assemble(base, 'jl', [SCHEMAS[n] for n in names], {'Just'},
-                     tnodes, rules, fp, mu, 'justified', 'cs')
-
-
-def _qlp_logic(minus: bool, multi: bool, fp: bool) -> LogicSpec:
-    names = ['q1', 'q2', 'q3', 'q4', 'jk', 'jt', 'j4', 'sum']
-    tnodes = {'Var', 'Prim', 'App', 'TSum', 'Bang'}
-    rules = {'ax', 'mp', 'gen', 'an', 'prop', 'premise', 'inline'}
-    if not minus:
-        names.append('uf')
-        tnodes.add('UAll')
-        rules.add('qnec')
-    name = ('QLP-' if minus else 'QLP') + ('_n' if multi else '')
-    return _assemble(name, 'qlp', [SCHEMAS[n] for n in names],
-                     {'Just', 'Forall', 'Exists'}, tnodes, rules, fp, False,
-                     'exists_justified', 'pts',
-                     'multi' if multi else 'single')
-
-
-def _tmel_logic(base: str, fp: bool) -> LogicSpec:
-    names = {'tK': ('tk', 'mon'), 'tT': ('tk', 'mon', 'tt'),
-             'tS4': ('tk', 'mon', 'tt', 't4')}[base]
-    rules = {'ax', 'mp', 'prop', 'e', 'de', 'reg', 'premise'}
-    if base == 'tS4':
-        rules.add('admk')
-    return _assemble(base, 'tmel', [SCHEMAS[n] for n in names], {'Knows'},
-                     set(), rules, fp, False, 'modalized')
-
-
-_MODAL_IDS = set(_MODAL_AXIOMS)
-_JL_IDS = set(_JL_AXIOMS)
-
-
 def known_logics() -> list:
-    ids = sorted(_MODAL_IDS - {'GLS'}) + ['GLS', 'Sacchetti-n']
-    ids += sorted(_JL_IDS)
-    ids += ['%s(mu)' % b for b in sorted(_MU_BASES)]
-    ids += ['QLP', 'QLP-', 'QLP_n', 'QLP-_n', 'tK', 'tT', 'tS4']
-    return ids
+    of = lambda family: [b for b, (f, _) in _BASES.items() if f == family]
+    return (of('modal') + ['Sacchetti-n'] + of('jl')
+            + ['%s(mu)' % b for b in sorted(_MU_BASES)]
+            + of('qlp') + [b + '_n' for b in of('qlp')] + of('tmel'))
 
 
 class UnknownLogic(Exception):
@@ -509,50 +469,45 @@ class UnknownLogic(Exception):
 
 
 def split_logic_id(logic_id: str) -> tuple:
-    """(base, suffix) of a logic id.  The suffix is '', '(FP)', '(mu)' or
-    '(mu)(FP)'; the base alias JT4 reads as LP."""
+    """(base, multi, suffix) of a logic id.  multi is the multi-agent
+    marker '_n' or ''; the suffix is '', '(FP)', '(mu)' or '(mu)(FP)'; the
+    base alias JT4 reads as LP."""
     base = logic_id.strip()
     suffix = ''
     for tag in ('(FP)', '(mu)'):
         if base.endswith(tag):
             base, suffix = base[:-len(tag)], tag + suffix
-    return ('LP' if base == 'JT4' else base), suffix
+    if base == 'JT4':
+        return 'LP', '', suffix
+    if base.endswith('_n'):
+        return base[:-2], '_n', suffix
+    return base, '', suffix
 
 
 def get_logic(logic_id: str) -> LogicSpec:
-    """Resolve a logic id, including (FP)/(mu) suffixes and the multi-agent
-    QLP variants.  JT4 is accepted as an alias for LP."""
-    name, suffix = split_logic_id(logic_id)
+    """Resolve a logic id: a base logic, Sacchetti-<n>, or QLP/QLP- with the
+    multi-agent marker _n, then the (FP)/(mu) suffixes.  JT4 is accepted
+    as an alias for LP."""
+    base, multi, suffix = split_logic_id(logic_id)
     fp, mu = '(FP)' in suffix, '(mu)' in suffix
-    if mu and name not in _MU_BASES:
-        raise UnknownLogic("no mu extension registered for %r" % name)
-    spec = None
-    if name.startswith('Sacchetti-'):
+    if mu and (multi or base not in _MU_BASES):
+        raise UnknownLogic("no mu extension registered for %r"
+                           % (base + multi))
+    if base.startswith('Sacchetti-') and not multi:
         try:
-            n = int(name[len('Sacchetti-'):])
+            n = int(base[len('Sacchetti-'):])
         except ValueError:
             raise UnknownLogic(logic_id)
         if not 1 <= n <= _SACCHETTI_MAX:
             raise UnknownLogic(logic_id)
-        spec = _modal_logic('K', fp, mu, extra_schema=sacchetti_schema(n))
-    elif name in _MODAL_IDS:
-        spec = _modal_logic(name, fp, mu)
-    elif name in _JL_IDS:
-        spec = _jl_logic(name, fp, mu)
-    else:
-        multi = name.endswith('_n')
-        if multi:
-            name = name[:-2]
-        if name in ('QLP', 'QLP-'):
-            spec = _qlp_logic(name == 'QLP-', multi, fp)
-        elif not multi and name in ('tK', 'tT', 'tS4'):
-            spec = _tmel_logic(name, fp)
-    if spec is None:
+        return _assemble('Sacchetti-%d%s' % (n, suffix), 'modal',
+                         [SCHEMAS['K'], sacchetti_schema(n)], fp, mu)
+    family, names = _BASES.get(base, (None, ''))
+    if family is None or (multi and family != 'qlp'):
         raise UnknownLogic(logic_id)
-    # display name carries the extension suffixes
-    if suffix:
-        spec = dataclasses.replace(spec, name=spec.name + suffix)
-    return spec
+    return _assemble(base + multi + suffix, family,
+                     [SCHEMAS[n] for n in names.split()], fp, mu,
+                     'multi' if multi else 'single')
 
 
 def match_axiom(logic: LogicSpec, f: Formula):

@@ -48,6 +48,7 @@ from .syntax import (
     Just, Forall, Exists, FixApp,
     Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll,
     parse_formula, print_formula, free_vars, uall_vars, formula_terms,
+    is_ident,
 )
 from .registry import get_logic, Spec, EMPTY
 from .kernel import parse_spec_value, strip_comment
@@ -357,16 +358,19 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
         if line.startswith('agents:'):
             agents = tuple(line[len('agents:'):].replace(',', ' ').split())
             continue
-        if line.startswith('domain'):
-            domain = tuple(line.split()[1:])
+        word, rest = (line.split(None, 1) + [''])[:2]
+        if word == 'domain':
+            domain = tuple(rest.split())
             if not domain:
                 raise ModelError("domain must be non-empty")
             continue
-        if line.startswith('interp'):
+        if word == 'interp':
             toks = line.split()
             if '->' not in toks[:-1]:
                 raise ModelError("interp needs '-> reason': %r" % line)
             arrow = toks.index('->')
+            if arrow < 2:
+                raise ModelError("interp needs an operation name: %r" % line)
             opname, args, val = toks[1], toks[2:arrow], toks[arrow + 1]
             key = (opname,) if opname in _OPS else ('prim', opname)
             table = interp.setdefault(key, {})
@@ -375,12 +379,13 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             else:
                 table[tuple(args)] = val
             continue
-        if line.startswith('evidence'):
-            rest = line[len('evidence'):].strip()
+        if word == 'evidence':
             agent = None
             if rest.startswith('@'):
                 agent, *rest = rest.split(None, 1)
                 agent, rest = agent[1:], ''.join(rest)
+                if not is_ident(agent):
+                    raise ModelError("bad evidence line: %r" % line)
             m2 = re.match(r'^(\S+)\s*(\{[^}]*\})?\s*:\s*(.+)$', rest)
             if not m2:
                 raise ModelError("bad evidence line: %r" % line)
@@ -395,9 +400,8 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             evidence.append(EvEntry(agent, reason, tuple(sorted(cond)),
                                     parse_formula(m2.group(3), logic.profile)))
             continue
-        if line.startswith('truth'):
-            body = line[len('truth'):].strip()
-            key, _, val = body.rpartition('=')
+        if word == 'truth':
+            key, _, val = rest.rpartition('=')
             key, val = key.strip(), val.strip()
             if val not in ('0', '1'):
                 raise ModelError("truth value must be 0 or 1: %r" % line)
@@ -413,9 +417,8 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
                     raise ModelError(
                         "truth keys are atoms or defined sentences: %r" % key)
             continue
-        if line.startswith('valid'):
-            claims.append(parse_formula(line[len('valid'):].strip(),
-                                        logic.profile))
+        if word == 'valid':
+            claims.append(parse_formula(rest, logic.profile))
             continue
         raise ModelError("unrecognized line: %r" % line)
     if domain is None:

@@ -453,8 +453,8 @@ _PROJ_AXIOM = {
 
 
 def project_logic_id(logic_id: str) -> str:
-    name, suffix = split_logic_id(logic_id)
-    if name not in _PROJ_LOGIC:
+    name, multi, suffix = split_logic_id(logic_id)
+    if multi or name not in _PROJ_LOGIC:
         raise TransformError("no modal counterpart for %s" % logic_id)
     return _PROJ_LOGIC[name] + suffix
 
@@ -604,8 +604,8 @@ def collapse_derivation(d: Derivation) -> Derivation:
     if logic.profile.agents != 'multi':
         raise TransformError("input is already single-agent")
     _require_ok(d, "agent collapse")
-    base, suffix = split_logic_id(d.logic_id)
-    target = base[:-2] + suffix   # every multi-agent base ends in _n
+    base, _, suffix = split_logic_id(d.logic_id)
+    target = base + suffix
     spec = d.spec
     if spec.kind == 'explicit':
         spec = Spec('explicit',

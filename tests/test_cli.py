@@ -117,7 +117,14 @@ def test_agents_count_above_bound_exits_1(tmp_path, capsys):
     ('interp app ->', "interp needs '-> reason': 'interp app ->'"),
     ('evidence @s', "bad evidence line: 'evidence @s'"),
     ('evidence @', "bad evidence line: 'evidence @'"),
-], ids=['interp-no-reason', 'evidence-agent-only', 'evidence-bare-at'])
+    ('domains a', "unrecognized line: 'domains a'"),
+    ('truthy = 1', "unrecognized line: 'truthy = 1'"),
+    ('validy', "unrecognized line: 'validy'"),
+    ('interp -> r', "interp needs an operation name: 'interp -> r'"),
+    ('evidence @ x : p', "bad evidence line: 'evidence @ x : p'"),
+], ids=['interp-no-reason', 'evidence-agent-only', 'evidence-bare-at',
+        'domain-prefix', 'truth-prefix', 'valid-prefix', 'interp-no-op',
+        'evidence-empty-agent'])
 def test_truncated_model_line_exits_1(line, message, tmp_path, capsys):
     path = tmp_path / 'bad.mdl'
     path.write_text('logic: QLP-\ndomain a\n%s\n' % line)
@@ -125,3 +132,28 @@ def test_truncated_model_line_exits_1(line, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: %s\n' % message
+
+
+@pytest.mark.parametrize('value', ['file', 'filex.txt'])
+@pytest.mark.parametrize('cmd, text', [
+    (['check'], 'logic: LP\nspec: %s\n\n1. p -> p ; prop\n'),
+    (['model', 'check'], 'logic: QLP-\nspec: %s\ndomain a\n'),
+], ids=['drv', 'mdl'])
+def test_spec_file_needs_the_word_and_a_path(cmd, text, value, tmp_path,
+                                              capsys):
+    path = tmp_path / ('bad.' + ('drv' if cmd == ['check'] else 'mdl'))
+    path.write_text(text % value)
+    (tmp_path / 'x.txt').write_text('p -> p\n')
+    assert cli.main(cmd + [str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: spec must be tcs, empty, or file <path>\n'
+
+
+def test_model_valid_without_claims_exits_1(tmp_path, capsys):
+    path = tmp_path / 'none.mdl'
+    path.write_text('logic: QLP-\ndomain a\n')
+    assert cli.main(['model', 'valid', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: model file has no validity claims\n'

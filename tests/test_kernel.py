@@ -460,6 +460,9 @@ def test_elaborate_removes_inline_steps():
      'bad fix declaration'),
     ("logic: K\npremise h\n1. p -> p ; prop\n", 'premise needs'),
     ("banana\n", 'unrecognized line'),
+    ("logic: K\n1. p -> p ; prop ; anything\n", "prop takes no ';' part"),
+    ("logic: K\n1. p -> p ; prop\n2. [](p -> p) ; nec 1 ; so is this\n",
+     "nec takes no ';' part"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(DerivationError) as e:
