@@ -121,6 +121,8 @@ _CLOSED = frozenset(('ax', 'ian', 'an', 'fp', 'mu-cl', 'inline')) | _NEC_LIKE
 # -- parsing -----------------------------------------------------------------
 
 _STEP_RE = re.compile(r'^(\d+)\.\s*(.*)$')
+_SUBST_RE = re.compile(r'^subst\s+(\d+)\s+(\S+)\s*:=\s*(.+)$')
+_FIX_DECL_RE = re.compile(r'^fix\s+(\S+)\s+(\S+)\s*\(([^)]*)\)\s*:=\s*(.+)$')
 
 # `agents: <n>` builds its n names eagerly (about 65 bytes each); a count
 # above this is refused before any is built
@@ -129,29 +131,25 @@ _AGENTS_MAX = 1000
 
 def strip_comment(line: str) -> str:
     """Drop a '#' comment: one that opens the line or follows whitespace."""
-    s = line.lstrip()
-    if s.startswith('#'):
-        return ''
-    for k in range(1, len(line)):
-        if line[k] == '#' and line[k - 1].isspace():
-            return line[:k]
-    return line
+    k = line.find('#')
+    while k > 0 and not line[k - 1].isspace():
+        k = line.find('#', k + 1)
+    if k < 0:
+        return line
+    return '' if line[:k].isspace() else line[:k]
 
 
 def _split_top(text: str, sep: str):
     """Split on sep occurrences at parenthesis depth zero."""
     parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == '(':
-            depth += 1
-        elif ch == ')':
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append(''.join(cur))
+    for piece in text.split(sep):
+        cur.append(piece)
+        depth += piece.count('(') - piece.count(')')
+        if depth == 0:
+            parts.append(sep.join(cur))
             cur = []
-        else:
-            cur.append(ch)
-    parts.append(''.join(cur))
+    if cur:
+        parts.append(sep.join(cur))
     return parts
 
 
@@ -241,8 +239,7 @@ def _parse_justification(text: str, profile) -> tuple:
                 raise DerivationError("inline %s takes one step reference" % form)
             return 'inline', (_number(rest[1]),), (form,)
         if form == 'subst':
-            m = re.match(r'^subst\s+(\d+)\s+(\S+)\s*:=\s*(.+)$',
-                         ' '.join(rest))
+            m = _SUBST_RE.match(' '.join(rest))
             if not m:
                 raise DerivationError("inline subst syntax: subst <i> <x> := <term>")
             return ('inline', (int(m.group(1)),),
@@ -285,7 +282,7 @@ def parse_fix_decl(line: str, logic) -> FPOperator:
     if not logic.fp:
         raise DerivationError(
             "logic %s has no fixed-point extension" % logic.name)
-    m = re.match(r'^fix\s+(\S+)\s+(\S+)\s*\(([^)]*)\)\s*:=\s*(.+)$', line)
+    m = _FIX_DECL_RE.match(line)
     if not m:
         raise DerivationError("bad fix declaration: %r" % line)
     params = tuple(p.strip() for p in m.group(3).split(',') if p.strip())

@@ -494,10 +494,11 @@ def get_logic(logic_id: str) -> LogicSpec:
         raise UnknownLogic("no mu extension registered for %r"
                            % (base + multi))
     if base.startswith('Sacchetti-') and not multi:
-        try:
-            n = int(base[len('Sacchetti-'):])
-        except ValueError:
+        index = base[len('Sacchetti-'):]
+        # int alone also reads '1_0', '+2', ' 2' and non-ASCII digits
+        if not (index.isascii() and index.isdigit()):
             raise UnknownLogic(logic_id)
+        n = int(index)
         if not 1 <= n <= _SACCHETTI_MAX:
             raise UnknownLogic(logic_id)
         return _assemble('Sacchetti-%d%s' % (n, suffix), 'modal',

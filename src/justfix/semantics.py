@@ -327,6 +327,7 @@ def check_strong(m: MModel, universe) -> list:
 # -- model files -------------------------------------------------------------
 
 _OPS = ('app', 'sum', 'bang', 'uall')
+_EVIDENCE_RE = re.compile(r'^(\S+)\s*(\{[^}]*\})?\s*:\s*(.+)$')
 
 
 def parse_model(text: str, base_dir: str = '.') -> MModel:
@@ -386,7 +387,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
                 agent, rest = agent[1:], ''.join(rest)
                 if not is_ident(agent):
                     raise ModelError("bad evidence line: %r" % line)
-            m2 = re.match(r'^(\S+)\s*(\{[^}]*\})?\s*:\s*(.+)$', rest)
+            m2 = _EVIDENCE_RE.match(rest)
             if not m2:
                 raise ModelError("bad evidence line: %r" % line)
             reason = m2.group(1)

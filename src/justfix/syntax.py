@@ -34,6 +34,14 @@ inside identifiers, so machine-generated names like c#3 stay parseable.
 
 Formula equality is structural.  Printing is inverse to parsing within one
 language profile.
+
+The parser looks ahead instead of backtracking: it tries the term path of
+t : A only where a term can start and a ':' or ':@' can follow it.  Each
+node caches its language facts (the node kinds under it and its agent
+labels) the first time check_profile meets it, outside its dataclass
+fields: nodes stay plain values, compared, hashed and printed by their
+fields alone, and no table outlives them.  Later profile and agent checks
+of the node, or of a new node over it, are mask and set tests.
 """
 
 from __future__ import annotations
@@ -59,9 +67,17 @@ class PositivityError(Exception):
     """mu binds a variable with a non-positive occurrence."""
 
 
+# the agent labels of a node that has none; see _facts
+_NO_LABELS: frozenset = frozenset()
+
+
 # ---------------------------------------------------------------- terms
 
 class Term:
+    # language facts, set on the node by _facts; see check_profile
+    _kinds = 0
+    _labels = _NO_LABELS
+
     def __str__(self) -> str:
         return print_term(self)
 
@@ -126,6 +142,10 @@ class TMeta(Term):
 # ------------------------------------------------------------- formulas
 
 class Formula:
+    # language facts, set on the node by _facts; see check_profile
+    _kinds = 0
+    _labels = _NO_LABELS
+
     def __str__(self) -> str:
         return print_formula(self)
 
@@ -241,6 +261,9 @@ class LanguageProfile:
     term_nodes: frozenset[str]
     agents: str = "single"
 
+    # the admitted-kinds mask, set on the profile by _admitted
+    _admitted = None
+
 
 _ALL_FORMULA_NODES = frozenset({
     "Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor",
@@ -260,7 +283,23 @@ def check_profile(f: Formula, profile: LanguageProfile,
     """Raise ProfileError at the first node of f outside the profile.  Given
     the declared agents (empty when none are declared), the same walk also
     finds the first agent label the declaration does not allow, raised only
-    when f has no profile error."""
+    when f has no profile error.
+
+    The walk runs only when the language facts of f (see _facts) show an
+    error; otherwise the check is a few mask and set tests."""
+    kinds, labels = _facts(f)
+    bad = kinds & ~_admitted(profile)
+    if agents is not None and not bad:
+        # a label where none are declared; a missing or undeclared one
+        bad = kinds & _LABELED_JUST if not agents else (
+            kinds & _KIND_BITS[Just] or not labels.issubset(agents))
+    if bad:
+        _raise_first_error(f, profile, agents)
+
+
+def _raise_first_error(f: Formula, profile: LanguageProfile,
+                       agents: Optional[tuple]) -> None:
+    """The walk of check_profile, which finds its first error in order."""
     agent_err = None
     for g in walk(f):
         cls = type(g).__name__
@@ -288,6 +327,88 @@ def check_profile(f: Formula, profile: LanguageProfile,
                 agent_err = "undeclared agent %r" % g.agent
     if agent_err:
         raise ProfileError(agent_err)
+
+
+# The language facts of a node are the kinds of node in it, the terms under
+# its justifications included, as one bitmask, and the set of agent labels
+# it uses.  The first check_profile that meets a node computes them and
+# stores them on the node, outside its dataclass fields, so equality,
+# hashing and printing do not see them and they live as long as the node.
+# The propositional kinds take the low bits, so the mask of a propositional
+# formula is a small int, which Python shares; a node whose facts equal a
+# child's shares that child's objects.  A justification sets one bit when
+# it has no agent label and another when it has one.
+_KIND_BITS = {cls: 1 << k for k, cls in enumerate((
+    Atom, Falsum, Neg, And, Or, Imp, Iff, Xor,
+    Box, Knows, Just, Forall, Exists, Mu, FixApp, FMeta,
+    Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll, TMeta))}
+_LABELED_JUST = 1 << len(_KIND_BITS)
+
+
+def _admitted(profile: LanguageProfile) -> int:
+    """The mask of the node kinds the profile admits, metavariables
+    included; computed once per profile and kept on it."""
+    mask = profile._admitted
+    if mask is None:
+        mask = 0
+        for cls, bit in _KIND_BITS.items():
+            name = cls.__name__
+            if name in ("FMeta", "TMeta") or name in profile.formula_nodes \
+                    or name in profile.term_nodes:
+                mask |= bit
+        if mask & _KIND_BITS[Just] and profile.agents != "single":
+            mask |= _LABELED_JUST
+        if profile.agents == "multi":
+            mask &= ~_KIND_BITS[Just]
+        object.__setattr__(profile, "_admitted", mask)
+    return mask
+
+
+def _facts(f: Node) -> tuple[int, frozenset]:
+    """(kinds, labels) of f.  One iterative walk computes them for every
+    node under f that has none, and stops at the nodes that have them."""
+    if not f._kinds:
+        bits, kids_of, store = _KIND_BITS, _CHILDREN.get, object.__setattr__
+        order = []                  # pre-order, so children after parents
+        todo = [f]
+        while todo:
+            g = todo.pop()
+            if g._kinds:
+                continue
+            cls = type(g)
+            if cls is Just:
+                kids = (g.t, g.a)
+                bit = bits[Just] if g.agent is None else _LABELED_JUST
+            else:
+                kids = kids_of(cls)
+                kids = kids(g) if kids else ()
+                bit = bits[cls]
+            order.append((g, kids, bit))
+            todo += kids
+        for g, kids, kinds in reversed(order):
+            if g._kinds:
+                continue            # met twice: a node shared in f
+            for k in kids:
+                m = k._kinds
+                if kinds | m == m:
+                    kinds = m       # share the child's int
+                else:
+                    kinds |= m
+            store(g, "_kinds", kinds)
+            if kinds & _LABELED_JUST:
+                store(g, "_labels", _labels_of(g, kids))
+    return f._kinds, f._labels
+
+
+def _labels_of(g: Node, kids: tuple) -> frozenset:
+    """The agent labels of g, from those of its children."""
+    labels = _NO_LABELS
+    for k in kids:
+        if not k._labels <= labels:
+            labels = k._labels if labels <= k._labels else labels | k._labels
+    if type(g) is Just and g.agent is not None and g.agent not in labels:
+        labels = labels | {g.agent}
+    return labels
 
 
 # ----------------------------------------------------------- traversals
@@ -562,28 +683,45 @@ def imp_chain(premises: list[Formula], goal: Formula) -> Formula:
 _KEYWORDS = {"false", "xor", "all", "ex", "mu", "nu", "fix"}
 _VAR_INITIALS = "stuvwxyz"
 
-_TOKEN_RE = re.compile(
-    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|\d+)")
-_WS_RE = re.compile(r"\s*")
+# one token, or a stray character that starts none
+_SCAN_RE = re.compile(
+    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|\d+)|(\S)")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
+
+# tokens that can start a justification term; and the tokens that, after an
+# identifier or a parenthesized group, show that it may be one
+_TERM_START = frozenset(("!", "?", "??"))
+_TERM_FOLLOW = frozenset((":", ":@", "*", "+", "("))
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks: list[tuple[str, int]] = []
-    pos = 0
-    while pos < len(text):
-        pos = _WS_RE.match(text, pos).end()
-        if pos >= len(text):
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"bad character {text[pos]!r} at {pos}")
-        toks.append((m.group(0), pos))
-        pos = m.end()
-    return toks
+def _tokenize(text: str) -> tuple[list, Optional[dict]]:
+    """The tokens of text, and the index of the ')' that closes each closed
+    '(', or None when text has no ':' and so no justification."""
+    scan = _SCAN_RE.findall(text)
+    toks, bad = zip(*scan) if scan else ((), ())
+    if any(bad):
+        k = next(k for k, c in enumerate(bad) if c)
+        raise ParseError(f"bad character {bad[k]!r} at {_offsets(text)[k]}")
+    toks = list(toks)
+    if ":" not in text:
+        return toks, None
+    close: dict = {}
+    opened: list = []
+    for k, tok in enumerate(toks):
+        if tok == "(":
+            opened.append(k)
+        elif tok == ")" and opened:
+            close[opened.pop()] = k
+    return toks, close
+
+
+def _offsets(text: str) -> list:
+    """The offset in text of each token (and stray character)."""
+    return [m.start() for m in _SCAN_RE.finditer(text)]
 
 
 def is_ident(tok: str) -> bool:
-    return bool(re.fullmatch(r"[A-Za-z_][A-Za-z0-9_#]*", tok)) and tok not in _KEYWORDS
+    return tok not in _KEYWORDS and _IDENT_RE.fullmatch(tok) is not None
 
 
 def is_var_name(name: str) -> bool:
@@ -593,18 +731,15 @@ def is_var_name(name: str) -> bool:
 class _Parser:
     def __init__(self, text: str, profile: LanguageProfile):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks, self.close = _tokenize(text)
+        self.toks.append(None)      # end of input
         self.pos = 0
         self.profile = profile
 
-    def peek(self, ahead: int = 0) -> Optional[str]:
-        i = self.pos + ahead
-        return self.toks[i][0] if i < len(self.toks) else None
-
     def next(self) -> str:
-        if self.pos >= len(self.toks):
+        tok = self.toks[self.pos]
+        if tok is None:
             raise ParseError(f"unexpected end of input in {self.text!r}")
-        tok = self.toks[self.pos][0]
         self.pos += 1
         return tok
 
@@ -619,21 +754,37 @@ class _Parser:
             raise ParseError(f"expected identifier, got {tok!r} in {self.text!r}")
         return tok
 
+    def may_be_term(self) -> bool:
+        """Can a justification t : A or t :@a A start here?  Where it
+        cannot, trying one would fail or stop short of the colon."""
+        if self.close is None:
+            return False
+        toks, pos = self.toks, self.pos
+        tok = toks[pos]
+        if tok in _TERM_START:
+            return True
+        if tok == "(":
+            end = self.close.get(pos)
+            return end is not None and toks[end + 1] in _TERM_FOLLOW
+        return tok is not None and toks[pos + 1] in _TERM_FOLLOW \
+            and is_ident(tok)
+
     # formula levels
 
     def imp(self) -> Formula:
         left = self.disj()
-        if self.peek() == "->":
-            self.next()
+        tok = self.toks[self.pos]
+        if tok == "->":
+            self.pos += 1
             return Imp(left, self.imp())
-        if self.peek() == "<->":
-            self.next()
+        if tok == "<->":
+            self.pos += 1
             return Iff(left, self.imp())
         return left
 
     def disj(self) -> Formula:
         left = self.conj()
-        while self.peek() in ("|", "xor"):
+        while self.toks[self.pos] in ("|", "xor"):
             op = self.next()
             right = self.conj()
             left = Or(left, right) if op == "|" else Xor(left, right)
@@ -641,50 +792,51 @@ class _Parser:
 
     def conj(self) -> Formula:
         left = self.unary()
-        while self.peek() == "&":
-            self.next()
+        while self.toks[self.pos] == "&":
+            self.pos += 1
             left = And(left, self.unary())
         return left
 
     def unary(self) -> Formula:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok == "~":
-            self.next()
+            self.pos += 1
             return Neg(self.unary())
         if tok == "[]":
-            self.next()
+            self.pos += 1
             return Box(self.unary())
         if tok == "<>":
-            self.next()
+            self.pos += 1
             return diamond(self.unary())
-        if tok == "K" and self.peek(1) == "@":
-            self.next()
-            self.next()
+        if tok == "K" and self.toks[self.pos + 1] == "@":
+            self.pos += 2
             num = self.next()
             if not num.isdigit():
                 raise ParseError(f"expected time after K@, got {num!r}")
             return Knows(int(num), self.unary())
         if tok in ("all", "ex"):
-            self.next()
+            self.pos += 1
             v = self.ident()
             self.expect(".")
             body = self.imp()
             return Forall(v, body) if tok == "all" else Exists(v, body)
         if tok in ("mu", "nu"):
-            self.next()
+            self.pos += 1
             p = self.ident()
             self.expect(".")
             body = self.imp()
             return Mu(p, body) if tok == "mu" else nu_formula(p, body)
+        if not self.may_be_term():
+            return self.primary()
         save = self.pos
         try:
             t = self.term()
-            nxt = self.peek()
+            nxt = self.toks[self.pos]
             if nxt == ":":
-                self.next()
+                self.pos += 1
                 return Just(t, None, self.unary())
             if nxt == ":@":
-                self.next()
+                self.pos += 1
                 ag = self.ident()
                 return Just(t, ag, self.unary())
         except ParseError:
@@ -700,11 +852,11 @@ class _Parser:
             self.expect("(")
             name = self.ident()
             args: list[Formula] = []
-            if self.peek() == ";":
-                self.next()
+            if self.toks[self.pos] == ";":
+                self.pos += 1
                 args.append(self.imp())
-                while self.peek() == ",":
-                    self.next()
+                while self.toks[self.pos] == ",":
+                    self.pos += 1
                     args.append(self.imp())
             self.expect(")")
             return FixApp(name, tuple(args))
@@ -720,28 +872,28 @@ class _Parser:
 
     def term(self) -> Term:
         left = self.tapp()
-        while self.peek() == "+":
-            self.next()
+        while self.toks[self.pos] == "+":
+            self.pos += 1
             left = TSum(left, self.tapp())
         return left
 
     def tapp(self) -> Term:
         left = self.tunary()
-        while self.peek() == "*":
-            self.next()
+        while self.toks[self.pos] == "*":
+            self.pos += 1
             left = App(left, self.tunary())
         return left
 
     def tunary(self) -> Term:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok == "!":
-            self.next()
+            self.pos += 1
             return Bang(self.tunary())
         if tok == "??":
-            self.next()
+            self.pos += 1
             return WQuest(self.tunary())
         if tok == "?":
-            self.next()
+            self.pos += 1
             return Quest(self.tunary())
         return self.tprimary()
 
@@ -749,8 +901,8 @@ class _Parser:
         tok = self.next()
         if tok == "(":
             inner = self.term()
-            if self.peek() == "all":
-                self.next()
+            if self.toks[self.pos] == "all":
+                self.pos += 1
                 v = self.ident()
                 if not is_var_name(v):
                     raise ParseError(f"verifier binds a variable, got {v!r}")
@@ -760,11 +912,11 @@ class _Parser:
             return inner
         if not is_ident(tok):
             raise ParseError(f"expected term, got {tok!r} in {self.text!r}")
-        if self.peek() == "(":
-            self.next()
+        if self.toks[self.pos] == "(":
+            self.pos += 1
             args = [self.ident()]
-            while self.peek() == ",":
-                self.next()
+            while self.toks[self.pos] == ",":
+                self.pos += 1
                 args.append(self.ident())
             self.expect(")")
             for a in args:
@@ -785,9 +937,9 @@ def _parse(text: str, profile: LanguageProfile, rule):
         out = rule(p)
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
-    if p.pos != len(p.toks):
-        tok, at = p.toks[p.pos]
-        raise ParseError(f"trailing input {tok!r} at {at} in {text!r}")
+    if p.toks[p.pos] is not None:
+        raise ParseError(f"trailing input {p.toks[p.pos]!r} at "
+                         f"{_offsets(text)[p.pos]} in {text!r}")
     return out
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from justfix.kernel import load_derivation, parse_derivation
 from justfix.syntax import (And, App, Atom, Bang, Box, Const, Exists, Falsum,
-                            Forall, Iff, Imp, Just, Knows, Neg, Or, Prim,
-                            TSum, UAll, Var, Xor)
+                            FixApp, Forall, Iff, Imp, Just, Knows, Neg, Or,
+                            Prim, TSum, UAll, Var, Xor)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(ROOT, 'corpus')
@@ -103,6 +103,14 @@ def timed_formulas(max_leaves=8):
         | st.tuples(st.integers(0, 9), ch).map(
             lambda tf: Knows(tf[0], tf[1])),
         max_leaves=max_leaves)
+
+
+def with_fix(formulas):
+    """formulas, and fix applications over them."""
+    return st.recursive(
+        formulas, lambda ch: st.lists(ch, max_size=3).map(
+            lambda xs: FixApp('d', tuple(xs))),
+        max_leaves=4)
 
 
 def any_formulas(max_leaves=8):

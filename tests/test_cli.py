@@ -65,8 +65,13 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
      "step reference 'x' is not a number"),
     ('logic: tS4\n\n1. K@1 p -> p ; ax\n2. K@5 K@1 p ; admk , 5\n',
      'admk takes step references and a time'),
+    ('logic: Sacchetti-1_0\n\n1. p -> p ; prop\n', 'Sacchetti-1_0'),
+    ('logic: Sacchetti-+2\n\n1. p -> p ; prop\n', 'Sacchetti-+2'),
+    ('logic: Sacchetti- 2\n\n1. p -> p ; prop\n', 'Sacchetti- 2'),
+    ('logic: Sacchetti-\u0663\n\n1. p -> p ; prop\n', 'Sacchetti-\u0663'),
 ], ids=['sacchetti-0', 'sacchetti--1', 'sacchetti-huge', 'mp', 'nec',
-        'prop', 'admk'])
+        'prop', 'admk', 'sacchetti-underscore', 'sacchetti-plus',
+        'sacchetti-space', 'sacchetti-arabic-indic'])
 def test_bad_logic_index_or_step_reference_exits_1(text, message, tmp_path,
                                                    capsys):
     path = tmp_path / 'bad.drv'

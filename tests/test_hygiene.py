@@ -1,8 +1,9 @@
 """Every name a justfix module imports is used in that module, every
 private module-level name is used somewhere in justfix, only the
 registry spells out the pieces of the logic-id grammar, no module
-keeps a functools memo, which would outlive the call that filled it, and
-only one function walks two structures in parallel."""
+keeps a functools memo, which would outlive the call that filled it,
+only one function walks two structures in parallel, and no function
+passes a pattern literal to a module-level re function."""
 
 import ast
 import glob
@@ -227,3 +228,49 @@ def test_detector_sees_parallel_walk():
         '    return zip(ka, xs), zip(a.args, children(a))\n')
     assert _parallel_walks(tree) == [(1, 'direct'), (3, 'named'),
                                      (6, 'mixed'), (10, 'inner')]
+
+
+_RE_FUNCTIONS = frozenset(('match', 'fullmatch', 'search', 'sub', 'split',
+                           'findall', 'finditer'))
+
+
+def _inline_patterns(tree: ast.Module) -> list:
+    """(line, name) of each call re.<name>(<string literal>, ...) inside a
+    function.  Such a call looks its pattern up in re's cache, or compiles
+    it, on every call; a module-level re.compile does that once."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _RE_FUNCTIONS \
+                    and isinstance(node.func.value, ast.Name) \
+                    and node.func.value.id == 're' and node.args \
+                    and isinstance(node.args[0], ast.Constant) \
+                    and isinstance(node.args[0].value, str):
+                found.append((node.lineno, node.func.attr))
+    return sorted(found)
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_no_pattern_literal_in_a_function(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    assert _inline_patterns(tree) == []
+
+
+def test_detector_sees_pattern_literal():
+    tree = ast.parse(
+        "import re\n"
+        "_R = re.compile(r'a+')\n"
+        "TOP = re.match('a', 'a')\n"
+        "def f(s):\n"
+        "    return re.match(r'^a', s) or _R.match(s)\n"
+        "def g(s, pat):\n"
+        "    def h(t):\n"
+        "        return re.sub('a', '', t)\n"
+        "    return re.findall(pat, s), re.split(',', s), s.split(',')\n")
+    assert _inline_patterns(tree) == [(5, 'match'), (8, 'sub'), (9, 'split')]

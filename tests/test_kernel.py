@@ -662,3 +662,46 @@ def test_profile_error_wins_over_agent_error():
     assert first_reason(check_text("logic: LP\nagents: s\n"
                                    "1. x : p -> x : p ; prop\n")) == \
         'missing agent label in multi-agent logic'
+
+
+# -- one profile pass per formula node -------------------------------------------
+
+class _CountedKinds:
+    """Stands in for the attribute that holds a node's kinds mask (see
+    syntax._facts): it keeps the masks beside the nodes and records each
+    node whose facts are computed, holding the node so that no id is
+    reused."""
+
+    def __init__(self):
+        self.kinds, self.computed = {}, []
+
+    def __get__(self, node, cls):
+        return self if node is None else self.kinds.get(id(node), 0)
+
+    def __set__(self, node, kinds):
+        self.computed.append(node)
+        self.kinds[id(node)] = kinds
+
+
+def test_ts4_bot_walks_each_formula_node_once(monkeypatch):
+    from justfix import corpus, syntax
+    counted = _CountedKinds()
+    monkeypatch.setattr(syntax.Formula, '_kinds', counted)
+    monkeypatch.setattr(syntax.Term, '_kinds', counted)
+    walks = []
+    monkeypatch.setattr(syntax, '_raise_first_error',
+                        lambda *args: walks.append(args))
+    entry = next(e for e in corpus.MANIFEST if e.id == 'ts4-bot')
+    assert entry.post == (('deduce',),)
+    with kernel.memo_scope():
+        d = load_derivation(os.path.join(CORPUS, entry.path))
+        loaded = len(counted.computed)
+        assert check_derivation(d).ok
+        assert corpus._deduce_roundtrip(d) is None
+    ids = [id(node) for node in counted.computed]
+    # one walk per profile check visited 15,869 nodes in 97 checks: each
+    # step at load, at its check and in the axiom matcher, and again in the
+    # deduction images; the images add 8 nodes of their own
+    assert len(ids) == len(set(ids))
+    assert (loaded, len(ids)) == (3108, 3116)
+    assert walks == []

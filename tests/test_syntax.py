@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 
 from conftest import (ATOM_NAMES, any_formulas, bool_formulas, jl_formulas,
                       lp_terms, modal_formulas, qlp_formulas, qlp_terms,
-                      timed_formulas)
+                      timed_formulas, with_fix)
 from justfix.registry import get_logic
 from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             FixApp, Forall, Iff, Imp, Just, Knows, Mu, Neg,
@@ -244,13 +244,6 @@ def _uall_in(t):
 
 # -- the generic traversal ----------------------------------------------------
 
-def _with_fix(f):
-    return st.recursive(
-        f, lambda ch: st.lists(ch, max_size=3).map(
-            lambda xs: FixApp('d', tuple(xs))),
-        max_leaves=4)
-
-
 def _preorder(f):
     yield f
     for k in children(f):
@@ -258,7 +251,7 @@ def _preorder(f):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_with_fix(any_formulas(max_leaves=4)))
+@given(with_fix(any_formulas(max_leaves=4)))
 def test_rebuild_children_and_walk_order(f):
     assert rebuild(f, children(f)) == f
     assert list(walk(f)) == list(_preorder(f))
