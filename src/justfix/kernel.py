@@ -37,6 +37,7 @@ from .syntax import (
     check_profile, free_vars, is_ident,
     subst_prop,
 )
+from . import registry
 from .registry import (
     LogicSpec, get_logic, match_axiom, SCHEMAS,
     Spec, TOTAL, EMPTY, spec_membership, taut_consequence,
@@ -482,7 +483,9 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
 # The memo of one scope (see memo_scope): the inline images built in it
 # (see inline_image), and the report of each derivation checked in it, keyed
 # by id and kept with the derivation so that no id is reused while the
-# scope is open.  Both are None outside a scope, so nothing outlives it.
+# scope is open.  The scope also holds registry._DECISIONS, the verdicts of
+# the tautology, axiom and logic queries asked in it.  All three are None
+# outside a scope, so nothing outlives it.
 _IMAGES = None
 _VERDICTS = None
 
@@ -492,16 +495,17 @@ def memo_scope():
     """Open the memo for the outermost scope and drop it when that scope
     ends or raises; nested scopes share it.  check_derivation and elaborate
     open one per call; the corpus runner and the command line open one per
-    entry, so a derivation checked twice in an entry is checked once."""
+    entry, so a derivation checked twice in an entry is checked once, and a
+    query on the same formula objects is decided once."""
     global _IMAGES, _VERDICTS
     if _IMAGES is not None:
         yield
         return
-    _IMAGES, _VERDICTS = {}, {}
+    _IMAGES, _VERDICTS, registry._DECISIONS = {}, {}, {}
     try:
         yield
     finally:
-        _IMAGES = _VERDICTS = None
+        _IMAGES = _VERDICTS = registry._DECISIONS = None
 
 
 @memo_scope()

@@ -14,13 +14,19 @@ nothing matches through the defined connectives.
 The tautological-consequence engine also lives here (the kernel and the
 schema for Taut both need it, and the kernel already imports us).  It
 decides each query with a reduced ordered BDD (Bryant 1986) built for
-that call alone: every maximal subformula that is not a boolean connective
+that query alone: every maximal subformula that is not a boolean connective
 becomes one atom, atoms are ordered by first sight (goal first, then the
 premises last to first), and the node and memo tables are freed when the
-call returns.  Separable goals such as excluded-middle conjunctions and
+build returns.  Separable goals such as excluded-middle conjunctions and
 parity equivalences stay linear in the atom count.  An atom order can
 still make the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every
 a seen before any b takes about 8,200 nodes.
+
+Inside a kernel.memo_scope, taut_consequence, match_axiom and get_logic
+decide each query once: the decision memo keys a query by the identity of
+its formula and logic objects (by the id string for get_logic) and keeps
+those objects alive, so no id is reused while the scope is open.  Outside
+a scope every call computes.
 """
 
 from dataclasses import dataclass
@@ -36,7 +42,30 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# tautological consequence: a reduced ordered BDD built fresh for each call
+# the decision memo of one kernel.memo_scope
+#
+# A query is keyed by the ids of the objects it asks about, not by their
+# content: hashing a formula walks all of it, while the repeats come from
+# re-checks that hand the same objects back.  Formulas and logics are frozen,
+# so the same objects always get the same answer; a content-equal copy is
+# another object and is decided anew.  None outside a scope.
+_DECISIONS = None
+
+
+def _decide(key, keep, compute: Callable, *args):
+    """compute(*args), once per key while a scope is open.  The entry holds
+    keep, the objects whose ids are in key, so that no id is reused; a call
+    that raises stores nothing."""
+    if _DECISIONS is None:
+        return compute(*args)
+    hit = _DECISIONS.get(key)
+    if hit is None:
+        hit = _DECISIONS[key] = (keep, compute(*args))
+    return hit[1]
+
+
+# ---------------------------------------------------------------------------
+# tautological consequence: a reduced ordered BDD built fresh for each query
 #
 # Node 0 is false, node 1 is true, and node u >= 2 is nodes[u] = (var, lo,
 # hi): "if atom var then hi else lo".  Atoms are numbered in first-seen
@@ -44,8 +73,8 @@ from .syntax import (
 # sits nearer the root.  The unique table keeps the graph reduced, so a
 # function has exactly one node and "is a tautology" is "is node 1".  The
 # apply memo makes each (connective, node, node) pair cost one visit.  The
-# tables belong to one call and are freed when it returns; nothing is
-# cached across calls.
+# tables belong to one build and are freed when it returns; only the
+# verdict is kept, in the decision memo of an open scope.
 
 # truth tables f(0,0), f(0,1), f(1,0), f(1,1); negation ignores its second
 # argument
@@ -133,10 +162,16 @@ def _consequence_bdd(goal: Formula, premises: list) -> tuple:
     return u, bdd
 
 
+def _entails(goal: Formula, premises: tuple) -> bool:
+    return _consequence_bdd(goal, premises)[0] == 1
+
+
 def taut_consequence(goal: Formula, premises: list) -> bool:
     """True iff goal follows truth-functionally from premises, atomizing
     maximal non-boolean subformulas consistently across all of them."""
-    return _consequence_bdd(goal, premises)[0] == 1
+    query = (goal, *premises)
+    return _decide(('taut', *map(id, query)), query,
+                   _entails, goal, query[1:])
 
 
 def is_tautology(f: Formula) -> bool:
@@ -487,7 +522,11 @@ def split_logic_id(logic_id: str) -> tuple:
 def get_logic(logic_id: str) -> LogicSpec:
     """Resolve a logic id: a base logic, Sacchetti-<n>, or QLP/QLP- with the
     multi-agent marker _n, then the (FP)/(mu) suffixes.  JT4 is accepted
-    as an alias for LP."""
+    as an alias for LP.  Within one scope an id gets one LogicSpec."""
+    return _decide(('logic', logic_id), None, _resolve_logic, logic_id)
+
+
+def _resolve_logic(logic_id: str) -> LogicSpec:
     base, multi, suffix = split_logic_id(logic_id)
     fp, mu = '(FP)' in suffix, '(mu)' in suffix
     if mu and (multi or base not in _MU_BASES):
@@ -514,6 +553,11 @@ def get_logic(logic_id: str) -> LogicSpec:
 def match_axiom(logic: LogicSpec, f: Formula):
     """First matching schema of the logic, or None.  Formulas outside the
     logic's profile never match."""
+    return _decide(('axiom', id(logic), id(f)), (logic, f),
+                   _first_match, logic, f)
+
+
+def _first_match(logic: LogicSpec, f: Formula):
     try:
         check_profile(f, logic.profile)
     except ProfileError:

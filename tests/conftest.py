@@ -4,6 +4,7 @@ import os
 import hypothesis.strategies as st
 import pytest
 
+from justfix import kernel, registry
 from justfix.kernel import load_derivation, parse_derivation
 from justfix.syntax import (And, App, Atom, Bang, Box, Const, Exists, Falsum,
                             FixApp, Forall, Iff, Imp, Just, Knows, Neg, Or,
@@ -15,6 +16,15 @@ CORPUS = os.path.join(ROOT, 'corpus')
 
 def corpus_paths(suffix='.drv'):
     return sorted(glob.glob(os.path.join(CORPUS, '*' + suffix)))
+
+
+@pytest.fixture(autouse=True)
+def no_memo_outlives_a_test():
+    """Every table of kernel.memo_scope is None after each test, so a scope
+    left open fails the test that leaked it."""
+    yield
+    assert (kernel._IMAGES, kernel._VERDICTS, registry._DECISIONS) == \
+        (None, None, None), 'a memo scope outlived the test'
 
 
 @pytest.fixture(scope='session')

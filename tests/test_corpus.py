@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from justfix import kernel
+from justfix import kernel, registry
 from justfix.corpus import (CorpusEntry, CorpusError, FALSUM_IDS, MANIFEST,
                             corpus_dir, run_corpus, run_entry)
 
@@ -162,6 +162,25 @@ def test_each_entry_checks_each_derivation_once(monkeypatch):
     assert steps['ts4-bot'] <= 68
 
 
+def test_each_entry_decides_each_query_once(monkeypatch):
+    builds = dict.fromkeys((e.id for e in MANIFEST), 0)
+    current = []
+
+    def counted(*args, fn=registry._consequence_bdd):
+        builds[current[-1]] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(registry, '_consequence_bdd', counted)
+    for e in MANIFEST:
+        current.append(e.id)
+        assert run_entry(e).ok
+    # asking again about the same formula objects took 292 BDD builds per
+    # pass, 36 of them on ts4-bot and 31 on ts4-surprise
+    assert sum(builds.values()) <= 188
+    assert builds['ts4-bot'] <= 16
+    assert builds['ts4-surprise'] <= 13
+
+
 @pytest.mark.parametrize('entry', [
     MANIFEST[0],
     CorpusEntry('ghost', 'ghost.drv', 'drv', 'p'),
@@ -170,3 +189,4 @@ def test_each_entry_checks_each_derivation_once(monkeypatch):
 def test_memo_is_gone_after_run_entry(entry):
     run_entry(entry)
     assert kernel._IMAGES is None and kernel._VERDICTS is None
+    assert registry._DECISIONS is None

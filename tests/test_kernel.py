@@ -5,13 +5,14 @@ import os
 
 import pytest
 
-from justfix import kernel, transforms
+from justfix import kernel, registry, transforms
 from justfix.kernel import (DerivationError, check_derivation,
                             cone_derivation, elaborate, format_report,
                             load_derivation, parse_derivation,
                             print_derivation)
-from justfix.registry import TOTAL
-from justfix.syntax import Knows, parse_formula, print_formula
+from justfix.registry import (TOTAL, UnknownLogic, get_logic, match_axiom,
+                              taut_consequence)
+from justfix.syntax import Knows, Neg, parse_formula, print_formula
 
 from conftest import CORPUS, corpus_paths
 
@@ -588,7 +589,7 @@ def test_image_memo_lives_for_one_call():
     assert kernel._IMAGES is None
     with pytest.raises(DerivationError):
         check_text("logic: QLP-_n\n1. p -> p ; prop\n")
-    assert kernel._IMAGES is None
+    assert kernel._IMAGES is None and registry._DECISIONS is None
 
 
 # -- one check per derivation and scope --------------------------------------------
@@ -645,6 +646,7 @@ def test_memo_scope_closes_when_its_body_raises():
             with kernel.memo_scope():
                 1 / 0
     assert kernel._IMAGES is None and kernel._VERDICTS is None
+    assert registry._DECISIONS is None
 
 
 def test_profile_error_wins_over_agent_error():
@@ -662,6 +664,114 @@ def test_profile_error_wins_over_agent_error():
     assert first_reason(check_text("logic: LP\nagents: s\n"
                                    "1. x : p -> x : p ; prop\n")) == \
         'missing agent label in multi-agent logic'
+
+
+# -- the decision memo ------------------------------------------------------------
+
+def _count_decisions(monkeypatch):
+    """Count the BDD builds and the match_axiom evaluations, which run only
+    when the decision memo has no answer."""
+    calls = {'bdd': 0, 'axiom': 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, attr in (('bdd', '_consequence_bdd'), ('axiom', '_first_match')):
+        monkeypatch.setattr(registry, attr,
+                            counted(name, getattr(registry, attr)))
+    return calls
+
+
+def test_nested_inline_decides_each_query_once(monkeypatch):
+    calls = _count_decisions(monkeypatch)
+    d = _lift_chain(6)
+    with kernel.memo_scope():
+        assert check_derivation(d).ok
+        assert transforms.lift(d).derivation.final.a == d.final
+    # the re-checks of the images asked again about the same formula
+    # objects: 134 BDD builds and 127 match_axiom evaluations
+    assert calls['bdd'] <= 1 and calls['axiom'] <= 1
+
+
+def test_content_equal_copy_is_decided_anew(monkeypatch):
+    logic = get_logic('K')
+    f, copy = (parse_formula('[](p -> q) -> ([]p -> []q)', logic.profile)
+               for _ in range(2))
+    p, q, r = (parse_formula(a, logic.profile) for a in 'pqr')
+    assert f == copy and f is not copy
+    calls = _count_decisions(monkeypatch)
+    for g in (f, f, copy):
+        assert match_axiom(logic, g) == match_axiom(logic, f)
+        assert not taut_consequence(g, [])
+    assert calls == {'bdd': 3, 'axiom': 6}     # outside a scope, every call
+    calls.update(bdd=0, axiom=0)
+    with kernel.memo_scope():
+        for g in (f, f, copy, copy):
+            assert match_axiom(logic, g)[0] == 'K'
+            assert not taut_consequence(g, [])
+        assert calls == {'bdd': 2, 'axiom': 2}
+        # the same goal object under another premise is another query
+        assert taut_consequence(q, [q]) and not taut_consequence(q, [r])
+        assert taut_consequence(f, [f]) and not taut_consequence(f, [p])
+        assert calls['bdd'] == 6
+        # and the same formula object under another logic
+        t = parse_formula('[]p -> p', logic.profile)
+        assert match_axiom(get_logic('T'), t)[0] == 'T'
+        assert match_axiom(logic, t) is None
+
+
+def test_get_logic_gives_one_spec_per_id_in_a_scope():
+    assert get_logic('S4') is not get_logic('S4')
+    with kernel.memo_scope():
+        spec = get_logic('S4')
+        assert get_logic('S4') is spec and spec.name == 'S4'
+        assert get_logic('S4(FP)') is not spec
+        for _ in range(2):
+            with pytest.raises(UnknownLogic):
+                get_logic('banana')
+
+
+def _mutant(d, k, **changes):
+    return dataclasses.replace(d, steps=tuple(
+        dataclasses.replace(s, **changes) if s.index == k else s
+        for s in d.steps))
+
+
+@pytest.mark.parametrize('case', ['prop', 'ax', 'ax-as-prop'])
+def test_mutated_step_fails_after_its_original_in_one_scope(case):
+    d = load_derivation(os.path.join(CORPUS, 'ts4-bot.drv'))
+    if case == 'prop':
+        k = next(s.index for s in d.steps if s.rule == 'prop' and not s.refs)
+        mutant = _mutant(d, k, formula=Neg(d.step(k).formula))
+    else:
+        # an ax step with no schema named, so match_axiom decides it
+        k = next(s.index for s in d.steps
+                 if s.rule == 'ax' and s.args[0] is None)
+        mutant = (_mutant(d, k, formula=Neg(d.step(k).formula))
+                  if case == 'ax' else _mutant(d, k, rule='prop', args=()))
+    with kernel.memo_scope():
+        assert check_derivation(d).ok
+        report = format_report(check_derivation(mutant))
+    assert report.startswith('FAIL step %d: ' % k)
+    assert report == format_report(check_derivation(mutant))
+
+
+def _decisions(d):
+    logic = get_logic(d.logic_id)
+    return [(match_axiom(logic, s.formula),
+             taut_consequence(s.formula, [d.step(r).formula for r in s.refs]))
+            for s in d.steps]
+
+
+def test_decisions_agree_inside_and_outside_a_scope(corpus_derivations):
+    for name, d in corpus_derivations.items():
+        outside = _decisions(d)
+        with kernel.memo_scope():
+            assert _decisions(d) == outside, name      # fills the memo
+            assert _decisions(d) == outside, name      # answered from it
 
 
 # -- one profile pass per formula node -------------------------------------------
