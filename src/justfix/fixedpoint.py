@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from .syntax import (
     Formula, Iff, Mu, FixApp,
     OCCURRENCE_MODES, occurrence_ok, free_atoms, walk,
-    subst_prop, subst_prop_multi, nu_formula,
+    subst_prop_multi,
 )
 from .registry import sigma_match
 
@@ -106,17 +106,6 @@ def fp_axiom_instance(op: FPOperator, f: Formula) -> Optional[dict]:
     except FixedPointError:   # wrong arity
         return None
     return sigma_match(base, f.b)
-
-
-def mu_closure_instance(var: str, body: Formula) -> Formula:
-    """The closure axiom A[mu p.A / p] <-> mu p.A."""
-    m = Mu(var, body)
-    return Iff(subst_prop(body, var, m), m)
-
-
-def nu_expand(var: str, body: Formula) -> Formula:
-    """Greatest fixed point as the dual mu formula."""
-    return nu_formula(var, body)
 
 
 def gl_obligation(op: FPOperator, candidate: Formula,

@@ -15,18 +15,23 @@ the first semicolon at parenthesis depth zero (formulas may contain
 semicolons inside fix(...) argument lists).  '#' starts a comment when it
 opens a line or follows whitespace; identifiers may contain '#'.
 
-The checker verifies every step, tracks which premises each step depends
-on, and restricts necessitation-like rules to premise-free steps, which
-keeps the deduction transform total.  Failed steps do not abort the run:
-later steps are checked against the stated formulas, so one broken
-citation yields one diagnostic rather than a cascade.
+Every rule is declared once, as a row of RULES: the grammar of its
+arguments and the parse error for malformed ones, how many steps it
+cites, whether those must be premise-free (necessitation-like rules, which
+keeps the deduction transform total), whether the step carries their
+premises, its role in GLS's provability-law bookkeeping, and its check.
+The parser and printer read the grammar, and the checker runs the check
+after the profile, availability and premise-free tests every step shares.
+The checker tracks which premises each step depends on.  Failed steps do
+not abort the run: later steps are checked against the stated formulas,
+so one broken citation yields one diagnostic rather than a cascade.
 """
 
 import contextlib
 import os
 import re
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .syntax import (
     Formula, Neg, Imp, Iff, Box, Knows, Just,
@@ -113,16 +118,10 @@ class CheckReport:
         return self.deps[max(self.deps)]
 
 
-# rules whose antecedent steps must not depend on premises
-_NEC_LIKE = frozenset(('nec', 'gen', 'qnec', 'e', 'de', 'mu-ind', 'reg'))
-# rules that never carry premise dependencies
-_CLOSED = frozenset(('ax', 'ian', 'an', 'fp', 'mu-cl', 'inline')) | _NEC_LIKE
-
-
 # -- parsing -----------------------------------------------------------------
 
 _STEP_RE = re.compile(r'^(\d+)\.\s*(.*)$')
-_SUBST_RE = re.compile(r'^subst\s+(\d+)\s+(\S+)\s*:=\s*(.+)$')
+_SUBST_RE = re.compile(r'^(\d+)\s+(\S+)\s*:=\s*(.+)$')
 _FIX_DECL_RE = re.compile(r'^fix\s+(\S+)\s+(\S+)\s*\(([^)]*)\)\s*:=\s*(.+)$')
 
 # `agents: <n>` builds its n names eagerly (about 65 bytes each); a count
@@ -171,86 +170,55 @@ def _parse_refs(tokens) -> tuple:
 
 
 def _parse_justification(text: str, profile) -> tuple:
-    """Returns (rule, refs, args)."""
+    """Returns (rule, refs, args), read by the rule's grammar in RULES."""
     head = _split_top(text, ';')
     toks = head[0].split()
     if not toks:
         raise DerivationError("empty justification")
-    rule = toks[0]
-    rest = toks[1:]
+    rule, rest = toks[0], toks[1:]
     if len(head) > 1 and rule != 'fp':
         raise DerivationError("%s takes no ';' part" % rule)
-    if rule == 'ax':
-        if len(rest) > 1:
-            raise DerivationError("ax takes at most one schema id")
-        return 'ax', (), (rest[0] if rest else None,)
-    if rule == 'mp':
-        r = _parse_refs(rest)
-        if len(r) != 2:
-            raise DerivationError("mp takes two step references")
-        return 'mp', r, ()
-    if rule in ('nec', 'mu-ind', 'reg'):
-        r = _parse_refs(rest)
-        if len(r) != 1:
-            raise DerivationError("%s takes one step reference" % rule)
-        return rule, r, ()
-    if rule in ('gen', 'qnec'):
-        if len(rest) != 2:
-            raise DerivationError("%s takes a step reference and a variable" % rule)
-        return rule, (_number(rest[0]),), (rest[1],)
-    if rule in ('ian', 'an', 'mu-cl'):
-        if rest:
-            raise DerivationError("%s takes no arguments" % rule)
-        return rule, (), ()
-    if rule == 'e':
-        if len(rest) != 2:
-            raise DerivationError("e takes a step reference and a time")
-        return 'e', (_number(rest[0]),), (_number(rest[1], 'time'),)
-    if rule == 'de':
-        if len(rest) != 3:
-            raise DerivationError("de takes a step reference and two times")
-        return 'de', (_number(rest[0]),), (_number(rest[1], 'time'),
-                                         _number(rest[2], 'time'))
-    if rule == 'fp':
-        if len(rest) != 1:
-            raise DerivationError("fp takes an operator name")
-        args = ()
-        if len(head) > 1:
-            argsrc = ';'.join(head[1:])
-            args = tuple(parse_formula(p.strip(), profile)
-                         for p in _split_top(argsrc, ',') if p.strip())
-        return 'fp', (), (rest[0], args)
-    if rule == 'prop':
-        return 'prop', _parse_refs(rest), ()
-    if rule == 'admk':
-        refs = _parse_refs(rest[:-1])
-        if not refs:
-            raise DerivationError("admk takes step references and a time")
-        return 'admk', refs, (_number(rest[-1], 'time'),)
-    if rule == 'premise':
-        if len(rest) != 1:
-            raise DerivationError("premise takes a name")
-        return 'premise', (), (rest[0],)
-    if rule == 'inline':
+    row = RULES.get(rule)
+    if row is None:
+        raise DerivationError("unknown rule %r" % rule)
+    grammar, usage, args = row.grammar, row.usage, []
+    if row.forms:
+        # the first word names a form, which has a grammar of its own
         if not rest:
-            raise DerivationError("inline requires a transform name")
-        form = rest[0]
-        if form == 'lift' or form == 'internalize':
-            if len(rest) != 2:
-                raise DerivationError("inline %s takes one step reference" % form)
-            return 'inline', (_number(rest[1]),), (form,)
-        if form == 'subst':
-            m = _SUBST_RE.match(' '.join(rest))
-            if not m:
-                raise DerivationError("inline subst syntax: subst <i> <x> := <term>")
-            return ('inline', (int(m.group(1)),),
-                    ('subst', m.group(2), parse_term(m.group(3), profile)))
-        if form == 'jd':
-            if len(rest) != 1:
-                raise DerivationError("inline jd takes no arguments")
-            return 'inline', (), ('jd',)
-        raise DerivationError("unknown inline transform %r" % form)
-    raise DerivationError("unknown rule %r" % rule)
+            raise DerivationError(usage)
+        if rest[0] not in row.forms:
+            raise DerivationError("unknown %s transform %r" % (rule, rest[0]))
+        grammar, usage, _ = row.forms[rest[0]]
+        args.append(rest.pop(0))
+    if grammar is None:                     # inline subst <i> <x> := <term>
+        m = _SUBST_RE.match(' '.join(rest))
+        if not m:
+            raise DerivationError(usage)
+        return rule, (int(m.group(1)),), ('subst', m.group(2),
+                                          parse_term(m.group(3), profile))
+    refs = ()
+    if 'refs' in grammar:
+        # the first slot: every token before the slots that follow
+        grammar = grammar[1:]
+        k = len(rest) - len(grammar)
+        if k > 0:
+            refs, rest = _parse_refs(rest[:k]), rest[k:]
+        least, most = row.nrefs
+        if not least <= len(refs) <= (most or len(refs)):
+            raise DerivationError(usage)
+    elif not len(grammar) - ('[name]' in grammar) <= len(rest) \
+            <= len(grammar):
+        raise DerivationError(usage)
+    for slot, tok in zip(grammar, rest + [None]):
+        if slot == 'ref':
+            refs += (_number(tok),)
+        else:
+            args.append(_number(tok, 'time') if slot == 'time' else tok)
+    if rule == 'fp':                # its ';' part: the operator's arguments
+        args.append(tuple(parse_formula(p.strip(), profile) for p in
+                          _split_top(';'.join(head[1:]), ',') if p.strip())
+                    if len(head) > 1 else ())
+    return rule, refs, tuple(args)
 
 
 def parse_spec_file(path: str, profile) -> Spec:
@@ -380,35 +348,23 @@ def load_derivation(path: str) -> Derivation:
 # -- serialization -----------------------------------------------------------
 
 def _print_justification(s: Step) -> str:
-    if s.rule == 'ax':
-        return 'ax' if s.args[0] is None else 'ax %s' % s.args[0]
-    if s.rule == 'fp':
-        name, args = s.args
-        if args:
-            return 'fp %s; %s' % (name, ', '.join(print_formula(a)
-                                                  for a in args))
-        return 'fp %s' % name
-    if s.rule in ('gen', 'qnec'):
-        return '%s %d %s' % (s.rule, s.refs[0], s.args[0])
-    if s.rule == 'e':
-        return 'e %d %d' % (s.refs[0], s.args[0])
-    if s.rule == 'de':
-        return 'de %d %d %d' % (s.refs[0], s.args[0], s.args[1])
-    if s.rule == 'admk':
-        return 'admk %s %d' % (','.join(str(r) for r in s.refs), s.args[0])
-    if s.rule == 'premise':
-        return 'premise %s' % s.args[0]
-    if s.rule == 'inline':
-        form = s.args[0]
-        if form in ('lift', 'internalize'):
-            return 'inline %s %d' % (form, s.refs[0])
-        if form == 'subst':
-            return 'inline subst %d %s := %s' % (
-                s.refs[0], s.args[1], print_term(s.args[2]))
-        return 'inline jd'
-    out = s.rule
-    if s.refs:
-        out += ' ' + ' '.join(str(r) for r in s.refs)
+    row = RULES.get(s.rule, _UNKNOWN)
+    words, args, grammar = [s.rule], list(s.args), row.grammar
+    if row.forms:
+        words.append(args.pop(0))
+        grammar = row.forms[words[1]][0]
+    if grammar is None:
+        return 'inline subst %d %s := %s' % (s.refs[0], s.args[1],
+                                             print_term(s.args[2]))
+    for slot in grammar:
+        if slot == 'refs':      # comma-joined when another slot follows
+            words.append((',' if len(grammar) > 1 else ' ').join(
+                map(str, s.refs)))
+        else:
+            words.append(s.refs[0] if slot == 'ref' else args.pop(0))
+    out = ' '.join(str(w) for w in words if w not in ('', None))
+    if s.rule == 'fp' and s.args[1]:
+        out += '; ' + ', '.join(print_formula(a) for a in s.args[1])
     return out
 
 
@@ -431,13 +387,6 @@ def print_derivation(d: Derivation) -> str:
 
 
 # -- checking ----------------------------------------------------------------
-
-def _operator(d: Derivation, name: str) -> Optional[FPOperator]:
-    for op in d.ops:
-        if op.name == name:
-            return op
-    return None
-
 
 def make_axiom_test(logic: LogicSpec, ops: Sequence[FPOperator]):
     """Axiomhood test covering registered schemas and declared fixed-point
@@ -480,278 +429,353 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
                       premises, tuple(steps))
 
 
-# The memo of one scope (see memo_scope): the inline images built in it
-# (see inline_image), and the report of each derivation checked in it, keyed
-# by id and kept with the derivation so that no id is reused while the
-# scope is open.  The scope also holds registry._DECISIONS, the verdicts of
-# the tautology, axiom and logic queries asked in it.  All three are None
-# outside a scope, so nothing outlives it.
-_IMAGES = None
-_VERDICTS = None
-
-
 @contextlib.contextmanager
 def memo_scope():
-    """Open the memo for the outermost scope and drop it when that scope
-    ends or raises; nested scopes share it.  check_derivation and elaborate
-    open one per call; the corpus runner and the command line open one per
-    entry, so a derivation checked twice in an entry is checked once, and a
-    query on the same formula objects is decided once."""
-    global _IMAGES, _VERDICTS
-    if _IMAGES is not None:
+    """Open the memo, one table (registry._DECISIONS), for the outermost
+    scope and drop it when that scope ends or raises; nested scopes share
+    it.  It holds the report on each derivation checked in the scope, the
+    inline images built in it and the verdicts of the tautology, axiom and
+    logic queries asked in it.  check_derivation and elaborate open one per
+    call; the corpus runner and the command line open one per entry, so a
+    derivation checked twice in an entry is checked once, and a query on
+    the same formula objects is decided once."""
+    if registry._DECISIONS is not None:
         yield
         return
-    _IMAGES, _VERDICTS, registry._DECISIONS = {}, {}, {}
+    registry._DECISIONS = {}
     try:
         yield
     finally:
-        _IMAGES = _VERDICTS = registry._DECISIONS = None
+        registry._DECISIONS = None
 
 
 @memo_scope()
 def check_derivation(d: Derivation) -> CheckReport:
     """Check every step of d.  Within one scope the same Derivation object
     is checked once; a changed copy is a new object and is checked anew."""
-    seen = _VERDICTS.get(id(d))
-    if seen is None:
-        seen = _VERDICTS[id(d)] = (d, _check(d))
-    return seen[1]
+    return registry._decide(('check', id(d)), d, _check, d)
+
+
+@dataclass
+class _Context:
+    """What the checks of one derivation share."""
+    d: Derivation
+    logic: LogicSpec
+    is_axiom: Callable
+    deps: dict              # step index -> frozenset of premise names
+    gl: Optional[dict]      # GLS only: step index -> proved without T
+    flags: list             # the notes raised so far
 
 
 def _check(d: Derivation) -> CheckReport:
     logic = get_logic(d.logic_id)
-    verdicts = []
-    deps = {}
-    flags = []
-    gl = {}           # GLS: which steps are justified without the T axiom
-    gls = logic.name.startswith('GLS')
-    is_axiom = make_axiom_test(logic, d.ops)
-    multi = logic.profile.agents == 'multi'
-    if multi and not d.agents:
+    if logic.profile.agents == 'multi' and not d.agents:
         raise DerivationError("logic %s requires an agents header"
                               % logic.name)
-
+    c = _Context(d, logic, make_axiom_test(logic, d.ops), {},
+                 {} if logic.name.startswith('GLS') else None, [])
+    verdicts = []
     for s in d.steps:
-        ok, reason, sflags = _check_step(d, logic, s, deps, gl, gls, is_axiom)
+        row, noted = RULES.get(s.rule, _UNKNOWN), len(c.flags)
+        reason = _check_step(c, s, row)
         # dependency bookkeeping happens even for failed steps so later
         # diagnostics stay meaningful
-        if s.rule == 'premise':
-            deps[s.index] = frozenset((s.args[0],))
-        elif s.rule in _CLOSED:
-            deps[s.index] = frozenset()
+        if row.carries == 'refs':
+            c.deps[s.index] = frozenset().union(*(c.deps[r] for r in s.refs))
+        elif row.carries == 'name':
+            c.deps[s.index] = frozenset(s.args[:1])
         else:
-            deps[s.index] = frozenset().union(
-                *(deps[r] for r in s.refs)) if s.refs else frozenset()
-        if gls:
-            gl[s.index] = _gl_status(logic, s, gl)
-        verdicts.append(StepVerdict(s.index, ok, reason, tuple(sflags)))
-        flags.extend(sflags)
-    all_ok = all(v.ok for v in verdicts)
-    return CheckReport(all_ok, logic, verdicts, deps,
-                       d.final if d.steps else None, tuple(dict.fromkeys(flags)))
+            c.deps[s.index] = frozenset()
+        if c.gl is not None:
+            c.gl[s.index] = _gl_status(c, s, row.gl)
+        verdicts.append(StepVerdict(s.index, reason is None, reason,
+                                    tuple(c.flags[noted:])))
+    return CheckReport(all(v.ok for v in verdicts), logic, verdicts, c.deps,
+                       d.final if d.steps else None,
+                       tuple(dict.fromkeys(c.flags)))
 
 
-def _gl_status(logic, s: Step, gl: dict) -> bool:
-    if s.rule == 'ax':
-        # every registered schema except reflection preserves provability-law
-        # status; reflection is the one non-theorem axiom
+def _gl_status(c: _Context, s: Step, role: Optional[str]) -> bool:
+    """Whether step s is justified without the T axiom, by its rule's role:
+    'schema' unless the axiom is reflection, the one non-theorem schema;
+    'law' always; 'refs' when its cited steps are."""
+    if role == 'schema':
         name = s.args[0]
         if name is None:
-            m = match_axiom(logic, s.formula)
+            m = match_axiom(c.logic, s.formula)
             name = m[0] if m else None
         return name != 'T'
-    if s.rule in ('nec', 'reg'):
-        return True
-    if s.rule in ('mp', 'prop'):
-        return all(gl.get(r, False) for r in s.refs)
-    return False
+    if role == 'refs':
+        return all(c.gl.get(r, False) for r in s.refs)
+    return role == 'law'
 
 
-def _check_step(d, logic, s, deps, gl, gls, is_axiom):
-    f = s.formula
-    flags = []
+def _check_step(c: _Context, s: Step, row) -> Optional[str]:
+    """Why step s fails, or None when it holds."""
     try:
-        check_profile(f, logic.profile, d.agents or ())
+        check_profile(s.formula, c.logic.profile, c.d.agents or ())
     except ProfileError as e:
-        return False, str(e), flags
-    if s.rule not in logic.rules:
-        return False, "rule %r not available in %s" % (s.rule, logic.name), flags
-    if s.rule in _NEC_LIKE:
+        return str(e)
+    if s.rule not in c.logic.rules:
+        return "rule %r not available in %s" % (s.rule, c.logic.name)
+    if row.premise_free:
+        label = s.rule + (' ' + s.args[0] if row.forms else '')
         for r in s.refs:
-            if deps.get(r):
-                return False, ("%s applied to step %d, which depends on "
-                               "premises %s" % (s.rule, r,
-                                                sorted(deps[r]))), flags
-
-    ref = [d.step(r).formula for r in s.refs]
-
-    if s.rule == 'ax':
-        name = s.args[0]
-        if name is not None:
-            schema = next((a for a in logic.axioms if a.name == name), None)
-            if schema is None:
-                return False, "schema %r not registered in %s" % (
-                    name, logic.name), flags
-            if schema.match(f) is None:
-                return False, "not an instance of %s" % name, flags
-            return True, None, flags
-        if match_axiom(logic, f) is None:
-            return False, "matches no axiom schema of %s" % logic.name, flags
-        return True, None, flags
-
-    if s.rule == 'premise':
-        name = s.args[0]
-        pre = next((p for p in d.premises if p.name == name), None)
-        if pre is None:
-            return False, "premise %r not declared" % name, flags
-        if f != pre.formula:
-            return False, "formula differs from premise %r" % name, flags
-        return True, None, flags
-
-    if s.rule == 'mp':
-        want = Imp(ref[0], f)
-        if ref[1] != want:
-            return False, ("step %d is not %s" % (s.refs[1],
-                                                  print_formula(want))), flags
-        return True, None, flags
-
-    if s.rule == 'nec':
-        if gls and not gl.get(s.refs[0], False):
-            return False, ("necessitation in GLS requires a provability-law "
-                           "step, step %d uses reflection" % s.refs[0]), flags
-        if f != Box(ref[0]):
-            return False, "conclusion is not [] of step %d" % s.refs[0], flags
-        return True, None, flags
-
-    if s.rule == 'gen':
-        x = s.args[0]
-        if f != Forall(x, ref[0]):
-            return False, "conclusion is not all %s of step %d" % (
-                x, s.refs[0]), flags
-        return True, None, flags
-
-    if s.rule == 'qnec':
-        x = s.args[0]
-        if x in free_vars(ref[0]):
-            return False, "%s is free in step %d" % (x, s.refs[0]), flags
-        agent = None
-        if isinstance(f, Exists) and isinstance(f.a, Just):
-            agent = f.a.agent
-        if f != Exists(x, Just(Var(x), agent, ref[0])):
-            return False, "conclusion is not ex %s . %s : A" % (x, x), flags
-        return True, None, flags
-
-    if s.rule in ('ian', 'an'):
-        if s.rule == 'an' and d.spec.kind == 'total':
-            # single justification prefix over an axiom instance
-            if not isinstance(f, Just):
-                return False, "an conclusion must be a justification", flags
-            want = Prim if logic.spec_kind == 'pts' else Const
-            if not isinstance(f.t, want):
-                return False, ("an requires a %s justification term"
-                               % want.__name__.lower()), flags
-            if not is_axiom(f.a):
-                return False, "body is not an axiom instance", flags
-            return True, None, flags
-        if not spec_membership(d.spec, f, logic, is_axiom):
-            return False, "not licensed by the specification", flags
-        return True, None, flags
-
-    if s.rule == 'mu-cl':
-        if SCHEMAS['mu-cl'].match(f) is None:
-            return False, "not a closure instance", flags
-        return True, None, flags
-
-    if s.rule == 'mu-ind':
-        if not (isinstance(f, Imp) and isinstance(f.a, Mu)):
-            return False, "conclusion must be (mu p . A) -> B", flags
-        m, b = f.a, f.b
-        want = Imp(subst_prop(m.a, m.var, b), b)
-        if ref[0] != want:
-            return False, "step %d is not %s" % (s.refs[0],
-                                                 print_formula(want)), flags
-        return True, None, flags
-
-    if s.rule == 'e':
-        t = s.args[0]
-        if t < 0:
-            return False, "negative time", flags
-        if f != Knows(t, ref[0]):
-            return False, "conclusion is not K@%d of step %d" % (
-                t, s.refs[0]), flags
-        return True, None, flags
-
-    if s.rule == 'de':
-        t1, t2 = s.args
-        if not t1 < t2:
-            return False, "times must increase", flags
-        if f != Imp(Knows(t1, ref[0]), Knows(t2, Knows(t1, ref[0]))):
-            return False, "conclusion shape mismatch", flags
-        return True, None, flags
-
-    if s.rule == 'reg':
-        if not isinstance(ref[0], Imp):
-            return False, "step %d is not an implication" % s.refs[0], flags
-        a, b = ref[0].a, ref[0].b
-        if logic.family == 'tmel':
-            if not (isinstance(f, Imp) and isinstance(f.a, Knows)
-                    and isinstance(f.b, Knows)):
-                return False, "conclusion must relate two knowledge times", flags
-            if f.a.a != a or f.b.a != b:
-                return False, "conclusion bodies differ from step %d" % (
-                    s.refs[0]), flags
-            if not f.a.time < f.b.time:
-                return False, "times must increase", flags
-            return True, None, flags
-        if gls and not gl.get(s.refs[0], False):
-            return False, ("regularity in GLS requires a provability-law "
-                           "step, step %d uses reflection" % s.refs[0]), flags
-        if f != Imp(Box(a), Box(b)):
-            return False, "conclusion is not []A -> []B for step %d" % (
-                s.refs[0]), flags
-        return True, None, flags
-
-    if s.rule == 'fp':
-        name, given = s.args
-        op = _operator(d, name)
-        if op is None:
-            return False, "no operator %r declared" % name, flags
-        if given and (not isinstance(f, Iff) or f.a != FixApp(name, given)):
-            return False, "stated arguments do not match the conclusion", flags
-        if fp_axiom_instance(op, f) is None:
-            return False, "not an instance of the %s axiom" % name, flags
-        return True, None, flags
-
-    if s.rule == 'prop':
-        if not taut_consequence(f, ref):
-            return False, "not a tautological consequence of cited steps", flags
-        return True, None, flags
-
-    if s.rule == 'admk':
-        t = s.args[0]
-        flags.append('admissible-knowledge rule used')
-        if f != Knows(t, ref[-1]):
-            return False, "conclusion is not K@%d of step %d" % (
-                t, s.refs[-1]), flags
-        prem = frozenset().union(*(deps.get(r, frozenset()) for r in s.refs)) \
-            if s.refs else frozenset()
-        for name in prem:
-            pf = next((p.formula for p in d.premises if p.name == name), None)
-            if pf is None or not (isinstance(pf, Knows) and pf.time < t):
-                return False, ("premise %s is not knowledge earlier than "
-                               "K@%d" % (name, t)), flags
-        return True, None, flags
-
-    if s.rule == 'inline':
-        return _check_inline(d, logic, s, deps, flags)
-
-    return False, "unknown rule %r" % s.rule, flags
+            if c.deps.get(r):
+                return ("%s applied to step %d, which depends on premises %s"
+                        % (label, r, sorted(c.deps[r])))
+    return row.check(c, s, [c.d.step(r).formula for r in s.refs])
 
 
-# what a mismatching image of step i is reported as, per cone transform
-_INLINE_MISMATCH = {'lift': "lift of step %d proves %s",
-                    'internalize': "internalization of step %d proves %s",
-                    'subst': "substitution image of step %d is %s"}
+# -- the rules: each check takes the context, the step and the formulas of
+# the steps it cites, and returns why the step fails or None
+
+def _ax(c, s, ref):
+    name, f = s.args[0], s.formula
+    if name is None:
+        if match_axiom(c.logic, f) is None:
+            return "matches no axiom schema of %s" % c.logic.name
+        return None
+    schema = next((a for a in c.logic.axioms if a.name == name), None)
+    if schema is None:
+        return "schema %r not registered in %s" % (name, c.logic.name)
+    if schema.match(f) is None:
+        return "not an instance of %s" % name
+
+
+def _premise(c, s, ref):
+    name = s.args[0]
+    pre = next((p for p in c.d.premises if p.name == name), None)
+    if pre is None:
+        return "premise %r not declared" % name
+    if s.formula != pre.formula:
+        return "formula differs from premise %r" % name
+
+
+def _mp(c, s, ref):
+    want = Imp(ref[0], s.formula)
+    if ref[1] != want:
+        return "step %d is not %s" % (s.refs[1], print_formula(want))
+
+
+def _nec(c, s, ref):
+    if c.gl is not None and not c.gl.get(s.refs[0], False):
+        return ("necessitation in GLS requires a provability-law step, "
+                "step %d uses reflection" % s.refs[0])
+    if s.formula != Box(ref[0]):
+        return "conclusion is not [] of step %d" % s.refs[0]
+
+
+def _gen(c, s, ref):
+    x = s.args[0]
+    if s.formula != Forall(x, ref[0]):
+        return "conclusion is not all %s of step %d" % (x, s.refs[0])
+
+
+def _qnec(c, s, ref):
+    x, f = s.args[0], s.formula
+    if x in free_vars(ref[0]):
+        return "%s is free in step %d" % (x, s.refs[0])
+    agent = None
+    if isinstance(f, Exists) and isinstance(f.a, Just):
+        agent = f.a.agent
+    if f != Exists(x, Just(Var(x), agent, ref[0])):
+        return "conclusion is not ex %s . %s : A" % (x, x)
+
+
+def _ian(c, s, ref):
+    if not spec_membership(c.d.spec, s.formula, c.logic, c.is_axiom):
+        return "not licensed by the specification"
+
+
+def _an(c, s, ref):
+    f = s.formula
+    if c.d.spec.kind != 'total':
+        return _ian(c, s, ref)
+    # single justification prefix over an axiom instance
+    if not isinstance(f, Just):
+        return "an conclusion must be a justification"
+    want = Prim if c.logic.spec_kind == 'pts' else Const
+    if not isinstance(f.t, want):
+        return "an requires a %s justification term" % want.__name__.lower()
+    if not c.is_axiom(f.a):
+        return "body is not an axiom instance"
+
+
+def _mu_cl(c, s, ref):
+    if SCHEMAS['mu-cl'].match(s.formula) is None:
+        return "not a closure instance"
+
+
+def _mu_ind(c, s, ref):
+    f = s.formula
+    if not (isinstance(f, Imp) and isinstance(f.a, Mu)):
+        return "conclusion must be (mu p . A) -> B"
+    want = Imp(subst_prop(f.a.a, f.a.var, f.b), f.b)
+    if ref[0] != want:
+        return "step %d is not %s" % (s.refs[0], print_formula(want))
+
+
+def _e(c, s, ref):
+    t = s.args[0]
+    if t < 0:
+        return "negative time"
+    if s.formula != Knows(t, ref[0]):
+        return "conclusion is not K@%d of step %d" % (t, s.refs[0])
+
+
+def _de(c, s, ref):
+    t1, t2 = s.args
+    if not t1 < t2:
+        return "times must increase"
+    if s.formula != Imp(Knows(t1, ref[0]), Knows(t2, Knows(t1, ref[0]))):
+        return "conclusion shape mismatch"
+
+
+def _reg(c, s, ref):
+    f = s.formula
+    if not isinstance(ref[0], Imp):
+        return "step %d is not an implication" % s.refs[0]
+    a, b = ref[0].a, ref[0].b
+    if c.logic.family == 'tmel':
+        if not (isinstance(f, Imp) and isinstance(f.a, Knows)
+                and isinstance(f.b, Knows)):
+            return "conclusion must relate two knowledge times"
+        if f.a.a != a or f.b.a != b:
+            return "conclusion bodies differ from step %d" % s.refs[0]
+        if not f.a.time < f.b.time:
+            return "times must increase"
+        return None
+    if c.gl is not None and not c.gl.get(s.refs[0], False):
+        return ("regularity in GLS requires a provability-law step, "
+                "step %d uses reflection" % s.refs[0])
+    if f != Imp(Box(a), Box(b)):
+        return "conclusion is not []A -> []B for step %d" % s.refs[0]
+
+
+def _fp(c, s, ref):
+    (name, given), f = s.args, s.formula
+    op = next((o for o in c.d.ops if o.name == name), None)
+    if op is None:
+        return "no operator %r declared" % name
+    if given and (not isinstance(f, Iff) or f.a != FixApp(name, given)):
+        return "stated arguments do not match the conclusion"
+    if fp_axiom_instance(op, f) is None:
+        return "not an instance of the %s axiom" % name
+
+
+def _prop(c, s, ref):
+    if not taut_consequence(s.formula, ref):
+        return "not a tautological consequence of cited steps"
+
+
+def _admk(c, s, ref):
+    t = s.args[0]
+    c.flags.append('admissible-knowledge rule used')
+    if s.formula != Knows(t, ref[-1]):
+        return "conclusion is not K@%d of step %d" % (t, s.refs[-1])
+    prem = frozenset().union(*(c.deps.get(r, frozenset()) for r in s.refs))
+    for name in prem:
+        pf = next((p.formula for p in c.d.premises if p.name == name), None)
+        if pf is None or not (isinstance(pf, Knows) and pf.time < t):
+            return ("premise %s is not knowledge earlier than K@%d"
+                    % (name, t))
+
+
+def _inline(c, s, ref):
+    from . import transforms
+    form, f = s.args[0], s.formula
+    if form not in _INLINE_FORMS:
+        return "unknown inline transform %r" % form
+    if form == 'jd':
+        if not (isinstance(f, Imp) and isinstance(f.a, Just)
+                and isinstance(f.a.a, Neg) and isinstance(f.b, Neg)
+                and isinstance(f.b.a, Just)
+                and f.a.agent == f.b.a.agent):
+            return "inline jd expects s : ~A -> ~ t : A"
+        if f.a.a.a != f.b.a.a:
+            return "antecedent and consequent bodies differ"
+        if c.d.spec.kind != 'total':
+            return "inline jd needs a total specification"
+    if form == 'internalize' and c.d.spec.kind == 'empty':
+        c.flags.append('internalized under the total specification')
+    try:
+        img = inline_image(c.d, s).final
+    except transforms.TransformError as e:
+        return "inline %s failed: %s" % (form, e)
+    if img != f:
+        return _INLINE_FORMS[form][2].format(*s.refs, f=print_formula(img))
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One inference rule.  Its grammar names the argument slots after
+    the rule name: refs (first when present: step references, comma- or
+    space-separated, as many as nrefs allows), ref (one step reference),
+    var, time, name and an optional [name]; refs and ref fill Step.refs
+    and the others Step.args, in order.  usage is the parse error for
+    malformed arguments."""
+    name: str
+    grammar: tuple
+    usage: str
+    check: Optional[Callable]
+    nrefs: tuple = (0, None)        # least and most references, None: any
+    premise_free: bool = False      # cited steps may not depend on premises
+    carries: str = ''               # the step depends on the premises of
+                                    # its cited steps ('refs'), on the
+                                    # premise it names ('name') or on none
+    gl: Optional[str] = None        # GLS role, see _gl_status
+    forms: Optional[dict] = None    # form word -> (grammar, usage, mismatch)
+
+
+# inline <form>: grammar (None: subst's `<i> <x> := <term>`), parse error,
+# and what a step whose stated formula differs from its image reports
+_INLINE_FORMS = {
+    'lift': (('ref',), "inline lift takes one step reference",
+             "lift of step {0} proves {f}"),
+    'internalize': (('ref',), "inline internalize takes one step reference",
+                    "internalization of step {0} proves {f}"),
+    'subst': (None, "inline subst syntax: subst <i> <x> := <term>",
+              "substitution image of step {0} is {f}"),
+    'jd': ((), "inline jd takes no arguments", "generated lemma proves {f}"),
+}
+
+RULES = {r.name: r for r in (
+    Rule('ax', ('[name]',), "ax takes at most one schema id", _ax,
+         gl='schema'),
+    Rule('premise', ('name',), "premise takes a name", _premise,
+         carries='name'),
+    Rule('mp', ('refs',), "mp takes two step references", _mp, nrefs=(2, 2),
+         carries='refs', gl='refs'),
+    Rule('prop', ('refs',), "prop takes step references", _prop,
+         carries='refs', gl='refs'),
+    Rule('nec', ('refs',), "nec takes one step reference", _nec,
+         nrefs=(1, 1), premise_free=True, gl='law'),
+    Rule('reg', ('refs',), "reg takes one step reference", _reg,
+         nrefs=(1, 1), premise_free=True, gl='law'),
+    Rule('gen', ('ref', 'var'), "gen takes a step reference and a variable",
+         _gen, premise_free=True),
+    Rule('qnec', ('ref', 'var'),
+         "qnec takes a step reference and a variable", _qnec,
+         premise_free=True),
+    Rule('ian', (), "ian takes no arguments", _ian),
+    Rule('an', (), "an takes no arguments", _an),
+    Rule('e', ('ref', 'time'), "e takes a step reference and a time", _e,
+         premise_free=True),
+    Rule('de', ('ref', 'time', 'time'),
+         "de takes a step reference and two times", _de, premise_free=True),
+    Rule('admk', ('refs', 'time'), "admk takes step references and a time",
+         _admk, nrefs=(1, None), carries='refs'),
+    Rule('fp', ('name',), "fp takes an operator name", _fp),
+    Rule('mu-cl', (), "mu-cl takes no arguments", _mu_cl),
+    Rule('mu-ind', ('refs',), "mu-ind takes one step reference", _mu_ind,
+         nrefs=(1, 1), premise_free=True),
+    Rule('inline', (), "inline requires a transform name", _inline,
+         premise_free=True, forms=_INLINE_FORMS),
+)}
+# a step built in code under a name no logic has: it fails as unavailable,
+# carries its cited steps' premises and prints as its name and references
+_UNKNOWN = Rule('', ('refs',), '', None, carries='refs')
 
 
 def inline_image(d: Derivation, s: Step) -> Derivation:
@@ -769,67 +793,31 @@ def inline_image(d: Derivation, s: Step) -> Derivation:
         key = (s.formula, d.logic_id, d.ops)
     else:
         key = (cone_derivation(d, s.refs[0]), s.args)
-    images = {} if _IMAGES is None else _IMAGES
-    if key not in images:
-        try:
-            images[key] = _build_image(d, s)
-        except transforms.TransformError as e:
-            images[key] = e
-    img = images[key]
+    img = registry._decide(('image', key), None, _build_image, d, s)
     if isinstance(img, transforms.TransformError):
         raise img.with_traceback(None)
     return img
 
 
-def _build_image(d: Derivation, s: Step) -> Derivation:
+def _build_image(d: Derivation, s: Step):
+    """The image of inline step s, or the TransformError building it
+    raised."""
     from . import transforms
-    form = s.args[0]
-    if form == 'jd':
-        f = s.formula
-        return transforms.jd_lemma(f.a.t, f.b.a.t, f.a.a.a, d.logic_id,
-                                   f.a.agent, d.ops)
-    cone = cone_derivation(d, s.refs[0])
-    if form == 'lift':
-        return transforms.lift(cone).derivation
-    if form == 'internalize':
-        if d.spec.kind == 'empty':
-            cone = replace(cone, spec=TOTAL, spec_src='tcs')
-        return transforms.internalize_qlp(cone).derivation
-    return transforms.substitute_proof(cone, s.args[1], s.args[2])
-
-
-def _check_inline(d, logic, s, deps, flags):
-    from . import transforms
-    form = s.args[0]
-    f = s.formula
-    if form == 'jd':
-        if not (isinstance(f, Imp) and isinstance(f.a, Just)
-                and isinstance(f.a.a, Neg) and isinstance(f.b, Neg)
-                and isinstance(f.b.a, Just)
-                and f.a.agent == f.b.a.agent):
-            return False, ("inline jd expects s : ~A -> ~ t : A"), flags
-        if f.a.a.a != f.b.a.a:
-            return False, "antecedent and consequent bodies differ", flags
-        if d.spec.kind != 'total':
-            return False, ("inline jd needs a total specification"), flags
-    else:
-        i = s.refs[0]
-        if deps.get(i):
-            return False, ("inline %s applied to step %d, which depends on "
-                           "premises %s" % (form, i, sorted(deps[i]))), flags
-        if form not in _INLINE_MISMATCH:
-            return False, "unknown inline transform %r" % form, flags
-        if form == 'internalize' and d.spec.kind == 'empty':
-            flags.append('internalized under the total specification')
+    form, f = s.args[0], s.formula
     try:
-        img = inline_image(d, s).final
+        if form == 'jd':
+            return transforms.jd_lemma(f.a.t, f.b.a.t, f.a.a.a, d.logic_id,
+                                       f.a.agent, d.ops)
+        cone = cone_derivation(d, s.refs[0])
+        if form == 'lift':
+            return transforms.lift(cone).derivation
+        if form == 'internalize':
+            if d.spec.kind == 'empty':
+                cone = replace(cone, spec=TOTAL, spec_src='tcs')
+            return transforms.internalize_qlp(cone).derivation
+        return transforms.substitute_proof(cone, s.args[1], s.args[2])
     except transforms.TransformError as e:
-        return False, "inline %s failed: %s" % (form, e), flags
-    if img == f:
-        return True, None, flags
-    if form == 'jd':
-        return False, "generated lemma proves %s" % print_formula(img), flags
-    return False, _INLINE_MISMATCH[form] % (s.refs[0], print_formula(img)), flags
+        return e
 
 
 @memo_scope()

@@ -25,8 +25,9 @@ a seen before any b takes about 8,200 nodes.
 Inside a kernel.memo_scope, taut_consequence, match_axiom and get_logic
 decide each query once: the decision memo keys a query by the identity of
 its formula and logic objects (by the id string for get_logic) and keeps
-those objects alive, so no id is reused while the scope is open.  Outside
-a scope every call computes.
+those objects alive, so no id is reused while the scope is open.  It is
+the scope's one table: the kernel's reports and inline images live there
+too.  Outside a scope every call computes.
 """
 
 from dataclasses import dataclass
@@ -42,13 +43,13 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# the decision memo of one kernel.memo_scope
-#
-# A query is keyed by the ids of the objects it asks about, not by their
-# content: hashing a formula walks all of it, while the repeats come from
-# re-checks that hand the same objects back.  Formulas and logics are frozen,
-# so the same objects always get the same answer; a content-equal copy is
-# another object and is decided anew.  None outside a scope.
+# the memo of one kernel.memo_scope: these decisions, kernel reports and
+# inline images.  A query is keyed by the ids of the objects it asks about,
+# not by their content: hashing a formula walks all of it, while the repeats
+# come from re-checks that hand the same objects back.  Formulas and logics
+# are frozen, so the same objects always get the same answer; a
+# content-equal copy is another object and is decided anew.  None outside a
+# scope.
 _DECISIONS = None
 
 

@@ -88,12 +88,6 @@ class MModel:
         return self.domain[0]
 
 
-def empty_evidence_model(domain, logic_id='QLP-', truth=None,
-                         truth_default=False) -> MModel:
-    return MModel(tuple(domain), {}, (), dict(truth or {}), truth_default,
-                  logic_id, EMPTY, 'empty')
-
-
 # -- denotation and forcing --------------------------------------------------
 
 def denote(m: MModel, t: Term, v: dict) -> str:
@@ -305,22 +299,6 @@ def _uf_condition(m: MModel, ag, v: dict, universe, terms) -> list:
                 if not in_evidence(m, ag, ru, v, g):
                     out.append("uniform verifier: %s missing at %s"
                                % (print_formula(g), ru))
-    return out
-
-
-def check_strong(m: MModel, universe) -> list:
-    """The strength condition: every forced formula has some reason."""
-    out = []
-    agents = list(m.agents) if m.agents else [None]
-    for f in universe:
-        for v in _valuations(m, free_vars(f) | uall_vars(f)):
-            if not force(m, f, v):
-                continue
-            for ag in agents:
-                if not any(in_evidence(m, ag, r, v, f) for r in m.domain):
-                    out.append("%s is forced but has no reason"
-                               % print_formula(f))
-                    break
     return out
 
 

@@ -64,21 +64,14 @@ class _Build:
         return tuple(self.steps)
 
 
-def _checked(d: Derivation, what: str) -> Derivation:
+def _accepted(d: Derivation, what: str, made: bool):
+    """The kernel's report on d.  When it rejects d, a TransformError says
+    that the transform named what made d (made) or needs it as input."""
     rep = check_derivation(d)
     if not rep.ok:
-        idx, why = rep.first_failure
-        raise TransformError("%s produced a rejected derivation "
-                             "(step %d: %s)" % (what, idx, why))
-    return d
-
-
-def _require_ok(d: Derivation, what: str):
-    rep = check_derivation(d)
-    if not rep.ok:
-        idx, why = rep.first_failure
-        raise TransformError("%s needs an accepted input derivation "
-                             "(step %d: %s)" % (what, idx, why))
+        raise TransformError("%s %s (step %d: %s)" % (
+            what, "produced a rejected derivation" if made
+            else "needs an accepted input derivation", *rep.first_failure))
     return rep
 
 
@@ -105,7 +98,7 @@ def deduction(d: Derivation, name: str) -> Derivation:
     pre = next((p for p in d.premises if p.name == name), None)
     if pre is None:
         raise TransformError("no premise named %r" % name)
-    rep = _require_ok(d, "deduction")
+    rep = _accepted(d, "deduction", False)
     a = pre.formula
 
     b = _Build()
@@ -133,7 +126,8 @@ def deduction(d: Derivation, name: str) -> Derivation:
     premises = tuple(p for p in d.premises if p.name != name)
     out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
                      premises, b.tuple())
-    return _checked(out, "deduction")
+    _accepted(out, "deduction", True)
+    return out
 
 
 # -- lifting -----------------------------------------------------------------
@@ -196,7 +190,8 @@ def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
 
     out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
                      premises, b.tuple())
-    return LiftResult(tau[d.steps[-1].index][0], _checked(out, what))
+    _accepted(out, what, True)
+    return LiftResult(tau[d.steps[-1].index][0], out)
 
 
 def _const(fresh) -> Term:
@@ -223,7 +218,7 @@ def lift(d: Derivation) -> LiftResult:
     if d.spec.kind != 'total':
         raise TransformError("lift requires the total specification, "
                              "which is closed under fresh constants")
-    _require_ok(d, "lift")
+    _accepted(d, "lift", False)
 
     def cases(s, b, fresh, tau, state):
         if s.rule in ('ax', 'fp', 'mu-cl', 'ian', 'an'):
@@ -255,7 +250,7 @@ def internalize_qlp(d: Derivation) -> LiftResult:
         raise TransformError("internalization requires the total "
                              "specification")
     minus = 'qnec' not in logic.rules
-    _require_ok(d, "internalize")
+    _accepted(d, "internalize", False)
     d = elaborate(d)
     agent = d.agents[0] if d.agents else None
 
@@ -322,7 +317,7 @@ def substitute_proof(d: Derivation, x: str, t: Term) -> Derivation:
     if d.spec.kind == 'explicit':
         raise TransformError("substitution is not sound over a declared "
                              "specification")
-    _require_ok(d, "substitution")
+    _accepted(d, "substitution", False)
 
     def fmap(f: Formula) -> Formula:
         try:
@@ -344,7 +339,8 @@ def substitute_proof(d: Derivation, x: str, t: Term) -> Derivation:
     premises = tuple(Premise(p.name, fmap(p.formula)) for p in d.premises)
     out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
                      premises, tuple(steps))
-    return _checked(out, "substitution")
+    _accepted(out, "substitution", True)
+    return out
 
 
 # -- justification upgrade ---------------------------------------------------
@@ -359,7 +355,7 @@ def jug(d: Derivation, x: str) -> Derivation:
                              "existential introduction")
     if d.premises:
         raise TransformError("the upgrade applies to theorems only")
-    rep = _require_ok(d, "upgrade")
+    _accepted(d, "upgrade", False)
     f = d.final
     if not isinstance(f, Just):
         raise TransformError("final formula must be a justification")
@@ -380,7 +376,8 @@ def jug(d: Derivation, x: str) -> Derivation:
     b.add(goal, 'mp', (g2, g3))
     out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
                      d.premises, b.tuple())
-    return _checked(out, "upgrade")
+    _accepted(out, "upgrade", True)
+    return out
 
 
 def restricted_qnec(a: Formula, x: str, logic_id: str = 'QLP-',
@@ -405,7 +402,8 @@ def restricted_qnec(a: Formula, x: str, logic_id: str = 'QLP-',
     b.add(goal, 'mp', (s1, s2))
     agents = (agent,) if agent else None
     out = Derivation(logic_id, spec, 'tcs', agents, tuple(ops), (), b.tuple())
-    return _checked(out, "restricted existential introduction")
+    _accepted(out, "restricted existential introduction", True)
+    return out
 
 
 # -- opposing evidence -------------------------------------------------------
@@ -438,7 +436,8 @@ def jd_lemma(s: Term, t: Term, a: Formula, logic_id: str,
         agents = (agent,)
     out = Derivation(logic_id, TOTAL, 'tcs', agents, tuple(ops), (),
                      b.tuple())
-    return _checked(out, "opposing-evidence lemma")
+    _accepted(out, "opposing-evidence lemma", True)
+    return out
 
 
 # -- forgetful projection ----------------------------------------------------
@@ -495,7 +494,7 @@ def project_derivation(d: Derivation) -> Derivation:
     logic = get_logic(d.logic_id)
     if logic.family != 'jl':
         raise TransformError("projection applies to justification logics")
-    _require_ok(d, "projection")
+    _accepted(d, "projection", False)
     d = elaborate(d)
     target = project_logic_id(d.logic_id)
 
@@ -563,7 +562,8 @@ def project_derivation(d: Derivation) -> Derivation:
     premises = tuple(Premise(p.name, project(p.formula))
                      for p in d.premises)
     out = Derivation(target, TOTAL, 'tcs', None, ops, premises, b.tuple())
-    return _checked(out, "projection")
+    _accepted(out, "projection", True)
+    return out
 
 
 # -- existential translation -------------------------------------------------
@@ -603,7 +603,7 @@ def collapse_derivation(d: Derivation) -> Derivation:
     logic = get_logic(d.logic_id)
     if logic.profile.agents != 'multi':
         raise TransformError("input is already single-agent")
-    _require_ok(d, "agent collapse")
+    _accepted(d, "agent collapse", False)
     base, _, suffix = split_logic_id(d.logic_id)
     target = base + suffix
     spec = d.spec
@@ -624,4 +624,5 @@ def collapse_derivation(d: Derivation) -> Derivation:
                           s.refs, args))
     out = Derivation(target, spec, d.spec_src, None, ops, premises,
                      tuple(steps))
-    return _checked(out, "agent collapse")
+    _accepted(out, "agent collapse", True)
+    return out

@@ -4,7 +4,7 @@ import os
 import hypothesis.strategies as st
 import pytest
 
-from justfix import kernel, registry
+from justfix import registry
 from justfix.kernel import load_derivation, parse_derivation
 from justfix.syntax import (And, App, Atom, Bang, Box, Const, Exists, Falsum,
                             FixApp, Forall, Iff, Imp, Just, Knows, Neg, Or,
@@ -20,11 +20,10 @@ def corpus_paths(suffix='.drv'):
 
 @pytest.fixture(autouse=True)
 def no_memo_outlives_a_test():
-    """Every table of kernel.memo_scope is None after each test, so a scope
+    """The table of kernel.memo_scope is None after each test, so a scope
     left open fails the test that leaked it."""
     yield
-    assert (kernel._IMAGES, kernel._VERDICTS, registry._DECISIONS) == \
-        (None, None, None), 'a memo scope outlived the test'
+    assert registry._DECISIONS is None, 'a memo scope outlived the test'
 
 
 @pytest.fixture(scope='session')

@@ -3,11 +3,10 @@
 import pytest
 
 from justfix.fixedpoint import (FixedPointError, fp_axiom, fp_axiom_instance,
-                                gl_obligation, make_operator,
-                                mu_closure_instance, nu_expand)
+                                gl_obligation, make_operator)
 from justfix.syntax import (And, App, Atom, Box, Const, FixApp, Iff, Imp, Just,
-                            Mu, Neg, Or, Var, parse_formula, print_formula,
-                            subst_prop, subst_term_for_var)
+                            Mu, Neg, Or, Var, nu_formula, parse_formula,
+                            print_formula, subst_term_for_var)
 
 
 def _knower():
@@ -138,15 +137,8 @@ def test_fp_axiom_instance_identity_on_jl_body():
 
 # -- mu helpers ----------------------------------------------------------------
 
-def test_mu_closure_shape():
-    body = Or(Atom('q'), Box(Atom('p')))
-    got = mu_closure_instance('p', body)
-    m = Mu('p', body)
-    assert got == Iff(subst_prop(body, 'p', m), m)
-
-
 def test_nu_expand_is_dual_mu():
-    got = nu_expand('p', Box(Atom('p')))
+    got = nu_formula('p', Box(Atom('p')))
     assert print_formula(got) == '~mu p . ~[]~p'
 
 

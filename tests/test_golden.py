@@ -17,7 +17,6 @@ import contextlib
 import io
 import json
 import os
-
 import tempfile
 
 import pytest

@@ -6,13 +6,15 @@ import os
 import pytest
 
 from justfix import kernel, registry, transforms
-from justfix.kernel import (DerivationError, check_derivation,
+from justfix.kernel import (RULES, DerivationError, Step, check_derivation,
                             cone_derivation, elaborate, format_report,
                             load_derivation, parse_derivation,
-                            print_derivation)
-from justfix.registry import (TOTAL, UnknownLogic, get_logic, match_axiom,
-                              taut_consequence)
-from justfix.syntax import Knows, Neg, parse_formula, print_formula
+                            print_derivation, _parse_justification,
+                            _print_justification)
+from justfix.registry import (TOTAL, UnknownLogic, get_logic, known_logics,
+                              match_axiom, taut_consequence)
+from justfix.syntax import (FULL, Atom, Knows, Neg, parse_formula,
+                            print_formula)
 
 from conftest import CORPUS, corpus_paths
 
@@ -584,12 +586,12 @@ logic: LP
 def test_image_memo_lives_for_one_call():
     d = _lift_chain(3)
     assert check_derivation(d).ok
-    assert kernel._IMAGES is None
+    assert registry._DECISIONS is None
     assert elaborate(d).final == d.final
-    assert kernel._IMAGES is None
+    assert registry._DECISIONS is None
     with pytest.raises(DerivationError):
         check_text("logic: QLP-_n\n1. p -> p ; prop\n")
-    assert kernel._IMAGES is None and registry._DECISIONS is None
+    assert registry._DECISIONS is None
 
 
 # -- one check per derivation and scope --------------------------------------------
@@ -636,7 +638,7 @@ def test_mutated_copy_is_not_served_from_the_memo():
         assert [v.ok for v in rep.verdicts] == [True, True, True, False]
         assert not check_derivation(dataclasses.replace(d, logic_id='K')).ok
         assert check_derivation(d).ok
-    assert kernel._IMAGES is None and kernel._VERDICTS is None
+    assert registry._DECISIONS is None
 
 
 def test_memo_scope_closes_when_its_body_raises():
@@ -645,7 +647,6 @@ def test_memo_scope_closes_when_its_body_raises():
             assert check_derivation(_lift_chain(2)).ok
             with kernel.memo_scope():
                 1 / 0
-    assert kernel._IMAGES is None and kernel._VERDICTS is None
     assert registry._DECISIONS is None
 
 
@@ -815,3 +816,54 @@ def test_ts4_bot_walks_each_formula_node_once(monkeypatch):
     assert len(ids) == len(set(ids))
     assert (loaded, len(ids)) == (3108, 3116)
     assert walks == []
+
+
+# -- the rule table ------------------------------------------------------------
+
+def _logic_ids():
+    """Every logic id: each known logic (Sacchetti-2 for the template) with
+    each suffix it takes."""
+    ids = []
+    for base in known_logics():
+        base = 'Sacchetti-2' if base == 'Sacchetti-n' else base
+        for suffix in ('', '(FP)', '(mu)', '(mu)(FP)'):
+            try:
+                get_logic(base + suffix)
+            except UnknownLogic:
+                continue
+            ids.append(base + suffix)
+    return ids
+
+
+def test_every_rule_of_every_logic_has_a_row():
+    ids = _logic_ids()
+    assert len(ids) > len(known_logics()) + 10
+    reached = set()
+    for logic_id in ids:
+        rules = get_logic(logic_id).rules
+        assert rules <= set(RULES), logic_id
+        reached |= rules
+    assert reached == set(RULES)
+    assert all(name == row.name for name, row in RULES.items())
+
+
+# one justification per row and per inline form, in printed form
+_SAMPLES = ('ax', 'ax jt', 'premise h', 'mp 1 2', 'prop', 'prop 1 2 3',
+            'nec 1', 'reg 1', 'gen 1 x', 'qnec 1 x', 'ian', 'an', 'e 1 3',
+            'de 1 2 3', 'admk 1 5', 'admk 1,2 5', 'fp d', 'fp d; p, q -> r',
+            'mu-cl', 'mu-ind 1', 'inline lift 1', 'inline internalize 1',
+            'inline subst 1 x := c * !y', 'inline jd')
+
+
+def test_samples_cover_every_row_and_inline_form():
+    assert {t.split()[0] for t in _SAMPLES} == set(RULES)
+    assert {t.split()[1] for t in _SAMPLES if t.startswith('inline ')} == \
+        set(RULES['inline'].forms)
+
+
+@pytest.mark.parametrize('text', _SAMPLES)
+def test_justification_round_trips(text):
+    step = Step(9, Atom('p'), *_parse_justification(text, FULL))
+    printed = _print_justification(step)
+    assert printed == text
+    assert Step(9, Atom('p'), *_parse_justification(printed, FULL)) == step

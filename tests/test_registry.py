@@ -553,7 +553,7 @@ def test_infer_term_primitive_argument_occurrences():
 
 from justfix.fixedpoint import (FixedPointError, fp_axiom,  # noqa: E402
                                 fp_axiom_instance, gl_obligation,
-                                make_operator, mu_closure_instance)
+                                make_operator)
 from justfix.registry import sacchetti_schema  # noqa: E402
 from justfix.syntax import (Exists, FixApp, FMeta, Forall, Mu,  # noqa: E402
                             NotFreeFor, Prim, TMeta, UAll, children,
@@ -952,7 +952,8 @@ def _schema_candidates(draw):
         s = TSum(t, env['T:s']) if rnd.random() < 0.5 else TSum(env['T:s'], t)
         return Imp(Just(t, env['a:g'], a), Just(s, env['a:g'], a))
     if shape == 'mu-cl':
-        return mu_closure_instance('m', Or(Atom('m'), a))
+        m = Mu('m', Or(Atom('m'), a))
+        return Iff(subst_prop(m.a, 'm', m), m)
     inst = _naive_subst(a, {x: t})
     if shape == 'q1':
         return Imp(Forall(x, a), inst)

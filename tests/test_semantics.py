@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from justfix.registry import TOTAL, Spec, get_logic
 from justfix.semantics import (EvEntry, MModel, ModelError,
                                check_evidence_conditions, check_model,
-                               check_strong, denote, empty_evidence_model,
-                               force, in_evidence, is_valid, load_model,
-                               parse_model)
+                               denote, force, in_evidence, is_valid,
+                               load_model, parse_model)
 from justfix.syntax import (And, App, Atom, Bang, Const, Exists, FixApp,
                             Forall, Imp, Just, Knows, Neg, Or, Prim, TSum,
                             UAll, Var, free_vars, parse_formula,
@@ -220,9 +219,8 @@ def test_forcing_is_factive(m, t, a):
 @given(st.integers(min_value=1, max_value=3), qlp_terms,
        qlp_formulas(max_leaves=4), st.booleans())
 def test_empty_evidence_forces_no_justification(n, t, a, default):
-    m = empty_evidence_model(tuple('r%d' % (k + 1) for k in range(n)),
-                             truth={'p': True, 'q': True},
-                             truth_default=default)
+    m = model(tuple('r%d' % (k + 1) for k in range(n)),
+              truth={'p': True, 'q': True}, default=default)
     f = Just(t, None, a)
     for v in _all_valuations(m, free_vars(f) | uall_vars(f)):
         assert not force(m, f, v)
@@ -309,7 +307,7 @@ def test_is_valid_agrees_with_naive_evaluator(m, f):
 # -- closure conditions ---------------------------------------------------------------
 
 def test_empty_evidence_satisfies_all_conditions():
-    assert check_evidence_conditions(empty_evidence_model(('r1',))) == []
+    assert check_evidence_conditions(model(('r1',))) == []
 
 
 def test_application_condition():
@@ -385,14 +383,6 @@ def test_loose_condition_variables_are_reported():
     m = model(evidence=[ev('r1', P('p'), cond=(('x', 'r1'),))])
     out = check_evidence_conditions(m)
     assert any('conditions on' in s for s in out)
-
-
-def test_check_strong():
-    m = model(truth={'p': True})
-    assert check_strong(m, [P('p')]) == ['p is forced but has no reason']
-    assert check_strong(m, [P('q')]) == []
-    backed = model(evidence=[ev('r2', P('p'))], truth={'p': True})
-    assert check_strong(backed, [P('p')]) == []
 
 
 # -- model files ------------------------------------------------------------------
