@@ -40,7 +40,7 @@ Model files (.mdl):
 import itertools
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -69,9 +69,9 @@ class EvEntry:
 @dataclass
 class MModel:
     domain: tuple
-    interp: dict = field(default_factory=dict)
-    evidence: tuple = ()
-    truth: dict = field(default_factory=dict)
+    interp: dict
+    evidence: tuple
+    truth: dict
     truth_default: bool = False
     logic_id: str = 'QLP-'
     spec: Spec = EMPTY
