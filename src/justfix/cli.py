@@ -8,7 +8,6 @@ line oriented and timestamp free.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .fixedpoint import FixedPointError, fp_axiom
@@ -19,21 +18,22 @@ from .registry import UnknownLogic, get_logic, known_logics
 from .semantics import (ModelError, check_evidence_conditions, check_model,
                         is_valid, load_model)
 from .syntax import (ParseError, PositivityError, ProfileError,
-                     parse_formula, parse_term, print_formula, print_term)
+                     parse_formula, parse_term, print_formula, print_term,
+                     replace)
 from . import corpus as corpus_mod
 from . import transforms
 
 
 def _retarget(d, args):
     if getattr(args, 'logic', None):
-        d = dataclasses.replace(d, logic_id=args.logic)
+        d = replace(d, logic_id=args.logic)
     spec = getattr(args, 'spec', None)
     if spec:
         src = spec if spec in ('tcs', 'empty') else 'file %s' % spec
         parsed = parse_spec_value(src, get_logic(d.logic_id), '')
         if parsed is None:
             raise DerivationError("spec must be tcs, empty, or file <path>")
-        d = dataclasses.replace(d, spec=parsed, spec_src=src)
+        d = replace(d, spec=parsed, spec_src=src)
     return d
 
 

@@ -10,14 +10,13 @@ must fail at a pinned step when retargeted at the weaker logic.
 
 from __future__ import annotations
 
-import dataclasses
 import fnmatch
 import pathlib
 
 from .kernel import (Derivation, Step, check_derivation, load_derivation,
                      memo_scope)
 from .semantics import check_model, load_model
-from .syntax import Falsum, Imp, print_formula
+from .syntax import Falsum, Imp, print_formula, record, replace
 from . import transforms
 
 
@@ -25,7 +24,7 @@ class CorpusError(Exception):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class CorpusEntry:
     id: str
     path: str
@@ -93,14 +92,14 @@ def corpus_dir() -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parents[2] / 'corpus'
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class EntryResult:
     id: str
     ok: bool
     line: str
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Report:
     results: tuple
 
@@ -126,7 +125,7 @@ def _deduce_roundtrip(d: Derivation) -> str | None:
             return 'deduction over %s has final %s' % (
                 prem.name, print_formula(dd.steps[-1].formula))
         n = len(dd.steps)
-        back = dataclasses.replace(
+        back = replace(
             dd,
             premises=dd.premises + (prem,),
             steps=dd.steps + (
@@ -165,7 +164,7 @@ def _run_post(entry: CorpusEntry, d: Derivation) -> str | None:
                 return 'collapsed image rejected at step %s: %s' \
                     % rep.first_failure
         elif op[0] == 'refused':
-            rt = dataclasses.replace(d, logic_id=op[1])
+            rt = replace(d, logic_id=op[1])
             rep = check_derivation(rt)
             if rep.ok:
                 return 'still checks when retargeted at %s' % op[1]

@@ -19,13 +19,12 @@ substitution of terms for the body's free justification variables (see
 registry.sigma_match).
 """
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .syntax import (
     Formula, Iff, Mu, FixApp,
     OCCURRENCE_MODES, occurrence_ok, free_atoms, walk,
-    subst_prop_multi,
+    subst_prop_multi, record,
 )
 from .registry import sigma_match
 
@@ -34,7 +33,7 @@ class FixedPointError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class FPOperator:
     name: str
     var: str                      # recursion variable

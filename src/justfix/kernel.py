@@ -30,7 +30,6 @@ so one broken citation yields one diagnostic rather than a cascade.
 import contextlib
 import os
 import re
-from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 from .syntax import (
@@ -40,7 +39,7 @@ from .syntax import (
     ProfileError,
     parse_formula, parse_term, print_formula, print_term,
     check_profile, free_vars, is_ident,
-    subst_prop,
+    subst_prop, record, replace,
 )
 from . import registry
 from .registry import (
@@ -54,13 +53,13 @@ class DerivationError(Exception):
     """Malformed derivation file or headers."""
 
 
-@dataclass(frozen=True)
+@record
 class Premise:
     name: str
     formula: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Step:
     index: int
     formula: Formula
@@ -69,7 +68,7 @@ class Step:
     args: tuple = ()
 
 
-@dataclass(frozen=True)
+@record
 class Derivation:
     logic_id: str
     spec: Spec
@@ -87,7 +86,7 @@ class Derivation:
         return self.steps[-1].formula
 
 
-@dataclass
+@record(frozen=False)
 class StepVerdict:
     index: int
     ok: bool
@@ -95,7 +94,7 @@ class StepVerdict:
     flags: tuple = ()
 
 
-@dataclass
+@record(frozen=False)
 class CheckReport:
     ok: bool
     logic: LogicSpec
@@ -120,8 +119,9 @@ class CheckReport:
 
 # -- parsing -----------------------------------------------------------------
 
-_STEP_RE = re.compile(r'^(\d+)\.\s*(.*)$')
-_SUBST_RE = re.compile(r'^(\d+)\s+(\S+)\s*:=\s*(.+)$')
+# numbers are ASCII digits only: \d and int also take other scripts' digits
+_STEP_RE = re.compile(r'^([0-9]+)\.\s*(.*)$')
+_SUBST_RE = re.compile(r'^([0-9]+)\s+(\S+)\s*:=\s*(.+)$')
 _FIX_DECL_RE = re.compile(r'^fix\s+(\S+)\s+(\S+)\s*\(([^)]*)\)\s*:=\s*(.+)$')
 
 # `agents: <n>` builds its n names eagerly (about 65 bytes each); a count
@@ -154,10 +154,12 @@ def _split_top(text: str, sep: str):
 
 
 def _number(tok: str, what: str = 'step reference') -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise DerivationError("%s %r is not a number" % (what, tok)) from None
+    """An optional '-' and ASCII digits; int alone also takes '+', '_' and
+    other scripts' digits, such as '\u0661'."""
+    digits = tok[1:] if tok.startswith('-') else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise DerivationError("%s %r is not a number" % (what, tok))
+    return int(tok)
 
 
 def _parse_refs(tokens) -> tuple:
@@ -456,7 +458,7 @@ def check_derivation(d: Derivation) -> CheckReport:
     return registry._decide(('check', id(d)), d, _check, d)
 
 
-@dataclass
+@record(frozen=False)
 class _Context:
     """What the checks of one derivation share."""
     d: Derivation
@@ -674,9 +676,15 @@ def _admk(c, s, ref):
     c.flags.append('admissible-knowledge rule used')
     if s.formula != Knows(t, ref[-1]):
         return "conclusion is not K@%d of step %d" % (t, s.refs[-1])
-    prem = frozenset().union(*(c.deps.get(r, frozenset()) for r in s.refs))
-    for name in prem:
-        pf = next((p.formula for p in c.d.premises if p.name == name), None)
+    used = frozenset().union(*(c.deps.get(r, frozenset()) for r in s.refs))
+    declared = {}
+    for p in c.d.premises:
+        declared.setdefault(p.name, p.formula)
+    # declared premises in declaration order, then undeclared names in name
+    # order, so the reason names the same premise under every hash seed
+    for name in [n for n in declared if n in used] + sorted(
+            used - declared.keys()):
+        pf = declared.get(name)
         if pf is None or not (isinstance(pf, Knows) and pf.time < t):
             return ("premise %s is not knowledge earlier than K@%d"
                     % (name, t))
@@ -707,7 +715,7 @@ def _inline(c, s, ref):
         return _INLINE_FORMS[form][2].format(*s.refs, f=print_formula(img))
 
 
-@dataclass(frozen=True)
+@record
 class Rule:
     """One inference rule.  Its grammar names the argument slots after
     the rule name: refs (first when present: step references, comma- or

@@ -30,7 +30,6 @@ the scope's one table: the kernel's reports and inline images live there
 too.  Outside a scope every call computes.
 """
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .syntax import (
@@ -39,6 +38,7 @@ from .syntax import (
     Forall, Exists, Mu, FixApp, FMeta, Node,
     LanguageProfile, PROP_NODES, check_profile, ProfileError, children,
     free_vars, term_vars, subst_prop, subst_term_for_var, NotFreeFor,
+    record,
 )
 
 
@@ -285,7 +285,7 @@ def sigma_match(base: Formula, target: Formula) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # axiom schemas
 
-@dataclass(frozen=True)
+@record
 class AxiomSchema:
     name: str
     match: Callable   # Formula -> Optional[binding]
@@ -411,7 +411,7 @@ def sacchetti_schema(n: int) -> AxiomSchema:
 # ---------------------------------------------------------------------------
 # logics
 
-@dataclass(frozen=True)
+@record
 class LogicSpec:
     name: str
     family: str                  # modal | tmel | jl | qlp
@@ -573,7 +573,7 @@ def _first_match(logic: LogicSpec, f: Formula):
 # ---------------------------------------------------------------------------
 # constant / primitive term specifications
 
-@dataclass(frozen=True)
+@record
 class Spec:
     """Constant specification (JL family) or primitive term specification
     (QLP family), depending on the host logic's spec_kind."""

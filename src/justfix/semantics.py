@@ -40,7 +40,6 @@ Model files (.mdl):
 import itertools
 import os
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .syntax import (
@@ -48,7 +47,7 @@ from .syntax import (
     Just, Forall, Exists, FixApp,
     Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll,
     parse_formula, print_formula, free_vars, uall_vars, formula_terms,
-    is_ident,
+    is_ident, record,
 )
 from .registry import get_logic, Spec, EMPTY
 from .kernel import parse_spec_value, strip_comment
@@ -58,7 +57,7 @@ class ModelError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class EvEntry:
     agent: Optional[str]
     reason: str
@@ -66,7 +65,7 @@ class EvEntry:
     formula: Formula
 
 
-@dataclass
+@record(frozen=False)
 class MModel:
     domain: tuple
     interp: dict

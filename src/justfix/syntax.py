@@ -38,7 +38,7 @@ language profile.
 The parser looks ahead instead of backtracking: it tries the term path of
 t : A only where a term can start and a ':' or ':@' can follow it.  Each
 node caches its language facts (the node kinds under it and its agent
-labels) the first time check_profile meets it, outside its dataclass
+labels) the first time check_profile meets it, outside its record
 fields: nodes stay plain values, compared, hashed and printed by their
 fields alone, and no table outlives them.  Later profile and agent checks
 of the node, or of a new node over it, are mask and set tests.
@@ -47,7 +47,6 @@ of the node, or of a new node over it, are mask and set tests.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -67,6 +66,81 @@ class PositivityError(Exception):
     """mu binds a variable with a non-positive occurrence."""
 
 
+class FrozenRecordError(AttributeError):
+    """Assignment to, or deletion of, an attribute of a frozen record."""
+
+
+# ------------------------------------------------------------- records
+
+_RECORD_METHODS = '''
+def __init__(self, {params}):
+{stores}
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+'''
+_FROZEN_METHODS = '''
+def __hash__(self):
+    return hash(({mine}))
+def __setattr__(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name):
+    raise FrozenRecordError(f"cannot delete field {{name!r}}")
+'''
+
+
+def record(cls=None, *, frozen: bool = True):
+    """Class decorator: a value class over the annotated fields of cls, in
+    order, with their class attributes as defaults.  It adds an __init__
+    that stores each field (then runs __post_init__, if cls has one), a
+    repr of the form Name(field=value, ...), == on the field tuple between
+    instances of one class, __match_args__ and _fields.  A frozen record
+    also hashes its field tuple and refuses assignment and deletion; other
+    records are unhashable.  The methods of a class come from one exec."""
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    fields = tuple(cls.__dict__.get('__annotations__', ()))
+    env = {'FrozenRecordError': FrozenRecordError,
+           '_set': object.__setattr__}
+    params = []
+    for f in fields:
+        if f in cls.__dict__:
+            env['_d_' + f] = cls.__dict__[f]
+            params.append(f'{f}=_d_{f}')
+        else:
+            params.append(f)
+    store = "    _set(self, '{0}', {0})" if frozen else '    self.{0} = {0}'
+    stores = [store.format(f) for f in fields]
+    if hasattr(cls, '__post_init__'):
+        stores.append('    self.__post_init__()')
+    parts = {
+        'params': ', '.join(params),
+        'stores': '\n'.join(stores) or '    pass',
+        'shown': ', '.join(f'{f}={{self.{f}!r}}' for f in fields),
+        'mine': ''.join(f'self.{f}, ' for f in fields),
+        'theirs': ''.join(f'other.{f}, ' for f in fields),
+    }
+    methods = {'__hash__': None}
+    src = _RECORD_METHODS + (_FROZEN_METHODS if frozen else '')
+    exec(src.format(**parts), env, methods)
+    for name, fn in methods.items():
+        setattr(cls, name, fn)
+    cls.__match_args__ = cls._fields = fields
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record obj with the named fields changed; a name
+    that is not a field raises TypeError."""
+    for f in obj._fields:
+        if f not in changes:
+            changes[f] = getattr(obj, f)
+    return obj.__class__(**changes)
+
+
 # the agent labels of a node that has none; see _facts
 _NO_LABELS: frozenset = frozenset()
 
@@ -82,58 +156,58 @@ class Term:
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@record
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Const(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Prim(Term):
     """Primitive function term f(x1, ..., xn); args are variable names."""
     symbol: str
     args: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@record
 class TSum(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Bang(Term):
     t: Term
 
 
-@dataclass(frozen=True)
+@record
 class Quest(Term):
     t: Term
 
 
-@dataclass(frozen=True)
+@record
 class WQuest(Term):
     t: Term
 
 
-@dataclass(frozen=True)
+@record
 class UAll(Term):
     """Uniform verifier (t all x); binds x inside t."""
     inner: Term
     var: str
 
 
-@dataclass(frozen=True)
+@record
 class TMeta(Term):
     """Schema metavariable standing for an arbitrary term."""
     name: str
@@ -150,64 +224,64 @@ class Formula:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@record
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Neg(Formula):
     a: Formula
 
 
-@dataclass(frozen=True)
+@record
 class And(Formula):
     a: Formula
     b: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Or(Formula):
     a: Formula
     b: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Imp(Formula):
     a: Formula
     b: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Iff(Formula):
     a: Formula
     b: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Xor(Formula):
     a: Formula
     b: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Box(Formula):
     a: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Knows(Formula):
     """Time-stamped knowledge K@i.  time is an int, or '?name' in schemas."""
     time: Union[int, str]
     a: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Just(Formula):
     """t : A, or t :@agent A in multi-agent languages."""
     t: Term
@@ -215,19 +289,19 @@ class Just(Formula):
     a: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Forall(Formula):
     var: str
     a: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Exists(Formula):
     var: str
     a: Formula
 
 
-@dataclass(frozen=True)
+@record
 class Mu(Formula):
     var: str
     a: Formula
@@ -238,14 +312,14 @@ class Mu(Formula):
                 f"{self.var} has a non-positive occurrence in mu body")
 
 
-@dataclass(frozen=True)
+@record
 class FixApp(Formula):
     """Applied fixed-point operator fix(name; A1, ..., An)."""
     name: str
     args: tuple[Formula, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class FMeta(Formula):
     """Schema metavariable standing for an arbitrary formula."""
     name: str
@@ -253,7 +327,7 @@ class FMeta(Formula):
 
 # ------------------------------------------------------------- profiles
 
-@dataclass(frozen=True)
+@record
 class LanguageProfile:
     """Which syntax a logic admits.  agents: 'single', 'multi' or 'any'."""
     name: str
@@ -332,7 +406,7 @@ def _raise_first_error(f: Formula, profile: LanguageProfile,
 # The language facts of a node are the kinds of node in it, the terms under
 # its justifications included, as one bitmask, and the set of agent labels
 # it uses.  The first check_profile that meets a node computes them and
-# stores them on the node, outside its dataclass fields, so equality,
+# stores them on the node, outside its record fields, so equality,
 # hashing and printing do not see them and they live as long as the node.
 # The propositional kinds take the low bits, so the mask of a propositional
 # formula is a small int, which Python shares; a node whose facts equal a
@@ -685,7 +759,7 @@ _VAR_INITIALS = "stuvwxyz"
 
 # one token, or a stray character that starts none
 _SCAN_RE = re.compile(
-    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|\d+)|(\S)")
+    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|[0-9]+)|(\S)")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
 
 # tokens that can start a justification term; and the tokens that, after an

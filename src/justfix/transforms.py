@@ -23,7 +23,6 @@ single constant over that chain followed by application steps suffices;
 no separate propositional search is needed.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -31,7 +30,7 @@ from .syntax import (
     Just, Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim, App, Bang, UAll,
     NotFreeFor, PROP_NODES, print_formula, children, rebuild,
-    free_vars, subst_term_for_var, subst_in_term, imp_chain,
+    free_vars, subst_term_for_var, subst_in_term, imp_chain, record,
 )
 from .registry import (
     get_logic, match_axiom, split_logic_id, Spec, TOTAL,
@@ -45,7 +44,7 @@ class TransformError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LiftResult:
     term: Term
     derivation: Derivation

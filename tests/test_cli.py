@@ -69,9 +69,26 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
     ('logic: Sacchetti-+2\n\n1. p -> p ; prop\n', 'Sacchetti-+2'),
     ('logic: Sacchetti- 2\n\n1. p -> p ; prop\n', 'Sacchetti- 2'),
     ('logic: Sacchetti-\u0663\n\n1. p -> p ; prop\n', 'Sacchetti-\u0663'),
+    ('logic: K\n\n1. p -> p ; prop\n2. [](p -> p) ; nec \u0661\n',
+     "step reference '\u0661' is not a number"),
+    ('logic: K\n\n1. p -> p ; prop\n2. [](p -> p) ; nec +1\n',
+     "step reference '+1' is not a number"),
+    ('logic: K\n\n1. p -> p ; prop\n2. [](p -> p) ; nec 0_1\n',
+     "step reference '0_1' is not a number"),
+    ('logic: tS4\n\n1. K@1 p -> p ; ax\n2. K@5 K@1 p ; admk 1 \u0665\n',
+     "time '\u0665' is not a number"),
+    ('logic: tS4\n\n1. K@\u0661 p -> p ; ax\n', "bad character '\u0661' at 2"),
+    ('logic: K\n\n\u0661. p -> p ; prop\n',
+     "unrecognized line: '\u0661. p -> p ; prop'"),
+    ('logic: QLP\n\n1. p -> p ; prop\n'
+     '2. p -> p ; inline subst \u0661 x := y\n',
+     'inline subst syntax: subst <i> <x> := <term>'),
 ], ids=['sacchetti-0', 'sacchetti--1', 'sacchetti-huge', 'mp', 'nec',
         'prop', 'admk', 'sacchetti-underscore', 'sacchetti-plus',
-        'sacchetti-space', 'sacchetti-arabic-indic'])
+        'sacchetti-space', 'sacchetti-arabic-indic', 'nec-arabic-indic',
+        'nec-plus', 'nec-underscore', 'admk-time-arabic-indic',
+        'knows-arabic-indic', 'step-label-arabic-indic',
+        'subst-arabic-indic'])
 def test_bad_logic_index_or_step_reference_exits_1(text, message, tmp_path,
                                                    capsys):
     path = tmp_path / 'bad.drv'

@@ -2,7 +2,6 @@
 must prove, so these tests mostly pin that record and exercise the
 runner's failure paths with fabricated entries."""
 
-import dataclasses
 import os
 
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from justfix import kernel, registry
 from justfix.corpus import (CorpusEntry, CorpusError, FALSUM_IDS, MANIFEST,
                             corpus_dir, run_corpus, run_entry)
+from justfix.syntax import replace
 
 from conftest import CORPUS
 
@@ -95,7 +95,7 @@ def test_run_corpus_no_match():
 
 def _tweak(eid, **kw):
     base = next(e for e in MANIFEST if e.id == eid)
-    return dataclasses.replace(base, **kw)
+    return replace(base, **kw)
 
 
 def test_wrong_final_reported():

@@ -27,12 +27,13 @@ from justfix.syntax import (And, App, Atom, Bang, Box, Const, Exists,
 # -- the parser ---------------------------------------------------------------
 # Frozen copy of the tokenizer and parser before the lookahead: unary
 # parsed a speculative term at every atom and '(' and backtracked on
-# ParseError.
+# ParseError.  Its number token has since been narrowed from \d+ to ASCII
+# digits, as in the scanner, so K@\u0663 p is a bad character in both.
 
 _REF_KEYWORDS = {"false", "xor", "all", "ex", "mu", "nu", "fix"}
 _REF_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
 _REF_TOKEN_RE = re.compile(
-    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|\d+)")
+    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|[0-9]+)")
 _REF_WS_RE = re.compile(r"\s*")
 
 
@@ -390,6 +391,12 @@ def test_edge_inputs_parse_as_before(text):
         _same_parse(text, profile, term=True)
 
 
+def test_times_are_ascii_digits():
+    with pytest.raises(ParseError, match="bad character '\u0663' at 2"):
+        syntax.parse_formula('K@\u0663 p')
+    assert syntax.parse_formula('K@03 p') == Knows(3, Atom('p'))
+
+
 # -- the profile check ----------------------------------------------------------
 # Frozen copy of check_profile before the language facts: one walk over
 # the formula on every call.
@@ -488,7 +495,7 @@ def test_facts_are_not_fields():
     f = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))
     syntax.check_profile(f, syntax.FULL, ('a',))
     assert f._kinds and f._labels == {'a'}
-    assert list(Just.__dataclass_fields__) == ['t', 'agent', 'a']
+    assert list(Just._fields) == ['t', 'agent', 'a']
     assert repr(f) == ("Just(t=Var(name='x'), agent='a', a=Imp(a=FMeta("
                        "name='A'), b=Knows(time=1, a=Atom(name='p'))))")
     g = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))

@@ -2,12 +2,15 @@
 private module-level name is used somewhere in justfix, only the
 registry spells out the pieces of the logic-id grammar, no module
 keeps a functools memo, which would outlive the call that filled it,
-only one function walks two structures in parallel, and no function
-passes a pattern literal to a module-level re function."""
+only one function walks two structures in parallel, no function
+passes a pattern literal to a module-level re function, and no module
+imports dataclasses, which loading the package does not pay for."""
 
 import ast
 import glob
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -274,3 +277,38 @@ def test_detector_sees_pattern_literal():
         "        return re.sub('a', '', t)\n"
         "    return re.findall(pat, s), re.split(',', s), s.split(',')\n")
     assert _inline_patterns(tree) == [(5, 'match'), (8, 'sub'), (9, 'split')]
+
+
+def _dataclasses_imports(tree: ast.Module) -> list:
+    """Lines that import dataclasses, or a name from it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(a.name == 'dataclasses' for a in node.names)
+                  or isinstance(node, ast.ImportFrom)
+                  and node.module == 'dataclasses')
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_no_dataclasses_import(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    assert _dataclasses_imports(tree) == []
+
+
+def test_detector_sees_dataclasses_import():
+    tree = ast.parse('import os, dataclasses\n'
+                     'from dataclasses import dataclass\n'
+                     'from . import records\n')
+    assert _dataclasses_imports(tree) == [1, 2]
+
+
+def test_loading_the_package_skips_dataclasses_and_inspect():
+    # -S: no site hooks, which may load either module themselves
+    probe = ('import sys; sys.path.insert(0, %r); '
+             'import justfix.cli, justfix.corpus; '
+             'print(sorted({"dataclasses", "inspect"} & set(sys.modules)))'
+             % os.path.dirname(SRC))
+    out = subprocess.run([sys.executable, '-S', '-c', probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == '[]'

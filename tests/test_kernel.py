@@ -1,7 +1,8 @@
 """Derivation parsing, checking, and the inline transform hooks."""
 
-import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from justfix.kernel import (RULES, DerivationError, Step, check_derivation,
 from justfix.registry import (TOTAL, UnknownLogic, get_logic, known_logics,
                               match_axiom, taut_consequence)
 from justfix.syntax import (FULL, Atom, Knows, Neg, parse_formula,
-                            print_formula)
+                            print_formula, replace)
 
 from conftest import CORPUS, corpus_paths
 
@@ -268,6 +269,32 @@ premise k: K@7 p
 2. K@5 K@7 p ; admk 1 5
 """)
     assert 'not knowledge earlier' in first_reason(rep)
+
+
+_TWO_BAD_PREMISES = """logic: tS4
+premise a: p
+premise b: q
+1. p ; premise a
+2. q ; premise b
+3. p & q ; prop 1,2
+4. K@5 (p & q) ; admk 3 5
+"""
+
+
+@pytest.mark.parametrize('seed', ['0', '1', '2', '3', '4', '5'])
+def test_admk_names_the_first_declared_bad_premise(seed, tmp_path):
+    # the premises of the cited steps are a set; the reason must not
+    # depend on the hash seed that orders it
+    path = tmp_path / 'admk.drv'
+    path.write_text(_TWO_BAD_PREMISES)
+    src = os.path.dirname(os.path.dirname(kernel.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, '-m', 'justfix.cli', 'check',
+                          str(path)], env=env, capture_output=True,
+                         text=True)
+    assert out.returncode == 1
+    assert out.stdout.splitlines()[-1] == (
+        'FAIL step 4: premise a is not knowledge earlier than K@5')
 
 
 # -- fixed-point rules ----------------------------------------------------------
@@ -631,12 +658,11 @@ def test_mutated_copy_is_not_served_from_the_memo():
     wrong = _lift_chain(3, bad=3).final
     with kernel.memo_scope():
         assert check_derivation(d).ok
-        mutant = dataclasses.replace(
-            d, steps=d.steps[:-1] + (dataclasses.replace(d.steps[-1],
-                                                         formula=wrong),))
+        mutant = replace(
+            d, steps=d.steps[:-1] + (replace(d.steps[-1], formula=wrong),))
         rep = check_derivation(mutant)
         assert [v.ok for v in rep.verdicts] == [True, True, True, False]
-        assert not check_derivation(dataclasses.replace(d, logic_id='K')).ok
+        assert not check_derivation(replace(d, logic_id='K')).ok
         assert check_derivation(d).ok
     assert registry._DECISIONS is None
 
@@ -736,8 +762,8 @@ def test_get_logic_gives_one_spec_per_id_in_a_scope():
 
 
 def _mutant(d, k, **changes):
-    return dataclasses.replace(d, steps=tuple(
-        dataclasses.replace(s, **changes) if s.index == k else s
+    return replace(d, steps=tuple(
+        replace(s, **changes) if s.index == k else s
         for s in d.steps))
 
 

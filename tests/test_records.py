@@ -7,6 +7,11 @@ is frozen and whether it is hashable, and the repr of one sample
 instance.  For a deliberate change, regenerate it with
 
     PYTHONPATH=src python tests/test_records.py
+
+The other tests pin what syntax.record gives every class: == and hash
+agree, frozen records refuse assignment, mutable ones are unhashable,
+positional match patterns take records apart, and replace copies a
+record and refuses an unknown field.
 """
 
 import json
@@ -19,7 +24,7 @@ from justfix import (corpus, fixedpoint, kernel, registry, semantics,
 from justfix.syntax import (
     Atom, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows, Just, Forall,
     Exists, Mu, FixApp, FMeta, Var, Const, Prim, App, TSum, Bang, Quest,
-    WQuest, UAll, TMeta, LanguageProfile,
+    WQuest, UAll, TMeta, LanguageProfile, PositivityError, record, replace,
 )
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -120,6 +125,90 @@ def test_every_record_class_has_a_sample():
 
 def test_records_match_golden(golden):
     assert _record() == golden
+
+
+@pytest.mark.parametrize('key', sorted(_record_classes()))
+def test_record_contract(key):
+    cls = _record_classes()[key]
+    a, b = _samples()[key], _samples()[key]
+    assert cls._fields == cls.__match_args__
+    assert a == b and not a != b and a.__eq__(object()) is NotImplemented
+    assert replace(a) == a and replace(a) is not a
+    if cls.__hash__ is None:
+        with pytest.raises(TypeError):
+            hash(a)
+        setattr(a, a._fields[0], 'changed')
+        assert a != b and getattr(a, a._fields[0]) == 'changed'
+        return
+    assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in a._fields))
+    for name in a._fields + ('_other',):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b
+
+
+def test_equality_is_per_class():
+    p = Atom('p')
+    assert Neg(p) != Box(p) and Neg(p).__eq__(Box(p)) is NotImplemented
+    assert And(p, p) != Or(p, p) and hash(And(p, p)) == hash(Or(p, p))
+    assert Falsum() == Falsum() and hash(Falsum()) == hash(())
+    assert Atom('p') != Atom('q') and Prim('f') == Prim('f', ())
+
+
+def test_positional_match():
+    step = kernel.Step(3, Atom('p'), 'mp', (1, 2))
+    match step:
+        case kernel.Step(i, f, rule, refs, args):
+            assert (i, f, rule, refs, args) == (3, Atom('p'), 'mp', (1, 2), ())
+    match Just(Var('x'), None, Neg(Atom('q'))):
+        case Just(Var(v), None, Neg(Atom(n))):
+            assert (v, n) == ('x', 'q')
+        case _:
+            pytest.fail('Just did not match')
+
+
+def test_replace():
+    s = kernel.Step(1, Atom('p'), 'ax')
+    assert replace(s, rule='prop', refs=(2,)) == kernel.Step(
+        1, Atom('p'), 'prop', (2,))
+    with pytest.raises(TypeError):
+        replace(s, rul='prop')
+    # replace runs __init__, so a mu body is checked again
+    with pytest.raises(PositivityError):
+        replace(Mu('p', Atom('p')), a=Neg(Atom('p')))
+
+
+def test_each_class_is_built_by_one_exec(monkeypatch):
+    calls = []
+
+    def counting_exec(*args):
+        calls.append(args[0])
+        return exec(*args)
+
+    monkeypatch.setattr(syntax, 'exec', counting_exec, raising=False)
+
+    @record
+    class Pair:
+        left: object
+        right: object = None
+
+    @record(frozen=False)
+    class Cell:
+        value: object
+
+    assert len(calls) == 2
+    assert repr(Pair(1)).endswith('.Pair(left=1, right=None)')
+    assert Pair(1) == Pair(1) != Pair(2)
+    assert Cell.__hash__ is None and Cell(1) == Cell(1)
+
+
+def test_facts_stay_outside_the_fields():
+    f = Neg(Atom('p'))
+    syntax.check_profile(f, syntax.FULL)
+    assert '_kinds' in vars(f) and f._fields == ('a',)
+    assert f == Neg(Atom('p')) and repr(f) == "Neg(a=Atom(name='p'))"
 
 
 if __name__ == '__main__':

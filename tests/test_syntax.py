@@ -46,9 +46,9 @@ def test_roundtrip_terms(t):
 
 def _subterms(t):
     yield t
-    for f in getattr(t, '__dataclass_fields__', {}):
+    for f in t._fields:
         v = getattr(t, f)
-        if hasattr(v, '__dataclass_fields__'):
+        if hasattr(v, '_fields'):
             yield from _subterms(v)
 
 
@@ -97,16 +97,15 @@ def test_subst_under_matching_binder_is_noop():
 def _box_rewrite(f):
     """(ex x . x : G) with x not free in G becomes []G; everything else
     is rebuilt structurally."""
-    import dataclasses
     from justfix.syntax import Formula
     if isinstance(f, Exists) and isinstance(f.a, Just) \
             and isinstance(f.a.t, Var) and f.a.t.name == f.var \
             and f.var not in free_vars(f.a.a):
         return Box(_box_rewrite(f.a.a))
     kw = {}
-    for fl in dataclasses.fields(f):
-        v = getattr(f, fl.name)
-        kw[fl.name] = _box_rewrite(v) if isinstance(v, Formula) else v
+    for name in f._fields:
+        v = getattr(f, name)
+        kw[name] = _box_rewrite(v) if isinstance(v, Formula) else v
     return type(f)(**kw)
 
 
@@ -235,11 +234,18 @@ def _uall_in(t):
         out.add(t.var)
         out |= _uall_in(t.inner)
     else:
-        for name in getattr(t, '__dataclass_fields__', {}):
+        for name in t._fields:
             v = getattr(t, name)
-            if hasattr(v, '__dataclass_fields__'):
+            if hasattr(v, '_fields'):
                 out |= _uall_in(v)
     return out
+
+
+def test_field_walkers_reach_inner_nodes():
+    inner = UAll(Prim('f', ('x',)), 'y')
+    t = TSum(Const('c'), App(Bang(inner), Var('x')))
+    assert inner in list(_subterms(t)) and Prim('f', ('x',)) in _subterms(t)
+    assert _uall_in(t) == {'y'}
 
 
 # -- the generic traversal ----------------------------------------------------

@@ -1,6 +1,5 @@
 """Derivation-to-derivation constructions."""
 
-import dataclasses
 import os
 
 import pytest
@@ -10,7 +9,7 @@ from justfix.kernel import check_derivation, load_derivation, parse_derivation
 from justfix.registry import EMPTY, Spec
 from justfix.syntax import (App, Bang, Box, Const, Exists, Forall, Imp, Just,
                             Knows, Mu, Prim, UAll, Var, parse_formula,
-                            print_formula, free_vars)
+                            print_formula, free_vars, replace)
 from justfix.transforms import (TransformError, collapse_agents,
                                 collapse_derivation, deduction,
                                 exists_translate, internalize_qlp, jd_lemma,
@@ -404,7 +403,7 @@ def test_collapse_derivation_targets_single_agent_logic():
 
 def test_collapse_keeps_fixed_point_suffix():
     # the _n marker sits before the suffix: QLP-_n(FP) collapses to QLP-(FP)
-    d = dataclasses.replace(entry('qlp-blindspot.drv'), logic_id='QLP-_n(FP)')
+    d = replace(entry('qlp-blindspot.drv'), logic_id='QLP-_n(FP)')
     out = collapse_derivation(d)
     assert out.logic_id == 'QLP-(FP)'
     assert out.agents is None
