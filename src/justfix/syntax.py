@@ -123,7 +123,7 @@ def record(cls=None, *, frozen: bool = True):
         'mine': ''.join(f'self.{f}, ' for f in fields),
         'theirs': ''.join(f'other.{f}, ' for f in fields),
     }
-    methods = {'__hash__': None}
+    methods = {'__hash__': None}        # replaced when frozen
     src = _RECORD_METHODS + (_FROZEN_METHODS if frozen else '')
     exec(src.format(**parts), env, methods)
     for name, fn in methods.items():

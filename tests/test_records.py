@@ -152,7 +152,7 @@ def test_record_contract(key):
 def test_equality_is_per_class():
     p = Atom('p')
     assert Neg(p) != Box(p) and Neg(p).__eq__(Box(p)) is NotImplemented
-    assert And(p, p) != Or(p, p) and hash(And(p, p)) == hash(Or(p, p))
+    assert And(p, p) != Or(p, p)
     assert Falsum() == Falsum() and hash(Falsum()) == hash(())
     assert Atom('p') != Atom('q') and Prim('f') == Prim('f', ())
 
@@ -203,15 +203,3 @@ def test_each_class_is_built_by_one_exec(monkeypatch):
     assert Pair(1) == Pair(1) != Pair(2)
     assert Cell.__hash__ is None and Cell(1) == Cell(1)
 
-
-def test_facts_stay_outside_the_fields():
-    f = Neg(Atom('p'))
-    syntax.check_profile(f, syntax.FULL)
-    assert '_kinds' in vars(f) and f._fields == ('a',)
-    assert f == Neg(Atom('p')) and repr(f) == "Neg(a=Atom(name='p'))"
-
-
-if __name__ == '__main__':
-    with open(GOLDEN, 'w') as fh:
-        json.dump(_record(), fh, indent=1, sort_keys=True)
-        fh.write('\n')
