@@ -86,7 +86,7 @@ class Derivation:
         return self.steps[-1].formula
 
 
-@record(frozen=False)
+@record
 class StepVerdict:
     index: int
     ok: bool
@@ -94,7 +94,7 @@ class StepVerdict:
     flags: tuple = ()
 
 
-@record(frozen=False)
+@record
 class CheckReport:
     ok: bool
     logic: LogicSpec
@@ -458,7 +458,7 @@ def check_derivation(d: Derivation) -> CheckReport:
     return registry._decide(('check', id(d)), d, _check, d)
 
 
-@record(frozen=False)
+@record
 class _Context:
     """What the checks of one derivation share."""
     d: Derivation

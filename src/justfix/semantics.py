@@ -65,7 +65,7 @@ class EvEntry:
     formula: Formula
 
 
-@record(frozen=False)
+@record
 class MModel:
     domain: tuple
     interp: dict

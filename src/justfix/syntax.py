@@ -81,8 +81,6 @@ def __eq__(self, other):
     if other.__class__ is self.__class__:
         return ({mine}) == ({theirs})
     return NotImplemented
-'''
-_FROZEN_METHODS = '''
 def __hash__(self):
     return hash(({mine}))
 def __setattr__(self, name, value):
@@ -92,17 +90,15 @@ def __delattr__(self, name):
 '''
 
 
-def record(cls=None, *, frozen: bool = True):
-    """Class decorator: a value class over the annotated fields of cls, in
-    order, with their class attributes as defaults.  It adds an __init__
-    that stores each field (then runs __post_init__, if cls has one), a
-    repr of the form Name(field=value, ...), == on the field tuple between
-    instances of one class, __match_args__ and _fields.  A frozen record
-    also hashes its field tuple and refuses assignment and deletion; other
-    records are unhashable.  The methods of a class come from one exec."""
-    if cls is None:
-        return lambda c: record(c, frozen=frozen)
-    fields = tuple(cls.__dict__.get('__annotations__', ()))
+def record(cls):
+    """Class decorator: a frozen value class over the annotated fields of
+    cls, in order, with their class attributes as defaults.  It adds an
+    __init__ that stores each field (then runs __post_init__, if cls has
+    one), a repr of the form Name(field=value, ...), == and hash on the
+    field tuple between instances of one class, an assignment and deletion
+    that raise, and __match_args__, the field names.  The methods of a
+    class come from one exec."""
+    fields = tuple(cls.__annotations__)
     env = {'FrozenRecordError': FrozenRecordError,
            '_set': object.__setattr__}
     params = []
@@ -112,8 +108,7 @@ def record(cls=None, *, frozen: bool = True):
             params.append(f'{f}=_d_{f}')
         else:
             params.append(f)
-    store = "    _set(self, '{0}', {0})" if frozen else '    self.{0} = {0}'
-    stores = [store.format(f) for f in fields]
+    stores = [f"    _set(self, '{f}', {f})" for f in fields]
     if hasattr(cls, '__post_init__'):
         stores.append('    self.__post_init__()')
     parts = {
@@ -123,19 +118,18 @@ def record(cls=None, *, frozen: bool = True):
         'mine': ''.join(f'self.{f}, ' for f in fields),
         'theirs': ''.join(f'other.{f}, ' for f in fields),
     }
-    methods = {'__hash__': None}        # replaced when frozen
-    src = _RECORD_METHODS + (_FROZEN_METHODS if frozen else '')
-    exec(src.format(**parts), env, methods)
+    methods = {}
+    exec(_RECORD_METHODS.format(**parts), env, methods)
     for name, fn in methods.items():
         setattr(cls, name, fn)
-    cls.__match_args__ = cls._fields = fields
+    cls.__match_args__ = fields
     return cls
 
 
 def replace(obj, **changes):
     """A copy of the record obj with the named fields changed; a name
     that is not a field raises TypeError."""
-    for f in obj._fields:
+    for f in obj.__match_args__:
         if f not in changes:
             changes[f] = getattr(obj, f)
     return obj.__class__(**changes)

@@ -495,7 +495,7 @@ def test_facts_are_not_fields():
     f = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))
     syntax.check_profile(f, syntax.FULL, ('a',))
     assert f._kinds and f._labels == {'a'}
-    assert list(Just._fields) == ['t', 'agent', 'a']
+    assert list(Just.__match_args__) == ['t', 'agent', 'a']
     assert repr(f) == ("Just(t=Var(name='x'), agent='a', a=Imp(a=FMeta("
                        "name='A'), b=Knows(time=1, a=Atom(name='p'))))")
     g = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))

@@ -46,9 +46,9 @@ def test_roundtrip_terms(t):
 
 def _subterms(t):
     yield t
-    for f in t._fields:
+    for f in t.__match_args__:
         v = getattr(t, f)
-        if hasattr(v, '_fields'):
+        if hasattr(v, '__match_args__'):
             yield from _subterms(v)
 
 
@@ -103,7 +103,7 @@ def _box_rewrite(f):
             and f.var not in free_vars(f.a.a):
         return Box(_box_rewrite(f.a.a))
     kw = {}
-    for name in f._fields:
+    for name in f.__match_args__:
         v = getattr(f, name)
         kw[name] = _box_rewrite(v) if isinstance(v, Formula) else v
     return type(f)(**kw)
@@ -234,9 +234,9 @@ def _uall_in(t):
         out.add(t.var)
         out |= _uall_in(t.inner)
     else:
-        for name in t._fields:
+        for name in t.__match_args__:
             v = getattr(t, name)
-            if hasattr(v, '_fields'):
+            if hasattr(v, '__match_args__'):
                 out |= _uall_in(v)
     return out
 
