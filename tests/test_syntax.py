@@ -7,9 +7,10 @@ from conftest import (ATOM_NAMES, any_formulas, bool_formulas, jl_formulas,
                       timed_formulas, with_fix)
 from justfix.registry import get_logic
 from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
-                            FixApp, Forall, Iff, Imp, Just, Knows, Mu, Neg,
-                            NotFreeFor, Or, ParseError, Prim, ProfileError,
-                            TSum, UAll, Var, free_vars, imp_chain,
+                            FixApp, FMeta, Forall, Formula, Iff, Imp, Just,
+                            Knows, Mu, Neg, NotFreeFor, Or, ParseError,
+                            PositivityError, Prim, ProfileError, TMeta, TSum,
+                            UAll, Var, free_vars, imp_chain,
                             occurrence_ok, parse_formula, parse_term,
                             print_formula, print_term, subst_prop,
                             subst_term_for_var, term_vars, uall_vars,
@@ -431,3 +432,155 @@ def _subst_outcome(subst, s, x, t):
 def test_subst_in_term_matches_reference(s, x, t):
     assert _subst_outcome(subst_in_term, s, x, t) == \
         _subst_outcome(_ref_subst_in_term, s, x, t)
+
+
+# -- node shapes: the children tables the generated methods replaced, ---------
+# -- frozen as they were written before them ----------------------------------
+
+def _ref_body(f):
+    return (f.a,)
+
+
+def _ref_pair(f):
+    return (f.a, f.b)
+
+
+_REF_CHILDREN = {
+    Neg: _ref_body, Box: _ref_body, Knows: _ref_body, Just: _ref_body,
+    Forall: _ref_body, Exists: _ref_body, Mu: _ref_body,
+    And: _ref_pair, Or: _ref_pair, Imp: _ref_pair, Iff: _ref_pair,
+    Xor: _ref_pair,
+    FixApp: lambda f: f.args,
+    App: lambda t: (t.fn, t.arg), TSum: lambda t: (t.left, t.right),
+    Bang: lambda t: (t.t,), Quest: lambda t: (t.t,), WQuest: lambda t: (t.t,),
+    UAll: lambda t: (t.inner,),
+}
+_REF_REBUILD = {
+    Neg: lambda f, k: Neg(k[0]),
+    Box: lambda f, k: Box(k[0]),
+    Knows: lambda f, k: Knows(f.time, k[0]),
+    Just: lambda f, k: Just(f.t, f.agent, k[0]),
+    Forall: lambda f, k: Forall(f.var, k[0]),
+    Exists: lambda f, k: Exists(f.var, k[0]),
+    Mu: lambda f, k: Mu(f.var, k[0]),
+    And: lambda f, k: And(k[0], k[1]),
+    Or: lambda f, k: Or(k[0], k[1]),
+    Imp: lambda f, k: Imp(k[0], k[1]),
+    Iff: lambda f, k: Iff(k[0], k[1]),
+    Xor: lambda f, k: Xor(k[0], k[1]),
+    FixApp: lambda f, k: FixApp(f.name, tuple(k)),
+    App: lambda t, k: App(k[0], k[1]),
+    TSum: lambda t, k: TSum(k[0], k[1]),
+    Bang: lambda t, k: Bang(k[0]),
+    Quest: lambda t, k: Quest(k[0]),
+    WQuest: lambda t, k: WQuest(k[0]),
+    UAll: lambda t, k: UAll(k[0], t.var),
+}
+
+
+def _ref_children(f):
+    kids = _REF_CHILDREN.get(type(f))
+    return kids(f) if kids else ()
+
+
+def _ref_rebuild(f, kids):
+    make = _REF_REBUILD.get(type(f))
+    return make(f, kids) if make else f
+
+
+_p, _q, _x, _c = Atom('p'), Atom('q'), Var('x'), Const('c')
+_NODE_SAMPLES = (
+    Var('x'), Const('c'), Prim('f', ('x', 'y')), App(_c, _x), TSum(_x, _c),
+    Bang(_x), Quest(_c), WQuest(_x), UAll(App(_c, _x), 'x'), TMeta('s'),
+    Atom('p'), Falsum(), Neg(_p), And(_p, _q), Or(_q, _p), Imp(_p, _q),
+    Iff(_q, _p), Xor(_p, _q), Box(_p), Knows(3, _p),
+    Just(App(_c, _x), None, _p), Just(Bang(_x), 'a', _q),
+    Forall('x', Just(_x, None, _p)), Exists('y', _q), Mu('p', Or(_p, _q)),
+    FixApp('d'), FixApp('d', (_p, Neg(_q))), FMeta('A'),
+)
+
+
+def test_node_samples_cover_every_class():
+    import justfix.syntax as syntax
+    assert {type(s) for s in _NODE_SAMPLES} == set(syntax._KIND_BITS)
+
+
+@pytest.mark.parametrize('node', _NODE_SAMPLES, ids=repr)
+def test_children_and_rebuild_match_reference(node):
+    kids = children(node)
+    assert kids == _ref_children(node)
+    assert rebuild(node, kids) == _ref_rebuild(node, kids) == node
+    # fresh children, one distinct leaf per place, in children() order
+    leaf = Atom if isinstance(node, Formula) else Const
+    fresh = [leaf('k%d' % k) for k in range(len(kids))]
+    assert rebuild(node, fresh) == _ref_rebuild(node, fresh)
+    assert children(rebuild(node, fresh)) == tuple(fresh)
+    if type(node) not in _REF_REBUILD:      # a leaf
+        assert rebuild(node, ()) is node
+
+
+def test_rebuilt_mu_rechecks_positivity():
+    mu = Mu('p', Or(_p, _q))
+    with pytest.raises(PositivityError):
+        rebuild(mu, [Neg(_p)])
+    with pytest.raises(PositivityError):
+        _ref_rebuild(mu, [Neg(_p)])
+
+
+# printed forms of (p OP1 q) OP2 r and p OP1 (q OP2 r), frozen
+_FORMULA_GROUPINGS = {
+    ('->', '->'): ('(p -> q) -> r', 'p -> q -> r'),
+    ('->', '<->'): ('(p -> q) <-> r', 'p -> q <-> r'),
+    ('->', '|'): ('(p -> q) | r', 'p -> q | r'),
+    ('->', 'xor'): ('(p -> q) xor r', 'p -> q xor r'),
+    ('->', '&'): ('(p -> q) & r', 'p -> q & r'),
+    ('<->', '->'): ('(p <-> q) -> r', 'p <-> q -> r'),
+    ('<->', '<->'): ('(p <-> q) <-> r', 'p <-> q <-> r'),
+    ('<->', '|'): ('(p <-> q) | r', 'p <-> q | r'),
+    ('<->', 'xor'): ('(p <-> q) xor r', 'p <-> q xor r'),
+    ('<->', '&'): ('(p <-> q) & r', 'p <-> q & r'),
+    ('|', '->'): ('p | q -> r', 'p | (q -> r)'),
+    ('|', '<->'): ('p | q <-> r', 'p | (q <-> r)'),
+    ('|', '|'): ('p | q | r', 'p | (q | r)'),
+    ('|', 'xor'): ('p | q xor r', 'p | (q xor r)'),
+    ('|', '&'): ('(p | q) & r', 'p | q & r'),
+    ('xor', '->'): ('p xor q -> r', 'p xor (q -> r)'),
+    ('xor', '<->'): ('p xor q <-> r', 'p xor (q <-> r)'),
+    ('xor', '|'): ('p xor q | r', 'p xor (q | r)'),
+    ('xor', 'xor'): ('p xor q xor r', 'p xor (q xor r)'),
+    ('xor', '&'): ('(p xor q) & r', 'p xor q & r'),
+    ('&', '->'): ('p & q -> r', 'p & (q -> r)'),
+    ('&', '<->'): ('p & q <-> r', 'p & (q <-> r)'),
+    ('&', '|'): ('p & q | r', 'p & (q | r)'),
+    ('&', 'xor'): ('p & q xor r', 'p & (q xor r)'),
+    ('&', '&'): ('p & q & r', 'p & (q & r)'),
+}
+_TERM_GROUPINGS = {
+    ('+', '+'): ('c + d + x', 'c + (d + x)'),
+    ('+', '*'): ('(c + d) * x', 'c + d * x'),
+    ('*', '+'): ('c * d + x', 'c * (d + x)'),
+    ('*', '*'): ('c * d * x', 'c * (d * x)'),
+}
+_FORMULA_OPS = {'->': Imp, '<->': Iff, '|': Or, 'xor': Xor, '&': And}
+_TERM_OPS = {'+': TSum, '*': App}
+
+
+@pytest.mark.parametrize('ops', sorted(_FORMULA_GROUPINGS))
+def test_formula_groupings_print_as_before(ops):
+    one, two = (_FORMULA_OPS[op] for op in ops)
+    p, q, r = Atom('p'), Atom('q'), Atom('r')
+    left, right = two(one(p, q), r), one(p, two(q, r))
+    assert (print_formula(left), print_formula(right)) == \
+        _FORMULA_GROUPINGS[ops]
+    assert parse_formula(print_formula(left)) == left
+    assert parse_formula(print_formula(right)) == right
+
+
+@pytest.mark.parametrize('ops', sorted(_TERM_GROUPINGS))
+def test_term_groupings_print_as_before(ops):
+    one, two = (_TERM_OPS[op] for op in ops)
+    c, d, x = Const('c'), Const('d'), Var('x')
+    left, right = two(one(c, d), x), one(c, two(d, x))
+    assert (print_term(left), print_term(right)) == _TERM_GROUPINGS[ops]
+    assert parse_term(print_term(left)) == left
+    assert parse_term(print_term(right)) == right
