@@ -1,24 +1,22 @@
 """Terms, formulas, parsing, printing, substitution, occurrence checks.
 
-Concrete grammar (ASCII):
+Concrete grammar (ASCII).  BINARY, PREFIX, BINDER, TERM_BINARY and
+TERM_PREFIX are the tokens of the like-named tables under "operators"
+below (_BINARY, ...), which the scanner, the parser and the printer all
+read; a binary operator's level there sets its precedence and grouping.
 
     formula  ::= imp
-    imp      ::= or ('->' imp | '<->' imp)?
-    or       ::= and (('|' | 'xor') and)*
-    and      ::= unary ('&' unary)*
-    unary    ::= '~' unary | '[]' unary | '<>' unary
+    imp      ::= unary (BINARY unary)*
+    unary    ::= PREFIX unary | BINDER IDENT '.' imp
                | 'K' '@' NUM unary
-               | ('all' | 'ex') IDENT '.' imp
-               | ('mu' | 'nu') IDENT '.' imp
                | term ':' unary | term ':@' IDENT unary
                | primary
     primary  ::= 'false' | IDENT
                | 'fix' '(' IDENT (';' imp (',' imp)*)? ')'
                | '(' imp ')'
 
-    term     ::= app ('+' app)*
-    app      ::= tunary ('*' tunary)*
-    tunary   ::= '!' tunary | '??' tunary | '?' tunary | tprimary
+    term     ::= tunary (TERM_BINARY tunary)*
+    tunary   ::= TERM_PREFIX tunary | tprimary
     tprimary ::= IDENT | IDENT '(' IDENT (',' IDENT)* ')'
                | '(' term 'all' IDENT ')' | '(' term ')'
 
@@ -88,6 +86,12 @@ def __setattr__(self, name, value):
 def __delattr__(self, name):
     raise FrozenRecordError(f"cannot delete field {{name!r}}")
 '''
+_NODE_METHODS = '''
+def children(self):
+    return {kids}
+def rebuild(self, kids):
+    return {rebuilt}
+'''
 
 
 def record(cls):
@@ -96,11 +100,18 @@ def record(cls):
     __init__ that stores each field (then runs __post_init__, if cls has
     one), a repr of the form Name(field=value, ...), == and hash on the
     field tuple between instances of one class, an assignment and deletion
-    that raise, and __match_args__, the field names.  The methods of a
-    class come from one exec."""
+    that raise, and __match_args__, the field names.
+
+    A Formula or Term node also gets children() and rebuild(kids).  Its
+    children are the fields annotated with its own sort, or with a tuple
+    of it (the arguments of fix, its only child field), in field order: a
+    formula's children are formulas (the term of t : A is a field, not a
+    child) and a term's children are terms.  rebuild keeps every other
+    field, and a node without child fields rebuilds to itself.  The
+    methods of a class come from one exec."""
     fields = tuple(cls.__annotations__)
     env = {'FrozenRecordError': FrozenRecordError,
-           '_set': object.__setattr__}
+           '_set': object.__setattr__, '_cls': cls}
     params = []
     for f in fields:
         if f in cls.__dict__:
@@ -118,8 +129,19 @@ def record(cls):
         'mine': ''.join(f'self.{f}, ' for f in fields),
         'theirs': ''.join(f'other.{f}, ' for f in fields),
     }
+    source = _RECORD_METHODS.format(**parts)
+    for sort in (s.__name__ for s in (Formula, Term) if issubclass(cls, s)):
+        kids = [f for f in fields if cls.__annotations__[f] == sort]
+        from_kids = {f: f'kids[{k}]' for k, f in enumerate(kids)}
+        shown = '(' + ''.join(f'self.{f}, ' for f in kids) + ')'
+        for f in fields:
+            if cls.__annotations__[f] == f'tuple[{sort}, ...]':
+                from_kids, shown = {f: 'tuple(kids)'}, f'self.{f}'
+        args = ', '.join(from_kids.get(f, f'self.{f}') for f in fields)
+        source += _NODE_METHODS.format(
+            kids=shown, rebuilt=f'_cls({args})' if from_kids else 'self')
     methods = {}
-    exec(_RECORD_METHODS.format(**parts), env, methods)
+    exec(source, env, methods)
     for name, fn in methods.items():
         setattr(cls, name, fn)
     cls.__match_args__ = fields
@@ -139,7 +161,7 @@ def replace(obj, **changes):
 _NO_LABELS: frozenset = frozenset()
 
 
-# ---------------------------------------------------------------- terms
+# ------------------------------------------------------------- the sorts
 
 class Term:
     # language facts, set on the node by _facts; see check_profile
@@ -149,6 +171,20 @@ class Term:
     def __str__(self) -> str:
         return print_term(self)
 
+
+class Formula:
+    # language facts, set on the node by _facts; see check_profile
+    _kinds = 0
+    _labels = _NO_LABELS
+
+    def __str__(self) -> str:
+        return print_formula(self)
+
+
+Node = Union[Formula, Term]
+
+
+# ---------------------------------------------------------------- terms
 
 @record
 class Var(Term):
@@ -208,15 +244,6 @@ class TMeta(Term):
 
 
 # ------------------------------------------------------------- formulas
-
-class Formula:
-    # language facts, set on the node by _facts; see check_profile
-    _kinds = 0
-    _labels = _NO_LABELS
-
-    def __str__(self) -> str:
-        return print_formula(self)
-
 
 @record
 class Atom(Formula):
@@ -436,7 +463,7 @@ def _facts(f: Node) -> tuple[int, frozenset]:
     """(kinds, labels) of f.  One iterative walk computes them for every
     node under f that has none, and stops at the nodes that have them."""
     if not f._kinds:
-        bits, kids_of, store = _KIND_BITS, _CHILDREN.get, object.__setattr__
+        bits, store = _KIND_BITS, object.__setattr__
         order = []                  # pre-order, so children after parents
         todo = [f]
         while todo:
@@ -448,8 +475,7 @@ def _facts(f: Node) -> tuple[int, frozenset]:
                 kids = (g.t, g.a)
                 bit = bits[Just] if g.agent is None else _LABELED_JUST
             else:
-                kids = kids_of(cls)
-                kids = kids(g) if kids else ()
+                kids = g.children()
                 bit = bits[cls]
             order.append((g, kids, bit))
             todo += kids
@@ -481,64 +507,16 @@ def _labels_of(g: Node, kids: tuple) -> frozenset:
 
 # ----------------------------------------------------------- traversals
 
-def _body(f: Formula) -> tuple[Formula, ...]:
-    return (f.a,)
-
-
-def _pair(f: Formula) -> tuple[Formula, ...]:
-    return (f.a, f.b)
-
-
-# The one place that knows which fields of each node are subformulas or
-# subterms.  Nodes without an entry (Atom, Falsum, FMeta, and the terms Var,
-# Const, Prim, TMeta) are leaves.  A formula's children are formulas (the
-# term of t : A is a field, not a child); a term's children are terms.
-_CHILDREN = {
-    Neg: _body, Box: _body, Knows: _body, Just: _body,
-    Forall: _body, Exists: _body, Mu: _body,
-    And: _pair, Or: _pair, Imp: _pair, Iff: _pair, Xor: _pair,
-    FixApp: lambda f: f.args,
-    App: lambda t: (t.fn, t.arg), TSum: lambda t: (t.left, t.right),
-    Bang: lambda t: (t.t,), Quest: lambda t: (t.t,), WQuest: lambda t: (t.t,),
-    UAll: lambda t: (t.inner,),
-}
-_REBUILD = {
-    Neg: lambda f, k: Neg(k[0]),
-    Box: lambda f, k: Box(k[0]),
-    Knows: lambda f, k: Knows(f.time, k[0]),
-    Just: lambda f, k: Just(f.t, f.agent, k[0]),
-    Forall: lambda f, k: Forall(f.var, k[0]),
-    Exists: lambda f, k: Exists(f.var, k[0]),
-    Mu: lambda f, k: Mu(f.var, k[0]),
-    And: lambda f, k: And(k[0], k[1]),
-    Or: lambda f, k: Or(k[0], k[1]),
-    Imp: lambda f, k: Imp(k[0], k[1]),
-    Iff: lambda f, k: Iff(k[0], k[1]),
-    Xor: lambda f, k: Xor(k[0], k[1]),
-    FixApp: lambda f, k: FixApp(f.name, tuple(k)),
-    App: lambda t, k: App(k[0], k[1]),
-    TSum: lambda t, k: TSum(k[0], k[1]),
-    Bang: lambda t, k: Bang(k[0]),
-    Quest: lambda t, k: Quest(k[0]),
-    WQuest: lambda t, k: WQuest(k[0]),
-    UAll: lambda t, k: UAll(k[0], t.var),
-}
-
-Node = Union[Formula, Term]
-
-
 def children(f: Node) -> tuple[Node, ...]:
     """Immediate subformulas of a formula (fix arguments in order), or
     immediate subterms of a term, left to right."""
-    kids = _CHILDREN.get(type(f))
-    return kids(f) if kids else ()
+    return f.children()
 
 
 def rebuild(f: Node, kids: Sequence[Node]) -> Node:
     """f with its immediate children replaced by kids, in children()
     order; every other field is kept.  A rebuilt mu re-checks positivity."""
-    make = _REBUILD.get(type(f))
-    return make(f, kids) if make else f
+    return f.rebuild(kids)
 
 
 def walk(f: Node) -> Iterator[Node]:
@@ -548,9 +526,9 @@ def walk(f: Node) -> Iterator[Node]:
     while stack:
         g = stack.pop()
         yield g
-        kids = _CHILDREN.get(type(g))
+        kids = g.children()
         if kids:
-            stack.extend(reversed(kids(g)))
+            stack.extend(reversed(kids))
 
 
 def formula_terms(f: Formula) -> list[Term]:
@@ -587,13 +565,8 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 def uall_vars(f: Formula) -> frozenset[str]:
     """Variables bound by a uniform verifier anywhere in f."""
-    out: set[str] = set()
-    for g in walk(f):
-        if isinstance(g, Just):
-            for t in walk(g.t):
-                if isinstance(t, UAll):
-                    out.add(t.var)
-    return frozenset(out)
+    return frozenset(u.var for t in formula_terms(f) for u in walk(t)
+                     if isinstance(u, UAll))
 
 
 def free_atoms(f: Formula) -> frozenset[str]:
@@ -746,20 +719,51 @@ def imp_chain(premises: list[Formula], goal: Formula) -> Formula:
     return out
 
 
+# ------------------------------------------------------------ operators
+# The notation, read by the scanner, the parser and the printer.  Binary
+# operators of each sort: token -> (class, level).  A higher level binds
+# tighter; a prefix operator's operand is one level above the highest.
+# Formula operators of level 0 group to the right, all others to the left.
+_BINARY = {"->": (Imp, 0), "<->": (Iff, 0),
+           "|": (Or, 1), "xor": (Xor, 1),
+           "&": (And, 2)}
+_TERM_BINARY = {"+": (TSum, 0), "*": (App, 1)}
+_UNARY = 1 + max(level for _, level in _BINARY.values())
+_TERM_UNARY = 1 + max(level for _, level in _TERM_BINARY.values())
+
+# Prefix operators and binders: token -> what builds the node.  '<>' and
+# 'nu' build their expansions, so no node prints with them.
+_PREFIX = {"~": Neg, "[]": Box, "<>": diamond}
+_TERM_PREFIX = {"!": Bang, "??": WQuest, "?": Quest}
+_BINDERS = {"all": Forall, "ex": Exists, "mu": Mu, "nu": nu_formula}
+
+# what the printers read: node class -> (token as printed, level), where a
+# prefix operator's level is its operand's and a binder's is None
+_SHOWN = {cls: (f" {tok} ", level) for tok, (cls, level)
+          in (*_BINARY.items(), *_TERM_BINARY.items())}
+_SHOWN.update((cls, (tok, _UNARY)) for tok, cls in _PREFIX.items())
+_SHOWN.update((cls, (tok, _TERM_UNARY)) for tok, cls in _TERM_PREFIX.items())
+_SHOWN.update((cls, (tok, None)) for tok, cls in _BINDERS.items())
+
+
 # -------------------------------------------------------------- parsing
 
-_KEYWORDS = {"false", "xor", "all", "ex", "mu", "nu", "fix"}
+_OPERATORS = (*_BINARY, *_TERM_BINARY, *_PREFIX, *_TERM_PREFIX, *_BINDERS)
+_KEYWORDS = {"false", "fix", *filter(str.isalpha, _OPERATORS)}
 _VAR_INITIALS = "stuvwxyz"
 
-# one token, or a stray character that starts none
-_SCAN_RE = re.compile(
-    r"(<->|->|:@|\?\?|\[\]|<>|[~&|().,;:*+!?@]|[A-Za-z_][A-Za-z0-9_#]*|[0-9]+)|(\S)")
+# one token, or a stray character that starts none; longer symbols first
+_SYMBOLS = sorted({tok for tok in _OPERATORS if not tok.isalpha()}
+                  | {"(", ")", ".", ",", ";", ":", ":@", "@"},
+                  key=lambda tok: (-len(tok), tok))
+_SCAN_RE = re.compile("(%s|[%s]|[A-Za-z_][A-Za-z0-9_#]*|[0-9]+)|(\\S)" % (
+    "|".join(re.escape(s) for s in _SYMBOLS if len(s) > 1),
+    re.escape("".join(s for s in _SYMBOLS if len(s) == 1))))
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
 
-# tokens that can start a justification term; and the tokens that, after an
-# identifier or a parenthesized group, show that it may be one
-_TERM_START = frozenset(("!", "?", "??"))
-_TERM_FOLLOW = frozenset((":", ":@", "*", "+", "("))
+# the tokens that, after an identifier or a parenthesized group, show that
+# it may be a justification term
+_TERM_FOLLOW = frozenset((":", ":@", "(", *_TERM_BINARY))
 
 
 def _tokenize(text: str) -> tuple[list, Optional[dict]]:
@@ -829,7 +833,7 @@ class _Parser:
             return False
         toks, pos = self.toks, self.pos
         tok = toks[pos]
-        if tok in _TERM_START:
+        if tok in _TERM_PREFIX:
             return True
         if tok == "(":
             end = self.close.get(pos)
@@ -839,61 +843,38 @@ class _Parser:
 
     # formula levels
 
-    def imp(self) -> Formula:
-        left = self.disj()
-        tok = self.toks[self.pos]
-        if tok == "->":
+    def imp(self, level: int = 0) -> Formula:
+        """A formula with no _BINARY operator below level outside
+        parentheses; one frame per level, so nesting limits stay put."""
+        up = level + 1
+        left = self.imp(up) if up < _UNARY else self.unary()
+        op = _BINARY.get(self.toks[self.pos])
+        while op is not None and op[1] == level:
             self.pos += 1
-            return Imp(left, self.imp())
-        if tok == "<->":
-            self.pos += 1
-            return Iff(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        left = self.conj()
-        while self.toks[self.pos] in ("|", "xor"):
-            op = self.next()
-            right = self.conj()
-            left = Or(left, right) if op == "|" else Xor(left, right)
-        return left
-
-    def conj(self) -> Formula:
-        left = self.unary()
-        while self.toks[self.pos] == "&":
-            self.pos += 1
-            left = And(left, self.unary())
+            if not level:                   # groups to the right
+                return op[0](left, self.imp())
+            left = op[0](left, self.imp(up) if up < _UNARY else self.unary())
+            op = _BINARY.get(self.toks[self.pos])
         return left
 
     def unary(self) -> Formula:
         tok = self.toks[self.pos]
-        if tok == "~":
+        make = _PREFIX.get(tok)
+        if make is not None:
             self.pos += 1
-            return Neg(self.unary())
-        if tok == "[]":
+            return make(self.unary())
+        make = _BINDERS.get(tok)
+        if make is not None:
             self.pos += 1
-            return Box(self.unary())
-        if tok == "<>":
-            self.pos += 1
-            return diamond(self.unary())
+            v = self.ident()
+            self.expect(".")
+            return make(v, self.imp())
         if tok == "K" and self.toks[self.pos + 1] == "@":
             self.pos += 2
             num = self.next()
             if not num.isdigit():
                 raise ParseError(f"expected time after K@, got {num!r}")
             return Knows(int(num), self.unary())
-        if tok in ("all", "ex"):
-            self.pos += 1
-            v = self.ident()
-            self.expect(".")
-            body = self.imp()
-            return Forall(v, body) if tok == "all" else Exists(v, body)
-        if tok in ("mu", "nu"):
-            self.pos += 1
-            p = self.ident()
-            self.expect(".")
-            body = self.imp()
-            return Mu(p, body) if tok == "mu" else nu_formula(p, body)
         if not self.may_be_term():
             return self.primary()
         save = self.pos
@@ -938,32 +919,24 @@ class _Parser:
 
     # term levels
 
-    def term(self) -> Term:
-        left = self.tapp()
-        while self.toks[self.pos] == "+":
+    def term(self, level: int = 0) -> Term:
+        """As imp, for terms: _TERM_BINARY, all grouping to the left."""
+        up = level + 1
+        left = self.term(up) if up < _TERM_UNARY else self.tunary()
+        op = _TERM_BINARY.get(self.toks[self.pos])
+        while op is not None and op[1] == level:
             self.pos += 1
-            left = TSum(left, self.tapp())
-        return left
-
-    def tapp(self) -> Term:
-        left = self.tunary()
-        while self.toks[self.pos] == "*":
-            self.pos += 1
-            left = App(left, self.tunary())
+            left = op[0](left, self.term(up) if up < _TERM_UNARY
+                         else self.tunary())
+            op = _TERM_BINARY.get(self.toks[self.pos])
         return left
 
     def tunary(self) -> Term:
-        tok = self.toks[self.pos]
-        if tok == "!":
-            self.pos += 1
-            return Bang(self.tunary())
-        if tok == "??":
-            self.pos += 1
-            return WQuest(self.tunary())
-        if tok == "?":
-            self.pos += 1
-            return Quest(self.tunary())
-        return self.tprimary()
+        make = _TERM_PREFIX.get(self.toks[self.pos])
+        if make is None:
+            return self.tprimary()
+        self.pos += 1
+        return make(self.tunary())
 
     def tprimary(self) -> Term:
         tok = self.next()
@@ -1028,6 +1001,14 @@ def print_term(t: Term) -> str:
 
 
 def _pt(t: Term, level: int) -> str:
+    shown = _SHOWN.get(type(t))
+    if shown is not None:
+        tok, at = shown
+        if at == _TERM_UNARY:
+            return tok + _pt(t.t, at)
+        a, b = t.children()
+        s = _pt(a, at) + tok + _pt(b, at + 1)
+        return f"({s})" if level > at else s
     match t:
         case Var(n) | Const(n):
             return n
@@ -1035,18 +1016,6 @@ def _pt(t: Term, level: int) -> str:
             return "?" + n
         case Prim(sym, args):
             return sym if not args else f"{sym}({', '.join(args)})"
-        case TSum(a, b):
-            s = _pt(a, 0) + " + " + _pt(b, 1)
-            return f"({s})" if level > 0 else s
-        case App(a, b):
-            s = _pt(a, 1) + " * " + _pt(b, 2)
-            return f"({s})" if level > 1 else s
-        case Bang(u):
-            return "!" + _pt(u, 2)
-        case Quest(u):
-            return "?" + _pt(u, 2)
-        case WQuest(u):
-            return "??" + _pt(u, 2)
         case UAll(inner, v):
             return f"({_pt(inner, 0)} all {v})"
     raise TypeError(f"not a term: {t!r}")
@@ -1059,6 +1028,17 @@ def print_formula(f: Formula) -> str:
 def _pf(f: Formula, level: int, right: bool) -> str:
     # level: minimum precedence the position admits; right: whether the
     # position is rightmost, so right-open binders need no parentheses.
+    shown = _SHOWN.get(type(f))
+    if shown is not None:
+        tok, at = shown
+        if at == _UNARY:
+            return tok + _pf(f.a, at, right)
+        if at is None:
+            s = f"{tok} {f.var} . " + _pf(f.a, 0, True)
+            return s if right else f"({s})"
+        a_at, b_at = (at, at + 1) if at else (1, 0)
+        s = _pf(f.a, a_at, False) + tok + _pf(f.b, b_at, right or level > at)
+        return f"({s})" if level > at else s
     match f:
         case Atom(n):
             return n
@@ -1071,31 +1051,9 @@ def _pf(f: Formula, level: int, right: bool) -> str:
                 return f"fix({name})"
             inner = ", ".join(_pf(a, 0, True) for a in args)
             return f"fix({name}; {inner})"
-        case Imp(a, b) | Iff(a, b):
-            op = " -> " if isinstance(f, Imp) else " <-> "
-            if level > 0:
-                return "(" + _pf(a, 1, False) + op + _pf(b, 0, True) + ")"
-            return _pf(a, 1, False) + op + _pf(b, 0, right)
-        case Or(a, b) | Xor(a, b):
-            op = " | " if isinstance(f, Or) else " xor "
-            if level > 1:
-                return "(" + _pf(a, 1, False) + op + _pf(b, 2, True) + ")"
-            return _pf(a, 1, False) + op + _pf(b, 2, right)
-        case And(a, b):
-            if level > 2:
-                return "(" + _pf(a, 2, False) + " & " + _pf(b, 3, True) + ")"
-            return _pf(a, 2, False) + " & " + _pf(b, 3, right)
-        case Neg(a):
-            return "~" + _pf(a, 3, right)
-        case Box(a):
-            return "[]" + _pf(a, 3, right)
         case Knows(i, a):
-            return f"K@{i} " + _pf(a, 3, right)
+            return f"K@{i} " + _pf(a, _UNARY, right)
         case Just(t, ag, a):
             sep = " : " if ag is None else f" :@{ag} "
-            return print_term(t) + sep + _pf(a, 3, right)
-        case Forall(v, a) | Exists(v, a) | Mu(v, a):
-            kw = {"Forall": "all", "Exists": "ex", "Mu": "mu"}[type(f).__name__]
-            body = f"{kw} {v} . " + _pf(a, 0, True)
-            return body if right else "(" + body + ")"
+            return print_term(t) + sep + _pf(a, _UNARY, right)
     raise TypeError(f"not a formula: {f!r}")
