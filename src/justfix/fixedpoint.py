@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .syntax import (
     Formula, Iff, Mu, FixApp,
     OCCURRENCE_MODES, occurrence_ok, free_atoms, walk,
-    subst_prop_multi, record,
+    NotFreeFor, subst_prop_multi, record,
 )
 from .registry import sigma_match
 
@@ -80,7 +80,10 @@ def _unfold(op: FPOperator, head: Formula, args: Sequence[Formula],
             "explicit definability only applies to boxed recursion")
     env = {op.var: head}
     env.update(zip(op.params, args))
-    return subst_prop_multi(op.body, env)
+    try:
+        return subst_prop_multi(op.body, env)
+    except NotFreeFor as ex:
+        raise FixedPointError("%s: %s" % (op.name, ex)) from None
 
 
 def fp_axiom(op: FPOperator, args: Sequence[Formula]) -> Formula:
@@ -102,7 +105,7 @@ def fp_axiom_instance(op: FPOperator, f: Formula) -> Optional[dict]:
         return None
     try:
         base = _unfold(op, f.a, f.a.args)
-    except FixedPointError:   # wrong arity
+    except FixedPointError:   # wrong arity, or a captured argument
         return None
     return sigma_match(base, f.b)
 

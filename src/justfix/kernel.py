@@ -36,7 +36,7 @@ from .syntax import (
     Formula, Neg, Imp, Iff, Box, Knows, Just,
     Forall, Exists, Mu, FixApp,
     Var, Const, Prim,
-    ProfileError,
+    NotFreeFor, ProfileError,
     parse_formula, parse_term, print_formula, print_term,
     check_profile, free_vars, is_ident,
     subst_prop, record, replace,
@@ -613,7 +613,11 @@ def _mu_ind(c, s, ref):
     f = s.formula
     if not (isinstance(f, Imp) and isinstance(f.a, Mu)):
         return "conclusion must be (mu p . A) -> B"
-    want = Imp(subst_prop(f.a.a, f.a.var, f.b), f.b)
+    try:
+        want = Imp(subst_prop(f.a.a, f.a.var, f.b), f.b)
+    except NotFreeFor as ex:
+        return "%s is not free for %s in the mu body: %s" % (
+            print_formula(f.b), f.a.var, ex)
     if ref[0] != want:
         return "step %d is not %s" % (s.refs[0], print_formula(want))
 

@@ -322,7 +322,11 @@ def _mu_cl_match(f: Formula) -> Optional[dict]:
     if not (isinstance(f, Iff) and isinstance(f.b, Mu)):
         return None
     mu = f.b
-    if subst_prop(mu.a, mu.var, mu) != f.a:
+    try:
+        unfolded = subst_prop(mu.a, mu.var, mu)
+    except NotFreeFor:      # mu p. A is not free for p in A
+        return None
+    if unfolded != f.a:
         return None
     return {'v:p': mu.var, 'F:A': mu.a}
 

@@ -1,13 +1,18 @@
 """Command line exit codes."""
 
+import contextlib
+import io
 import os
+import tempfile
 import tracemalloc
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from justfix import cli
 
-from conftest import CORPUS
+from conftest import CORPUS, corpus_paths
 
 
 @pytest.mark.parametrize('argv, usage', [
@@ -179,3 +184,101 @@ def test_model_valid_without_claims_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: model file has no validity claims\n'
+
+
+# substitutions that would capture a variable: each fails its step, or is
+# one error line, where it used to end in a traceback
+_CAPTURES = {
+    'mu-ind': ('logic: K(mu)\n1. ((mu q . (q | q)) | q) -> q ; prop\n'
+               '2. (mu p . mu q . (p | q)) -> q ; mu-ind 1\n',
+               'step 2: FAIL  q is not free for p in the mu body: '
+               'substitution captured by mu q\n'),
+    'mu-cl': ('logic: K(mu)\n1. (q & mu q . ((mu p . (q & mu q . (p | q))) '
+              '| q)) <-> mu p . (q & mu q . (p | q)) ; ax\n',
+              'step 1: FAIL  matches no axiom schema of K(mu)\n'),
+    'fp': ('logic: QLP(FP)\nfix d p (E) := ex x . x : (p & E)\n'
+           '1. fix(d; x : q) <-> ex x . x : (fix(d; x : q) & x : q) ; fp d\n',
+           'step 1: FAIL  not an instance of the d axiom\n'),
+}
+
+
+@pytest.mark.parametrize('name', sorted(_CAPTURES))
+def test_variable_capture_fails_the_step(name, tmp_path, capsys):
+    text, line = _CAPTURES[name]
+    path = tmp_path / 'capture.drv'
+    path.write_text(text)
+    assert cli.main(['check', '--verbose', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert line in captured.out
+    assert captured.err == ''
+
+
+def test_fp_with_a_captured_argument_exits_1(capsys):
+    assert cli.main(['fp', '--logic', 'QLP(FP)',
+                     'd p (E) := ex x . x : (p & E)', 'x : q']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == \
+        'error: d: substitution captured by quantifier on x\n'
+
+
+# -- crash fuzzer ---------------------------------------------------------------
+# Mutated corpus files, run through the verbs that read them: every run
+# must end in exit code 0 or 1, never in another exception.
+
+_MUTANT_SOURCES = {os.path.basename(p): open(p).read()
+                   for p in corpus_paths() + corpus_paths('.mdl')}
+_DRV_VERBS = (['check'], ['transform', 'lift'], ['transform', 'internalize'],
+              ['transform', 'project'], ['transform', 'collapse'])
+_OPERATOR_TOKENS = ('->', '<->', '&', '|', 'xor', '~', '[]', '<>', 'K@2',
+                    ':', ':@a', '!', '?', '??', '*', '+', '(', ')', ',', ';',
+                    'all x .', 'ex y .', 'mu p .', 'nu q .', 'fix(d;',
+                    'false', '(x all y)', 'mp 1', 'inline lift 1')
+
+
+@st.composite
+def _mutants(draw):
+    name = draw(st.sampled_from(sorted(_MUTANT_SOURCES)))
+    lines = _MUTANT_SOURCES[name].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(('insert', 'swap', 'duplicate')))
+        ruled = [j for j, line in enumerate(lines) if ' ; ' in line]
+        if op == 'insert':
+            words = lines[k].split(' ')
+            words.insert(draw(st.integers(0, len(words))),
+                         draw(st.sampled_from(_OPERATOR_TOKENS)))
+            lines[k] = ' '.join(words)
+        elif op == 'swap' and len(ruled) > 1:
+            i, j = draw(st.permutations(ruled))[:2]
+            (a, ra), (b, rb) = (lines[i].split(' ; ', 1),
+                                lines[j].split(' ; ', 1))
+            lines[i], lines[j] = a + ' ; ' + rb, b + ' ; ' + ra
+        else:
+            lines.insert(k, lines[k])
+    verbs = [['model', 'check']] if name.endswith('.mdl') else _DRV_VERBS
+    return draw(st.sampled_from(verbs)), name[-4:], '\n'.join(lines) + '\n'
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants())
+@example((['check'], '.drv', _CAPTURES['mu-ind'][0]))
+@example((['check'], '.drv', _CAPTURES['mu-cl'][0]))
+@example((['check'], '.drv', _CAPTURES['fp'][0]))
+@example((['fp', '--logic', 'QLP(FP)', 'd p (E) := ex x . x : (p & E)',
+           'x : q'], None, None))
+def test_mutated_corpus_ends_in_an_exit_code(case):
+    argv, suffix, text = case
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        if text is not None:
+            path = os.path.join(tmp, 'mutant' + suffix)
+            with open(path, 'w') as fh:
+                fh.write(text)
+            argv = argv + [path]
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 1), out.getvalue()

@@ -88,6 +88,18 @@ def test_fp_axiom_arity():
         fp_axiom(_knower(), [Atom('E1'), Atom('E2')])
 
 
+def test_captured_argument_is_a_fixed_point_error():
+    # x : q put for E under ex x would be captured
+    op = make_operator('d', 'p', ('E',), parse_formula('ex x . x : (p & E)'),
+                       'exists_justified')
+    arg = parse_formula('x : q')
+    with pytest.raises(FixedPointError, match='captured by quantifier on x'):
+        fp_axiom(op, [arg])
+    head = FixApp('d', (arg,))
+    stated = parse_formula('ex x . x : (fix(d; x : q) & x : q)')
+    assert fp_axiom_instance(op, Iff(head, stated)) is None
+
+
 def test_fp_axiom_compound_arguments():
     arg = Or(Atom('E1'), Atom('E2'))
     ax = fp_axiom(_knower(), [arg])

@@ -11,6 +11,9 @@ command it is run under.  For a deliberate change of output, regenerate
 both records (reasons.json keeps its texts) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+To add a case, add its name to reasons.json with only its argv and text,
+and run the same command: it fills in what the case prints.
 """
 
 import contextlib

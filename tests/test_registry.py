@@ -380,6 +380,14 @@ def test_match_axiom_misses():
     assert match_axiom(lp, parse_formula('p -> x : p')) is None
 
 
+def test_mu_closure_not_free_for_its_variable_is_no_instance():
+    # A[mu p. A / p] would put a free q under mu q: no closure instance
+    f = parse_formula('(q & mu q . ((mu p . (q & mu q . (p | q))) | q)) '
+                      '<-> mu p . (q & mu q . (p | q))')
+    assert SCHEMAS['mu-cl'].match(f) is None
+    assert match_axiom(get_logic('K(mu)'), f) is None
+
+
 def test_sacchetti_schema():
     logic = get_logic('Sacchetti-2')
     inst = parse_formula('[]([][]p -> p) -> []p')
