@@ -427,8 +427,7 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
                           tuple(remap[r] for r in s.refs), s.args))
     names = {s.args[0] for s in steps if s.rule == 'premise'}
     premises = tuple(p for p in d.premises if p.name in names)
-    return Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                      premises, tuple(steps))
+    return replace(d, premises=premises, steps=tuple(steps))
 
 
 @contextlib.contextmanager
@@ -862,8 +861,7 @@ def elaborate(d: Derivation) -> Derivation:
             raise DerivationError(
                 "elaborated step %d proves a different formula" % s.index)
         remap[s.index] = len(new_steps)
-    return Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                      d.premises, tuple(new_steps))
+    return replace(d, steps=tuple(new_steps))
 
 
 def format_report(rep: CheckReport, verbose: bool = False) -> str:

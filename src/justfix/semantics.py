@@ -116,17 +116,13 @@ def _cond_holds(m: MModel, cond: tuple, v: dict) -> bool:
     return all(v.get(x, d0) == r for x, r in cond)
 
 
-def in_evidence(m: MModel, agent, r: str, v: dict, a: Formula) -> bool:
-    for e in m.evidence:
-        if (e.agent == agent and e.reason == r and e.formula == a
-                and _cond_holds(m, e.cond, v)):
-            return True
-    return False
-
-
 def evidence_at(m: MModel, agent, r: str, v: dict):
     return [e.formula for e in m.evidence
             if e.agent == agent and e.reason == r and _cond_holds(m, e.cond, v)]
+
+
+def in_evidence(m: MModel, agent, r: str, v: dict, a: Formula) -> bool:
+    return a in evidence_at(m, agent, r, v)
 
 
 def force(m: MModel, f: Formula, v: dict) -> bool:
@@ -176,20 +172,12 @@ def is_valid(m: MModel, f: Formula) -> bool:
 # -- closure conditions ------------------------------------------------------
 
 def _universe(m: MModel, extra) -> list:
-    seen = []
-    for f in [e.formula for e in m.evidence] + list(extra) + list(m.claims):
-        if f not in seen:
-            seen.append(f)
-    return seen
+    return list(dict.fromkeys(
+        [*(e.formula for e in m.evidence), *extra, *m.claims]))
 
 
 def _terms_of(forms) -> list:
-    out = []
-    for f in forms:
-        for t in formula_terms(f):
-            if t not in out:
-                out.append(t)
-    return out
+    return list(dict.fromkeys(t for f in forms for t in formula_terms(f)))
 
 
 def _cond_vars(m: MModel) -> set:
@@ -214,8 +202,7 @@ def check_evidence_conditions(m: MModel, extra=(), depth: int = 2) -> list:
     universe = _universe(m, extra)
     terms = _terms_of(universe)
     agents = list(m.agents) if m.agents else [None]
-    names = _cond_vars(m) | set().union(
-        *(free_vars(f) for f in universe)) if universe else _cond_vars(m)
+    names = _cond_vars(m).union(*(free_vars(f) for f in universe))
 
     for e in m.evidence:
         loose = {x for x, _ in e.cond} - free_vars(e.formula)
@@ -258,8 +245,7 @@ def check_evidence_conditions(m: MModel, extra=(), depth: int = 2) -> list:
                 rb = m.op(('bang',), (r,))
                 for f in ev[r]:
                     want = Just(t, ag, f)
-                    if want in universe and f in ev[r] \
-                            and not in_evidence(m, ag, rb, v, want):
+                    if want in universe and not in_evidence(m, ag, rb, v, want):
                         out.append("proof checker: %s missing at %s"
                                    % (print_formula(want), rb))
             if m.spec.kind == 'explicit':

@@ -30,7 +30,7 @@ from .syntax import (
     Just, Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim, App, Bang, UAll,
     NotFreeFor, PROP_NODES, print_formula, children, rebuild,
-    free_vars, subst_term_for_var, subst_in_term, imp_chain, record,
+    free_vars, subst_term_for_var, subst_in_term, imp_chain, record, replace,
 )
 from .registry import (
     get_logic, match_axiom, split_logic_id, Spec, TOTAL,
@@ -123,8 +123,7 @@ def deduction(d: Derivation, name: str) -> Derivation:
     if not wrapped[d.steps[-1].index]:
         b.add(Imp(a, d.final), 'prop', (len(b.steps),))
     premises = tuple(p for p in d.premises if p.name != name)
-    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                     premises, b.tuple())
+    out = replace(d, premises=premises, steps=b.tuple())
     _accepted(out, "deduction", True)
     return out
 
@@ -187,8 +186,7 @@ def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
             t, state[s.index] = cases(s, b, fresh, tau, state)
         tau[s.index] = (t, f)
 
-    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                     premises, b.tuple())
+    out = replace(d, premises=premises, steps=b.tuple())
     _accepted(out, what, True)
     return LiftResult(tau[d.steps[-1].index][0], out)
 
@@ -336,8 +334,7 @@ def substitute_proof(d: Derivation, x: str, t: Term) -> Derivation:
                 raise TransformError(str(e))
         steps.append(Step(s.index, fmap(s.formula), s.rule, s.refs, args))
     premises = tuple(Premise(p.name, fmap(p.formula)) for p in d.premises)
-    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                     premises, tuple(steps))
+    out = replace(d, premises=premises, steps=tuple(steps))
     _accepted(out, "substitution", True)
     return out
 
@@ -373,8 +370,7 @@ def jug(d: Derivation, x: str) -> Derivation:
     goal = Just(UAll(u, x), agent, Forall(x, a))
     g3 = b.add(Imp(ex, goal), 'ax', (), ('uf',))
     b.add(goal, 'mp', (g2, g3))
-    out = Derivation(d.logic_id, d.spec, d.spec_src, d.agents, d.ops,
-                     d.premises, b.tuple())
+    out = replace(d, steps=b.tuple())
     _accepted(out, "upgrade", True)
     return out
 
