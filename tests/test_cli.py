@@ -3,6 +3,8 @@
 import contextlib
 import io
 import os
+import pathlib
+import shutil
 import tempfile
 import tracemalloc
 
@@ -224,9 +226,10 @@ def test_fp_with_a_captured_argument_exits_1(capsys):
 
 # -- crash fuzzer ---------------------------------------------------------------
 # Mutated corpus files, run through the verbs that read them: every run
-# must end in exit code 0 or 1, never in another exception.
+# must end in exit code 0 or 1, never in another exception.  The corpus
+# spec files sit beside each mutant, so a `spec: file` header still reads.
 
-_MUTANT_SOURCES = {os.path.basename(p): open(p).read()
+_MUTANT_SOURCES = {os.path.basename(p): pathlib.Path(p).read_text()
                    for p in corpus_paths() + corpus_paths('.mdl')}
 _DRV_VERBS = (['check'], ['transform', 'lift'], ['transform', 'internalize'],
               ['transform', 'project'], ['transform', 'collapse'])
@@ -272,6 +275,8 @@ def test_mutated_corpus_ends_in_an_exit_code(case):
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        for spec in corpus_paths('.spec'):
+            shutil.copy(spec, tmp)
         if text is not None:
             path = os.path.join(tmp, 'mutant' + suffix)
             with open(path, 'w') as fh:
