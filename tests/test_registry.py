@@ -808,6 +808,15 @@ def _ref_schema_match(entry, f):
     return b if all(cond(b) for cond in conditions) else None
 
 
+def _ref_unfold(op, env):
+    # the replaced builders let NotFreeFor escape; an argument captured by
+    # a binder of the body is now a FixedPointError that names the operator
+    try:
+        return subst_prop_multi(op.body, env)
+    except NotFreeFor as ex:
+        raise FixedPointError("%s: %s" % (op.name, ex)) from None
+
+
 def _ref_fp_axiom(op, args):
     args = tuple(args)
     if len(args) != len(op.params):
@@ -816,7 +825,7 @@ def _ref_fp_axiom(op, args):
     head = FixApp(op.name, args)
     env = {op.var: head}
     env.update(zip(op.params, args))
-    return Iff(head, subst_prop_multi(op.body, env))
+    return Iff(head, _ref_unfold(op, env))
 
 
 def _ref_fp_axiom_instance(op, f):
@@ -829,7 +838,11 @@ def _ref_fp_axiom_instance(op, f):
         return None
     env = {op.var: head}
     env.update(zip(op.params, head.args))
-    return _ref_sigma_match(subst_prop_multi(op.body, env), f.b)
+    try:
+        base = _ref_unfold(op, env)
+    except FixedPointError:
+        return None
+    return _ref_sigma_match(base, f.b)
 
 
 def _ref_gl_obligation(op, candidate, args):
@@ -842,7 +855,7 @@ def _ref_gl_obligation(op, candidate, args):
             "explicit definability only applies to boxed recursion")
     env = {op.var: candidate}
     env.update(zip(op.params, args))
-    return Iff(candidate, subst_prop_multi(op.body, env))
+    return Iff(candidate, _ref_unfold(op, env))
 
 
 # formulas and terms for the comparison: primitive terms with variable
