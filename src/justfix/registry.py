@@ -17,10 +17,16 @@ decides each query with a reduced ordered BDD (Bryant 1986) built for
 that query alone: every maximal subformula that is not a boolean connective
 becomes one atom, atoms are ordered by first sight (goal first, then the
 premises last to first), and the node and memo tables are freed when the
-build returns.  Separable goals such as excluded-middle conjunctions and
-parity equivalences stay linear in the atom count.  An atom order can
-still make the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every
-a seen before any b takes about 8,200 nodes.
+build returns.  Each connective is its truth table as a 4-bit int, so a
+negation costs no pass: the build carries a complement mask down the
+formula and a negated connective applies the complemented table.  apply
+returns at once when a leaf or two equal operands decide the result, an
+atom object is looked up by identity before its content is hashed, and
+the premises are not built once the implication is already true.
+Separable goals such as excluded-middle conjunctions and parity
+equivalences stay linear in the atom count.  An atom order can still make
+the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every a seen
+before any b takes about 8,200 nodes.
 
 Inside a kernel.memo_scope, taut_consequence, match_axiom and get_logic
 decide each query once: the decision memo keys a query by the identity of
@@ -73,15 +79,19 @@ def _decide(key, keep, compute: Callable, *args):
 # order (goal first, then the premises last to first), and a lower number
 # sits nearer the root.  The unique table keeps the graph reduced, so a
 # function has exactly one node and "is a tautology" is "is node 1".  The
-# apply memo makes each (connective, node, node) pair cost one visit.  The
 # tables belong to one build and are freed when it returns; only the
 # verdict is kept, in the decision memo of an open scope.
+#
+# A connective is its truth table as a 4-bit int, bit 2a+b holding f(a,b),
+# so the complement of a table is op ^ 15 and build negates for free: it
+# carries a complement mask down the formula, and a negated connective
+# applies op ^ 15, a negated atom is the node (var, 1, 0) and a negated
+# Falsum is node 1.  apply returns at once when a leaf operand, or two
+# equal ones, leave a constant or an operand; only the complement of an
+# operand recurses.  The apply memo makes each (op, node, node) triple
+# cost one visit, and a commutative table keys the smaller node first.
 
-# truth tables f(0,0), f(0,1), f(1,0), f(1,1); negation ignores its second
-# argument
-_CONNECTIVES = {And: (0, 0, 0, 1), Or: (0, 1, 1, 1), Imp: (1, 1, 0, 1),
-                Iff: (1, 0, 0, 1), Xor: (0, 1, 1, 0)}
-_NOT = (1, 1, 0, 0)
+_CONNECTIVES = {And: 8, Or: 14, Imp: 11, Iff: 9, Xor: 6}
 _LEAF = float('inf')
 
 
@@ -93,6 +103,9 @@ class _BDD:
         self.unique: dict = {}   # (var, lo, hi) -> node
         self.memo: dict = {}     # (op, u, v) -> node
         self.atoms: dict = {}    # Formula -> var
+        # id(Formula) -> (Formula, var): an atom object is hashed once per
+        # BDD, and holding it keeps its id from being reused
+        self.seen: dict = {}
 
     def node(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -104,9 +117,26 @@ class _BDD:
             self.nodes.append(key)
         return u
 
-    def apply(self, op: tuple, u: int, v: int) -> int:
-        if u < 2 and v < 2:
-            return op[2 * u + v]
+    def apply(self, op: int, u: int, v: int) -> int:
+        # with a leaf operand, or u == v, the result is a function g of one
+        # operand w; t holds g(0) in bit 0 and g(1) in bit 1
+        if u < 2:
+            t, w = op >> 2 * u & 3, v
+        elif v < 2:
+            t, w = op >> v & 1 | op >> v + 1 & 2, u
+        elif u == v:
+            t, w = op & 1 | op >> 2 & 2, u
+        else:
+            t = -1
+            if u > v and not (op ^ op >> 1) & 2:
+                u, v = v, u     # f(0,1) == f(1,0): one key for both orders
+        if t == 2:
+            return w
+        if t == 0 or t == 3:
+            return t & 1
+        if t == 1 and w < 2:
+            return 1 - w
+        # two distinct nodes, or the complement of the node w
         key = (op, u, v)
         r = self.memo.get(key)
         if r is None:
@@ -121,18 +151,20 @@ class _BDD:
                                            self.apply(op, u1, v1))
         return r
 
-    def build(self, f: Formula) -> int:
-        """The node of f; every maximal subformula that is not a boolean
-        connective or Falsum is one atom, shared by formula equality."""
+    def build(self, f: Formula, neg: int = 0) -> int:
+        """The node of f, or of ~f when the mask neg is 15; every maximal
+        subformula that is not a boolean connective or Falsum is one atom,
+        shared by formula equality."""
         kind = type(f)
         op = _CONNECTIVES.get(kind)
         if kind is Imp:
-            return self.apply(op, self.build(f.a), self.build(f.b))
+            return self.apply(op ^ neg, self.build(f.a), self.build(f.b))
         if op is not None:
             # And, Or, Iff and Xor are associative and commutative: join
             # the operands of a chain from the deepest top atom upwards, so
             # that each join adds nodes only above those built so far (a
-            # parity chain then stays linear in either atom order)
+            # parity chain then stays linear in either atom order); the
+            # last join negates the chain
             operands, todo = [], [f]
             while todo:
                 g = todo.pop()
@@ -142,23 +174,30 @@ class _BDD:
                     operands.append(self.build(g))
             operands.sort(key=lambda u: self.nodes[u][0], reverse=True)
             u = operands[0]
-            for v in operands[1:]:
+            for v in operands[1:-1]:
                 u = self.apply(op, v, u)
-            return u
-        if isinstance(f, Neg):
-            return self.apply(_NOT, self.build(f.a), 0)
-        if isinstance(f, Falsum):
-            return 0
+            return self.apply(op ^ neg, operands[-1], u)
+        if kind is Neg:
+            return self.build(f.a, neg ^ 15)
+        if kind is Falsum:
+            return neg & 1
         # Atom, Box, Knows, Just, Forall, Exists, Mu, FixApp: opaque
-        return self.node(self.atoms.setdefault(f, len(self.atoms)), 0, 1)
+        hit = self.seen.get(id(f))
+        if hit is None:
+            var = self.atoms.setdefault(f, len(self.atoms))
+            hit = self.seen[id(f)] = f, var
+        return self.node(hit[1], neg & 1, ~neg & 1)
 
 
 def _consequence_bdd(goal: Formula, premises: list) -> tuple:
     """(node, bdd) of the implication from premises to goal; the bdd is
-    returned so that tests can read the size of its node table."""
+    returned so that tests can read the size of its node table.  Once the
+    implication is node 1 the remaining premises are not built."""
     bdd = _BDD()
     u = bdd.build(goal)
     for p in reversed(premises):
+        if u == 1:
+            break
         u = bdd.apply(_CONNECTIVES[Imp], bdd.build(p), u)
     return u, bdd
 

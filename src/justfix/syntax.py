@@ -81,10 +81,8 @@ def __eq__(self, other):
     return NotImplemented
 def __hash__(self):
     return hash(({mine}))
-def __setattr__(self, name, value):
-    raise FrozenRecordError(f"cannot assign to field {{name!r}}")
-def __delattr__(self, name):
-    raise FrozenRecordError(f"cannot delete field {{name!r}}")
+def __replace__(self{changes}):
+    return self.__class__({kept})
 '''
 _NODE_METHODS = '''
 def children(self):
@@ -94,13 +92,23 @@ def rebuild(self, kids):
 '''
 
 
+def _refuse_set(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
 def record(cls):
     """Class decorator: a frozen value class over the annotated fields of
     cls, in order, with their class attributes as defaults.  It adds an
     __init__ that stores each field (then runs __post_init__, if cls has
     one), a repr of the form Name(field=value, ...), == and hash on the
     field tuple between instances of one class, an assignment and deletion
-    that raise, and __match_args__, the field names.
+    that raise, a __replace__ that takes each field by keyword only and
+    keeps the current value of every field not given, and
+    __match_args__, the field names.
 
     A Formula or Term node also gets children() and rebuild(kids).  Its
     children are the fields annotated with its own sort, or with a tuple
@@ -108,10 +116,10 @@ def record(cls):
     formula's children are formulas (the term of t : A is a field, not a
     child) and a term's children are terms.  rebuild keeps every other
     field, and a node without child fields rebuilds to itself.  The
-    methods of a class come from one exec."""
+    methods of a class that depend on its fields come from one exec; the
+    two that refuse assignment and deletion are shared by every record."""
     fields = tuple(cls.__annotations__)
-    env = {'FrozenRecordError': FrozenRecordError,
-           '_set': object.__setattr__, '_cls': cls}
+    env = {'_set': object.__setattr__, '_cls': cls, '_keep': object()}
     params = []
     for f in fields:
         if f in cls.__dict__:
@@ -122,12 +130,17 @@ def record(cls):
     stores = [f"    _set(self, '{f}', {f})" for f in fields]
     if hasattr(cls, '__post_init__'):
         stores.append('    self.__post_init__()')
+    keywords = ''.join(f', {f}=_keep' for f in fields)
     parts = {
         'params': ', '.join(params),
         'stores': '\n'.join(stores) or '    pass',
         'shown': ', '.join(f'{f}={{self.{f}!r}}' for f in fields),
         'mine': ''.join(f'self.{f}, ' for f in fields),
         'theirs': ''.join(f'other.{f}, ' for f in fields),
+        # a record without fields takes no keyword, so it has no bare *
+        'changes': keywords and ', *' + keywords,
+        'kept': ', '.join(f'self.{f} if {f} is _keep else {f}'
+                          for f in fields),
     }
     source = _RECORD_METHODS.format(**parts)
     for sort in (s.__name__ for s in (Formula, Term) if issubclass(cls, s)):
@@ -144,6 +157,7 @@ def record(cls):
     exec(source, env, methods)
     for name, fn in methods.items():
         setattr(cls, name, fn)
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
     cls.__match_args__ = fields
     return cls
 
@@ -151,10 +165,7 @@ def record(cls):
 def replace(obj, **changes):
     """A copy of the record obj with the named fields changed; a name
     that is not a field raises TypeError."""
-    for f in obj.__match_args__:
-        if f not in changes:
-            changes[f] = getattr(obj, f)
-    return obj.__class__(**changes)
+    return obj.__replace__(**changes)
 
 
 # the agent labels of a node that has none; see _facts

@@ -181,6 +181,24 @@ def test_each_entry_decides_each_query_once(monkeypatch):
     assert builds['ts4-surprise'] <= 13
 
 
+def test_manifest_pass_apply_calls(monkeypatch):
+    calls = dict.fromkeys((e.id for e in MANIFEST), 0)
+    current = []
+
+    def counted(*args, fn=registry._BDD.apply):
+        calls[current[-1]] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(registry._BDD, 'apply', counted)
+    for e in MANIFEST:
+        current.append(e.id)
+        assert run_entry(e).ok
+    # with a negation pass per ~ and no terminal rules, a pass took 21,243
+    # apply calls, 4,664 of them on ts4-bot
+    assert sum(calls.values()) <= 7000
+    assert calls['ts4-bot'] <= 1300
+
+
 @pytest.mark.parametrize('entry', [
     MANIFEST[0],
     CorpusEntry('ghost', 'ghost.drv', 'drv', 'p'),

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from conftest import (ATOM_NAMES, any_formulas, bool_formulas, corpus_paths,
-                      jl_formulas)
+from conftest import (ATOM_NAMES, any_formulas, atoms, bool_formulas,
+                      corpus_paths, jl_formulas)
 from justfix.kernel import load_derivation
 from justfix.registry import (EMPTY, TOTAL, SCHEMAS, Spec, UnknownLogic,
-                              _consequence_bdd, get_logic, infer_term,
+                              _BDD, _CONNECTIVES, _consequence_bdd,
+                              get_logic, infer_term,
                               is_tautology, known_logics, match_axiom,
                               sigma_match, spec_membership, taut_consequence)
 from justfix.syntax import (And, Atom, Bang, Box, Const, Falsum, Iff, Imp,
@@ -284,13 +285,47 @@ def _parity(n, dropped=False):
     (lambda n: _excluded_middle(n, crossed=True), False),
     (lambda n: _parity(n, dropped=True), False),
 ], ids=['excluded-middle', 'parity', 'crossed', 'dropped'])
-def test_taut_node_table_linear_in_atoms(family, valid, n):
-    # a count, not a wall time, so the bound does not flake; splitting on
+def test_taut_node_table_linear_in_atoms(family, valid, n, monkeypatch):
+    # counts, not a wall time, so the bounds do not flake; splitting on
     # atoms one by one could never finish at 60
+    calls = []
+
+    def counted(*args, fn=_BDD.apply):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(_BDD, 'apply', counted)
     node, bdd = _consequence_bdd(parse_formula(family(n)), [])
     assert len(bdd.atoms) == n
     assert (node == 1) == valid
     assert len(bdd.nodes) <= 4 * n
+    # without the terminal rules, 'dropped' took 19.6n apply calls at 60
+    assert len(calls) <= 12 * n
+
+
+@settings(max_examples=300, deadline=None)
+@given(bool_formulas(6, atoms | atoms.map(Box)),
+       bool_formulas(6, atoms | atoms.map(Box)))
+def test_bdd_negation_and_equivalence_share_nodes(f, g):
+    # within one BDD: ~f is the complement of f, and two formulas get the
+    # same node exactly when the truth tables prove each from the other
+    bdd = _BDD()
+    u, v = bdd.build(f), bdd.build(g)
+    assert bdd.apply(_CONNECTIVES[Xor], u, bdd.build(Neg(f))) == 1
+    assert bdd.build(_mirror(f)) == u
+    assert (u == v) == (table_consequence([f], g)
+                        and table_consequence([g], f))
+
+
+def test_true_implication_builds_no_further_premise():
+    # p | ~p holds, so no premise is built: none of their atoms is numbered
+    node, bdd = _consequence_bdd(parse_formula('p | ~p'),
+                                 [parse_formula('q & []r'), parse_formula('s')])
+    assert node == 1 and list(bdd.atoms) == [Atom('p')]
+    # the last premise proves q; the first is never built
+    node, bdd = _consequence_bdd(parse_formula('q'),
+                                 [parse_formula('[]r'), parse_formula('q')])
+    assert node == 1 and list(bdd.atoms) == [Atom('q')]
 
 
 # -- schema matching ----------------------------------------------------------
