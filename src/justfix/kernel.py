@@ -171,8 +171,10 @@ def _parse_refs(tokens) -> tuple:
     return tuple(refs)
 
 
-def _parse_justification(text: str, profile) -> tuple:
-    """Returns (rule, refs, args), read by the rule's grammar in RULES."""
+def _parse_justification(text: str, profile, *,
+                         table: Optional[dict] = None) -> tuple:
+    """Returns (rule, refs, args), read by the rule's grammar in RULES; its
+    formulas and terms are parsed through table (see parse_formula)."""
     head = _split_top(text, ';')
     toks = head[0].split()
     if not toks:
@@ -196,8 +198,8 @@ def _parse_justification(text: str, profile) -> tuple:
         m = _SUBST_RE.match(' '.join(rest))
         if not m:
             raise DerivationError(usage)
-        return rule, (int(m.group(1)),), ('subst', m.group(2),
-                                          parse_term(m.group(3), profile))
+        return rule, (int(m.group(1)),), (
+            'subst', m.group(2), parse_term(m.group(3), profile, table=table))
     refs = ()
     if 'refs' in grammar:
         # the first slot: every token before the slots that follow
@@ -217,26 +219,30 @@ def _parse_justification(text: str, profile) -> tuple:
         else:
             args.append(_number(tok, 'time') if slot == 'time' else tok)
     if rule == 'fp':                # its ';' part: the operator's arguments
-        args.append(tuple(parse_formula(p.strip(), profile) for p in
-                          _split_top(';'.join(head[1:]), ',') if p.strip())
+        args.append(tuple(parse_formula(p.strip(), profile, table=table)
+                          for p in _split_top(';'.join(head[1:]), ',')
+                          if p.strip())
                     if len(head) > 1 else ())
     return rule, refs, tuple(args)
 
 
-def parse_spec_file(path: str, profile) -> Spec:
+def parse_spec_file(path: str, profile, *,
+                    table: Optional[dict] = None) -> Spec:
     with open(path) as fh:
         text = fh.read()
     entries = []
     for line in text.splitlines():
         line = strip_comment(line).strip()
         if line:
-            entries.append(parse_formula(line, profile))
+            entries.append(parse_formula(line, profile, table=table))
     return Spec('explicit', frozenset(entries))
 
 
-def parse_spec_value(src: str, logic, base_dir: str) -> Optional[Spec]:
+def parse_spec_value(src: str, logic, base_dir: str, *,
+                     table: Optional[dict] = None) -> Optional[Spec]:
     """The specification a `spec:` header names: tcs, empty, or file <path>
-    relative to base_dir.  None when src is none of these."""
+    relative to base_dir, whose formulas are parsed through table.  None
+    when src is none of these."""
     if src == 'tcs':
         return TOTAL
     if src == 'empty':
@@ -244,12 +250,14 @@ def parse_spec_value(src: str, logic, base_dir: str) -> Optional[Spec]:
     parts = src.split(None, 1)
     if len(parts) == 2 and parts[0] == 'file':
         return parse_spec_file(os.path.join(base_dir, parts[1].strip()),
-                               logic.profile)
+                               logic.profile, table=table)
     return None
 
 
-def parse_fix_decl(line: str, logic) -> FPOperator:
-    """Parse `fix <name> <var> (<params>) := <body>` against a logic."""
+def parse_fix_decl(line: str, logic, *,
+                   table: Optional[dict] = None) -> FPOperator:
+    """Parse `fix <name> <var> (<params>) := <body>` against a logic, the
+    body through table."""
     if not logic.fp:
         raise DerivationError(
             "logic %s has no fixed-point extension" % logic.name)
@@ -257,11 +265,14 @@ def parse_fix_decl(line: str, logic) -> FPOperator:
     if not m:
         raise DerivationError("bad fix declaration: %r" % line)
     params = tuple(p.strip() for p in m.group(3).split(',') if p.strip())
-    body = parse_formula(m.group(4), logic.profile)
+    body = parse_formula(m.group(4), logic.profile, table=table)
     return make_operator(m.group(1), m.group(2), params, body, logic.fp_mode)
 
 
 def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
+    """The derivation text states.  Its formulas and terms are parsed
+    through one table, so equal subtrees anywhere in it are one object."""
+    table: dict = {}
     logic_id = None
     logic = None
     spec = TOTAL
@@ -285,9 +296,10 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             parts = _split_top(body, ';')
             if len(parts) < 2:
                 raise DerivationError("step %d lacks a justification" % n)
-            formula = parse_formula(parts[0].strip(), logic.profile)
+            formula = parse_formula(parts[0].strip(), logic.profile,
+                                    table=table)
             rule, refs, args = _parse_justification(
-                ';'.join(parts[1:]).strip(), logic.profile)
+                ';'.join(parts[1:]).strip(), logic.profile, table=table)
             if any(r < 1 or r >= n for r in refs):
                 raise DerivationError("step %d cites an unavailable step" % n)
             steps.append(Step(n, formula, rule, refs, args))
@@ -300,7 +312,7 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             spec_src = line[len('spec:'):].strip()
             if spec_src.split()[:1] == ['file'] and logic is None:
                 raise DerivationError("spec file before logic header")
-            spec = parse_spec_value(spec_src, logic, base_dir)
+            spec = parse_spec_value(spec_src, logic, base_dir, table=table)
             if spec is None:
                 raise DerivationError("spec must be tcs, empty, or file <path>")
             continue
@@ -322,7 +334,7 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
         if line.startswith('fix '):
             if logic is None:
                 raise DerivationError("fix declaration before logic header")
-            ops.append(parse_fix_decl(line, logic))
+            ops.append(parse_fix_decl(line, logic, table=table))
             continue
         if line.startswith('premise '):
             if logic is None:
@@ -330,8 +342,8 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             name, _, rhs = line[len('premise '):].partition(':')
             if not rhs:
                 raise DerivationError("premise needs <name>: <formula>")
-            premises.append(Premise(name.strip(),
-                                    parse_formula(rhs.strip(), logic.profile)))
+            premises.append(Premise(name.strip(), parse_formula(
+                rhs.strip(), logic.profile, table=table)))
             continue
         raise DerivationError("unrecognized line: %r" % line)
     if logic is None:

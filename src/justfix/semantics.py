@@ -294,6 +294,9 @@ _EVIDENCE_RE = re.compile(r'^(\S+)\s*(\{[^}]*\})?\s*:\s*(.+)$')
 
 
 def parse_model(text: str, base_dir: str = '.') -> MModel:
+    """The model text states.  Its formulas are parsed through one table,
+    so equal subtrees anywhere in it are one object."""
+    nodes: dict = {}                # the parser's sharing table
     logic_id = 'QLP-'
     logic = get_logic(logic_id)
     spec = EMPTY
@@ -315,7 +318,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             continue
         if line.startswith('spec:'):
             spec_src = line[len('spec:'):].strip()
-            spec = parse_spec_value(spec_src, logic, base_dir)
+            spec = parse_spec_value(spec_src, logic, base_dir, table=nodes)
             if spec is None:
                 raise ModelError("spec must be tcs, empty, or file <path>")
             continue
@@ -362,7 +365,8 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
                         x, _, r = piece.partition('=')
                         cond.append((x.strip(), r.strip()))
             evidence.append(EvEntry(agent, reason, tuple(sorted(cond)),
-                                    parse_formula(m2.group(3), logic.profile)))
+                                    parse_formula(m2.group(3), logic.profile,
+                                                  table=nodes)))
             continue
         if word == 'truth':
             key, _, val = rest.rpartition('=')
@@ -372,7 +376,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             if key == 'default':
                 truth_default = val == '1'
             else:
-                kf = parse_formula(key, logic.profile)
+                kf = parse_formula(key, logic.profile, table=nodes)
                 if isinstance(kf, Atom):
                     truth[kf.name] = val == '1'
                 elif isinstance(kf, FixApp):
@@ -382,7 +386,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
                         "truth keys are atoms or defined sentences: %r" % key)
             continue
         if word == 'valid':
-            claims.append(parse_formula(rest, logic.profile))
+            claims.append(parse_formula(rest, logic.profile, table=nodes))
             continue
         raise ModelError("unrecognized line: %r" % line)
     if domain is None:

@@ -33,6 +33,15 @@ inside identifiers, so machine-generated names like c#3 stay parseable.
 Formula equality is structural.  Printing is inverse to parsing within one
 language profile.
 
+The parser builds every node through a table, keyed by the node's class,
+its other fields and the ids of its children, so equal subtrees parsed
+under one table are one object.  parse_formula and parse_term take the
+table as a keyword argument and use a fresh one per call without it;
+kernel.parse_derivation and semantics.parse_model keep one per file they
+read, and drop it when they return.  The table holds every node whose id
+is in a key, so no id is reused while it lives.  Sharing changes no
+equality: nodes still compare and hash by their fields.
+
 The parser looks ahead instead of backtracking: it tries the term path of
 t : A only where a term can start and a ':' or ':@' can follow it.  Each
 node caches its language facts (the node kinds under it and its agent
@@ -719,10 +728,6 @@ def nu_formula(var: str, body: Formula) -> Formula:
     return Neg(Mu(var, Neg(subst_prop(body, var, Neg(Atom(var))))))
 
 
-def diamond(a: Formula) -> Formula:
-    return Neg(Box(Neg(a)))
-
-
 def imp_chain(premises: list[Formula], goal: Formula) -> Formula:
     out = goal
     for p in reversed(premises):
@@ -742,9 +747,10 @@ _TERM_BINARY = {"+": (TSum, 0), "*": (App, 1)}
 _UNARY = 1 + max(level for _, level in _BINARY.values())
 _TERM_UNARY = 1 + max(level for _, level in _TERM_BINARY.values())
 
-# Prefix operators and binders: token -> what builds the node.  '<>' and
-# 'nu' build their expansions, so no node prints with them.
-_PREFIX = {"~": Neg, "[]": Box, "<>": diamond}
+# Prefix operators: token -> the classes of the nodes it builds, outermost
+# first, so '<>' builds ~[]~.  Binders: token -> what builds the node, and
+# 'nu' builds its expansion.  So no node prints with '<>' or 'nu'.
+_PREFIX = {"~": (Neg,), "[]": (Box,), "<>": (Neg, Box, Neg)}
 _TERM_PREFIX = {"!": Bang, "??": WQuest, "?": Quest}
 _BINDERS = {"all": Forall, "ex": Exists, "mu": Mu, "nu": nu_formula}
 
@@ -752,7 +758,8 @@ _BINDERS = {"all": Forall, "ex": Exists, "mu": Mu, "nu": nu_formula}
 # prefix operator's level is its operand's and a binder's is None
 _SHOWN = {cls: (f" {tok} ", level) for tok, (cls, level)
           in (*_BINARY.items(), *_TERM_BINARY.items())}
-_SHOWN.update((cls, (tok, _UNARY)) for tok, cls in _PREFIX.items())
+_SHOWN.update((cls, (tok, _UNARY)) for tok, (cls, *more) in _PREFIX.items()
+              if not more)
 _SHOWN.update((cls, (tok, _TERM_UNARY)) for tok, cls in _TERM_PREFIX.items())
 _SHOWN.update((cls, (tok, None)) for tok, cls in _BINDERS.items())
 
@@ -811,13 +818,66 @@ def is_var_name(name: str) -> bool:
     return name[0] in _VAR_INITIALS
 
 
+_SORTS = (Formula, Term)
+_new = object.__new__
+
+
+def _key(v) -> object:
+    """A field's part of a sharing key (see _Parser.node): a node by its
+    id, a tuple item by item, any other value as it is."""
+    if isinstance(v, _SORTS):
+        return id(v)
+    return tuple(map(_key, v)) if type(v) is tuple else v
+
+
 class _Parser:
-    def __init__(self, text: str, profile: LanguageProfile):
+    def __init__(self, text: str, profile: LanguageProfile, table: dict):
         self.text = text
         self.toks, self.close = _tokenize(text)
         self.toks.append(None)      # end of input
         self.pos = 0
         self.profile = profile
+        self.table = table
+
+    def node(self, cls, *fields) -> Node:
+        """The node cls(*fields) of the table, built and stored the first
+        time it is asked for.  The key holds each node field by its id;
+        every such node came from the table, which keeps it alive, so no
+        id in a key is reused while the table lives."""
+        # _key, inlined for the nodes of one or two fields, most of them;
+        # a one-field node holds no tuple
+        if len(fields) == 1:
+            a, = fields
+            key = cls, id(a) if isinstance(a, _SORTS) else a
+        elif len(fields) == 2:
+            a, b = fields
+            key = (cls, id(a) if isinstance(a, _SORTS) else _key(a),
+                   id(b) if isinstance(b, _SORTS) else _key(b))
+        else:
+            key = (cls, *map(_key, fields))
+        table = self.table
+        got = table.get(key)
+        if got is None:
+            # cls(*fields) would also count the call of the class against
+            # the recursion limit, so every nesting limit would fall by one
+            got = _new(cls)
+            cls.__init__(got, *fields)      # may raise PositivityError
+            table[key] = got
+        return got
+
+    def share(self, f: Node) -> Node:
+        """f as the table's node, for nu, whose expansion substitutes into
+        the parsed body: f itself when the table holds it, else a node
+        built through node from f's fields, shared in turn."""
+        fields = [getattr(f, name) for name in f.__match_args__]
+        if self.table.get((type(f), *map(_key, fields))) is f:
+            return f
+        return self.node(type(f), *map(self._shared_field, fields))
+
+    def _shared_field(self, v):
+        if isinstance(v, _SORTS):
+            return self.share(v)
+        return tuple(map(self._shared_field, v)) if type(v) is tuple else v
 
     def next(self) -> str:
         tok = self.toks[self.pos]
@@ -863,29 +923,36 @@ class _Parser:
         while op is not None and op[1] == level:
             self.pos += 1
             if not level:                   # groups to the right
-                return op[0](left, self.imp())
-            left = op[0](left, self.imp(up) if up < _UNARY else self.unary())
+                return self.node(op[0], left, self.imp())
+            left = self.node(op[0], left,
+                             self.imp(up) if up < _UNARY else self.unary())
             op = _BINARY.get(self.toks[self.pos])
         return left
 
     def unary(self) -> Formula:
         tok = self.toks[self.pos]
-        make = _PREFIX.get(tok)
-        if make is not None:
+        classes = _PREFIX.get(tok)
+        if classes is not None:
             self.pos += 1
-            return make(self.unary())
+            a = self.unary()
+            for cls in reversed(classes):
+                a = self.node(cls, a)
+            return a
         make = _BINDERS.get(tok)
         if make is not None:
             self.pos += 1
             v = self.ident()
             self.expect(".")
-            return make(v, self.imp())
+            a = self.imp()
+            # nu builds its expansion, which share then puts in the table
+            return self.node(make, v, a) if isinstance(make, type) \
+                else self.share(make(v, a))
         if tok == "K" and self.toks[self.pos + 1] == "@":
             self.pos += 2
             num = self.next()
             if not num.isdigit():
                 raise ParseError(f"expected time after K@, got {num!r}")
-            return Knows(int(num), self.unary())
+            return self.node(Knows, int(num), self.unary())
         if not self.may_be_term():
             return self.primary()
         save = self.pos
@@ -894,11 +961,11 @@ class _Parser:
             nxt = self.toks[self.pos]
             if nxt == ":":
                 self.pos += 1
-                return Just(t, None, self.unary())
+                return self.node(Just, t, None, self.unary())
             if nxt == ":@":
                 self.pos += 1
                 ag = self.ident()
-                return Just(t, ag, self.unary())
+                return self.node(Just, t, ag, self.unary())
         except ParseError:
             pass
         self.pos = save
@@ -907,7 +974,7 @@ class _Parser:
     def primary(self) -> Formula:
         tok = self.next()
         if tok == "false":
-            return Falsum()
+            return self.node(Falsum)
         if tok == "fix":
             self.expect("(")
             name = self.ident()
@@ -919,13 +986,13 @@ class _Parser:
                     self.pos += 1
                     args.append(self.imp())
             self.expect(")")
-            return FixApp(name, tuple(args))
+            return self.node(FixApp, name, tuple(args))
         if tok == "(":
             f = self.imp()
             self.expect(")")
             return f
         if is_ident(tok):
-            return Atom(tok)
+            return self.node(Atom, tok)
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
 
     # term levels
@@ -937,8 +1004,8 @@ class _Parser:
         op = _TERM_BINARY.get(self.toks[self.pos])
         while op is not None and op[1] == level:
             self.pos += 1
-            left = op[0](left, self.term(up) if up < _TERM_UNARY
-                         else self.tunary())
+            left = self.node(op[0], left, self.term(up) if up < _TERM_UNARY
+                             else self.tunary())
             op = _TERM_BINARY.get(self.toks[self.pos])
         return left
 
@@ -947,7 +1014,7 @@ class _Parser:
         if make is None:
             return self.tprimary()
         self.pos += 1
-        return make(self.tunary())
+        return self.node(make, self.tunary())
 
     def tprimary(self) -> Term:
         tok = self.next()
@@ -959,7 +1026,7 @@ class _Parser:
                 if not is_var_name(v):
                     raise ParseError(f"verifier binds a variable, got {v!r}")
                 self.expect(")")
-                return UAll(inner, v)
+                return self.node(UAll, inner, v)
             self.expect(")")
             return inner
         if not is_ident(tok):
@@ -974,17 +1041,19 @@ class _Parser:
             for a in args:
                 if not is_var_name(a):
                     raise ParseError(f"primitive term argument must be a variable, got {a!r}")
-            return Prim(tok, tuple(args))
+            return self.node(Prim, tok, tuple(args))
         if is_var_name(tok):
-            return Var(tok)
+            return self.node(Var, tok)
         if "Const" not in self.profile.term_nodes and "Prim" in self.profile.term_nodes:
-            return Prim(tok, ())
-        return Const(tok)
+            return self.node(Prim, tok, ())
+        return self.node(Const, tok)
 
 
-def _parse(text: str, profile: LanguageProfile, rule):
-    """Run one parser rule over the whole of text."""
-    p = _Parser(text, profile)
+def _parse(text: str, profile: LanguageProfile, rule,
+           table: Optional[dict] = None):
+    """Run one parser rule over the whole of text, sharing nodes through
+    table (a fresh one when None)."""
+    p = _Parser(text, profile, {} if table is None else table)
     try:
         out = rule(p)
     except RecursionError:
@@ -995,14 +1064,19 @@ def _parse(text: str, profile: LanguageProfile, rule):
     return out
 
 
-def parse_formula(text: str, profile: LanguageProfile = FULL) -> Formula:
-    f = _parse(text, profile, _Parser.imp)
+def parse_formula(text: str, profile: LanguageProfile = FULL, *,
+                  table: Optional[dict] = None) -> Formula:
+    """The formula text states.  Equal subtrees are one object within the
+    call, and across every call given the same table."""
+    f = _parse(text, profile, _Parser.imp, table)
     check_profile(f, profile)
     return f
 
 
-def parse_term(text: str, profile: LanguageProfile = FULL) -> Term:
-    return _parse(text, profile, _Parser.term)
+def parse_term(text: str, profile: LanguageProfile = FULL, *,
+               table: Optional[dict] = None) -> Term:
+    """The term text states, sharing as parse_formula does."""
+    return _parse(text, profile, _Parser.term, table)
 
 
 # ------------------------------------------------------------- printing

@@ -4,7 +4,7 @@ import os
 import hypothesis.strategies as st
 import pytest
 
-from justfix import registry
+from justfix import registry, syntax
 from justfix.kernel import load_derivation, parse_derivation
 from justfix.syntax import (And, App, Atom, Bang, Box, Const, Exists, Falsum,
                             FixApp, Forall, Iff, Imp, Just, Knows, Neg, Or,
@@ -30,6 +30,46 @@ def no_memo_outlives_a_test():
 def corpus_derivations():
     return {os.path.basename(p)[:-4]: load_derivation(p)
             for p in corpus_paths()}
+
+
+class CountedKinds:
+    """Stands in for the attribute that holds a node's kinds mask (see
+    syntax._facts): it keeps the masks beside the nodes and records each
+    node whose facts are computed, holding the node so that no id is
+    reused."""
+
+    def __init__(self):
+        self.kinds, self.computed = {}, []
+
+    def __get__(self, node, cls):
+        return self if node is None else self.kinds.get(id(node), 0)
+
+    def __set__(self, node, kinds):
+        self.computed.append(node)
+        self.kinds[id(node)] = kinds
+
+
+@pytest.fixture
+def counted_kinds(monkeypatch):
+    """A CountedKinds installed as the kinds mask of every node."""
+    counted = CountedKinds()
+    monkeypatch.setattr(syntax.Formula, '_kinds', counted)
+    monkeypatch.setattr(syntax.Term, '_kinds', counted)
+    return counted
+
+
+def node_objects(roots):
+    """Every distinct node object under roots, the terms of justifications
+    included."""
+    seen, todo = {}, list(roots)
+    while todo:
+        g = todo.pop()
+        if id(g) not in seen:
+            seen[id(g)] = g
+            todo += g.children()
+            if isinstance(g, Just):
+                todo.append(g.t)
+    return list(seen.values())
 
 
 # -- formula strategies -------------------------------------------------------

@@ -199,6 +199,13 @@ def test_manifest_pass_apply_calls(monkeypatch):
     assert calls['ts4-bot'] <= 1300
 
 
+def test_manifest_pass_profile_facts(counted_kinds):
+    for e in MANIFEST:
+        assert run_entry(e).ok
+    # parsing each formula apart computed the facts of 12,097 nodes per pass
+    assert len(counted_kinds.computed) <= 4500
+
+
 @pytest.mark.parametrize('entry', [
     MANIFEST[0],
     CorpusEntry('ghost', 'ghost.drv', 'drv', 'p'),

@@ -9,18 +9,18 @@ import re
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (ATOM_NAMES, _bool_layer, atoms, jl_formulas,
-                      lp_terms, modal_formulas, qlp_formulas, qlp_terms,
-                      timed_formulas, with_fix)
+                      lp_terms, modal_formulas, node_objects, qlp_formulas,
+                      qlp_terms, timed_formulas, with_fix)
 from justfix import kernel, syntax
 from justfix.registry import get_logic
 from justfix.syntax import (And, App, Atom, Bang, Box, Const, Exists,
                             Falsum, FixApp, FMeta, Forall, Iff, Imp, Just,
-                            Knows, Mu, Neg, Or, ParseError, Prim,
-                            ProfileError, Quest, TMeta, TSum, UAll, Var,
-                            WQuest, Xor, diamond, is_var_name, nu_formula,
+                            Knows, Mu, Neg, Or, ParseError, PositivityError,
+                            Prim, ProfileError, Quest, TMeta, TSum, UAll,
+                            Var, WQuest, Xor, is_var_name, nu_formula,
                             occurrence_ok, print_formula, print_term, walk)
 
 
@@ -122,7 +122,7 @@ class _RefParser:
             return Box(self.unary())
         if tok == "<>":
             self.next()
-            return diamond(self.unary())
+            return Neg(Box(Neg(self.unary())))
         if tok == "K" and self.peek(1) == "@":
             self.next()
             self.next()
@@ -259,11 +259,11 @@ def _ref_parse(text: str, profile: LanguageProfile, rule):
 
 
 
-def _outcome(parse, text, profile, rule):
+def _outcome(parse, *args):
     try:
-        return parse(text, profile, rule)
-    except ParseError as e:
-        return 'ParseError: %s' % e
+        return parse(*args)
+    except (ParseError, PositivityError) as e:
+        return '%s: %s' % (type(e).__name__, e)
 
 
 def _same_parse(text, profile, term=False):
@@ -316,6 +316,7 @@ _printed_terms = st.one_of(
 
 @settings(max_examples=500, deadline=None)
 @given(_printed, st.sampled_from(sorted(_PROFILES)))
+@example(('K(mu)', '( mu p . p -> false'), 'K(mu)')    # both refuse the mu
 def test_printed_formulas_parse_as_before(pf, other):
     name, text = pf
     _same_parse(text, _PROFILES[name])
@@ -372,6 +373,36 @@ def test_malformed_terms_fail_as_before(data):
     name, text = data.draw(_printed_terms)
     bad = _mutate(data.draw, [tok for tok, _ in _ref_tokenize(text)])
     _same_parse(bad, _PROFILES[name], term=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_table_parses_as_fresh_tables(data):
+    """Formulas and terms, printed or mutated (so that some fail, some
+    after a term path that backtracks), parsed one after another through
+    one table: each gives what a fresh table gives, and equal subtrees of
+    all of them are one object."""
+    table, parsed = {}, []
+    for _ in range(data.draw(st.integers(1, 12))):
+        term = data.draw(st.booleans())
+        name, text = data.draw(_printed_terms if term else _printed)
+        if data.draw(st.booleans()):
+            text = _mutate(data.draw, [tok for tok, _ in _ref_tokenize(text)])
+        profile = _PROFILES[data.draw(st.sampled_from((name, 'full')))]
+        rule = syntax._Parser.term if term else syntax._Parser.imp
+        shared = _outcome(syntax._parse, text, profile, rule, table)
+        assert shared == _outcome(syntax._parse, text, profile, rule), text
+        if not isinstance(shared, str):
+            parsed.append(shared)
+    nodes = node_objects(parsed)
+    assert len(nodes) == len(set(nodes))
+
+
+def test_a_refused_mu_stays_refused_through_one_table():
+    table = {}
+    for _ in range(2):
+        with pytest.raises(PositivityError):
+            syntax.parse_formula('q & mu p . ~p', table=table)
 
 
 _EDGE_INPUTS = (

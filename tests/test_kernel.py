@@ -14,10 +14,10 @@ from justfix.kernel import (RULES, DerivationError, Step, check_derivation,
                             _print_justification)
 from justfix.registry import (TOTAL, UnknownLogic, get_logic, known_logics,
                               match_axiom, taut_consequence)
-from justfix.syntax import (FULL, Atom, Knows, Neg, parse_formula,
-                            print_formula, replace)
+from justfix.syntax import (FULL, Atom, Formula, Knows, Neg, Term,
+                            parse_formula, print_formula, replace)
 
-from conftest import CORPUS, corpus_paths
+from conftest import CORPUS, corpus_paths, node_objects
 
 
 def check_text(text):
@@ -803,28 +803,8 @@ def test_decisions_agree_inside_and_outside_a_scope(corpus_derivations):
 
 # -- one profile pass per formula node -------------------------------------------
 
-class _CountedKinds:
-    """Stands in for the attribute that holds a node's kinds mask (see
-    syntax._facts): it keeps the masks beside the nodes and records each
-    node whose facts are computed, holding the node so that no id is
-    reused."""
-
-    def __init__(self):
-        self.kinds, self.computed = {}, []
-
-    def __get__(self, node, cls):
-        return self if node is None else self.kinds.get(id(node), 0)
-
-    def __set__(self, node, kinds):
-        self.computed.append(node)
-        self.kinds[id(node)] = kinds
-
-
-def test_ts4_bot_walks_each_formula_node_once(monkeypatch):
+def test_ts4_bot_walks_each_formula_node_once(monkeypatch, counted_kinds):
     from justfix import corpus, syntax
-    counted = _CountedKinds()
-    monkeypatch.setattr(syntax.Formula, '_kinds', counted)
-    monkeypatch.setattr(syntax.Term, '_kinds', counted)
     walks = []
     monkeypatch.setattr(syntax, '_raise_first_error',
                         lambda *args: walks.append(args))
@@ -832,16 +812,37 @@ def test_ts4_bot_walks_each_formula_node_once(monkeypatch):
     assert entry.post == (('deduce',),)
     with kernel.memo_scope():
         d = load_derivation(os.path.join(CORPUS, entry.path))
-        loaded = len(counted.computed)
+        loaded = len(counted_kinds.computed)
         assert check_derivation(d).ok
         assert corpus._deduce_roundtrip(d) is None
-    ids = [id(node) for node in counted.computed]
+    ids = [id(node) for node in counted_kinds.computed]
     # one walk per profile check visited 15,869 nodes in 97 checks: each
     # step at load, at its check and in the axiom matcher, and again in the
-    # deduction images; the images add 8 nodes of their own
+    # deduction images.  Parsing each formula apart built 3,108 nodes, each
+    # computed once; one table per file builds the 140 distinct ones.  The
+    # images add 8 nodes of their own
     assert len(ids) == len(set(ids))
-    assert (loaded, len(ids)) == (3108, 3116)
+    assert (loaded, len(ids)) == (140, 148)
     assert walks == []
+
+
+def _loaded_roots(d):
+    """The formulas and terms a loaded derivation holds."""
+    roots = [p.formula for p in d.premises] + [op.body for op in d.ops]
+    for s in d.steps:
+        roots.append(s.formula)
+        for a in s.args:
+            roots += a if isinstance(a, tuple) else [a]
+    if d.spec.kind == 'explicit':
+        roots += d.spec.entries
+    return [r for r in roots if isinstance(r, (Formula, Term))]
+
+
+@pytest.mark.parametrize('path', corpus_paths(),
+                         ids=lambda p: os.path.basename(p)[:-4])
+def test_loading_builds_each_distinct_node_once(path):
+    nodes = node_objects(_loaded_roots(load_derivation(path)))
+    assert len(nodes) == len(set(nodes))
 
 
 # -- the rule table ------------------------------------------------------------

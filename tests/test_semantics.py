@@ -16,7 +16,7 @@ from justfix.syntax import (And, App, Atom, Bang, Const, Exists, FixApp,
                             UAll, Var, free_vars, parse_formula,
                             print_formula, uall_vars)
 
-from conftest import corpus_paths, qlp_formulas, qlp_terms
+from conftest import corpus_paths, node_objects, qlp_formulas, qlp_terms
 
 QLP = get_logic('QLP').profile
 P = lambda s: parse_formula(s, QLP)
@@ -399,6 +399,17 @@ truth p = 1
 truth default = 0
 valid p
 """
+
+
+@pytest.mark.parametrize('path', corpus_paths('.mdl'),
+                         ids=lambda p: p.rsplit('/', 1)[-1][:-4])
+def test_loading_a_model_builds_each_distinct_node_once(path):
+    m = load_model(path)
+    roots = [e.formula for e in m.evidence] + list(m.claims)
+    if m.spec.kind == 'explicit':
+        roots += m.spec.entries
+    nodes = node_objects(roots)
+    assert len(nodes) == len(set(nodes))
 
 
 def test_parse_model_round_trip_fields():
