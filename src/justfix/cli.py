@@ -30,10 +30,8 @@ def _retarget(d, args):
     spec = getattr(args, 'spec', None)
     if spec:
         src = spec if spec in ('tcs', 'empty') else 'file %s' % spec
-        parsed = parse_spec_value(src, get_logic(d.logic_id), '')
-        if parsed is None:
-            raise DerivationError("spec must be tcs, empty, or file <path>")
-        d = replace(d, spec=parsed, spec_src=src)
+        d = replace(d, spec=parse_spec_value(src, get_logic(d.logic_id), ''),
+                    spec_src=src)
     return d
 
 

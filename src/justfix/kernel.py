@@ -1,6 +1,6 @@
 """Derivation checker and the .drv file format.
 
-A derivation is a header block followed by numbered steps:
+A derivation is a header block (see read_lines) followed by numbered steps:
 
     logic: JT(FP)
     spec: tcs
@@ -12,8 +12,7 @@ A derivation is a header block followed by numbered steps:
 
 Each step line is  <n>. <formula> ; <rule> [args]  where the separator is
 the first semicolon at parenthesis depth zero (formulas may contain
-semicolons inside fix(...) argument lists).  '#' starts a comment when it
-opens a line or follows whitespace; identifiers may contain '#'.
+semicolons inside fix(...) argument lists).
 
 Every rule is declared once, as a row of RULES: the grammar of its
 arguments and the parse error for malformed ones, how many steps it
@@ -139,6 +138,76 @@ def strip_comment(line: str) -> str:
     return '' if line[:k].isspace() else line[:k]
 
 
+def read_lines(text: str, headers: Optional['Headers'] = None):
+    """The lines of a .drv, .mdl or .spec text, without comments, blank
+    lines and surrounding whitespace.  '#' starts a comment when it opens
+    a line or follows whitespace, so identifiers may contain '#'.
+
+    Given headers, the lines of the three headers .drv and .mdl files
+    share go to it, each holding for the lines after it:
+
+        logic: <id>
+        spec: tcs | empty | file <path>
+        agents: <n> | <name> ...
+
+    `spec: file <path>` names a .spec file, relative to the naming file's
+    directory: one formula per line, read in the logic in force (a .drv
+    file must set one first).  `agents: <n>` names a1 ... an, n at most
+    _AGENTS_MAX; other names must be identifiers, separated by spaces or
+    commas.  Errors are raised in headers.error, the format's own class."""
+    for raw in text.splitlines():
+        line = strip_comment(raw).strip()
+        if not line:
+            continue
+        if headers is not None and line.startswith(('logic:', 'spec:',
+                                                    'agents:')):
+            headers.read(line)
+        else:
+            yield line
+
+
+class Headers:
+    """What the headers of one file set (see read_lines), and the table
+    all its formulas are parsed through, so equal subtrees are one object."""
+
+    def __init__(self, error: type, base_dir: str,
+                 logic_id: Optional[str] = None, spec_src: str = 'tcs'):
+        self.error, self.base_dir, self.table = error, base_dir, {}
+        self.logic_id, self.spec_src, self.agents = logic_id, spec_src, None
+        self.logic = get_logic(logic_id) if logic_id else None
+        self.spec = parse_spec_value(spec_src, None, base_dir)
+
+    def need_logic(self, what: str) -> LogicSpec:
+        """The logic, which the line that what names needs."""
+        if self.logic is None:
+            raise self.error("%s before logic header" % what)
+        return self.logic
+
+    def read(self, line: str) -> None:
+        word, _, value = line.partition(':')
+        value = value.strip()
+        if word == 'logic':
+            self.logic_id, self.logic = value, get_logic(value)
+        elif word == 'spec':
+            if value.split()[:1] == ['file']:
+                self.need_logic('spec file')
+            self.spec = parse_spec_value(value, self.logic, self.base_dir,
+                                         table=self.table, error=self.error)
+            self.spec_src = value
+        else:
+            names = value.replace(',', ' ').split()
+            # isdigit alone also accepts digits such as '²' that int refuses
+            if len(names) == 1 and names[0].isascii() and names[0].isdigit():
+                if int(names[0]) > _AGENTS_MAX:
+                    raise self.error("agent count %s exceeds %d"
+                                     % (names[0], _AGENTS_MAX))
+                names = ['a%d' % (k + 1) for k in range(int(names[0]))]
+            bad = next((a for a in names if not is_ident(a)), None)
+            if bad is not None:
+                raise self.error("agent name %r is not an identifier" % bad)
+            self.agents = tuple(names)
+
+
 def _split_top(text: str, sep: str):
     """Split on sep occurrences at parenthesis depth zero."""
     parts, depth, cur = [], 0, []
@@ -230,28 +299,25 @@ def parse_spec_file(path: str, profile, *,
                     table: Optional[dict] = None) -> Spec:
     with open(path) as fh:
         text = fh.read()
-    entries = []
-    for line in text.splitlines():
-        line = strip_comment(line).strip()
-        if line:
-            entries.append(parse_formula(line, profile, table=table))
-    return Spec('explicit', frozenset(entries))
+    return Spec('explicit', frozenset(parse_formula(line, profile, table=table)
+                                      for line in read_lines(text)))
 
 
 def parse_spec_value(src: str, logic, base_dir: str, *,
-                     table: Optional[dict] = None) -> Optional[Spec]:
+                     table: Optional[dict] = None,
+                     error: type = DerivationError) -> Spec:
     """The specification a `spec:` header names: tcs, empty, or file <path>
-    relative to base_dir, whose formulas are parsed through table.  None
-    when src is none of these."""
+    relative to base_dir, whose formulas are parsed through table; else an
+    error of class error."""
     if src == 'tcs':
         return TOTAL
     if src == 'empty':
         return EMPTY
     parts = src.split(None, 1)
-    if len(parts) == 2 and parts[0] == 'file':
-        return parse_spec_file(os.path.join(base_dir, parts[1].strip()),
-                               logic.profile, table=table)
-    return None
+    if len(parts) != 2 or parts[0] != 'file':
+        raise error("spec must be tcs, empty, or file <path>")
+    return parse_spec_file(os.path.join(base_dir, parts[1].strip()),
+                           logic.profile, table=table)
 
 
 def parse_fix_decl(line: str, logic, *,
@@ -270,87 +336,42 @@ def parse_fix_decl(line: str, logic, *,
 
 
 def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
-    """The derivation text states.  Its formulas and terms are parsed
-    through one table, so equal subtrees anywhere in it are one object."""
-    table: dict = {}
-    logic_id = None
-    logic = None
-    spec = TOTAL
-    spec_src = 'tcs'
-    agents = None
-    ops = []
-    premises = []
-    steps = []
-    for raw in text.splitlines():
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
+    """The derivation text states, read by read_lines."""
+    h = Headers(DerivationError, base_dir)
+    ops, premises, steps = [], [], []
+    for line in read_lines(text, h):
         m = _STEP_RE.match(line)
         if m:
-            if logic is None:
-                raise DerivationError("steps before logic header")
+            profile = h.need_logic('steps').profile
             n = int(m.group(1))
             if n != len(steps) + 1:
                 raise DerivationError("step %d out of sequence" % n)
-            body = m.group(2)
-            parts = _split_top(body, ';')
+            parts = _split_top(m.group(2), ';')
             if len(parts) < 2:
                 raise DerivationError("step %d lacks a justification" % n)
-            formula = parse_formula(parts[0].strip(), logic.profile,
-                                    table=table)
+            formula = parse_formula(parts[0].strip(), profile, table=h.table)
             rule, refs, args = _parse_justification(
-                ';'.join(parts[1:]).strip(), logic.profile, table=table)
+                ';'.join(parts[1:]).strip(), profile, table=h.table)
             if any(r < 1 or r >= n for r in refs):
                 raise DerivationError("step %d cites an unavailable step" % n)
             steps.append(Step(n, formula, rule, refs, args))
-            continue
-        if line.startswith('logic:'):
-            logic_id = line[len('logic:'):].strip()
-            logic = get_logic(logic_id)
-            continue
-        if line.startswith('spec:'):
-            spec_src = line[len('spec:'):].strip()
-            if spec_src.split()[:1] == ['file'] and logic is None:
-                raise DerivationError("spec file before logic header")
-            spec = parse_spec_value(spec_src, logic, base_dir, table=table)
-            if spec is None:
-                raise DerivationError("spec must be tcs, empty, or file <path>")
-            continue
-        if line.startswith('agents:'):
-            names = line[len('agents:'):].replace(',', ' ').split()
-            # isdigit alone also accepts digits such as '²' that int refuses
-            if len(names) == 1 and names[0].isascii() and names[0].isdigit():
-                if int(names[0]) > _AGENTS_MAX:
-                    raise DerivationError("agent count %s exceeds %d"
-                                          % (names[0], _AGENTS_MAX))
-                agents = tuple('a%d' % (k + 1) for k in range(int(names[0])))
-                continue
-            bad = next((a for a in names if not is_ident(a)), None)
-            if bad is not None:
-                raise DerivationError("agent name %r is not an identifier"
-                                      % bad)
-            agents = tuple(names)
-            continue
-        if line.startswith('fix '):
-            if logic is None:
-                raise DerivationError("fix declaration before logic header")
-            ops.append(parse_fix_decl(line, logic, table=table))
-            continue
-        if line.startswith('premise '):
-            if logic is None:
-                raise DerivationError("premise before logic header")
+        elif line.startswith('fix '):
+            ops.append(parse_fix_decl(line, h.need_logic('fix declaration'),
+                                      table=h.table))
+        elif line.startswith('premise '):
+            profile = h.need_logic('premise').profile
             name, _, rhs = line[len('premise '):].partition(':')
             if not rhs:
                 raise DerivationError("premise needs <name>: <formula>")
             premises.append(Premise(name.strip(), parse_formula(
-                rhs.strip(), logic.profile, table=table)))
-            continue
-        raise DerivationError("unrecognized line: %r" % line)
-    if logic is None:
+                rhs.strip(), profile, table=h.table)))
+        else:
+            raise DerivationError("unrecognized line: %r" % line)
+    if h.logic is None:
         raise DerivationError("missing logic header")
     if not steps:
         raise DerivationError("no steps")
-    return Derivation(logic_id, spec, spec_src, agents, tuple(ops),
+    return Derivation(h.logic_id, h.spec, h.spec_src, h.agents, tuple(ops),
                       tuple(premises), tuple(steps))
 
 

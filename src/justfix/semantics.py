@@ -23,10 +23,9 @@ value depends on the current valuation of x even where x is not free,
 so validity enumerates valuations over free and verifier-bound
 variables alike.
 
-Model files (.mdl):
+Model files (.mdl): the shared headers (see kernel.read_lines), by
+default QLP- and the empty specification, and these lines:
 
-    logic: QLP-
-    spec: empty
     domain r1 r2
     interp app default -> r1
     interp f r1 -> r2            # primitive symbol, one entry per line
@@ -50,7 +49,7 @@ from .syntax import (
     is_ident, record,
 )
 from .registry import get_logic, Spec, EMPTY
-from .kernel import parse_spec_value, strip_comment
+from .kernel import Headers, read_lines
 
 
 class ModelError(Exception):
@@ -294,37 +293,16 @@ _EVIDENCE_RE = re.compile(r'^(\S+)\s*(\{[^}]*\})?\s*:\s*(.+)$')
 
 
 def parse_model(text: str, base_dir: str = '.') -> MModel:
-    """The model text states.  Its formulas are parsed through one table,
-    so equal subtrees anywhere in it are one object."""
-    nodes: dict = {}                # the parser's sharing table
-    logic_id = 'QLP-'
-    logic = get_logic(logic_id)
-    spec = EMPTY
-    spec_src = 'empty'
+    """The model text states, read by read_lines, under QLP- and the empty
+    specification until its headers say otherwise."""
+    h = Headers(ModelError, base_dir, 'QLP-', 'empty')
     domain = None
     interp = {}
     evidence = []
     truth = {}
     truth_default = False
-    agents = None
     claims = []
-    for raw in text.splitlines():
-        line = strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith('logic:'):
-            logic_id = line[len('logic:'):].strip()
-            logic = get_logic(logic_id)
-            continue
-        if line.startswith('spec:'):
-            spec_src = line[len('spec:'):].strip()
-            spec = parse_spec_value(spec_src, logic, base_dir, table=nodes)
-            if spec is None:
-                raise ModelError("spec must be tcs, empty, or file <path>")
-            continue
-        if line.startswith('agents:'):
-            agents = tuple(line[len('agents:'):].replace(',', ' ').split())
-            continue
+    for line in read_lines(text, h):
         word, rest = (line.split(None, 1) + [''])[:2]
         if word == 'domain':
             domain = tuple(rest.split())
@@ -365,8 +343,8 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
                         x, _, r = piece.partition('=')
                         cond.append((x.strip(), r.strip()))
             evidence.append(EvEntry(agent, reason, tuple(sorted(cond)),
-                                    parse_formula(m2.group(3), logic.profile,
-                                                  table=nodes)))
+                                    parse_formula(m2.group(3), h.logic.profile,
+                                                  table=h.table)))
             continue
         if word == 'truth':
             key, _, val = rest.rpartition('=')
@@ -376,7 +354,7 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             if key == 'default':
                 truth_default = val == '1'
             else:
-                kf = parse_formula(key, logic.profile, table=nodes)
+                kf = parse_formula(key, h.logic.profile, table=h.table)
                 if isinstance(kf, Atom):
                     truth[kf.name] = val == '1'
                 elif isinstance(kf, FixApp):
@@ -386,13 +364,14 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
                         "truth keys are atoms or defined sentences: %r" % key)
             continue
         if word == 'valid':
-            claims.append(parse_formula(rest, logic.profile, table=nodes))
+            claims.append(parse_formula(rest, h.logic.profile,
+                                        table=h.table))
             continue
         raise ModelError("unrecognized line: %r" % line)
     if domain is None:
         raise ModelError("missing domain")
     return MModel(domain, interp, tuple(evidence), truth, truth_default,
-                  logic_id, spec, spec_src, agents, tuple(claims))
+                  h.logic_id, h.spec, h.spec_src, h.agents, tuple(claims))
 
 
 def load_model(path: str) -> MModel:

@@ -126,6 +126,28 @@ def test_agents_header_of_non_ascii_digits_exits_1(tmp_path, capsys):
     assert captured.err == "error: agent name '\u00b2' is not an identifier\n"
 
 
+def test_model_agents_count_declares_a1_to_an(tmp_path, capsys):
+    # agent a1's closure conditions are checked, so its missing q is found
+    path = tmp_path / 'agents.mdl'
+    path.write_text('logic: QLP-_n\nagents: 2\ndomain r1\n'
+                    'interp app default -> r1\n'
+                    'evidence @a1 r1 : p -> q\nevidence @a1 r1 : p\n')
+    assert cli.main(['model', 'conditions', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == \
+        'application: p -> q at r1, p at r1, but q missing at r1\n'
+    assert captured.err == ''
+
+
+def test_model_agent_name_must_be_an_identifier(tmp_path, capsys):
+    path = tmp_path / 'agents.mdl'
+    path.write_text('logic: QLP-_n\nagents: a-b\ndomain r1\n')
+    assert cli.main(['model', 'conditions', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == "error: agent name 'a-b' is not an identifier\n"
+
+
 def test_agents_count_above_bound_exits_1(tmp_path, capsys):
     # refused before any agent name is built: a million names took 64 MB
     path = tmp_path / 'agents.drv'
@@ -163,15 +185,22 @@ def test_truncated_model_line_exits_1(line, message, tmp_path, capsys):
     assert captured.err == 'error: %s\n' % message
 
 
-@pytest.mark.parametrize('value', ['file', 'filex.txt'])
+# a derivation and a model whose spec header reads %s
+_SPEC_DRV = 'logic: LP\nspec: %s\n\n1. p -> p ; prop\n'
+_SPEC_MDL = 'logic: QLP-\nspec: %s\ndomain a\n'
+
+
 @pytest.mark.parametrize('cmd, text', [
-    (['check'], 'logic: LP\nspec: %s\n\n1. p -> p ; prop\n'),
-    (['model', 'check'], 'logic: QLP-\nspec: %s\ndomain a\n'),
-], ids=['drv', 'mdl'])
-def test_spec_file_needs_the_word_and_a_path(cmd, text, value, tmp_path,
-                                              capsys):
-    path = tmp_path / ('bad.' + ('drv' if cmd == ['check'] else 'mdl'))
-    path.write_text(text % value)
+    (['check'], _SPEC_DRV % 'file'),
+    (['check'], _SPEC_DRV % 'filex.txt'),
+    (['model', 'check'], _SPEC_MDL % 'file'),
+    (['model', 'check'], _SPEC_MDL % 'filex.txt'),
+    (['check', '--spec', ' '], _SPEC_DRV % 'tcs'),
+], ids=['drv-file', 'drv-filex.txt', 'mdl-file', 'mdl-filex.txt',
+        'option-blank'])
+def test_spec_file_needs_the_word_and_a_path(cmd, text, tmp_path, capsys):
+    path = tmp_path / ('bad.' + ('drv' if cmd[0] == 'check' else 'mdl'))
+    path.write_text(text)
     (tmp_path / 'x.txt').write_text('p -> p\n')
     assert cli.main(cmd + [str(path)]) == 1
     captured = capsys.readouterr()

@@ -3,8 +3,10 @@ private module-level name is used somewhere in justfix, only the
 registry spells out the pieces of the logic-id grammar, no module
 keeps a functools memo, which would outlive the call that filled it,
 only one function walks two structures in parallel, no function
-passes a pattern literal to a module-level re function, and no module
-imports dataclasses, which loading the package does not pay for."""
+passes a pattern literal to a module-level re function, no module
+imports dataclasses, which loading the package does not pay for, and
+only the line reader, kernel.read_lines, calls strip_comment or
+.splitlines()."""
 
 import ast
 import glob
@@ -231,6 +233,51 @@ def test_detector_sees_parallel_walk():
         '    return zip(ka, xs), zip(a.args, children(a))\n')
     assert _parallel_walks(tree) == [(1, 'direct'), (3, 'named'),
                                      (6, 'mixed'), (10, 'inner')]
+
+
+_READER_CALLS = frozenset(('strip_comment', 'splitlines'))
+
+
+def _line_readers(tree: ast.Module) -> list:
+    """(line, name) of each function, or (0, '<module>') for top-level
+    code, that calls strip_comment or a splitlines method."""
+    scopes = [tree] + [fn for fn in ast.walk(tree) if isinstance(
+        fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return sorted(
+        (getattr(scope, 'lineno', 0), getattr(scope, 'name', '<module>'))
+        for scope in scopes
+        if any(isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == 'strip_comment'
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in _READER_CALLS)
+            for node in _own_nodes(scope)))
+
+
+def test_one_line_reader():
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, '*.py'))):
+        with open(path) as fh:
+            found += [(os.path.basename(path), name) for _, name in
+                      _line_readers(ast.parse(fh.read(), path))]
+    assert found == [('kernel.py', 'read_lines')]
+
+
+def test_detector_sees_second_line_reader():
+    tree = ast.parse(
+        'def read_lines(text):\n'
+        '    return [strip_comment(r) for r in text.splitlines()]\n'
+        'def other(text):\n'
+        '    for raw in text.splitlines():\n'
+        '        yield raw\n'
+        'def outer(text):\n'
+        '    def inner(line):\n'
+        '        return kernel.strip_comment(line)\n'
+        '    return inner\n'
+        'LINES = "a\\nb".splitlines()\n'
+        'def fine(text):\n'
+        '    return text.split(), strip_comment\n')
+    assert _line_readers(tree) == [(0, '<module>'), (1, 'read_lines'),
+                                   (3, 'other'), (7, 'inner')]
 
 
 _RE_FUNCTIONS = frozenset(('match', 'fullmatch', 'search', 'sub', 'split',

@@ -10,8 +10,8 @@ from justfix import kernel, registry, transforms
 from justfix.kernel import (RULES, DerivationError, Step, check_derivation,
                             cone_derivation, elaborate, format_report,
                             load_derivation, parse_derivation,
-                            print_derivation, _parse_justification,
-                            _print_justification)
+                            parse_spec_file, print_derivation,
+                            _parse_justification, _print_justification)
 from justfix.registry import (TOTAL, UnknownLogic, get_logic, known_logics,
                               match_axiom, taut_consequence)
 from justfix.syntax import (FULL, Atom, Formula, Knows, Neg, Term,
@@ -493,11 +493,33 @@ def test_elaborate_removes_inline_steps():
     ("logic: K\n1. p -> p ; prop ; anything\n", "prop takes no ';' part"),
     ("logic: K\n1. p -> p ; prop\n2. [](p -> p) ; nec 1 ; so is this\n",
      "nec takes no ';' part"),
+    # the line reader's dispatch: None marks a text that parses
+    ("logic: K(FP)\nfix\td p () := []p\n1. p -> p ; prop\n",
+     'unrecognized line'),
+    ("logic: K\npremise\tk: p\n1. p ; premise k\n", 'unrecognized line'),
+    ("logic:K\n1. p -> p ; prop\n", None),
+    ("logic: K\ndomain r1\n1. p -> p ; prop\n", 'unrecognized line'),
+    ("spec: file x.spec\nlogic: LP\n1. p -> p ; prop\n",
+     'spec file before logic'),
 ])
-def test_parse_errors(text, fragment):
+def test_parse_errors(text, fragment, tmp_path):
+    (tmp_path / 'x.spec').write_text('p -> p\n')
+    if fragment is None:
+        parse_derivation(text, str(tmp_path))
+        return
     with pytest.raises(DerivationError) as e:
-        parse_derivation(text)
+        parse_derivation(text, str(tmp_path))
     assert fragment in str(e.value)
+
+
+def test_spec_file_skips_comments_and_blank_lines(tmp_path):
+    (tmp_path / 'plain.spec').write_text('p -> p\nc : (q -> q)\n')
+    (tmp_path / 'noted.spec').write_text(
+        '# two axioms\n\np -> p  # the first\n   \nc : (q -> q)\n# end\n')
+    profile = get_logic('LP').profile
+    plain = parse_spec_file(str(tmp_path / 'plain.spec'), profile)
+    assert len(plain.entries) == 2
+    assert parse_spec_file(str(tmp_path / 'noted.spec'), profile) == plain
 
 
 def test_unknown_logic_header():

@@ -449,10 +449,20 @@ truth E = 1
     ("domain r1\nevidence r1 p\n", 'bad evidence'),
     ("domain r1\nspec: banana\n", 'spec must be'),
     ("domain r1\nnonsense here\n", 'unrecognized line'),
+    # the line reader's dispatch: None marks a text that parses
+    ("domain\tr1 r2\n", None),
+    ("logic:QLP\ndomain r1\n", None),
+    ("domain r1\npremise k: p\n", 'unrecognized line'),
+    ("domain r1\n1. p ; prop\n", 'unrecognized line'),
+    ("spec: file x.spec\nlogic: QLP\ndomain r1\n", None),
 ])
-def test_parse_model_errors(text, fragment):
+def test_parse_model_errors(text, fragment, tmp_path):
+    (tmp_path / 'x.spec').write_text('p -> p\n')
+    if fragment is None:
+        parse_model(text, str(tmp_path))
+        return
     with pytest.raises(ModelError) as e:
-        parse_model(text)
+        parse_model(text, str(tmp_path))
     assert fragment in str(e.value)
 
 
