@@ -29,7 +29,8 @@ default QLP- and the empty specification, and these lines:
     domain r1 r2
     interp app default -> r1
     interp f r1 -> r2            # primitive symbol, one entry per line
-    evidence r1 {x=r2} : x : p   # optional @agent after 'evidence'
+    evidence r1 {x=r2} : x : p   # optional @agent after 'evidence', an
+                                 # agent the agents: header declares
     truth E = 1
     truth fix(d; E) = 1          # printed-form key for defined sentences
     truth default = 0
@@ -370,6 +371,9 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
         raise ModelError("unrecognized line: %r" % line)
     if domain is None:
         raise ModelError("missing domain")
+    for e in evidence:      # check_evidence_conditions checks no other agent
+        if e.agent is not None and e.agent not in (h.agents or ()):
+            raise ModelError("evidence for undeclared agent %r" % e.agent)
     return MModel(domain, interp, tuple(evidence), truth, truth_default,
                   h.logic_id, h.spec, h.spec_src, h.agents, tuple(claims))
 

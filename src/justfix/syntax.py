@@ -42,6 +42,20 @@ read, and drop it when they return.  The table holds every node whose id
 is in a key, so no id is reused while it lives.  Sharing changes no
 equality: nodes still compare and hash by their fields.
 
+The table also memoizes each parenthesized formula group of more than
+_GROUP_MIN (40) tokens, by its tokens and the profile, as in packrat
+parsing (Ford, "Packrat parsing: simple, powerful, lazy, linear time",
+ICFP 2002) but keyed by content, not position: a group that repeats a
+stored one takes its formula and skips past its ')'.  Only groups that
+parsed are stored, so every error stays as it was.  A stored group keeps
+the room left on the stack (the recursion limit less the stack depth)
+where it parsed, and is served only where at least that much room is
+left; elsewhere it is parsed again, and stored with the new room.  So no
+input that the parser would refuse as nested too deeply is accepted.
+Smaller groups are parsed as before: storing a group costs a copy of its
+tokens and a count of the stack, and few small groups come back where
+they could be served.
+
 The parser looks ahead instead of backtracking: it tries the term path of
 t : A only where a term can start and a ':' or ':@' can follow it.  Each
 node caches its language facts (the node kinds under it and its agent
@@ -54,6 +68,7 @@ of the node, or of a new node over it, are mask and set tests.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -805,6 +820,14 @@ def _tokenize(text: str) -> tuple[list, Optional[dict]]:
     return toks, close
 
 
+def _stack_depth() -> int:
+    """The number of frames on the stack, the caller's included."""
+    f, n = sys._getframe(1), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
 def _offsets(text: str) -> list:
     """The offset in text of each token (and stray character)."""
     return [m.start() for m in _SCAN_RE.finditer(text)]
@@ -820,6 +843,11 @@ def is_var_name(name: str) -> bool:
 
 _SORTS = (Formula, Term)
 _new = object.__new__
+# The group memo (_Parser.recall and remember; see the module docstring)
+# keeps in the table, beside the nodes, the set of the first inner tokens
+# of the groups it stored, under _STARTS.
+_STARTS = "group starts"
+_GROUP_MIN = 40
 
 
 def _key(v) -> object:
@@ -838,6 +866,7 @@ class _Parser:
         self.pos = 0
         self.profile = profile
         self.table = table
+        self.starts = table.get(_STARTS, ())
 
     def node(self, cls, *fields) -> Node:
         """The node cls(*fields) of the table, built and stored the first
@@ -878,6 +907,37 @@ class _Parser:
         if isinstance(v, _SORTS):
             return self.share(v)
         return tuple(map(self._shared_field, v)) if type(v) is tuple else v
+
+    def recall(self, s: int) -> Optional[Formula]:
+        """The formula of the group whose '(' is at s, when remember stored
+        a group of the same tokens, parsed under this profile where no more
+        room was left on the stack than here; pos then moves past its ')'.
+        Else None."""
+        toks = self.toks
+        got = self.table.get(("(", toks[s + 1], toks[s + 2]))
+        if got is None:
+            return None
+        group, profile, f, room = got
+        end = s + len(group)
+        if profile is not self.profile or toks[s:end] != group:
+            return None
+        try:    # are there more frames on the stack than the room allows?
+            sys._getframe(sys.getrecursionlimit() - room)
+        except ValueError:
+            self.pos = end
+            return f
+        return None
+
+    def remember(self, s: int, f: Formula) -> None:
+        """Store f as the group from s to pos, with the room left on the
+        stack where it parsed, in place of the group stored under its
+        first two inner tokens, if any."""
+        toks, table = self.toks, self.table
+        table["(", toks[s + 1], toks[s + 2]] = (
+            toks[s:self.pos], self.profile, f,
+            sys.getrecursionlimit() - _stack_depth())
+        self.starts = table.setdefault(_STARTS, set())
+        self.starts.add(toks[s + 1])
 
     def next(self) -> str:
         tok = self.toks[self.pos]
@@ -988,8 +1048,13 @@ class _Parser:
             self.expect(")")
             return self.node(FixApp, name, tuple(args))
         if tok == "(":
-            f = self.imp()
-            self.expect(")")
+            s = self.pos - 1
+            f = self.recall(s) if self.toks[self.pos] in self.starts else None
+            if f is None:
+                f = self.imp()
+                self.expect(")")
+                if self.pos - s > _GROUP_MIN:
+                    self.remember(s, f)
             return f
         if is_ident(tok):
             return self.node(Atom, tok)

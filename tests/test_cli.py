@@ -59,6 +59,36 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
     assert captured.err == 'error: formula nested too deeply\n'
 
 
+_PARENS_150 = '(' * 150 + 'p & q' + ')' * 150
+_NEGATIONS_900 = '(%sp)' % ('~' * 900)
+
+
+def _chain(lines):
+    """Steps, each the step before it in parentheses behind 250 negations:
+    on every line a repeated group in a deeper place."""
+    out, f = [], 'p'
+    for _ in range(lines):
+        f = '(%s%s)' % ('~' * 250, f)
+        out.append('%s ; prop' % f)
+    return out
+
+
+@pytest.mark.parametrize('steps', [
+    ['%s ; prop' % _PARENS_150,
+     '%s%s%s ; prop' % ('(' * 60, _PARENS_150, ')' * 60)],
+    ['%s ; prop' % _NEGATIONS_900, '%s%s ; prop' % ('~' * 900, _NEGATIONS_900)],
+    _chain(4),
+], ids=['parentheses', 'negations', 'chained-lines'])
+def test_a_reused_group_nested_too_deeply_exits_1(steps, tmp_path, capsys):
+    path = tmp_path / 'deep.drv'
+    path.write_text('logic: K\n\n%s\n' % '\n'.join(
+        '%d. %s' % (n, step) for n, step in enumerate(steps, 1)))
+    assert cli.main(['check', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: formula nested too deeply\n'
+
+
 @pytest.mark.parametrize('text, message', [
     ('logic: Sacchetti-0\n\n1. p -> p ; prop\n', 'Sacchetti-0'),
     ('logic: Sacchetti--1\n\n1. p -> p ; prop\n', 'Sacchetti--1'),
@@ -137,6 +167,23 @@ def test_model_agents_count_declares_a1_to_an(tmp_path, capsys):
     assert captured.out == \
         'application: p -> q at r1, p at r1, but q missing at r1\n'
     assert captured.err == ''
+
+
+@pytest.mark.parametrize('header', [
+    'logic: QLP-_n\nagents: s\n',
+    'logic: QLP-\n',
+], ids=['other-agent-declared', 'no-agents-header'])
+def test_model_evidence_of_undeclared_agent_exits_1(header, tmp_path,
+                                                     capsys):
+    # check_evidence_conditions never looked at a1's entries, so a1's
+    # missing q went unseen and `model conditions` printed ok
+    path = tmp_path / 'agents.mdl'
+    path.write_text(header + 'domain r1\ninterp app default -> r1\n'
+                    'evidence @a1 r1 : p -> q\nevidence @a1 r1 : p\n')
+    assert cli.main(['model', 'conditions', str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == "error: evidence for undeclared agent 'a1'\n"
 
 
 def test_model_agent_name_must_be_an_identifier(tmp_path, capsys):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from justfix import kernel, registry
+from justfix import kernel, registry, syntax
 from justfix.corpus import (CorpusEntry, CorpusError, FALSUM_IDS, MANIFEST,
                             corpus_dir, run_corpus, run_entry)
 from justfix.syntax import replace
@@ -204,6 +204,28 @@ def test_manifest_pass_profile_facts(counted_kinds):
         assert run_entry(e).ok
     # parsing each formula apart computed the facts of 12,097 nodes per pass
     assert len(counted_kinds.computed) <= 4500
+
+
+def test_manifest_pass_parse_work(monkeypatch):
+    counts = {'node': 0, 'tokens': 0}
+
+    def node(self, *fields, fn=syntax._Parser.node):
+        counts['node'] += 1
+        return fn(self, *fields)
+
+    def tokenize(text, fn=syntax._tokenize):
+        toks, close = fn(text)
+        counts['tokens'] += len(toks)
+        return toks, close
+
+    monkeypatch.setattr(syntax._Parser, 'node', node)
+    monkeypatch.setattr(syntax, '_tokenize', tokenize)
+    for e in MANIFEST:
+        assert run_entry(e).ok
+    # parsing every repeated group again made 9,824 node calls per pass;
+    # the group memo scans no token more than that parse did
+    assert counts['node'] <= 4000
+    assert counts['tokens'] <= 15953
 
 
 @pytest.mark.parametrize('entry', [

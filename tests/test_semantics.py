@@ -455,6 +455,11 @@ truth E = 1
     ("domain r1\npremise k: p\n", 'unrecognized line'),
     ("domain r1\n1. p ; prop\n", 'unrecognized line'),
     ("spec: file x.spec\nlogic: QLP\ndomain r1\n", None),
+    # an @agent entry names an agent of the agents: header, wherever it is
+    ("logic: QLP-_n\ndomain r1\nevidence @a1 r1 : p\nagents: a1\n", None),
+    ("logic: QLP-_n\ndomain r1\nevidence @a1 r1 : p\nagents: s\n",
+     "evidence for undeclared agent 'a1'"),
+    ("domain r1\nevidence @s r1 : p\n", "evidence for undeclared agent 's'"),
 ])
 def test_parse_model_errors(text, fragment, tmp_path):
     (tmp_path / 'x.spec').write_text('p -> p\n')
