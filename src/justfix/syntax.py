@@ -40,7 +40,9 @@ table as a keyword argument and use a fresh one per call without it;
 kernel.parse_derivation and semantics.parse_model keep one per file they
 read, and drop it when they return.  The table holds every node whose id
 is in a key, so no id is reused while it lives.  Sharing changes no
-equality: nodes still compare and hash by their fields.
+equality: nodes still compare and hash by their fields.  share puts a
+node built elsewhere in a table under the same key; transforms.project
+and transforms.collapse_agents build their images through it.
 
 The table also memoizes each parenthesized formula group of more than
 _GROUP_MIN (40) tokens, by its tokens and the profile, as in packrat
@@ -856,6 +858,16 @@ def _key(v) -> object:
     if isinstance(v, _SORTS):
         return id(v)
     return tuple(map(_key, v)) if type(v) is tuple else v
+
+
+def share(table: dict, f: Node) -> Node:
+    """The node of table equal to f under the key of _Parser.node, when
+    one is stored there, else f, stored now.  Nodes built over children
+    that share returned are thus one object per content.  The stored
+    node keeps its node fields alive, so no id in its key is reused
+    while the table lives."""
+    return table.setdefault(
+        (type(f), *map(_key, map(f.__getattribute__, f.__match_args__))), f)
 
 
 class _Parser:

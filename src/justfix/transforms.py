@@ -21,6 +21,15 @@ Tautological-consequence steps are internalized through the implication
 chain  F1 -> (F2 -> ... -> goal), which is itself a tautology, so a
 single constant over that chain followed by application steps suffices;
 no separate propositional search is needed.
+
+project and collapse_agents map each node object once and build each
+image node once, through a table (the hash-consing of Filliatre and
+Conchon, "Type-safe modular hash-consing", ML Workshop 2006, keyed as
+syntax.share keys it).  project_derivation and collapse_derivation keep
+one table per call and drop it when the call returns, so equal image
+formulas are one object and the re-check decides each once.
+exists_translate has no table: it numbers its fresh variables by
+occurrence, so two occurrences of one object have different images.
 """
 
 from typing import Optional
@@ -29,13 +38,13 @@ from .syntax import (
     Formula, Term, Falsum, Neg, Imp, Iff, Box, Knows,
     Just, Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim, App, Bang, UAll,
-    NotFreeFor, PROP_NODES, print_formula, children, rebuild,
+    Node, NotFreeFor, PROP_NODES, print_formula, children, rebuild, share,
     free_vars, subst_term_for_var, subst_in_term, imp_chain, record, replace,
 )
 from .registry import (
     get_logic, match_axiom, split_logic_id, Spec, TOTAL,
 )
-from .fixedpoint import FPOperator, make_operator, fp_axiom_instance
+from .fixedpoint import make_operator, fp_axiom_instance
 from . import kernel
 from .kernel import Derivation, Step, Premise, check_derivation, elaborate
 
@@ -453,24 +462,37 @@ def project_logic_id(logic_id: str) -> str:
     return _PROJ_LOGIC[name] + suffix
 
 
-def project(f: Formula) -> Formula:
+def project(f: Formula, *, table: Optional[dict] = None) -> Formula:
     """Forget justification terms:  t : A  becomes  [] A.  The image of
     an existentially quantified verifier  ex x . x : A  (x not free in A)
-    is also  [] A, which makes the translation below a section."""
-    match f:
-        case Just(_, _, a):
-            return Box(project(a))
-        case Exists(x, Just(Var(n), _, a)) if n == x and x not in free_vars(a):
-            return Box(project(a))
-        case Box() | Knows() | Forall() | Exists() | FMeta():
-            raise TransformError("projection undefined on %s"
-                                 % type(f).__name__)
-    return rebuild(f, [project(k) for k in children(f)])
+    is also  [] A, which makes the translation below a section.
 
+    Each node object of f is mapped once, and each image node is built
+    once, through table (a fresh one when None): it maps id(src) to
+    (src, image), which keeps src alive, and holds the image nodes under
+    the key of syntax.share.  One frame per nesting level."""
+    if table is None:
+        table = {}
 
-def _project_op(op: FPOperator) -> FPOperator:
-    return make_operator(op.name, op.var, op.params, project(op.body),
-                         'modalized')
+    def go(f: Formula) -> Formula:
+        got = table.get(id(f))
+        if got is not None:
+            return got[1]
+        match f:
+            case Just(_, _, a):
+                img = Box(go(a))
+            case Exists(x, Just(Var(n), _, a)) if n == x \
+                    and x not in free_vars(a):
+                img = Box(go(a))
+            case Box() | Knows() | Forall() | Exists() | FMeta():
+                raise TransformError("projection undefined on %s"
+                                     % type(f).__name__)
+            case _:
+                img = f.rebuild([*map(go, f.children())])
+        img = share(table, img)
+        table[id(f)] = f, img
+        return img
+    return go(f)
 
 
 def _peel(f: Formula):
@@ -485,7 +507,9 @@ def project_derivation(d: Derivation) -> Derivation:
     """Map a justification derivation to its modal counterpart, step by
     step.  Constant-specification steps become the image axiom followed
     by necessitation; the seriality schema needs a short detour since
-    its modal form is derived rather than primitive."""
+    its modal form is derived rather than primitive.  Every formula of
+    the image, those the detour and the necessitations build included,
+    goes through one project table, dropped when the call returns."""
     logic = get_logic(d.logic_id)
     if logic.family != 'jl':
         raise TransformError("projection applies to justification logics")
@@ -495,11 +519,18 @@ def project_derivation(d: Derivation) -> Derivation:
 
     b = _Build()
     last = {}
+    table = {}
+
+    def proj(f: Formula) -> Formula:
+        return project(f, table=table)
+
+    def node(cls, *fields) -> Formula:
+        return share(table, cls(*fields))
 
     def axiom_steps(g: Formula):
         """Emit steps proving project(g) for an axiom instance g; returns
         the concluding index."""
-        img = project(g)
+        img = proj(g)
         name = None
         m = match_axiom(logic, g)
         if m:
@@ -509,11 +540,13 @@ def project_derivation(d: Derivation) -> Derivation:
         if name in ('sum', 'taut'):
             return b.add(img, 'prop')
         if name == 'jd':
-            nf = b.add(Neg(Falsum()), 'prop')
-            bx = b.add(Box(Neg(Falsum())), 'nec', (nf,))
-            dx = b.add(Imp(Box(Falsum()), Neg(Box(Neg(Falsum())))),
+            nf = node(Neg, node(Falsum))
+            bx = node(Box, nf)
+            k = b.add(nf, 'prop')
+            k = b.add(bx, 'nec', (k,))
+            dx = b.add(node(Imp, node(Box, node(Falsum)), node(Neg, bx)),
                        'ax', (), ('D',))
-            return b.add(img, 'prop', (bx, dx))
+            return b.add(img, 'prop', (k, dx))
         if name == 'mu-cl':
             return b.add(img, 'mu-cl')
         for op in d.ops:
@@ -531,31 +564,30 @@ def project_derivation(d: Derivation) -> Derivation:
             n, core = _peel(f)
             k = axiom_steps(core)
             for _ in range(n):
-                k = b.add(Box(b.steps[k - 1].formula), 'nec', (k,))
+                k = b.add(node(Box, b.steps[k - 1].formula), 'nec', (k,))
             last[s.index] = k
         elif s.rule == 'fp':
             name, args = s.args
-            last[s.index] = b.add(project(f), 'fp', (),
-                                  (name, tuple(project(a) for a in args)))
+            last[s.index] = b.add(proj(f), 'fp', (),
+                                  (name, tuple(map(proj, args))))
         elif s.rule == 'mu-cl':
-            last[s.index] = b.add(project(f), 'mu-cl')
+            last[s.index] = b.add(proj(f), 'mu-cl')
         elif s.rule == 'mu-ind':
-            last[s.index] = b.add(project(f), 'mu-ind',
-                                  (last[s.refs[0]],))
+            last[s.index] = b.add(proj(f), 'mu-ind', (last[s.refs[0]],))
         elif s.rule == 'mp':
-            last[s.index] = b.add(project(f), 'mp',
+            last[s.index] = b.add(proj(f), 'mp',
                                   tuple(last[r] for r in s.refs))
         elif s.rule == 'prop':
-            last[s.index] = b.add(project(f), 'prop',
+            last[s.index] = b.add(proj(f), 'prop',
                                   tuple(last[r] for r in s.refs))
         elif s.rule == 'premise':
-            last[s.index] = b.add(project(f), 'premise', (), s.args)
+            last[s.index] = b.add(proj(f), 'premise', (), s.args)
         else:
             raise TransformError("no modal image for rule %r" % s.rule)
 
-    ops = tuple(_project_op(op) for op in d.ops)
-    premises = tuple(Premise(p.name, project(p.formula))
-                     for p in d.premises)
+    ops = tuple(make_operator(op.name, op.var, op.params, proj(op.body),
+                              'modalized') for op in d.ops)
+    premises = tuple(Premise(p.name, proj(p.formula)) for p in d.premises)
     out = Derivation(target, TOTAL, 'tcs', None, ops, premises, b.tuple())
     _accepted(out, "projection", True)
     return out
@@ -565,7 +597,8 @@ def project_derivation(d: Derivation) -> Derivation:
 
 def exists_translate(f: Formula) -> Formula:
     """Replace each box by an existentially quantified verifier, fresh
-    variables numbered outermost-first.  A section of project()."""
+    variables numbered outermost-first.  A section of project().  Every
+    occurrence gets its own variable, so no table maps a node once."""
     counter = [0]
 
     def go(g: Formula) -> Formula:
@@ -582,41 +615,58 @@ def exists_translate(f: Formula) -> Formula:
 
 # -- agent collapse ----------------------------------------------------------
 
-def collapse_agents(f: Formula) -> Formula:
-    match f:
-        case Just(t, _, a):
-            return Just(t, None, collapse_agents(a))
-        case Box() | Knows() | Mu() | FMeta():
-            raise TransformError("agent collapse undefined on %s"
-                                 % type(f).__name__)
-    return rebuild(f, [collapse_agents(k) for k in children(f)])
+def collapse_agents(f: Formula, *, table: Optional[dict] = None) -> Formula:
+    """Erase agent labels:  t :@a A  becomes  t : A.  Each node object of
+    f, the terms of justifications included, is mapped once and each
+    image node built once through table, as in project."""
+    if table is None:
+        table = {}
+
+    def go(f: Node) -> Node:
+        got = table.get(id(f))
+        if got is not None:
+            return got[1]
+        match f:
+            case Just(t, _, a):
+                img = Just(go(t), None, go(a))
+            case Box() | Knows() | Mu() | FMeta():
+                raise TransformError("agent collapse undefined on %s"
+                                     % type(f).__name__)
+            case _:
+                img = f.rebuild([*map(go, f.children())])
+        img = share(table, img)
+        table[id(f)] = f, img
+        return img
+    return go(f)
 
 
 def collapse_derivation(d: Derivation) -> Derivation:
     """Erase agent labels: a multi-agent quantified derivation becomes a
-    single-agent one, rule for rule."""
+    single-agent one, rule for rule.  Every formula goes through one
+    collapse_agents table, dropped when the call returns."""
     logic = get_logic(d.logic_id)
     if logic.profile.agents != 'multi':
         raise TransformError("input is already single-agent")
     _accepted(d, "agent collapse", False)
     base, _, suffix = split_logic_id(d.logic_id)
     target = base + suffix
+    table = {}
+
+    def coll(f: Formula) -> Formula:
+        return collapse_agents(f, table=table)
+
     spec = d.spec
     if spec.kind == 'explicit':
-        spec = Spec('explicit',
-                    frozenset(collapse_agents(e) for e in spec.entries))
-    ops = tuple(make_operator(op.name, op.var, op.params,
-                              collapse_agents(op.body), op.mode)
-                for op in d.ops)
-    premises = tuple(Premise(p.name, collapse_agents(p.formula))
-                     for p in d.premises)
+        spec = Spec('explicit', frozenset(map(coll, spec.entries)))
+    ops = tuple(make_operator(op.name, op.var, op.params, coll(op.body),
+                              op.mode) for op in d.ops)
+    premises = tuple(Premise(p.name, coll(p.formula)) for p in d.premises)
     steps = []
     for s in d.steps:
         args = s.args
         if s.rule == 'fp':
-            args = (s.args[0], tuple(collapse_agents(a) for a in s.args[1]))
-        steps.append(Step(s.index, collapse_agents(s.formula), s.rule,
-                          s.refs, args))
+            args = (s.args[0], tuple(map(coll, s.args[1])))
+        steps.append(Step(s.index, coll(s.formula), s.rule, s.refs, args))
     out = Derivation(target, spec, d.spec_src, None, ops, premises,
                      tuple(steps))
     _accepted(out, "agent collapse", True)

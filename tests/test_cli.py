@@ -59,6 +59,23 @@ def test_deep_nesting_is_a_parse_error(step, tmp_path, capsys):
     assert captured.err == 'error: formula nested too deeply\n'
 
 
+@pytest.mark.parametrize('verb, text', [
+    ('project', 'logic: J\n\n1. {0}p -> {0}p ; prop\n'),
+    ('collapse', 'logic: QLP-_n\nagents: a\n\n'
+                 '1. {0}x :@a p -> {0}x :@a p ; prop\n'),
+], ids=['project', 'collapse'])
+def test_transform_of_a_step_the_checker_takes(verb, text, tmp_path, capsys):
+    # 600 negations check; two frames per level stopped the maps at 498
+    path = tmp_path / 'deep.drv'
+    path.write_text(text.format('~' * 600))
+    assert cli.main(['check', str(path)]) == 0
+    capsys.readouterr()
+    assert cli.main(['transform', verb, str(path)]) == 0
+    image = tmp_path / 'image.drv'
+    image.write_text(capsys.readouterr().out)
+    assert cli.main(['check', str(image)]) == 0
+
+
 _PARENS_150 = '(' * 150 + 'p & q' + ')' * 150
 _NEGATIONS_900 = '(%sp)' % ('~' * 900)
 

@@ -6,12 +6,13 @@ import os
 
 import pytest
 
-from justfix import kernel, registry, syntax
+from justfix import kernel, registry, syntax, transforms
 from justfix.corpus import (CorpusEntry, CorpusError, FALSUM_IDS, MANIFEST,
                             corpus_dir, run_corpus, run_entry)
+from justfix.kernel import load_derivation
 from justfix.syntax import replace
 
-from conftest import CORPUS
+from conftest import CORPUS, node_objects
 
 
 def test_manifest_ids_unique():
@@ -175,8 +176,9 @@ def test_each_entry_decides_each_query_once(monkeypatch):
         current.append(e.id)
         assert run_entry(e).ok
     # asking again about the same formula objects took 292 BDD builds per
-    # pass, 36 of them on ts4-bot and 31 on ts4-surprise
-    assert sum(builds.values()) <= 188
+    # pass, 36 of them on ts4-bot and 31 on ts4-surprise; projecting each
+    # copy of a subformula apart took 188
+    assert sum(builds.values()) <= 182
     assert builds['ts4-bot'] <= 16
     assert builds['ts4-surprise'] <= 13
 
@@ -202,8 +204,22 @@ def test_manifest_pass_apply_calls(monkeypatch):
 def test_manifest_pass_profile_facts(counted_kinds):
     for e in MANIFEST:
         assert run_entry(e).ok
-    # parsing each formula apart computed the facts of 12,097 nodes per pass
-    assert len(counted_kinds.computed) <= 4500
+    # parsing each formula apart computed the facts of 12,097 nodes per
+    # pass, and projecting each copy of a subformula apart 3,333
+    assert len(counted_kinds.computed) <= 2000
+
+
+@pytest.mark.parametrize('entry, op', [
+    (e, op[0]) for e in MANIFEST for op in e.post
+    if op[0] in ('project', 'collapse')], ids=lambda v: getattr(v, 'id', v))
+def test_transform_images_build_each_node_once(entry, op):
+    d = load_derivation(str(corpus_dir() / entry.path))
+    out = (transforms.project_derivation if op == 'project'
+           else transforms.collapse_derivation)(d)
+    # a tree recursion built jl-believer's image from 1,445 node objects
+    # for 100 contents
+    objs = node_objects(s.formula for s in out.steps)
+    assert len(objs) == len(set(objs))
 
 
 def test_manifest_pass_parse_work(monkeypatch):

@@ -2,14 +2,16 @@
 
 import os
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from justfix.kernel import check_derivation, load_derivation, parse_derivation
 from justfix.registry import EMPTY, Spec
-from justfix.syntax import (App, Bang, Box, Const, Exists, Forall, Imp, Just,
-                            Knows, Mu, Prim, UAll, Var, parse_formula,
-                            print_formula, free_vars, replace)
+from justfix.syntax import (App, Atom, Bang, Box, Const, Exists, FMeta,
+                            Forall, Imp, Just, Knows, Mu, Neg, Or, Prim, UAll,
+                            Var, children, parse_formula, print_formula,
+                            free_vars, rebuild, replace)
 from justfix.transforms import (TransformError, collapse_agents,
                                 collapse_derivation, deduction,
                                 exists_translate, internalize_qlp, jd_lemma,
@@ -17,7 +19,8 @@ from justfix.transforms import (TransformError, collapse_agents,
                                 project_logic_id, restricted_qnec,
                                 substitute_proof)
 
-from conftest import CORPUS, lp_sample_derivations, modal_formulas
+from conftest import (CORPUS, _bool_layer, atoms, lp_sample_derivations,
+                      modal_formulas, node_objects)
 
 P = parse_formula
 
@@ -358,6 +361,111 @@ def test_project_derivation_refuses_modal_input():
         project_derivation(d)
 
 
+# -- one table per transform ------------------------------------------------------
+
+def _naive_project(f):
+    """project as a plain tree recursion, the reference for the shared
+    one."""
+    match f:
+        case Just(_, _, a):
+            return Box(_naive_project(a))
+        case Exists(x, Just(Var(n), _, a)) if n == x and x not in free_vars(a):
+            return Box(_naive_project(a))
+        case Box() | Knows() | Forall() | Exists() | FMeta():
+            raise TransformError("projection undefined on %s"
+                                 % type(f).__name__)
+    return rebuild(f, [_naive_project(k) for k in children(f)])
+
+
+def _naive_collapse(f):
+    """collapse_agents as a plain tree recursion."""
+    match f:
+        case Just(t, _, a):
+            return Just(t, None, _naive_collapse(a))
+        case Box() | Knows() | Mu() | FMeta():
+            raise TransformError("agent collapse undefined on %s"
+                                 % type(f).__name__)
+    return rebuild(f, [_naive_collapse(k) for k in children(f)])
+
+
+_TERMS = st.sampled_from(('x', 'y')).map(Var) | st.just(Const('c')) \
+    | st.sampled_from(('x', 'y')).map(lambda v: App(Const('c'), Var(v)))
+
+
+# the shapes that project or collapse_agents refuses
+_REFUSED = st.sampled_from((
+    Box, lambda a: Knows(2, a), lambda a: Forall('x', a),
+    lambda a: Exists('y', a),
+    # m is no atom name, so it occurs only positively
+    lambda a: Mu('m', Or(Atom('m'), a))))
+
+
+def _transform_layer(ch):
+    """Every shape one of the two maps takes, and every shape one of them
+    refuses: those of _REFUSED and metavariables (at the leaves).  The
+    refused shapes share one branch, so most draws map without an
+    error."""
+    return (_bool_layer(ch)
+            | st.builds(Just, _TERMS, st.sampled_from((None, 'a', 'b')), ch)
+            | st.builds(lambda x, g, a: Exists(x, Just(Var(x), g, a)),
+                        st.sampled_from(('x', 'y')),
+                        st.sampled_from((None, 'a')), ch)
+            | st.builds(lambda wrap, a: wrap(a), _REFUSED, ch))
+
+
+_TRANSFORM_INPUTS = st.lists(
+    st.recursive(
+        # some leaves are one object in several places
+        atoms | st.sampled_from((Atom('p'), Atom('q'), FMeta('A'))),
+        _transform_layer, max_leaves=8),
+    min_size=1, max_size=4).map(
+        # the same objects again, under a new root
+        lambda fs: fs + [Imp(a, b) for a, b in zip(fs, reversed(fs))])
+
+
+def _outcome(fn, f, **kw):
+    try:
+        return fn(f, **kw)
+    except TransformError as e:
+        return 'error: %s' % e
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRANSFORM_INPUTS)
+def test_shared_maps_match_the_tree_recursion(fs):
+    for fn, naive in ((project, _naive_project),
+                      (collapse_agents, _naive_collapse)):
+        table = {}
+        shared = [_outcome(fn, f, table=table) for f in fs]
+        fresh = [_outcome(fn, f, table={}) for f in fs]
+        assert shared == fresh == [_outcome(naive, f) for f in fs]
+        images = [g for g in shared if not isinstance(g, str)]
+        for roots in [images] + [[g] for g in images]:
+            objs = node_objects(roots)
+            assert len(objs) == len(set(objs))
+
+
+def _negations(n, f):
+    for _ in range(n):
+        f = Neg(f)
+    return f
+
+
+@pytest.mark.parametrize('fn, leaf, image', [
+    (project, Just(Var('x'), None, Atom('p')), Box(Atom('p'))),
+    (collapse_agents, Just(Var('x'), 'a', Atom('p')),
+     Just(Var('x'), None, Atom('p'))),
+], ids=['project', 'collapse'])
+def test_maps_take_one_frame_per_level(fn, leaf, image):
+    # a map and its list comprehension, two frames per level, stopped at
+    # 498 negations
+    g = fn(_negations(900, leaf))
+    for _ in range(900):
+        assert type(g) is Neg
+        g = g.a
+    assert g == image
+
+
 # -- existential translation -------------------------------------------------------
 
 def test_exists_translate_numbers_fresh_variables():
@@ -371,6 +479,14 @@ def test_exists_translate_domain():
         exists_translate(Knows(1, P('p')))
     with pytest.raises(TransformError):
         exists_translate(P('x : p'))
+
+
+def test_exists_translate_numbers_each_occurrence():
+    # one object under both conjuncts still gets two variables
+    f = P('[]p & []p')
+    assert f.a is f.b
+    assert print_formula(exists_translate(f)) == \
+        '(ex x#1 . x#1 : p) & ex x#2 . x#2 : p'
 
 
 @settings(max_examples=500, deadline=None)
