@@ -1,8 +1,11 @@
 """The command-line output on every corpus derivation, frozen.
 
-`check --verbose` and `transform lift|internalize|project|collapse` on each
-corpus/*.drv must print exactly what golden/cli.json records: standard
-output, standard error and the exit status, byte for byte.
+`check --verbose`, `transform lift|internalize|project|collapse`,
+`transform subst <file> x c`, `transform jug <file> x` and `transform deduce
+<file> <name>` for each premise the file declares, on each corpus/*.drv,
+must print exactly what golden/cli.json records: standard output, standard
+error and the exit status, byte for byte.  A case's key is its argv with
+the file's base name in place of its path.
 
 golden/reasons.json freezes the step diagnostics the same way: one short
 derivation per failure message of the step checks, one per error a
@@ -25,33 +28,44 @@ import tempfile
 import pytest
 
 from justfix import cli
+from justfix.kernel import load_derivation
 
 from conftest import corpus_paths
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       'golden', 'cli.json')
 REASONS = os.path.join(os.path.dirname(GOLDEN), 'reasons.json')
-VERBS = (('check', '--verbose'), ('transform', 'lift'),
-         ('transform', 'internalize'), ('transform', 'project'),
-         ('transform', 'collapse'))
+# the words before the file, and the words after it
+VERBS = ((('check', '--verbose'), ()), (('transform', 'lift'), ()),
+         (('transform', 'internalize'), ()), (('transform', 'project'), ()),
+         (('transform', 'collapse'), ()), (('transform', 'subst'), ('x', 'c')),
+         (('transform', 'jug'), ('x',)))
 
 
-def _key(verb, path):
-    return '%s %s' % (' '.join(verb), os.path.basename(path))
+def _key(verb, path, words=()):
+    return ' '.join((*verb, os.path.basename(path), *words))
 
 
-def _run(verb, path) -> dict:
+def _run(verb, path, words=()) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(list(verb) + [path])
+            code = cli.main([*verb, path, *words])
         except SystemExit as e:
             code = e.code
     return {'out': out.getvalue(), 'err': err.getvalue(), 'code': code}
 
 
-def _cases():
-    return [(verb, path) for path in corpus_paths() for verb in VERBS]
+def _corpus_cases():
+    cases = []
+    for path in corpus_paths():
+        cases += [(verb, path, words) for verb, words in VERBS]
+        cases += [(('transform', 'deduce'), path, (p.name,))
+                  for p in load_derivation(path).premises]
+    return cases
+
+
+_CASES = _corpus_cases()
 
 
 @pytest.fixture(scope='module')
@@ -61,13 +75,13 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(_key(v, p) for v, p in _cases())
+    assert sorted(golden) == sorted(_key(*c) for c in _CASES)
 
 
-@pytest.mark.parametrize('verb, path', _cases(),
-                         ids=[_key(v, p) for v, p in _cases()])
-def test_cli_output_is_frozen(verb, path, golden):
-    assert _run(verb, path) == golden[_key(verb, path)]
+@pytest.mark.parametrize('verb, path, words', _CASES,
+                         ids=[_key(*c) for c in _CASES])
+def test_cli_output_is_frozen(verb, path, words, golden):
+    assert _run(verb, path, words) == golden[_key(verb, path, words)]
 
 
 def _run_text(case, tmp) -> dict:
@@ -102,6 +116,6 @@ def test_step_diagnostic_is_frozen(name, tmp_path):
 
 
 if __name__ == '__main__':
-    _write(GOLDEN, {_key(v, p): _run(v, p) for v, p in _cases()})
+    _write(GOLDEN, {_key(*c): _run(*c) for c in _CASES})
     record_reasons({name: {'argv': c['argv'], 'text': c['text']}
                     for name, c in _REASONS.items()})
