@@ -63,47 +63,34 @@ def _cmd_print(args) -> int:
     return 0
 
 
+# each verb: the words after <file>, and the transform, called with the
+# derivation and those words
+_TRANSFORMS = {
+    'deduce': (('<premise>',), transforms.deduction),
+    'lift': ((), transforms.lift),
+    'internalize': ((), transforms.internalize_qlp),
+    'subst': (('<var>', '<term>'), lambda d, x, t: transforms.substitute_proof(
+        d, x, parse_term(t, get_logic(d.logic_id).profile))),
+    'jug': (('<var>',), transforms.jug),
+    'project': ((), transforms.project_derivation),
+    'collapse': ((), transforms.collapse_derivation),
+}
+
+
 # one memo scope per command, so a transform's own check of its input and
 # its expansion of the input's inline steps share the images they build
 @memo_scope()
 def _cmd_transform(args) -> int:
     d = _retarget(load_derivation(args.file), args)
-    verb, extra = args.verb, list(args.args)
-
-    def need(n, usage):
-        if len(extra) != n:
-            print('usage: justfix transform %s' % usage, file=sys.stderr)
-            raise SystemExit(2)
-
-    if verb == 'deduce':
-        need(1, 'deduce <file> <premise>')
-        out = transforms.deduction(d, extra[0])
-    elif verb == 'lift':
-        need(0, 'lift <file>')
-        res = transforms.lift(d)
-        print('# term: %s' % print_term(res.term))
-        out = res.derivation
-    elif verb == 'internalize':
-        need(0, 'internalize <file>')
-        res = transforms.internalize_qlp(d)
-        print('# term: %s' % print_term(res.term))
-        out = res.derivation
-    elif verb == 'subst':
-        need(2, 'subst <file> <var> <term>')
-        logic = get_logic(d.logic_id)
-        out = transforms.substitute_proof(
-            d, extra[0], parse_term(extra[1], logic.profile))
-    elif verb == 'jug':
-        need(1, 'jug <file> <var>')
-        out = transforms.jug(d, extra[0])
-    elif verb == 'project':
-        need(0, 'project <file>')
-        out = transforms.project_derivation(d)
-    elif verb == 'collapse':
-        need(0, 'collapse <file>')
-        out = transforms.collapse_derivation(d)
-    else:
+    words, transform = _TRANSFORMS[args.verb]
+    if len(args.args) != len(words):
+        print('usage: justfix transform %s' % ' '.join(
+            (args.verb, '<file>') + words), file=sys.stderr)
         raise SystemExit(2)
+    out = transform(d, *args.args)
+    if isinstance(out, transforms.LiftResult):
+        print('# term: %s' % print_term(out.term))
+        out = out.derivation
     sys.stdout.write(print_derivation(out))
     return 0
 
@@ -203,8 +190,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_print)
 
     sp = sub.add_parser('transform', help='apply a proof transformation')
-    sp.add_argument('verb', choices=['deduce', 'lift', 'internalize',
-                                     'subst', 'jug', 'project', 'collapse'])
+    sp.add_argument('verb', choices=_TRANSFORMS)
     sp.add_argument('file')
     sp.add_argument('args', nargs='*')
     common(sp)

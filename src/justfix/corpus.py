@@ -139,30 +139,30 @@ def _deduce_roundtrip(d: Derivation) -> str | None:
     return None
 
 
+# the post-ops that map d to an image which must re-check at a named logic:
+# the transform, and the words of the failure messages
+_IMAGES = {
+    'project': (transforms.project_derivation, 'projection', 'projected'),
+    'collapse': (transforms.collapse_derivation, 'collapse', 'collapsed'),
+}
+
+
 def _run_post(entry: CorpusEntry, d: Derivation) -> str | None:
     for op in entry.post:
         if op[0] == 'deduce':
             err = _deduce_roundtrip(d)
             if err:
                 return err
-        elif op[0] == 'project':
-            pd = transforms.project_derivation(d)
-            if pd.logic_id != op[1]:
-                return 'projection targets %s, expected %s' % (
-                    pd.logic_id, op[1])
-            rep = check_derivation(pd)
+        elif op[0] in _IMAGES:
+            transform, noun, participle = _IMAGES[op[0]]
+            img = transform(d)
+            if img.logic_id != op[1]:
+                return '%s targets %s, expected %s' % (
+                    noun, img.logic_id, op[1])
+            rep = check_derivation(img)
             if not rep.ok:
-                return 'projected image rejected at step %s: %s' \
-                    % rep.first_failure
-        elif op[0] == 'collapse':
-            cd = transforms.collapse_derivation(d)
-            if cd.logic_id != op[1]:
-                return 'collapse targets %s, expected %s' % (
-                    cd.logic_id, op[1])
-            rep = check_derivation(cd)
-            if not rep.ok:
-                return 'collapsed image rejected at step %s: %s' \
-                    % rep.first_failure
+                return '%s image rejected at step %s: %s' % (
+                    (participle,) + rep.first_failure)
         elif op[0] == 'refused':
             rt = replace(d, logic_id=op[1])
             rep = check_derivation(rt)

@@ -22,6 +22,12 @@ chain  F1 -> (F2 -> ... -> goal), which is itself a tautology, so a
 single constant over that chain followed by application steps suffices;
 no separate propositional search is needed.
 
+Every "axiom instance, then modus ponens" sequence goes through
+_Build.detach, which adds the instance and detaches one antecedent per
+cited step; _jk builds the application instance  s : (A -> B) ->
+(t : A -> s*t : B), whose last consequent holds the App term the caller
+goes on with, so each such term is built once.
+
 project and collapse_agents map each node object once and build each
 image node once, through a table (the hash-consing of Filliatre and
 Conchon, "Type-safe modular hash-consing", ML Workshop 2006, keyed as
@@ -68,8 +74,33 @@ class _Build:
                                tuple(refs), tuple(args)))
         return len(self.steps)
 
+    def detach(self, axiom, schema, *refs):
+        """Add axiom as an instance of schema, then one mp per cited step,
+        each detaching the next antecedent; the index of the last step."""
+        k = self.add(axiom, 'ax', (), (schema,))
+        for r in refs:
+            axiom = axiom.b
+            k = self.add(axiom, 'mp', (r, k))
+        return k
+
     def tuple(self):
         return tuple(self.steps)
+
+
+def _jk(s: Term, t: Term, imp: Imp, agent) -> Formula:
+    """The jk instance  s : (A -> B) -> (t : A -> s*t : B)  for imp = A -> B;
+    its last consequent holds the one App term of s and t."""
+    return Imp(Just(s, agent, imp),
+               Imp(Just(t, agent, imp.a), Just(App(s, t), agent, imp.b)))
+
+
+def _fp_args(s: Step, fmap) -> tuple:
+    """The arguments of step s, with fmap applied to the operator arguments
+    of an fp step."""
+    if s.rule != 'fp':
+        return s.args
+    name, args = s.args
+    return name, tuple(map(fmap, args))
 
 
 def _accepted(d: Derivation, what: str, made: bool):
@@ -146,17 +177,10 @@ def _chain(b: _Build, state: dict, tau: dict, refs, goal: Formula,
     chain = imp_chain([tau[r][1] for r in refs], goal)
     t = mk_const(fresh)
     cur = b.add(Just(t, agent, chain), intro_rule)
-    body = chain
     for r in refs:
-        tr, fr = tau[r]
-        nxt = body.b
-        jk = Imp(Just(t, agent, body),
-                 Imp(Just(tr, agent, fr), Just(App(t, tr), agent, nxt)))
-        k = b.add(jk, 'ax', (), ('jk',))
-        m1 = b.add(jk.b, 'mp', (cur, k))
-        cur = b.add(jk.b.b, 'mp', (state[r], m1))
-        t = App(t, tr)
-        body = nxt
+        jk = _jk(t, tau[r][0], chain, agent)
+        cur = b.detach(jk, 'jk', cur, state[r])
+        t, chain = jk.b.b.t, chain.b
     return t, cur
 
 
@@ -181,13 +205,9 @@ def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
             state[s.index] = b.add(Just(t, agent, f), 'premise', (), s.args)
         elif s.rule == 'mp':
             i, j = s.refs
-            t = App(tau[j][0], tau[i][0])
-            jk = Imp(Just(tau[j][0], agent, tau[j][1]),
-                     Imp(Just(tau[i][0], agent, tau[i][1]),
-                         Just(t, agent, f)))
-            k = b.add(jk, 'ax', (), ('jk',))
-            m1 = b.add(jk.b, 'mp', (state[j], k))
-            state[s.index] = b.add(jk.b.b, 'mp', (state[i], m1))
+            jk = _jk(tau[j][0], tau[i][0], tau[j][1], agent)
+            t = jk.b.b.t
+            state[s.index] = b.detach(jk, 'jk', state[j], state[i])
         elif s.rule == 'prop':
             t, state[s.index] = _chain(b, state, tau, s.refs, f, agent,
                                        fresh, intro_rule, mk_term)
@@ -271,9 +291,7 @@ def internalize_qlp(d: Derivation) -> LiftResult:
             # second layer
             t = Bang(f.t)
             a0 = b.add(f, 'an')
-            j4 = Imp(f, Just(t, agent, f))
-            k = b.add(j4, 'ax', (), ('j4',))
-            return t, b.add(j4.b, 'mp', (a0, k))
+            return t, b.detach(Imp(f, Just(t, agent, f)), 'j4', a0)
         if s.rule == 'gen':
             if minus:
                 raise TransformError(
@@ -286,25 +304,18 @@ def internalize_qlp(d: Derivation) -> LiftResult:
             ex = Exists(y, Just(Var(y), agent, Forall(x, Just(u, agent, g))))
             g2 = b.add(ex, 'qnec', (g1,), (y,))
             t = UAll(u, x)
-            uf = Imp(ex, Just(t, agent, f))
-            g3 = b.add(uf, 'ax', (), ('uf',))
-            return t, b.add(uf.b, 'mp', (g2, g3))
+            return t, b.detach(Imp(ex, Just(t, agent, f)), 'uf', g2)
         if s.rule == 'qnec':
             i = s.refs[0]
             u, g = tau[i]
             ju = Just(u, agent, g)
             j4 = Imp(ju, Just(Bang(u), agent, ju))
-            k = b.add(j4, 'ax', (), ('j4',))
-            m1 = b.add(j4.b, 'mp', (state[i], k))
+            m1 = b.detach(j4, 'j4', state[i])
             p = _prim(fresh)
             q3 = Imp(ju, f)
             a1 = b.add(Just(p, agent, q3), 'an')
-            t = App(p, Bang(u))
-            jk = Imp(Just(p, agent, q3),
-                     Imp(Just(Bang(u), agent, ju), Just(t, agent, f)))
-            k2 = b.add(jk, 'ax', (), ('jk',))
-            m2 = b.add(jk.b, 'mp', (a1, k2))
-            return t, b.add(jk.b.b, 'mp', (m1, m2))
+            jk = _jk(p, j4.b.t, q3, agent)
+            return jk.b.b.t, b.detach(jk, 'jk', a1, m1)
         raise TransformError("unexpected rule %r in a quantified "
                              "derivation" % s.rule)
 
@@ -326,23 +337,18 @@ def substitute_proof(d: Derivation, x: str, t: Term) -> Derivation:
     _accepted(d, "substitution", False)
 
     def fmap(f: Formula) -> Formula:
-        try:
-            return subst_term_for_var(f, x, t)
-        except NotFreeFor as e:
-            raise TransformError(str(e))
+        return subst_term_for_var(f, x, t)
 
     steps = []
-    for s in d.steps:
-        args = s.args
-        if s.rule == 'fp':
-            args = (s.args[0], tuple(fmap(a) for a in s.args[1]))
-        elif s.rule == 'inline' and s.args[0] == 'subst':
-            try:
+    try:
+        for s in d.steps:
+            args = _fp_args(s, fmap)
+            if s.rule == 'inline' and s.args[0] == 'subst':
                 args = ('subst', s.args[1], subst_in_term(s.args[2], x, t))
-            except NotFreeFor as e:
-                raise TransformError(str(e))
-        steps.append(Step(s.index, fmap(s.formula), s.rule, s.refs, args))
-    premises = tuple(Premise(p.name, fmap(p.formula)) for p in d.premises)
+            steps.append(Step(s.index, fmap(s.formula), s.rule, s.refs, args))
+        premises = tuple(Premise(p.name, fmap(p.formula)) for p in d.premises)
+    except NotFreeFor as e:
+        raise TransformError(str(e))
     out = replace(d, premises=premises, steps=tuple(steps))
     _accepted(out, "substitution", True)
     return out
@@ -376,9 +382,7 @@ def jug(d: Derivation, x: str) -> Derivation:
         y   = 'y#' + str(int(y.split('#')[1]) + 1)
     ex = Exists(y, Just(Var(y), agent, Forall(x, f)))
     g2 = b.add(ex, 'qnec', (g1,), (y,))
-    goal = Just(UAll(u, x), agent, Forall(x, a))
-    g3 = b.add(Imp(ex, goal), 'ax', (), ('uf',))
-    b.add(goal, 'mp', (g2, g3))
+    b.detach(Imp(ex, Just(UAll(u, x), agent, Forall(x, a))), 'uf', g2)
     out = replace(d, steps=b.tuple())
     _accepted(out, "upgrade", True)
     return out
@@ -399,11 +403,9 @@ def restricted_qnec(a: Formula, x: str, logic_id: str = 'QLP-',
     if spec.kind != 'total':
         raise TransformError("requires the total specification")
     b = _Build()
-    p = Prim('f#1', ())
-    s1 = b.add(Just(p, agent, a), 'an')
-    goal = Exists(x, Just(Var(x), agent, a))
-    s2 = b.add(Imp(Just(p, agent, a), goal), 'ax', (), ('q3',))
-    b.add(goal, 'mp', (s1, s2))
+    pa = Just(Prim('f#1', ()), agent, a)
+    b.detach(Imp(pa, Exists(x, Just(Var(x), agent, a))), 'q3',
+             b.add(pa, 'an'))
     agents = (agent,) if agent else None
     out = Derivation(logic_id, spec, 'tcs', agents, tuple(ops), (), b.tuple())
     _accepted(out, "restricted existential introduction", True)
@@ -417,23 +419,16 @@ def jd_lemma(s: Term, t: Term, a: Formula, logic_id: str,
     """s : ~A -> ~ t : A, via a constant over  ~A -> (A -> false)  and
     the seriality axiom at the combined falsum term."""
     b = _Build()
-    c = Const('c#1')
-    na = Neg(a)
-    chain = Imp(na, Imp(a, Falsum()))
-    s1 = b.add(Just(c, agent, chain), 'ian')
-    u = App(c, s)
-    jk1 = Imp(Just(c, agent, chain),
-              Imp(Just(s, agent, na), Just(u, agent, Imp(a, Falsum()))))
-    s2 = b.add(jk1, 'ax', (), ('jk',))
-    s3 = b.add(jk1.b, 'mp', (s1, s2))
-    w = App(u, t)
-    jk2 = Imp(Just(u, agent, Imp(a, Falsum())),
-              Imp(Just(t, agent, a), Just(w, agent, Falsum())))
+    chain = Imp(Neg(a), Imp(a, Falsum()))
+    jk1 = _jk(Const('c#1'), s, chain, agent)
+    s3 = b.detach(jk1, 'jk', b.add(jk1.a, 'ian'))
+    # cited by a prop step, so an ax step rather than a detach
+    jk2 = _jk(jk1.b.b.t, t, chain.b, agent)
     s4 = b.add(jk2, 'ax', (), ('jk',))
-    s5 = b.add(Imp(Just(w, agent, Falsum()), Falsum()), 'ax', (), ('jd',))
-    s6 = b.add(Imp(Just(u, agent, Imp(a, Falsum())), Neg(Just(t, agent, a))),
-               'prop', (s4, s5))
-    b.add(Imp(Just(s, agent, na), Neg(Just(t, agent, a))), 'prop', (s3, s6))
+    s5 = b.add(Imp(jk2.b.b, Falsum()), 'ax', (), ('jd',))
+    nta = Neg(jk2.b.a)
+    s6 = b.add(Imp(jk2.a, nta), 'prop', (s4, s5))
+    b.add(Imp(jk1.b.a, nta), 'prop', (s3, s6))
     agents = None
     d = get_logic(logic_id)
     if d.profile.agents == 'multi':
@@ -566,22 +561,10 @@ def project_derivation(d: Derivation) -> Derivation:
             for _ in range(n):
                 k = b.add(node(Box, b.steps[k - 1].formula), 'nec', (k,))
             last[s.index] = k
-        elif s.rule == 'fp':
-            name, args = s.args
-            last[s.index] = b.add(proj(f), 'fp', (),
-                                  (name, tuple(map(proj, args))))
-        elif s.rule == 'mu-cl':
-            last[s.index] = b.add(proj(f), 'mu-cl')
-        elif s.rule == 'mu-ind':
-            last[s.index] = b.add(proj(f), 'mu-ind', (last[s.refs[0]],))
-        elif s.rule == 'mp':
-            last[s.index] = b.add(proj(f), 'mp',
-                                  tuple(last[r] for r in s.refs))
-        elif s.rule == 'prop':
-            last[s.index] = b.add(proj(f), 'prop',
-                                  tuple(last[r] for r in s.refs))
-        elif s.rule == 'premise':
-            last[s.index] = b.add(proj(f), 'premise', (), s.args)
+        elif s.rule in ('fp', 'mu-cl', 'mu-ind', 'mp', 'prop', 'premise'):
+            last[s.index] = b.add(proj(f), s.rule,
+                                  tuple(last[r] for r in s.refs),
+                                  _fp_args(s, proj))
         else:
             raise TransformError("no modal image for rule %r" % s.rule)
 
@@ -663,9 +646,7 @@ def collapse_derivation(d: Derivation) -> Derivation:
     premises = tuple(Premise(p.name, coll(p.formula)) for p in d.premises)
     steps = []
     for s in d.steps:
-        args = s.args
-        if s.rule == 'fp':
-            args = (s.args[0], tuple(map(coll, s.args[1])))
+        args = _fp_args(s, coll)
         steps.append(Step(s.index, coll(s.formula), s.rule, s.refs, args))
     out = Derivation(target, spec, d.spec_src, None, ops, premises,
                      tuple(steps))

@@ -4,9 +4,9 @@ registry spells out the pieces of the logic-id grammar, no module
 keeps a functools memo, which would outlive the call that filled it,
 only one function walks two structures in parallel, no function
 passes a pattern literal to a module-level re function, no module
-imports dataclasses, which loading the package does not pay for, and
+imports dataclasses, which loading the package does not pay for,
 only the line reader, kernel.read_lines, calls strip_comment or
-.splitlines()."""
+.splitlines(), and in transforms only _Build.detach adds an mp step."""
 
 import ast
 import glob
@@ -278,6 +278,42 @@ def test_detector_sees_second_line_reader():
         '    return text.split(), strip_comment\n')
     assert _line_readers(tree) == [(0, '<module>'), (1, 'read_lines'),
                                    (3, 'other'), (7, 'inner')]
+
+
+def _mp_steps(tree: ast.Module) -> list:
+    """(line, name) of each function that passes the literal rule 'mp' to
+    a call, as add(formula, 'mp', refs) or Step(i, formula, 'mp', ...)
+    does, positionally or by keyword."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and any(
+                    isinstance(a, ast.Constant) and a.value == 'mp'
+                    for a in node.args + [k.value for k in node.keywords])
+                for node in _own_nodes(fn)):
+            found.append((fn.lineno, fn.name))
+    return sorted(found)
+
+
+def test_only_detach_adds_an_mp_step():
+    path = os.path.join(SRC, 'transforms.py')
+    with open(path) as fh:
+        found = _mp_steps(ast.parse(fh.read(), path))
+    assert [name for _, name in found] == ['detach']
+
+
+def test_detector_sees_second_mp_step():
+    tree = ast.parse(
+        'class _Build:\n'
+        '    def detach(self, axiom, schema, *refs):\n'
+        '        return self.add(axiom.b, "mp", refs)\n'
+        'def chain(b, f, i, k):\n'
+        '    def inner():\n'
+        '        return b.add(f, rule="mp")\n'
+        '    return b.add(f, "mp", (i, k)), Step(1, f, "mp", (), ())\n'
+        'def fine(b, f, s):\n'
+        '    return s.rule in ("mp", "prop"), b.add(f, "prop"), b.add(f, s.rule)\n')
+    assert _mp_steps(tree) == [(2, 'detach'), (4, 'chain'), (5, 'inner')]
 
 
 _RE_FUNCTIONS = frozenset(('match', 'fullmatch', 'search', 'sub', 'split',
