@@ -444,10 +444,7 @@ def _raise_first_error(f: Formula, profile: LanguageProfile,
                 raise ProfileError(f"agent label in single-agent language {profile.name}")
             if profile.agents == "multi" and g.agent is None:
                 raise ProfileError(f"missing agent label in {profile.name}")
-            for t in walk(g.t):
-                tcls = type(t).__name__
-                if tcls != "TMeta" and tcls not in profile.term_nodes:
-                    raise ProfileError(f"term {tcls} not in language {profile.name}")
+            _check_term(g.t, profile)
             if agents is None or agent_err:
                 continue
             if not agents:
@@ -459,6 +456,14 @@ def _raise_first_error(f: Formula, profile: LanguageProfile,
                 agent_err = "undeclared agent %r" % g.agent
     if agent_err:
         raise ProfileError(agent_err)
+
+
+def _check_term(t: Term, profile: LanguageProfile) -> None:
+    """Raise ProfileError at the first node of t outside the profile."""
+    for g in walk(t):
+        cls = type(g).__name__
+        if cls != "TMeta" and cls not in profile.term_nodes:
+            raise ProfileError(f"term {cls} not in language {profile.name}")
 
 
 # The language facts of a node are the kinds of node in it, the terms under
@@ -1152,8 +1157,11 @@ def parse_formula(text: str, profile: LanguageProfile = FULL, *,
 
 def parse_term(text: str, profile: LanguageProfile = FULL, *,
                table: Optional[dict] = None) -> Term:
-    """The term text states, sharing as parse_formula does."""
-    return _parse(text, profile, _Parser.term, table)
+    """The term text states, sharing as parse_formula does; a node outside
+    the profile's terms is a ProfileError, as in parse_formula."""
+    t = _parse(text, profile, _Parser.term, table)
+    _check_term(t, profile)
+    return t
 
 
 # ------------------------------------------------------------- printing

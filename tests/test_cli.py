@@ -36,7 +36,10 @@ def test_transform_usage_error_exits_2(argv, usage, capsys):
      'Just not in language modal'),
     ('logic: K(mu)\n\n1. (mu p . ~p) -> (mu p . ~p) ; prop\n',
      'p has a non-positive occurrence in mu body'),
-], ids=['profile', 'positivity'])
+    ('logic: J\n\n1. x : p -> x : p ; prop\n'
+     '2. x : p -> x : p ; inline subst 1 z := f(y)\n',
+     'term Prim not in language jl'),
+], ids=['profile', 'positivity', 'subst-term'])
 def test_load_time_formula_error_exits_1(text, message, tmp_path, capsys):
     path = tmp_path / 'bad.drv'
     path.write_text(text)
@@ -44,6 +47,16 @@ def test_load_time_formula_error_exits_1(text, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ''
     assert captured.err == 'error: %s\n' % message
+
+
+def test_subst_term_outside_the_language_exits_1(capsys):
+    # the user's term is refused as such, not blamed on the transform
+    argv = ['transform', 'subst', os.path.join(CORPUS, 'egl-fp.drv'), 't',
+            'f(y)']
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ''
+    assert captured.err == 'error: term Prim not in language jl\n'
 
 
 @pytest.mark.parametrize('step', [

@@ -201,6 +201,18 @@ def test_profile_rejections():
         parse_formula('x : p', get_logic('T').profile)
 
 
+def test_parse_term_refuses_a_term_outside_the_language():
+    jl = get_logic('J').profile
+    with pytest.raises(ProfileError, match='^term Prim not in language jl$'):
+        parse_term('c * f(y)', jl)
+    with pytest.raises(ProfileError,
+                       match='^term Const not in language modal$'):
+        parse_term('c', get_logic('K').profile)
+    with pytest.raises(ProfileError, match='^term UAll not in language'):
+        parse_term('(x all y)', get_logic('QLP-').profile)
+    assert parse_term('c * x', jl) == App(Const('c'), Var('x'))
+
+
 def test_agent_tags_parse():
     f = parse_formula('y :@s (E & ~ex x . x :@s E)',
                       get_logic('QLP-_n').profile)
