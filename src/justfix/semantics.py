@@ -383,10 +383,10 @@ def load_model(path: str) -> MModel:
         return parse_model(fh.read(), os.path.dirname(path) or '.')
 
 
-def check_model(m: MModel, extra=(), depth: int = 2) -> list:
+def check_model(m: MModel, depth: int = 2) -> list:
     """Evidence conditions plus the file's own validity claims; returns
     a list of failure strings."""
-    out = list(check_evidence_conditions(m, extra, depth=depth))
+    out = list(check_evidence_conditions(m, depth=depth))
     for c in m.claims:
         if not is_valid(m, c):
             out.append("claimed valid but refuted: %s" % print_formula(c))
