@@ -312,7 +312,8 @@ def test_detector_sees_second_mp_step():
         '        return b.add(f, rule="mp")\n'
         '    return b.add(f, "mp", (i, k)), Step(1, f, "mp", (), ())\n'
         'def fine(b, f, s):\n'
-        '    return s.rule in ("mp", "prop"), b.add(f, "prop"), b.add(f, s.rule)\n')
+        '    return s.rule in ("mp", "prop"), b.add(f, "prop"), \\\n'
+        '        b.add(f, s.rule)\n')
     assert _mp_steps(tree) == [(2, 'detach'), (4, 'chain'), (5, 'inner')]
 
 
