@@ -124,10 +124,8 @@ def _cmd_model(args) -> int:
         return 0 if not bad else 1
     if args.verb == 'conditions':
         problems = check_evidence_conditions(m, depth=args.depth)
-    elif args.verb == 'check':
-        problems = check_model(m, depth=args.depth)
     else:
-        raise SystemExit(2)
+        problems = check_model(m, depth=args.depth)
     for p in problems:
         print(p)
     if not problems and not args.quiet:
@@ -136,8 +134,6 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    if args.verb != 'run':
-        raise SystemExit(2)
     rep = corpus_mod.run_corpus(args.pattern)
     if not args.quiet:
         print(rep.render())
@@ -149,8 +145,6 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_logics(args) -> int:
-    if args.verb != 'list':
-        raise SystemExit(2)
     for name in known_logics():
         if name == 'Sacchetti-n':
             print('Sacchetti-n  (template: Sacchetti-2, Sacchetti-3, ...)')

@@ -43,7 +43,7 @@ from .syntax import (
     Formula, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows, Just,
     Forall, Exists, Mu, FixApp, FMeta, Node,
     LanguageProfile, PROP_NODES, check_profile, ProfileError, children,
-    free_vars, term_vars, subst_prop, subst_term_for_var, NotFreeFor,
+    free_vars, subst_prop, subst_term_for_var, NotFreeFor,
     record,
 )
 
@@ -259,7 +259,7 @@ def match_node(pat: Node, tgt: Node, b: dict, binds: frozenset = frozenset(),
         if pat.name.startswith('?'):
             return type(tgt) is Var and _bind(b, 'v:' + pat.name[1:], tgt.name)
         if pat.name in binds and pat.name not in bound:
-            return not term_vars(tgt) & bound and _bind(b, pat.name, tgt)
+            return not free_vars(tgt) & bound and _bind(b, pat.name, tgt)
     if kind is not type(tgt):
         return False
     if kind is Just:
@@ -370,8 +370,8 @@ def _mu_cl_match(f: Formula) -> Optional[dict]:
     return {'v:p': mu.var, 'F:A': mu.a}
 
 
-def _not_free(var_key: str, formula_key: str):
-    return lambda b: b[var_key] not in free_vars(b[formula_key])
+def _not_free(var_key: str, node_key: str):
+    return lambda b: b[var_key] not in free_vars(b[node_key])
 
 
 def _lt(key1: str, key2: str):
@@ -419,7 +419,7 @@ SCHEMAS = {
     'uf': _schema('uf', Imp(Exists('?y', Just(Var('?y'), '?g',
                                               Forall('?x', Just(_t, '?g', _A)))),
                             Just(UAll(_t, '?x'), '?g', Forall('?x', _A))),
-                  conditions=(lambda b: b['v:y'] not in term_vars(b['T:t']),
+                  conditions=(_not_free('v:y', 'T:t'),
                               _not_free('v:y', 'F:A'))),
     # timed knowledge
     'tk': _schema('tk', Imp(Knows('?i', Imp(_A, _B)),

@@ -180,14 +180,6 @@ def _terms_of(forms) -> list:
     return list(dict.fromkeys(t for f in forms for t in formula_terms(f)))
 
 
-def _cond_vars(m: MModel) -> set:
-    names = set()
-    for e in m.evidence:
-        names.update(x for x, _ in e.cond)
-        names.update(free_vars(e.formula))
-    return names
-
-
 def check_evidence_conditions(m: MModel, extra=(), depth: int = 2) -> list:
     """Violations of the evidence closure conditions, relative to the
     finite universe of formulas and terms mentioned in the model and in
@@ -202,7 +194,8 @@ def check_evidence_conditions(m: MModel, extra=(), depth: int = 2) -> list:
     universe = _universe(m, extra)
     terms = _terms_of(universe)
     agents = list(m.agents) if m.agents else [None]
-    names = _cond_vars(m).union(*(free_vars(f) for f in universe))
+    names = {x for e in m.evidence for x, _ in e.cond}.union(
+        *(free_vars(f) for f in universe))
 
     for e in m.evidence:
         loose = {x for x, _ in e.cond} - free_vars(e.formula)

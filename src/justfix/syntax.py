@@ -578,26 +578,16 @@ def formula_terms(f: Formula) -> list[Term]:
     return [g.t for g in walk(f) if isinstance(g, Just)]
 
 
-def term_vars(t: Term) -> frozenset[str]:
-    match t:
+def free_vars(f: Node) -> frozenset[str]:
+    """Free individual (proof) variables of a formula or a term."""
+    match f:
         case Var(n):
             return frozenset({n})
         case Prim(_, args):
             return frozenset(args)
-        case UAll(inner, v):
-            return term_vars(inner) - {v}
-    out: frozenset[str] = frozenset()
-    for s in children(t):
-        out |= term_vars(s)
-    return out
-
-
-def free_vars(f: Formula) -> frozenset[str]:
-    """Free individual (proof) variables."""
-    match f:
         case Just(t, _, a):
-            return term_vars(t) | free_vars(a)
-        case Forall(v, a) | Exists(v, a):
+            return free_vars(t) | free_vars(a)
+        case UAll(a, v) | Forall(v, a) | Exists(v, a):
             return free_vars(a) - {v}
     out: frozenset[str] = frozenset()
     for g in children(f):
@@ -680,43 +670,34 @@ def occurrence_ok(f: Formula, p: str, mode: str) -> bool:
 
 # --------------------------------------------------------- substitution
 
-def subst_in_term(s: Term, x: str, t: Term) -> Term:
-    match s:
+# the word a NotFreeFor message names each individual-variable binder by
+_BINDER_WORDS = {UAll: "verifier on", Forall: "all", Exists: "ex"}
+
+
+def subst_term_for_var(f: Node, x: str, t: Term) -> Node:
+    """f[t/x] for a formula or a term f.  Raises NotFreeFor when a binder
+    would capture t, or when t is not a variable and x is an argument of
+    a primitive term."""
+    match f:
         case Var(n):
-            return t if n == x else s
+            return t if n == x else f
         case Prim(sym, args):
-            if x in args:
-                if not isinstance(t, Var):
-                    raise NotFreeFor(
-                        f"cannot put compound term {t} in argument place of {sym}")
-                return Prim(sym, tuple(t.name if a == x else a for a in args))
-            return s
-        case UAll(inner, v):
+            if x not in args:
+                return f
+            if not isinstance(t, Var):
+                raise NotFreeFor(
+                    f"cannot put compound term {t} in argument place of {sym}")
+            return Prim(sym, tuple(t.name if a == x else a for a in args))
+        case Just(s, ag, a):
+            return Just(subst_term_for_var(s, x, t), ag,
+                        subst_term_for_var(a, x, t))
+        case UAll(a, v) | Forall(v, a) | Exists(v, a):
             if v == x:
-                return s
-            if x in term_vars(inner) and v in term_vars(t):
-                raise NotFreeFor(f"{t} not free for {x}: capture by verifier on {v}")
-            return UAll(subst_in_term(inner, x, t), v)
-    return rebuild(s, [subst_in_term(k, x, t) for k in children(s)])
-
-
-def subst_term_for_var(f: Formula, x: str, t: Term) -> Formula:
-    """f[t/x].  Raises NotFreeFor when a binder would capture t."""
-    tfv = term_vars(t)
-
-    def go(g: Formula) -> Formula:
-        match g:
-            case Just(s, ag, a):
-                return Just(subst_in_term(s, x, t), ag, go(a))
-            case Forall(v, a) | Exists(v, a):
-                if v == x:
-                    return g
-                if x in free_vars(a) and v in tfv:
-                    kw = "all" if isinstance(g, Forall) else "ex"
-                    raise NotFreeFor(f"{t} not free for {x}: capture by {kw} {v}")
-        return rebuild(g, [go(k) for k in children(g)])
-
-    return go(f)
+                return f
+            if x in free_vars(a) and v in free_vars(t):
+                raise NotFreeFor(f"{t} not free for {x}: capture by "
+                                 f"{_BINDER_WORDS[type(f)]} {v}")
+    return rebuild(f, [subst_term_for_var(k, x, t) for k in children(f)])
 
 
 def subst_prop_multi(f: Formula, mapping: dict[str, Formula]) -> Formula:

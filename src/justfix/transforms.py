@@ -9,7 +9,8 @@ machine-checked witnesses for the corresponding admissibility lemmas:
   deduction         discharge one premise into an implication
   lift              internalize a justification-logic proof (t : A)
   internalize_qlp   the quantified analogue, handling Gen and qNec steps
-  substitute_proof  replace a justification variable by a term everywhere
+  substitute_proof  replace a justification variable by a term in every
+                    step of the elaborated derivation
   jug               justification-upgrade: t : A  to  (t all x) : all x . A
   restricted_qnec   existential introduction over an axiom instance
   jd_lemma          opposing evidence: s : ~A -> ~ t : A, via a falsum term
@@ -45,7 +46,7 @@ from .syntax import (
     Just, Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim, App, Bang, UAll,
     Node, NotFreeFor, PROP_NODES, print_formula, children, rebuild, share,
-    free_vars, subst_term_for_var, subst_in_term, imp_chain, record, replace,
+    free_vars, subst_term_for_var, imp_chain, record, replace,
 )
 from .registry import (
     get_logic, match_axiom, split_logic_id, Spec, TOTAL,
@@ -325,31 +326,34 @@ def internalize_qlp(d: Derivation) -> LiftResult:
 # -- substitution ------------------------------------------------------------
 
 def substitute_proof(d: Derivation, x: str, t: Term) -> Derivation:
-    """Apply [t/x] to every formula of the derivation.  Sound over the
-    total and the empty specification; a declared-entry specification is
-    refused since its entries need not be closed under substitution.
-    Operator declarations are untouched: the rewritten axiom steps are
-    accepted as substitution instances.
+    """Apply [t/x] to every formula of the elaborated derivation.  Sound
+    over the total and the empty specification; a declared-entry
+    specification is refused since its entries need not be closed under
+    substitution.  Operator declarations are untouched: the rewritten
+    axiom steps are accepted as substitution instances.  A variable that
+    a gen step generalizes, free in the step it cites, is refused: the
+    step's conclusion binds it, so its image would not follow.
     """
     if d.spec.kind == 'explicit':
         raise TransformError("substitution is not sound over a declared "
                              "specification")
     _accepted(d, "substitution", False)
+    d = elaborate(d)
+    if any(s.rule == 'gen' and s.args[0] == x
+           and x in free_vars(d.step(s.refs[0]).formula) for s in d.steps):
+        raise TransformError("cannot substitute for %s, which a gen step "
+                             "generalizes" % x)
 
     def fmap(f: Formula) -> Formula:
         return subst_term_for_var(f, x, t)
 
-    steps = []
     try:
-        for s in d.steps:
-            args = _fp_args(s, fmap)
-            if s.rule == 'inline' and s.args[0] == 'subst':
-                args = ('subst', s.args[1], subst_in_term(s.args[2], x, t))
-            steps.append(Step(s.index, fmap(s.formula), s.rule, s.refs, args))
+        steps = tuple(Step(s.index, fmap(s.formula), s.rule, s.refs,
+                           _fp_args(s, fmap)) for s in d.steps)
         premises = tuple(Premise(p.name, fmap(p.formula)) for p in d.premises)
     except NotFreeFor as e:
         raise TransformError(str(e))
-    out = replace(d, premises=premises, steps=tuple(steps))
+    out = replace(d, premises=premises, steps=steps)
     _accepted(out, "substitution", True)
     return out
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from justfix import cli
+from justfix.kernel import elaborate, load_derivation, print_derivation
 
 from conftest import CORPUS, corpus_paths
 
@@ -86,6 +87,56 @@ def test_transform_of_a_step_the_checker_takes(verb, text, tmp_path, capsys):
     assert cli.main(['transform', verb, str(path)]) == 0
     image = tmp_path / 'image.drv'
     image.write_text(capsys.readouterr().out)
+    assert cli.main(['check', str(image)]) == 0
+
+
+# an inline subst step whose cone holds an inline step
+_SUBST_OVER_INLINE = """logic: J
+spec: tcs
+
+1. p -> p ; prop
+2. c#1 : (p -> p) ; inline lift 1
+3. c#1 : (p -> p) -> (x : p -> c#1 * x : p) ; ax jk
+4. x : p -> c#1 * x : p ; mp 2 3
+5. c : p -> c#1 * c : p ; inline subst 4 x := c
+"""
+
+
+@pytest.mark.parametrize('verb', ['elaborate', 'lift', 'project', 'subst'])
+def test_inline_subst_over_an_inline_cone(verb, tmp_path, capsys):
+    # the image of step 5 must hold step 2 expanded; elaborate, lift and
+    # project refuse an image that still holds an inline step
+    path = tmp_path / 'nested.drv'
+    path.write_text(_SUBST_OVER_INLINE)
+    assert cli.main(['check', str(path)]) == 0
+    capsys.readouterr()
+    if verb == 'elaborate':
+        text = print_derivation(elaborate(load_derivation(str(path))))
+    else:
+        words = ('y', 'd') if verb == 'subst' else ()
+        assert cli.main(['transform', verb, str(path), *words]) == 0
+        text = capsys.readouterr().out
+    assert ' ; inline ' not in text
+    image = tmp_path / 'image.drv'
+    image.write_text(text)
+    assert cli.main(['check', str(image)]) == 0
+
+
+@pytest.mark.parametrize('path', corpus_paths(), ids=os.path.basename)
+def test_subst_prints_a_derivation_the_checker_takes(path, tmp_path, capsys):
+    # the spec files beside the image, as beside its source
+    for spec in corpus_paths('.spec'):
+        shutil.copy(spec, tmp_path)
+    code = cli.main(['transform', 'subst', path, 'x', 'c'])
+    captured = capsys.readouterr()
+    if code:
+        assert code == 1 and captured.out == ''
+        assert captured.err.startswith('error: ')
+        assert captured.err.count('\n') == 1
+        assert 'produced a rejected derivation' not in captured.err
+        return
+    image = tmp_path / os.path.basename(path)
+    image.write_text(captured.out)
     assert cli.main(['check', str(image)]) == 0
 
 

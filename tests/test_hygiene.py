@@ -6,7 +6,9 @@ only one function walks two structures in parallel, no function
 passes a pattern literal to a module-level re function, no module
 imports dataclasses, which loading the package does not pay for,
 only the line reader, kernel.read_lines, calls strip_comment or
-.splitlines(), and in transforms only _Build.detach adds an mp step."""
+.splitlines(), in transforms only _Build.detach adds an mp step, and
+transforms does not name the inline rule: the kernel alone reads inline
+steps, and a transform sees them expanded by kernel.elaborate."""
 
 import ast
 import glob
@@ -315,6 +317,28 @@ def test_detector_sees_second_mp_step():
         '    return s.rule in ("mp", "prop"), b.add(f, "prop"), \\\n'
         '        b.add(f, s.rule)\n')
     assert _mp_steps(tree) == [(2, 'detach'), (4, 'chain'), (5, 'inner')]
+
+
+def _inline_rule_names(tree: ast.Module) -> list:
+    """Lines of each string literal 'inline', the name of the rule."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value == 'inline')
+
+
+def test_transforms_leave_inline_steps_to_the_kernel():
+    path = os.path.join(SRC, 'transforms.py')
+    with open(path) as fh:
+        assert _inline_rule_names(ast.parse(fh.read(), path)) == []
+
+
+def test_detector_sees_inline_rule_name():
+    tree = ast.parse(
+        '"""inline steps are expanded first"""\n'
+        'def f(s):\n'
+        '    return s.rule == "inline" and s.args[0] == "subst"\n'
+        'RULES = ("mp", \'inline\')\n'
+        'NOTE = "an inline step"\n')
+    assert _inline_rule_names(tree) == [3, 4]
 
 
 _RE_FUNCTIONS = frozenset(('match', 'fullmatch', 'search', 'sub', 'split',

@@ -602,7 +602,7 @@ from justfix.syntax import (Exists, FixApp, FMeta, Forall, Mu,  # noqa: E402
                             NotFreeFor, Prim, TMeta, UAll, children,
                             free_atoms, free_vars, occurrence_ok, parse_term,
                             rebuild, subst_prop, subst_prop_multi,
-                            subst_term_for_var, term_vars)
+                            subst_term_for_var)
 from hypothesis import example  # noqa: E402
 from conftest import _bool_layer, atoms  # noqa: E402
 
@@ -665,7 +665,7 @@ def _ref_match_free(base, target, binds):
 
     def wt(u, v, bound):
         if isinstance(u, Var) and u.name in binds and u.name not in bound:
-            if term_vars(v) & bound:
+            if free_vars(v) & bound:
                 return False
             if u.name in sigma:
                 return sigma[u.name] == v
@@ -810,7 +810,7 @@ _REF_PATTERNS = {
     'uf': (Imp(Exists('?y', Just(Var('?y'), '?g',
                                  Forall('?x', Just(_RT, '?g', _RA)))),
                Just(UAll(_RT, '?x'), '?g', Forall('?x', _RA))),
-           lambda b: b['v:y'] not in term_vars(b['T:t']),
+           lambda b: b['v:y'] not in free_vars(b['T:t']),
            _ref_not_free('v:y', 'F:A')),
     'tk': (Imp(Knows('?i', Imp(_RA, _RB)),
                Imp(Knows('?j', _RA), Knows('?k', _RB))),

@@ -13,9 +13,9 @@ from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             UAll, Var, free_vars, imp_chain,
                             occurrence_ok, parse_formula, parse_term,
                             print_formula, print_term, subst_prop,
-                            subst_term_for_var, term_vars, uall_vars,
+                            subst_term_for_var, uall_vars,
                             children, rebuild, walk, App, Quest, WQuest, Xor,
-                            occurrences, subst_in_term)
+                            occurrences)
 from justfix.transforms import project
 
 QLP = get_logic('QLP').profile
@@ -428,7 +428,7 @@ def test_occurrences_match_reference(f):
 def test_term_traversals_match_reference(t):
     assert rebuild(t, children(t)) == t
     assert list(walk(t)) == list(_preorder(t)) == list(_ref_subterms(t))
-    assert term_vars(t) == _ref_term_vars(t)
+    assert free_vars(t) == _ref_term_vars(t)
 
 
 def _subst_outcome(subst, s, x, t):
@@ -442,7 +442,7 @@ def _subst_outcome(subst, s, x, t):
 @given(qlp_terms | lp_terms, st.sampled_from(('x', 'y', 'z')),
        qlp_terms | lp_terms)
 def test_subst_in_term_matches_reference(s, x, t):
-    assert _subst_outcome(subst_in_term, s, x, t) == \
+    assert _subst_outcome(subst_term_for_var, s, x, t) == \
         _subst_outcome(_ref_subst_in_term, s, x, t)
 
 
