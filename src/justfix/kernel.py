@@ -437,7 +437,9 @@ def make_axiom_test(logic: LogicSpec, ops: Sequence[FPOperator]):
     return is_axiom
 
 
-def cone_indices(d: Derivation, i: int) -> list:
+def _cone(d: Derivation, i: int) -> list:
+    """(step, its refs reindexed from 1) for each step of the cone of step
+    i, in order."""
     seen = set()
     todo = [i]
     while todo:
@@ -446,21 +448,18 @@ def cone_indices(d: Derivation, i: int) -> list:
             continue
         seen.add(k)
         todo.extend(d.step(k).refs)
-    return sorted(seen)
+    remap = {old: new + 1 for new, old in enumerate(sorted(seen))}
+    return [(d.step(k), tuple(remap[r] for r in d.step(k).refs))
+            for k in remap]
 
 
 def cone_derivation(d: Derivation, i: int) -> Derivation:
     """Sub-derivation ending at step i, reindexed from 1."""
-    idx = cone_indices(d, i)
-    remap = {old: new + 1 for new, old in enumerate(idx)}
-    steps = []
-    for old in idx:
-        s = d.step(old)
-        steps.append(Step(remap[old], s.formula, s.rule,
-                          tuple(remap[r] for r in s.refs), s.args))
+    steps = tuple(Step(n, s.formula, s.rule, refs, s.args)
+                  for n, (s, refs) in enumerate(_cone(d, i), 1))
     names = {s.args[0] for s in steps if s.rule == 'premise'}
     premises = tuple(p for p in d.premises if p.name in names)
-    return replace(d, premises=premises, steps=tuple(steps))
+    return replace(d, premises=premises, steps=steps)
 
 
 @contextlib.contextmanager
@@ -468,11 +467,14 @@ def memo_scope():
     """Open the memo, one table (registry._DECISIONS), for the outermost
     scope and drop it when that scope ends or raises; nested scopes share
     it.  It holds the report on each derivation checked in the scope, the
-    inline images built in it and the verdicts of the tautology, axiom and
-    logic queries asked in it.  check_derivation and elaborate open one per
-    call; the corpus runner and the command line open one per entry, so a
-    derivation checked twice in an entry is checked once, and a query on
-    the same formula objects is decided once."""
+    inline images built in it, the verdicts of the tautology, axiom and
+    logic queries asked in it, and the folds resume registers: the state
+    of each check and each internalization after every step it finished.
+    check_derivation and elaborate open one per call; the corpus runner
+    and the command line open one per entry, so a derivation checked
+    twice in an entry is checked once, a derivation that begins with the
+    steps of one checked before is checked from where they end, and a
+    query on the same formula objects is decided once."""
     if registry._DECISIONS is not None:
         yield
         return
@@ -481,6 +483,46 @@ def memo_scope():
         yield
     finally:
         registry._DECISIONS = None
+
+
+def resume(kind: str, d: Derivation, run: tuple):
+    """Where a fold of kind over the steps of d may start.  Registers run,
+    the caller's state of the fold, whose last item holds one entry per
+    step the fold has finished, under kind, the header of d (the logic,
+    the agents and the objects of its specification, operators and
+    premises) and the formula object of its first step.  Returns (k,
+    prior): prior is the run registered before under that key whose first
+    k steps match those of d and are finished, with k as large as any such
+    run gives; (0, None) when there is none or no scope is open.  Two
+    steps match when they have the same formula object, index, rule, refs
+    and args, and cite only earlier steps, so a fold that is a function
+    of the header and the steps so far is at step k what prior was.  The
+    entry keeps d, so no id in the key is reused; a fold that prior holds
+    whole is not registered, as it adds nothing to match."""
+    table, steps = registry._DECISIONS, d.steps
+    if table is None or not steps:
+        return 0, None
+    runs = table.setdefault(
+        ('fold', kind, d.logic_id, id(d.spec), d.agents, id(d.ops),
+         tuple(map(id, d.premises)), id(steps[0].formula)), [])
+    best, prior = 0, None
+    for old, other in runs:
+        n, k = min(len(steps), len(other[-1])), 0
+        while k < n and _same_step(steps[k], old.steps[k], k + 1):
+            k += 1
+        if k > best:
+            best, prior = k, other
+    if best < len(steps):
+        runs.append((d, run))
+    return best, prior
+
+
+def _same_step(s: Step, t: Step, n: int) -> bool:
+    """Whether s and t, both at position n, match (see resume)."""
+    return (s.index == n and all(0 < r < n for r in s.refs)
+            and (s is t or s.formula is t.formula and s.index == t.index
+                 and s.rule == t.rule and s.refs == t.refs
+                 and s.args == t.args))
 
 
 @memo_scope()
@@ -509,7 +551,15 @@ def _check(d: Derivation) -> CheckReport:
     c = _Context(d, logic, make_axiom_test(logic, d.ops), {},
                  {} if logic.name.startswith('GLS') else None, [])
     verdicts = []
-    for s in d.steps:
+    k, prior = resume('check', d, (c, verdicts))
+    if k:
+        was, verdicts[:] = prior[0], prior[1][:k]
+        for v in verdicts:
+            c.deps[v.index] = was.deps[v.index]
+            if c.gl is not None:
+                c.gl[v.index] = was.gl[v.index]
+            c.flags.extend(v.flags)
+    for s in d.steps[k:]:
         row, noted = RULES.get(s.rule, _UNKNOWN), len(c.flags)
         reason = _check_step(c, s, row)
         # dependency bookkeeping happens even for failed steps so later
@@ -829,18 +879,33 @@ def inline_image(d: Derivation, s: Step) -> Derivation:
 
     The image depends only on the key below, so within one scope (see
     memo_scope) it is built once; a TransformError is kept and raised
-    again.  The cone of step j reindexed inside the cone of step k equals
-    the cone of j, so nested steps find the images built for the levels
-    below them."""
+    again.  The key holds the header of d, by the ids of its
+    specification and operators, and each step of the cone of s by the
+    id of its formula, its rule, its refs reindexed as in the cone and
+    its args, with the premises the cone names; the entry keeps d, so no
+    id is reused.  Only a miss builds the cone.  The cone of step j
+    reindexed inside the cone of step k is the cone of j, so nested steps
+    find the images built for the levels below them."""
     from . import transforms
     if s.args[0] == 'jd':
         key = (s.formula, d.logic_id, d.ops)
     else:
-        key = (cone_derivation(d, s.refs[0]), s.args)
-    img = registry._decide(('image', key), None, _build_image, d, s)
+        key = (s.args, d.logic_id, id(d.spec), d.spec_src, d.agents,
+               id(d.ops), *_cone_key(d, s.refs[0]))
+    img = registry._decide(('image', key), d, _build_image, d, s)
     if isinstance(img, transforms.TransformError):
         raise img.with_traceback(None)
     return img
+
+
+def _cone_key(d: Derivation, i: int) -> tuple:
+    """The steps of the cone of step i and the premises they name, keyed
+    by the ids of their formulas (see inline_image)."""
+    cone = _cone(d, i)
+    names = {s.args[0] for s, _ in cone if s.rule == 'premise'}
+    return (tuple((id(s.formula), s.rule, refs, s.args) for s, refs in cone),
+            tuple((p.name, id(p.formula)) for p in d.premises
+                  if p.name in names))
 
 
 def _build_image(d: Derivation, s: Step):
@@ -869,11 +934,14 @@ def elaborate(d: Derivation) -> Derivation:
     """Expand inline transform steps into their generated sub-derivations.
     The result contains only primitive rules and proves the same final
     formula; premise-bearing steps are untouched (inline steps are always
-    premise-free)."""
+    premise-free).  An internalization over the empty specification
+    expands into steps that only the total one licenses, as inline_image
+    reads its cone, so the result then states the total specification."""
     if not any(s.rule == 'inline' for s in d.steps):
         return d
     new_steps = []
     remap = {}
+    total = False
 
     def emit(formula, rule, refs, args):
         new_steps.append(Step(len(new_steps) + 1, formula, rule, refs, args))
@@ -885,6 +953,7 @@ def elaborate(d: Derivation) -> Derivation:
                                   tuple(remap[r] for r in s.refs), s.args)
             continue
         sub = inline_image(d, s)
+        total = total or s.args[0] == 'internalize'
         offset = len(new_steps)
         for t in sub.steps:
             if t.rule == 'inline':
@@ -894,6 +963,8 @@ def elaborate(d: Derivation) -> Derivation:
             raise DerivationError(
                 "elaborated step %d proves a different formula" % s.index)
         remap[s.index] = len(new_steps)
+    if total and d.spec.kind == 'empty':
+        return replace(d, spec=TOTAL, spec_src='tcs', steps=tuple(new_steps))
     return replace(d, steps=tuple(new_steps))
 
 

@@ -190,16 +190,32 @@ def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
     """The loop lift and internalize_qlp share.  Premises become fresh
     proof variables, modus ponens goes through two jk applications, and
     prop steps through the implication chain.  cases(s, b, fresh, tau,
-    state) handles every other rule and returns (term, step index)."""
+    state) handles every other rule and returns (term, step index).
+
+    What a step adds depends only on the steps up to it, so a fold whose
+    first steps an earlier one in the memo scope went through starts
+    where they end (kernel.resume), with that fold's steps: the image of
+    a cone that extends another begins with the other's image, whose
+    check the re-check below resumes in turn."""
     fresh = _Fresh()
     b = _Build()
     state = {}   # original index -> step proving tau : F
     tau = {}     # original index -> (term, original formula)
+    marks = []   # after each step of d: (steps built, fresh name counts)
     pvar = {p.name: Var(fresh('x')) for p in d.premises}
     premises = tuple(Premise(p.name, Just(pvar[p.name], agent, p.formula))
                      for p in d.premises)
+    # the logic decides the cases and, with the agents header, the agent
+    k, prior = kernel.resume(what, d, (b, state, tau, marks))
+    if k:
+        pb, pstate, ptau, pmarks = prior
+        n, counts = pmarks[k - 1]
+        b.steps[:], fresh.n = pb.steps[:n], dict(counts)
+        for s in d.steps[:k]:
+            state[s.index], tau[s.index] = pstate[s.index], ptau[s.index]
+        marks += pmarks[:k]
 
-    for s in d.steps:
+    for s in d.steps[k:]:
         f = s.formula
         if s.rule == 'premise':
             t = pvar[s.args[0]]
@@ -215,6 +231,7 @@ def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
         else:
             t, state[s.index] = cases(s, b, fresh, tau, state)
         tau[s.index] = (t, f)
+        marks.append((len(b.steps), dict(fresh.n)))
 
     out = replace(d, premises=premises, steps=b.tuple())
     _accepted(out, what, True)

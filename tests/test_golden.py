@@ -3,7 +3,7 @@
 `check --verbose`, `transform lift|internalize|project|collapse`,
 `transform subst <file> x c`, `transform jug <file> x` and `transform deduce
 <file> <name>` for each premise the file declares, on each corpus/*.drv,
-must print exactly what golden/cli.json records: standard output, standard
+and the cases of EXTRA, must print exactly what golden/cli.json records: standard output, standard
 error and the exit status, byte for byte.  A case's key is its argv with
 the file's base name in place of its path.
 
@@ -40,6 +40,9 @@ VERBS = ((('check', '--verbose'), ()), (('transform', 'lift'), ()),
          (('transform', 'internalize'), ()), (('transform', 'project'), ()),
          (('transform', 'collapse'), ()), (('transform', 'subst'), ('x', 'c')),
          (('transform', 'jug'), ('x',)))
+# (verb, corpus file, words after it): a substitution for a variable that
+# does not occur, over an internalization under the empty specification
+EXTRA = ((('transform', 'subst'), 'qlp-knower.drv', ('z', 'c')),)
 
 
 def _key(verb, path, words=()):
@@ -62,7 +65,9 @@ def _corpus_cases():
         cases += [(verb, path, words) for verb, words in VERBS]
         cases += [(('transform', 'deduce'), path, (p.name,))
                   for p in load_derivation(path).premises]
-    return cases
+    by_name = {os.path.basename(p): p for p in corpus_paths()}
+    return cases + [(verb, by_name[name], words)
+                    for verb, name, words in EXTRA]
 
 
 _CASES = _corpus_cases()

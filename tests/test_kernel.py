@@ -472,6 +472,35 @@ def test_elaborate_removes_inline_steps():
     assert elaborate(plain) is plain
 
 
+@pytest.mark.parametrize('path', corpus_paths(),
+                         ids=lambda p: os.path.basename(p)[:-4])
+def test_elaborated_corpus_derivation_checks(path):
+    # qlp-knower internalizes a cone under the empty specification, which
+    # licenses none of the an steps its expansion holds
+    d = load_derivation(path)
+    flat = elaborate(d)
+    assert flat.final == d.final
+    rep = check_derivation(flat)
+    assert rep.ok, format_report(rep)
+    printed = parse_derivation(print_derivation(flat), base_dir=str(CORPUS))
+    assert check_derivation(printed).ok
+
+
+def test_elaborate_states_the_total_spec_an_internalization_reads():
+    d = load_derivation(os.path.join(CORPUS, 'qlp-knower.drv'))
+    assert d.spec.kind == 'empty'
+    flat = elaborate(d)
+    assert (flat.spec, flat.spec_src) == (TOTAL, 'tcs')
+    assert 'spec:' not in print_derivation(flat)
+    # without an inline internalize step the specification stays
+    subst = parse_derivation("logic: QLP\nspec: empty\n\n"
+                             "1. x : p -> p ; ax jt\n"
+                             "2. y : p -> p ; inline subst 1 x := y\n")
+    assert check_derivation(subst).ok
+    assert (elaborate(subst).spec, elaborate(subst).spec_src) == \
+        (subst.spec, 'empty')
+
+
 # -- parse errors ------------------------------------------------------------------
 
 @pytest.mark.parametrize('text,fragment', [
