@@ -57,10 +57,10 @@ from .syntax import (
 # the memo of one kernel.memo_scope: these decisions, kernel reports,
 # inline images and folds.  A query is keyed by the ids of the objects it
 # asks about, not by their content: hashing a formula walks all of it,
-# while the repeats come from re-checks that hand the same objects back.  Formulas and logics
-# are frozen, so the same objects always get the same answer; a
-# content-equal copy is another object and is decided anew.  None outside a
-# scope.
+# while the repeats come from re-checks that hand the same objects back.
+# Formulas and logics are frozen, so the same objects always get the same
+# answer; a content-equal copy is another object and is decided anew.
+# None outside a scope.
 _DECISIONS = None
 
 

@@ -3,9 +3,9 @@
 `check --verbose`, `transform lift|internalize|project|collapse`,
 `transform subst <file> x c`, `transform jug <file> x` and `transform deduce
 <file> <name>` for each premise the file declares, on each corpus/*.drv,
-and the cases of EXTRA, must print exactly what golden/cli.json records: standard output, standard
-error and the exit status, byte for byte.  A case's key is its argv with
-the file's base name in place of its path.
+and the cases of EXTRA, must print exactly what golden/cli.json records:
+standard output, standard error and the exit status, byte for byte.  A
+case's key is its argv with the file's base name in place of its path.
 
 golden/reasons.json freezes the step diagnostics the same way: one short
 derivation per failure message of the step checks, one per error a

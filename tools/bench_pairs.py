@@ -1,17 +1,18 @@
 """Alternating benchmark pairs: a base commit against the working tree.
 
-    python3 tools/bench_pairs.py --base REV --out BENCH_<n>.json \
-        [--pairs inline=10,corpus=10,prop=5] [--seconds 30] [--seed 5]
+    python3 tools/bench_pairs.py --base REV --out BENCH_<n>.json [--pairs N]
 
 Exports REV with `git archive` into a temporary directory (no worktree is
-registered in the repository), then for each workload runs the unchanged
-perfbench/run.py of each side, the base and the working tree, once per
-pair, alternating which side runs first.  Each side's run.py measures the
-justfix source of its own tree.  Writes one JSON file: every pair's
-end-to-end metrics, and per metric each side's median and quartiles and
-how many pairs the working tree won (ties count for neither side), with
-the direction and bound of each metric taken from BENCHMARK.json.  Runs
-one benchmark process at a time; standard library only.
+registered in the repository), then for each workload of BENCHMARK.json
+runs the unchanged perfbench/run.py of each side, the base and the working
+tree, for N pairs (default 10), alternating which side runs first.  Every
+run lasts BENCHMARK.json's run_seconds and uses the one seed SEED.  Each
+side's run.py measures the justfix source of its own tree.  Writes one
+JSON file: every pair's end-to-end metrics, and per metric each side's
+median and quartiles and how many pairs the working tree won (ties count
+for neither side), with the direction and bound of each metric taken from
+BENCHMARK.json.  Runs one benchmark process at a time; standard library
+only.
 """
 
 import argparse
@@ -26,6 +27,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
+SEED = 5
 
 
 def git(*args) -> str:
@@ -41,13 +43,12 @@ def export(rev: str, into: pathlib.Path) -> None:
                    check=True)
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int,
-             seconds: float) -> dict:
+def run_once(tree: pathlib.Path, workload: str, seconds: float) -> dict:
     """The last line perfbench/run.py prints in tree: correctness and the
     end-to-end metrics, as {name: value}."""
     proc = subprocess.run(
         [sys.executable, str(tree / 'perfbench' / 'run.py'),
-         '--workload', workload, '--seed', str(seed),
+         '--workload', workload, '--seed', str(SEED),
          '--seconds', str(seconds)],
         cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
@@ -87,25 +88,16 @@ def summarize(pairs: list, metrics: list) -> dict:
     return out
 
 
-def parse_pairs(text: str) -> dict:
-    counts = {}
-    for part in text.split(','):
-        name, _, n = part.partition('=')
-        counts[name.strip()] = int(n)
-    return counts
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog='tools/bench_pairs.py')
     ap.add_argument('--base', required=True, help='commit to compare with')
     ap.add_argument('--out', required=True, help='JSON file to write')
-    ap.add_argument('--pairs', default='inline=10,corpus=10,prop=10',
-                    help='workload=pairs, comma-separated, run in order')
-    ap.add_argument('--seconds', type=float, default=30)
-    ap.add_argument('--seed', type=int, default=5)
+    ap.add_argument('--pairs', type=int, default=10,
+                    help='pairs per workload (default 10)')
     args = ap.parse_args(argv)
     with open(ROOT / 'BENCHMARK.json') as fh:
-        metrics = json.load(fh)['end_to_end']
+        bench = json.load(fh)
+    metrics, seconds = bench['end_to_end'], bench['run_seconds']
     record = {
         'base': git('rev-parse', args.base),
         'work': 'working tree over %s%s' % (
@@ -113,27 +105,26 @@ def main(argv=None) -> int:
             ' with uncommitted changes' if git('status', '--porcelain',
                                                '--untracked-files=no')
             else ''),
-        'seed': args.seed, 'seconds': args.seconds,
+        'seed': SEED, 'seconds': seconds,
         'python': platform.python_version(), 'nproc': os.cpu_count(),
         'workloads': {},
     }
     with tempfile.TemporaryDirectory(prefix='bench-base-') as tmp:
         base_tree = pathlib.Path(tmp)
         export(args.base, base_tree)
-        for workload, n in parse_pairs(args.pairs).items():
+        for workload in (w['name'] for w in bench['workloads']):
             pairs = []
-            for k in range(n):
+            for k in range(args.pairs):
                 first = 'base' if k % 2 == 0 else 'work'
                 order = [first, 'work' if first == 'base' else 'base']
                 pair = {'first': first}
                 for side in order:
                     tree = base_tree if side == 'base' else ROOT
-                    pair[side] = run_once(tree, workload, args.seed,
-                                          args.seconds)
+                    pair[side] = run_once(tree, workload, seconds)
                 pairs.append(pair)
-                print('%s pair %d/%d: %s' % (workload, k + 1, n, json.dumps(
-                    {s: pair[s]['metrics'] for s in ('base', 'work')})),
-                    flush=True)
+                shown = {s: pair[s]['metrics'] for s in ('base', 'work')}
+                print('%s pair %d/%d: %s' % (workload, k + 1, args.pairs,
+                                             json.dumps(shown)), flush=True)
             record['workloads'][workload] = {
                 'pairs': pairs, 'summary': summarize(pairs, metrics)}
             # written after each workload, so a cut run keeps what it has
