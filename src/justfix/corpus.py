@@ -216,4 +216,5 @@ def run_corpus(selection: str = '*', root=None) -> Report:
     chosen = [e for e in MANIFEST if fnmatch.fnmatch(e.id, selection)]
     if not chosen:
         raise CorpusError('no corpus entry matches %r' % selection)
+    root = root or corpus_dir()             # resolved once per run
     return Report(tuple(run_entry(e, root) for e in chosen))

@@ -20,7 +20,9 @@ cites, whether those must be premise-free (necessitation-like rules, which
 keeps the deduction transform total), whether the step carries their
 premises, its role in GLS's provability-law bookkeeping, and its check.
 The parser and printer read the grammar, and the checker runs the check
-after the profile, availability and premise-free tests every step shares.
+after the tests every step shares: its number and citations (which a
+derivation built in code may break), profile, availability and
+premise-freedom.
 The checker tracks which premises each step depends on.  Failed steps do
 not abort the run: later steps are checked against the stated formulas,
 so one broken citation yields one diagnostic rather than a cascade.
@@ -560,18 +562,20 @@ def _check(d: Derivation) -> CheckReport:
                 c.gl[v.index] = was.gl[v.index]
             c.flags.extend(v.flags)
     for s in d.steps[k:]:
+        n = len(verdicts) + 1               # the position of s
         row, noted = RULES.get(s.rule, _UNKNOWN), len(c.flags)
-        reason = _check_step(c, s, row)
+        reason = _check_step(c, s, row, n)
         # dependency bookkeeping happens even for failed steps so later
-        # diagnostics stay meaningful
-        if row.carries == 'refs':
-            c.deps[s.index] = frozenset().union(*(c.deps[r] for r in s.refs))
-        elif row.carries == 'name':
-            c.deps[s.index] = frozenset(s.args[:1])
+        # diagnostics stay meaningful; it is kept by position, and a step
+        # malformed as _MALFORMED names has no premises
+        if reason in _MALFORMED or not row.carries:
+            c.deps[n] = frozenset()
+        elif row.carries == 'refs':
+            c.deps[n] = frozenset().union(*(c.deps[r] for r in s.refs))
         else:
-            c.deps[s.index] = frozenset()
+            c.deps[n] = frozenset(s.args[:1])
         if c.gl is not None:
-            c.gl[s.index] = _gl_status(c, s, row.gl)
+            c.gl[n] = _gl_status(c, s, row.gl)
         verdicts.append(StepVerdict(s.index, reason is None, reason,
                                     tuple(c.flags[noted:])))
     return CheckReport(all(v.ok for v in verdicts), logic, verdicts, c.deps,
@@ -594,8 +598,17 @@ def _gl_status(c: _Context, s: Step, role: Optional[str]) -> bool:
     return role == 'law'
 
 
-def _check_step(c: _Context, s: Step, row) -> Optional[str]:
-    """Why step s fails, or None when it holds."""
+# why a step built in code fails before any rule runs: parse_derivation
+# refuses both, so no .drv file reaches them
+_MALFORMED = ("out of sequence", "cites an unavailable step")
+
+
+def _check_step(c: _Context, s: Step, row, n: int) -> Optional[str]:
+    """Why step s, at position n, fails, or None when it holds."""
+    if s.index != n:
+        return _MALFORMED[0]
+    if s.refs and not 0 < min(s.refs) <= max(s.refs) < n:
+        return _MALFORMED[1]
     try:
         check_profile(s.formula, c.logic.profile, c.d.agents or ())
     except ProfileError as e:

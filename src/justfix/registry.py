@@ -628,11 +628,6 @@ class Spec:
     kind: str                               # 'total' | 'empty' | 'explicit'
     entries: frozenset = frozenset()        # Formulas, explicit only
 
-    def __str__(self):
-        if self.kind == 'explicit':
-            return 'explicit(%d entries)' % len(self.entries)
-        return self.kind
-
 
 TOTAL = Spec('total')
 EMPTY = Spec('empty')

@@ -1,12 +1,12 @@
 """Terms, formulas, parsing, printing, substitution, occurrence checks.
 
-Concrete grammar (ASCII).  BINARY, PREFIX, BINDER, TERM_BINARY and
-TERM_PREFIX are the tokens of the like-named tables under "operators"
-below (_BINARY, ...), which the scanner, the parser and the printer all
-read; a binary operator's level there sets its precedence and grouping.
+Concrete grammar (ASCII).  BINARY, PREFIX, BINDER and TERM_PREFIX are
+the tokens of the like-named tables under "operators" below (_BINARY,
+...), which the scanner, the parser and the printer all read; a binary
+operator's level there sets its precedence, its grouping and its sort.
 
     formula  ::= imp
-    imp      ::= unary (BINARY unary)*
+    imp      ::= unary (BINARY unary)*      formula levels
     unary    ::= PREFIX unary | BINDER IDENT '.' imp
                | 'K' '@' NUM unary
                | term ':' unary | term ':@' IDENT unary
@@ -15,7 +15,7 @@ read; a binary operator's level there sets its precedence and grouping.
                | 'fix' '(' IDENT (';' imp (',' imp)*)? ')'
                | '(' imp ')'
 
-    term     ::= tunary (TERM_BINARY tunary)*
+    term     ::= tunary (BINARY tunary)*    term levels
     tunary   ::= TERM_PREFIX tunary | tprimary
     tprimary ::= IDENT | IDENT '(' IDENT (',' IDENT)* ')'
                | '(' term 'all' IDENT ')' | '(' term ')'
@@ -740,15 +740,16 @@ def imp_chain(premises: list[Formula], goal: Formula) -> Formula:
 
 # ------------------------------------------------------------ operators
 # The notation, read by the scanner, the parser and the printer.  Binary
-# operators of each sort: token -> (class, level).  A higher level binds
-# tighter; a prefix operator's operand is one level above the highest.
-# Formula operators of level 0 group to the right, all others to the left.
+# operators: token -> (class, level).  A higher level binds tighter.  The
+# formula operators take levels 0-2 and the prefixed formula, _UNARY, is
+# their operand; the term operators take the levels from _TERM and the
+# prefixed term, _TERM_UNARY, is theirs.  Level 0 groups to the right,
+# all others to the left.
+_UNARY, _TERM, _TERM_UNARY = 3, 4, 6
 _BINARY = {"->": (Imp, 0), "<->": (Iff, 0),
            "|": (Or, 1), "xor": (Xor, 1),
-           "&": (And, 2)}
-_TERM_BINARY = {"+": (TSum, 0), "*": (App, 1)}
-_UNARY = 1 + max(level for _, level in _BINARY.values())
-_TERM_UNARY = 1 + max(level for _, level in _TERM_BINARY.values())
+           "&": (And, 2),
+           "+": (TSum, _TERM), "*": (App, _TERM + 1)}
 
 # Prefix operators: token -> the classes of the nodes it builds, outermost
 # first, so '<>' builds ~[]~.  Binders: token -> what builds the node, and
@@ -757,10 +758,9 @@ _PREFIX = {"~": (Neg,), "[]": (Box,), "<>": (Neg, Box, Neg)}
 _TERM_PREFIX = {"!": Bang, "??": WQuest, "?": Quest}
 _BINDERS = {"all": Forall, "ex": Exists, "mu": Mu, "nu": nu_formula}
 
-# what the printers read: node class -> (token as printed, level), where a
+# what the printer reads: node class -> (token as printed, level), where a
 # prefix operator's level is its operand's and a binder's is None
-_SHOWN = {cls: (f" {tok} ", level) for tok, (cls, level)
-          in (*_BINARY.items(), *_TERM_BINARY.items())}
+_SHOWN = {cls: (f" {tok} ", level) for tok, (cls, level) in _BINARY.items()}
 _SHOWN.update((cls, (tok, _UNARY)) for tok, (cls, *more) in _PREFIX.items()
               if not more)
 _SHOWN.update((cls, (tok, _TERM_UNARY)) for tok, cls in _TERM_PREFIX.items())
@@ -769,7 +769,7 @@ _SHOWN.update((cls, (tok, None)) for tok, cls in _BINDERS.items())
 
 # -------------------------------------------------------------- parsing
 
-_OPERATORS = (*_BINARY, *_TERM_BINARY, *_PREFIX, *_TERM_PREFIX, *_BINDERS)
+_OPERATORS = (*_BINARY, *_PREFIX, *_TERM_PREFIX, *_BINDERS)
 _KEYWORDS = {"false", "fix", *filter(str.isalpha, _OPERATORS)}
 _VAR_INITIALS = "stuvwxyz"
 
@@ -784,7 +784,8 @@ _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
 
 # the tokens that, after an identifier or a parenthesized group, show that
 # it may be a justification term
-_TERM_FOLLOW = frozenset((":", ":@", "(", *_TERM_BINARY))
+_TERM_FOLLOW = frozenset((":", ":@", "(", *(
+    tok for tok, (_, level) in _BINARY.items() if level >= _TERM)))
 
 
 def _tokenize(text: str) -> tuple[list, Optional[dict]]:
@@ -970,20 +971,20 @@ class _Parser:
         return tok is not None and toks[pos + 1] in _TERM_FOLLOW \
             and is_ident(tok)
 
-    # formula levels
-
-    def imp(self, level: int = 0) -> Formula:
-        """A formula with no _BINARY operator below level outside
-        parentheses; one frame per level, so nesting limits stay put."""
+    def imp(self, level: int = 0) -> Node:
+        """A formula, or from level _TERM a term, with no _BINARY operator
+        below level outside parentheses; one frame per level, so nesting
+        limits stay put, with the operand parser looked up in _OPERAND."""
         up = level + 1
-        left = self.imp(up) if up < _UNARY else self.unary()
+        operand = _OPERAND[up]
+        left = self.imp(up) if operand is None else operand(self)
         op = _BINARY.get(self.toks[self.pos])
         while op is not None and op[1] == level:
             self.pos += 1
             if not level:                   # groups to the right
                 return self.node(op[0], left, self.imp())
-            left = self.node(op[0], left,
-                             self.imp(up) if up < _UNARY else self.unary())
+            right = self.imp(up) if operand is None else operand(self)
+            left = self.node(op[0], left, right)
             op = _BINARY.get(self.toks[self.pos])
         return left
 
@@ -1015,7 +1016,7 @@ class _Parser:
             return self.primary()
         save = self.pos
         try:
-            t = self.term()
+            t = self.imp(_TERM)
             nxt = self.toks[self.pos]
             if nxt == ":":
                 self.pos += 1
@@ -1058,20 +1059,6 @@ class _Parser:
             return self.node(Atom, tok)
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
 
-    # term levels
-
-    def term(self, level: int = 0) -> Term:
-        """As imp, for terms: _TERM_BINARY, all grouping to the left."""
-        up = level + 1
-        left = self.term(up) if up < _TERM_UNARY else self.tunary()
-        op = _TERM_BINARY.get(self.toks[self.pos])
-        while op is not None and op[1] == level:
-            self.pos += 1
-            left = self.node(op[0], left, self.term(up) if up < _TERM_UNARY
-                             else self.tunary())
-            op = _TERM_BINARY.get(self.toks[self.pos])
-        return left
-
     def tunary(self) -> Term:
         make = _TERM_PREFIX.get(self.toks[self.pos])
         if make is None:
@@ -1082,7 +1069,7 @@ class _Parser:
     def tprimary(self) -> Term:
         tok = self.next()
         if tok == "(":
-            inner = self.term()
+            inner = self.imp(_TERM)
             if self.toks[self.pos] == "all":
                 self.pos += 1
                 v = self.ident()
@@ -1112,13 +1099,18 @@ class _Parser:
         return self.node(Const, tok)
 
 
-def _parse(text: str, profile: LanguageProfile, rule,
-           table: Optional[dict] = None):
-    """Run one parser rule over the whole of text, sharing nodes through
-    table (a fresh one when None)."""
+# the operand parser below each level of imp, or None where imp parses it
+_OPERAND = tuple({_UNARY: _Parser.unary, _TERM_UNARY: _Parser.tunary}.get(k)
+                 for k in range(_TERM_UNARY + 1))
+
+
+def _parse(text: str, profile: LanguageProfile, level: int,
+           table: Optional[dict] = None) -> Node:
+    """Parse the whole of text from level of _Parser.imp (0, a formula;
+    _TERM, a term), sharing nodes through table (a fresh one when None)."""
     p = _Parser(text, profile, {} if table is None else table)
     try:
-        out = rule(p)
+        out = p.imp(level)
     except RecursionError:
         raise ParseError("formula nested too deeply") from None
     if p.toks[p.pos] is not None:
@@ -1131,7 +1123,7 @@ def parse_formula(text: str, profile: LanguageProfile = FULL, *,
                   table: Optional[dict] = None) -> Formula:
     """The formula text states.  Equal subtrees are one object within the
     call, and across every call given the same table."""
-    f = _parse(text, profile, _Parser.imp, table)
+    f = _parse(text, profile, 0, table)
     check_profile(f, profile)
     return f
 
@@ -1140,71 +1132,55 @@ def parse_term(text: str, profile: LanguageProfile = FULL, *,
                table: Optional[dict] = None) -> Term:
     """The term text states, sharing as parse_formula does; a node outside
     the profile's terms is a ProfileError, as in parse_formula."""
-    t = _parse(text, profile, _Parser.term, table)
+    t = _parse(text, profile, _TERM, table)
     _check_term(t, profile)
     return t
 
 
 # ------------------------------------------------------------- printing
 
-def print_term(t: Term) -> str:
-    return _pt(t, 0)
-
-
-def _pt(t: Term, level: int) -> str:
-    shown = _SHOWN.get(type(t))
-    if shown is not None:
-        tok, at = shown
-        if at == _TERM_UNARY:
-            return tok + _pt(t.t, at)
-        a, b = t.children()
-        s = _pt(a, at) + tok + _pt(b, at + 1)
-        return f"({s})" if level > at else s
-    match t:
-        case Var(n) | Const(n):
-            return n
-        case TMeta(n):
-            return "?" + n
-        case Prim(sym, args):
-            return sym if not args else f"{sym}({', '.join(args)})"
-        case UAll(inner, v):
-            return f"({_pt(inner, 0)} all {v})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def print_formula(f: Formula) -> str:
+def print_formula(f: Node) -> str:
+    """The text of a formula or a term, which parses back to it."""
     return _pf(f, 0, True)
 
 
-def _pf(f: Formula, level: int, right: bool) -> str:
+print_term = print_formula
+
+
+def _pf(f: Node, level: int, right: bool) -> str:
     # level: minimum precedence the position admits; right: whether the
     # position is rightmost, so right-open binders need no parentheses.
     shown = _SHOWN.get(type(f))
     if shown is not None:
         tok, at = shown
-        if at == _UNARY:
-            return tok + _pf(f.a, at, right)
+        if at == _UNARY or at == _TERM_UNARY:
+            return tok + _pf(f.a if at == _UNARY else f.t, at, right)
         if at is None:
             s = f"{tok} {f.var} . " + _pf(f.a, 0, True)
             return s if right else f"({s})"
+        a, b = (f.a, f.b) if at < _UNARY else f.children()
         a_at, b_at = (at, at + 1) if at else (1, 0)
-        s = _pf(f.a, a_at, False) + tok + _pf(f.b, b_at, right or level > at)
+        s = _pf(a, a_at, False) + tok + _pf(b, b_at, right or level > at)
         return f"({s})" if level > at else s
     match f:
-        case Atom(n):
+        case Atom(n) | Var(n) | Const(n):
             return n
-        case FMeta(n):
+        case Just(t, ag, a):
+            sep = " : " if ag is None else f" :@{ag} "
+            return _pf(t, 0, True) + sep + _pf(a, _UNARY, right)
+        case Knows(i, a):
+            return f"K@{i} " + _pf(a, _UNARY, right)
+        case FMeta(n) | TMeta(n):
             return "?" + n
         case Falsum():
             return "false"
+        case Prim(sym, args):
+            return sym if not args else f"{sym}({', '.join(args)})"
+        case UAll(inner, v):
+            return f"({_pf(inner, 0, True)} all {v})"
         case FixApp(name, args):
             if not args:
                 return f"fix({name})"
             inner = ", ".join(_pf(a, 0, True) for a in args)
             return f"fix({name}; {inner})"
-        case Knows(i, a):
-            return f"K@{i} " + _pf(a, _UNARY, right)
-        case Just(t, ag, a):
-            sep = " : " if ag is None else f" :@{ag} "
-            return print_term(t) + sep + _pf(a, _UNARY, right)
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not a formula or a term: {f!r}")

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from justfix import kernel, registry, syntax, transforms
+from justfix import corpus, kernel, registry, syntax, transforms
 from justfix.corpus import (CorpusEntry, CorpusError, FALSUM_IDS, MANIFEST,
                             corpus_dir, run_corpus, run_entry)
 from justfix.kernel import load_derivation
@@ -69,6 +69,18 @@ def test_run_corpus_all():
     assert len(lines) == len(MANIFEST)
     for line, e in zip(lines, MANIFEST):
         assert line.startswith(e.id + ': ok')
+
+
+def test_run_corpus_resolves_the_corpus_directory_once(monkeypatch):
+    calls = []
+
+    def counted(fn=corpus.corpus_dir):
+        calls.append(1)
+        return fn()
+
+    monkeypatch.setattr(corpus, 'corpus_dir', counted)
+    assert run_corpus('cm-*').ok
+    assert len(calls) == 1
 
 
 def test_run_corpus_selection():

@@ -268,7 +268,7 @@ def _outcome(parse, *args):
 
 def _same_parse(text, profile, term=False):
     new = _outcome(syntax._parse, text, profile,
-                   syntax._Parser.term if term else syntax._Parser.imp)
+                   syntax._TERM if term else 0)
     old = _outcome(_ref_parse, text, profile,
                    _RefParser.term if term else _RefParser.imp)
     assert new == old, text
@@ -468,9 +468,9 @@ def test_one_table_parses_as_fresh_tables(inputs):
     table, parsed = {}, []
     for term, text, name in inputs:
         profile = _PROFILES[name]
-        rule = syntax._Parser.term if term else syntax._Parser.imp
-        shared = _outcome(syntax._parse, text, profile, rule, table)
-        assert _equal(shared, _outcome(syntax._parse, text, profile, rule)), text
+        level = syntax._TERM if term else 0
+        shared = _outcome(syntax._parse, text, profile, level, table)
+        assert _equal(shared, _outcome(syntax._parse, text, profile, level)), text
         if not isinstance(shared, str):
             parsed.append(shared)
     # a node's table key (its class, its other fields and the ids of its

@@ -341,6 +341,51 @@ def test_profile_violations_fail_the_step():
     assert 'not in language' in first_reason(rep)
 
 
+def _built(logic, steps, premises=()):
+    """A derivation built in code, as parse_derivation would refuse it."""
+    profile = get_logic(logic).profile
+    return kernel.Derivation(
+        logic, TOTAL, 'tcs', None, (),
+        tuple(kernel.Premise(n, parse_formula(f, profile))
+              for n, f in premises),
+        tuple(Step(i, parse_formula(f, profile), rule, refs, args)
+              for i, f, rule, refs, args in steps))
+
+
+@pytest.mark.parametrize('logic, steps, premises, bad, reason', [
+    # a cycle: at the parent of this check it proved p under T
+    ('T', [(1, '[]p', 'nec', (3,), ()), (2, '[]p -> p', 'ax', (), ('T',)),
+           (3, 'p', 'mp', (1, 2), ())], (), 1, 'cites an unavailable step'),
+    ('K', [(1, 'p -> p', 'prop', (), ()),
+           (2, '[](p -> p)', 'nec', (2,), ())], (), 2,
+     'cites an unavailable step'),
+    ('K', [(1, 'p -> p', 'prop', (), ()),
+           (2, '[](p -> p)', 'nec', (0,), ())], (), 2,
+     'cites an unavailable step'),
+    ('K', [(1, 'p', 'premise', (), ('h',)), (2, 'p', 'prop', (1, 3), ()),
+           (3, 'p -> p', 'prop', (), ())], (('h', 'p'),), 2,
+     'cites an unavailable step'),
+    ('K', [(1, 'p -> p', 'prop', (), ()), (2, 'q', 'mp', (1, 3), ()),
+           (3, '(p -> p) -> q', 'prop', (), ())], (), 2,
+     'cites an unavailable step'),
+    ('tS4', [(1, 'K@5 K@1 p', 'admk', (2,), (5,)),
+             (2, 'K@1 p', 'premise', (), ('k',))], (('k', 'K@1 p'),), 1,
+     'cites an unavailable step'),
+    ('K', [(1, 'p -> p', 'prop', (), ()), (3, 'q -> q', 'prop', (), ()),
+           (3, 'p', 'prop', (1,), ())], (), 2, 'out of sequence'),
+], ids=['cycle', 'self', 'zero', 'forward-prop', 'forward-mp',
+        'forward-admk', 'out-of-sequence'])
+def test_malformed_built_steps_fail_before_any_rule(logic, steps, premises,
+                                                    bad, reason):
+    rep = check_derivation(_built(logic, steps, premises))
+    assert not rep.ok
+    v = rep.verdicts[bad - 1]
+    assert (v.ok, v.reason) == (False, reason)
+    # the malformed step has no premises, whatever it cites
+    assert rep.deps[bad] == frozenset()
+    assert sorted(rep.deps) == list(range(1, len(steps) + 1))
+
+
 def test_agent_labels_checked_against_header():
     rep = check_text("logic: QLP-_n\nagents: s\n"
                      "1. x :@t p -> x :@t p ; prop\n")

@@ -3,14 +3,14 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import (ATOM_NAMES, any_formulas, bool_formulas, jl_formulas,
-                      lp_terms, modal_formulas, qlp_formulas, qlp_terms,
-                      timed_formulas, with_fix)
+                      lp_terms, modal_formulas, node_objects, qlp_formulas,
+                      qlp_terms, timed_formulas, with_fix)
 from justfix.registry import get_logic
 from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             FixApp, FMeta, Forall, Formula, Iff, Imp, Just,
                             Knows, Mu, Neg, NotFreeFor, Or, ParseError,
                             PositivityError, Prim, ProfileError, TMeta, TSum,
-                            UAll, Var, free_vars, imp_chain,
+                            UAll, Var, free_vars, imp_chain, nu_formula,
                             occurrence_ok, parse_formula, parse_term,
                             print_formula, print_term, subst_prop,
                             subst_term_for_var, uall_vars,
@@ -170,6 +170,32 @@ def test_mu_positivity_enforced_at_parse():
     with pytest.raises(Exception):
         parse_formula('mu p . (p -> q)')
     parse_formula('mu p . (q | p)')  # fine
+
+
+_NU_BODIES = {
+    'nu p . (q & x : p)': And(Atom('q'), Just(Var('x'), None, Atom('p'))),
+    'nu p . mu p . p': Mu('p', Atom('p')),
+    # a fix argument holds the only node field that is a tuple
+    'nu p . (fix(d; q) & p)': And(FixApp('d', (Atom('q'),)), Atom('p')),
+}
+
+
+@pytest.mark.parametrize('text', list(_NU_BODIES))
+def test_nu_parses_to_its_expansion_one_object_per_content(text):
+    table = {}
+    f = parse_formula(text, table=table)
+    assert f == nu_formula('p', _NU_BODIES[text])
+    nodes = node_objects([f])
+    assert len(set(nodes)) == len(nodes)
+    # the table serves the expansion to a later parse through it
+    assert parse_formula('r | ' + text, table=table).b is f
+
+
+def test_nu_keeps_the_positivity_error_of_its_expansion():
+    with pytest.raises(PositivityError):
+        nu_formula('p', FixApp('d', (Atom('p'),)))
+    with pytest.raises(PositivityError):
+        parse_formula('nu p . fix(d; p)')
 
 
 def test_precedence_pins():
