@@ -7,7 +7,6 @@ line oriented and timestamp free.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from .fixedpoint import FixedPointError, fp_axiom
@@ -158,6 +157,9 @@ def _cmd_logics(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
+    # imported here, not at the top: no verdict needs it, and importing it
+    # takes milliseconds that every import of this module would pay
+    import argparse
     p = argparse.ArgumentParser(prog='justfix')
     p.add_argument('--quiet', action='store_true')
     sub = p.add_subparsers(dest='cmd', required=True)

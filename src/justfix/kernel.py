@@ -567,15 +567,17 @@ def _check(d: Derivation) -> CheckReport:
         reason = _check_step(c, s, row, n)
         # dependency bookkeeping happens even for failed steps so later
         # diagnostics stay meaningful; it is kept by position, and a step
-        # malformed as _MALFORMED names has no premises
-        if reason in _MALFORMED or not row.carries:
+        # malformed as _MALFORMED names has no premises and is no
+        # provability-law step
+        malformed = reason in _MALFORMED
+        if malformed or not row.carries:
             c.deps[n] = frozenset()
         elif row.carries == 'refs':
             c.deps[n] = frozenset().union(*(c.deps[r] for r in s.refs))
         else:
             c.deps[n] = frozenset(s.args[:1])
         if c.gl is not None:
-            c.gl[n] = _gl_status(c, s, row.gl)
+            c.gl[n] = not malformed and _gl_status(c, s, row.gl)
         verdicts.append(StepVerdict(s.index, reason is None, reason,
                                     tuple(c.flags[noted:])))
     return CheckReport(all(v.ok for v in verdicts), logic, verdicts, c.deps,
@@ -598,17 +600,20 @@ def _gl_status(c: _Context, s: Step, role: Optional[str]) -> bool:
     return role == 'law'
 
 
-# why a step built in code fails before any rule runs: parse_derivation
-# refuses both, so no .drv file reaches them
-_MALFORMED = ("out of sequence", "cites an unavailable step")
-
-
 def _check_step(c: _Context, s: Step, row, n: int) -> Optional[str]:
     """Why step s, at position n, fails, or None when it holds."""
     if s.index != n:
-        return _MALFORMED[0]
+        return "out of sequence"
     if s.refs and not 0 < min(s.refs) <= max(s.refs) < n:
-        return _MALFORMED[1]
+        return "cites an unavailable step"
+    shape = _SHAPES.get((s.rule, s.args[0] if row.forms and s.args
+                         else None))
+    if shape is not None:
+        least, most, nargs, usage = shape
+        k = len(s.refs)
+        if k < least or most is not None and k > most \
+                or len(s.args) != nargs:
+            return usage
     try:
         check_profile(s.formula, c.logic.profile, c.d.agents or ())
     except ProfileError as e:
@@ -649,23 +654,29 @@ def _premise(c, s, ref):
         return "formula differs from premise %r" % name
 
 
+# _mp, _nec, _gen, _qnec, _e and _admk compare the fields of the formulas
+# they are given, as == of a node built from them would, and build none:
+# the field tuples compare item by item, an object equal to itself at once
+
 def _mp(c, s, ref):
-    want = Imp(ref[0], s.formula)
-    if ref[1] != want:
-        return "step %d is not %s" % (s.refs[1], print_formula(want))
+    g = ref[1]
+    if type(g) is not Imp or (g.a, g.b) != (ref[0], s.formula):
+        return "step %d is not %s" % (s.refs[1],
+                                      print_formula(Imp(ref[0], s.formula)))
 
 
 def _nec(c, s, ref):
     if c.gl is not None and not c.gl.get(s.refs[0], False):
         return ("necessitation in GLS requires a provability-law step, "
                 "step %d uses reflection" % s.refs[0])
-    if s.formula != Box(ref[0]):
+    f = s.formula
+    if type(f) is not Box or (f.a,) != (ref[0],):
         return "conclusion is not [] of step %d" % s.refs[0]
 
 
 def _gen(c, s, ref):
-    x = s.args[0]
-    if s.formula != Forall(x, ref[0]):
+    x, f = s.args[0], s.formula
+    if type(f) is not Forall or (f.var, f.a) != (x, ref[0]):
         return "conclusion is not all %s of step %d" % (x, s.refs[0])
 
 
@@ -673,10 +684,9 @@ def _qnec(c, s, ref):
     x, f = s.args[0], s.formula
     if x in free_vars(ref[0]):
         return "%s is free in step %d" % (x, s.refs[0])
-    agent = None
-    if isinstance(f, Exists) and isinstance(f.a, Just):
-        agent = f.a.agent
-    if f != Exists(x, Just(Var(x), agent, ref[0])):
+    j = f.a if type(f) is Exists and f.var == x else None
+    if type(j) is not Just or type(j.t) is not Var or j.t.name != x \
+            or (j.a,) != (ref[0],):
         return "conclusion is not ex %s . %s : A" % (x, x)
 
 
@@ -721,7 +731,8 @@ def _e(c, s, ref):
     t = s.args[0]
     if t < 0:
         return "negative time"
-    if s.formula != Knows(t, ref[0]):
+    f = s.formula
+    if type(f) is not Knows or (f.time, f.a) != (t, ref[0]):
         return "conclusion is not K@%d of step %d" % (t, s.refs[0])
 
 
@@ -773,7 +784,8 @@ def _prop(c, s, ref):
 def _admk(c, s, ref):
     t = s.args[0]
     c.flags.append('admissible-knowledge rule used')
-    if s.formula != Knows(t, ref[-1]):
+    f = s.formula
+    if type(f) is not Knows or (f.time, f.a) != (t, ref[-1]):
         return "conclusion is not K@%d of step %d" % (t, s.refs[-1])
     used = frozenset().union(*(c.deps.get(r, frozenset()) for r in s.refs))
     declared = {}
@@ -883,6 +895,35 @@ RULES = {r.name: r for r in (
 # a step built in code under a name no logic has: it fails as unavailable,
 # carries its cited steps' premises and prints as its name and references
 _UNKNOWN = Rule('', ('refs',), '', None, carries='refs')
+
+
+def _shape(grammar: Optional[tuple], nrefs: tuple, words: int,
+           usage: str) -> tuple:
+    """(least refs, most refs or None, args, usage) of the steps
+    parse_derivation reads by grammar (None: inline subst's `<i> <x> :=
+    <term>`); words counts the args beside the grammar's slots, the form
+    word of an inline step and the operator arguments of an fp step."""
+    if grammar is None:
+        return 1, 1, 2 + words, usage
+    if 'refs' in grammar:
+        return (*nrefs, len(grammar) - 1 + words, usage)
+    refs = grammar.count('ref')
+    return refs, refs, len(grammar) - refs + words, usage
+
+
+# (rule, form word or None) -> its shape: a step built in code whose refs
+# or args break its grammar fails with the usage before its rule runs
+_SHAPES = {(r.name, None): _shape(r.grammar, r.nrefs, (r.name == 'fp')
+                                  + bool(r.forms), r.usage)
+           for r in RULES.values()}
+for r in RULES.values():
+    for word, (grammar, usage, _) in (r.forms or {}).items():
+        _SHAPES[r.name, word] = _shape(grammar, r.nrefs, 1, usage)
+# why a step built in code fails before any rule runs: parse_derivation
+# refuses each, so no .drv file reaches them, and no rule's check gives
+# one of these reasons
+_MALFORMED = frozenset({"out of sequence", "cites an unavailable step",
+                        *(shape[-1] for shape in _SHAPES.values())})
 
 
 def inline_image(d: Derivation, s: Step) -> Derivation:

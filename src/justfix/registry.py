@@ -17,12 +17,15 @@ decides each query with a reduced ordered BDD (Bryant 1986) built for
 that query alone: every maximal subformula that is not a boolean connective
 becomes one atom, atoms are ordered by first sight (goal first, then the
 premises last to first), and the node and memo tables are freed when the
-build returns.  Each connective is its truth table as a 4-bit int, so a
-negation costs no pass: the build carries a complement mask down the
-formula and a negated connective applies the complemented table.  apply
-returns at once when a leaf or two equal operands decide the result, an
-atom object is looked up by identity before its content is hashed, and
-the premises are not built once the implication is already true.
+build returns.  An edge to a node is a ref, the node's index times two
+plus a complement bit, and a stored node's hi edge is always regular, so
+a function and its complement share one node and negation is free: ~f is
+the ref of f with its last bit flipped, which neither builds a node nor
+recurses.  Each connective is its truth table as a 4-bit int.  apply
+returns at once when a leaf, two equal operands or two complementary ones
+decide the result, an atom object is looked up by identity before its
+content is hashed, and the premises are not built once the implication is
+already true.
 Separable goals such as excluded-middle conjunctions and parity
 equivalences stay linear in the atom count.  An atom order can still make
 the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every a seen
@@ -79,22 +82,29 @@ def _decide(key, keep, compute: Callable, *args):
 # ---------------------------------------------------------------------------
 # tautological consequence: a reduced ordered BDD built fresh for each query
 #
-# Node 0 is false, node 1 is true, and node u >= 2 is nodes[u] = (var, lo,
-# hi): "if atom var then hi else lo".  Atoms are numbered in first-seen
-# order (goal first, then the premises last to first), and a lower number
-# sits nearer the root.  The unique table keeps the graph reduced, so a
-# function has exactly one node and "is a tautology" is "is node 1".  The
-# tables belong to one build and are freed when it returns; only the
-# verdict is kept, in the decision memo of an open scope.
+# A function is a ref, 2 * index + a complement bit, and ref ^ 1 is its
+# complement.  Index 0 is the false leaf, so ref 0 is false and ref 1 is
+# true, and an index u >= 1 is nodes[u] = (var, lo, hi): "if atom var
+# then hi else lo", with lo and hi refs.  Atoms are
+# numbered in first-seen order (goal first, then the premises last to
+# first), and a lower number sits nearer the root.  A stored node's hi
+# edge is always regular (even): node stores the complement of a node
+# whose hi edge is complemented and returns its ref ^ 1.  With the unique
+# table this keeps the graph canonical, as in Brace, Rudell and Bryant,
+# "Efficient implementation of a BDD package" (DAC 1990): a function and
+# its complement share one node, a function has exactly one ref, and "is
+# a tautology" is "is ref 1".  The tables belong to one build and are
+# freed when it returns; only the verdict is kept, in the decision memo of
+# an open scope.
 #
-# A connective is its truth table as a 4-bit int, bit 2a+b holding f(a,b),
-# so the complement of a table is op ^ 15 and build negates for free: it
-# carries a complement mask down the formula, and a negated connective
-# applies op ^ 15, a negated atom is the node (var, 1, 0) and a negated
-# Falsum is node 1.  apply returns at once when a leaf operand, or two
-# equal ones, leave a constant or an operand; only the complement of an
-# operand recurses.  The apply memo makes each (op, node, node) triple
-# cost one visit, and a commutative table keys the smaller node first.
+# A connective is its truth table as a 4-bit int, bit 2a+b holding f(a,b).
+# Negation is free: build negates a formula's ref by ^ 1, and apply
+# returns at once when a leaf operand, two equal operands or two
+# complementary ones (u ^ v == 1) leave a constant, an operand or its
+# complement.  So apply recurses only on two distinct operands that are
+# not each other's complement.  The apply memo makes each (op, ref, ref)
+# triple cost one visit, and a commutative table keys the smaller ref
+# first.
 
 _CONNECTIVES = {And: 8, Or: 14, Imp: 11, Iff: 9, Xor: 6}
 _LEAF = float('inf')
@@ -102,11 +112,11 @@ _LEAF = float('inf')
 
 class _BDD:
     def __init__(self):
-        # a leaf tests no atom (it sorts below every var) and is its own
-        # cofactor
-        self.nodes: list = [(_LEAF, 0, 0), (_LEAF, 1, 1)]
-        self.unique: dict = {}   # (var, lo, hi) -> node
-        self.memo: dict = {}     # (op, u, v) -> node
+        # the false leaf tests no atom (it sorts below every var) and is
+        # its own cofactor
+        self.nodes: list = [(_LEAF, 0, 0)]
+        self.unique: dict = {}   # (var, lo, hi) -> regular ref
+        self.memo: dict = {}     # (op, u, v) -> ref
         self.atoms: dict = {}    # Formula -> var
         # id(Formula) -> (Formula, var): an atom object is hashed once per
         # BDD, and holding it keeps its id from being reused
@@ -115,61 +125,67 @@ class _BDD:
     def node(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
             return lo
-        key = (var, lo, hi)
+        neg = hi & 1
+        key = (var, lo ^ neg, hi ^ neg)
         u = self.unique.get(key)
         if u is None:
-            u = self.unique[key] = len(self.nodes)
+            u = self.unique[key] = 2 * len(self.nodes)
             self.nodes.append(key)
-        return u
+        return u ^ neg
 
     def apply(self, op: int, u: int, v: int) -> int:
-        # with a leaf operand, or u == v, the result is a function g of one
-        # operand w; t holds g(0) in bit 0 and g(1) in bit 1
+        # with a leaf operand, or u == v, or u == v ^ 1, the result is a
+        # function g of one operand w; t holds g(0) in bit 0 and g(1) in
+        # bit 1
         if u < 2:
             t, w = op >> 2 * u & 3, v
         elif v < 2:
             t, w = op >> v & 1 | op >> v + 1 & 2, u
         elif u == v:
             t, w = op & 1 | op >> 2 & 2, u
+        elif u ^ v == 1:
+            t, w = op >> 1 & 3, u
         else:
             t = -1
             if u > v and not (op ^ op >> 1) & 2:
                 u, v = v, u     # f(0,1) == f(1,0): one key for both orders
         if t == 2:
             return w
-        if t == 0 or t == 3:
+        if t == 1:
+            return w ^ 1
+        if t >= 0:
             return t & 1
-        if t == 1 and w < 2:
-            return 1 - w
-        # two distinct nodes, or the complement of the node w
+        # two distinct operands, neither the other's complement
         key = (op, u, v)
         r = self.memo.get(key)
         if r is None:
-            iu, u0, u1 = self.nodes[u]
-            iv, v0, v1 = self.nodes[v]
+            iu, u0, u1 = self.nodes[u >> 1]
+            iv, v0, v1 = self.nodes[v >> 1]
             var = min(iu, iv)
             if iu > var:
                 u0 = u1 = u
+            elif u & 1:
+                u0, u1 = u0 ^ 1, u1 ^ 1
             if iv > var:
                 v0 = v1 = v
+            elif v & 1:
+                v0, v1 = v0 ^ 1, v1 ^ 1
             r = self.memo[key] = self.node(var, self.apply(op, u0, v0),
                                            self.apply(op, u1, v1))
         return r
 
-    def build(self, f: Formula, neg: int = 0) -> int:
-        """The node of f, or of ~f when the mask neg is 15; every maximal
-        subformula that is not a boolean connective or Falsum is one atom,
-        shared by formula equality."""
+    def build(self, f: Formula) -> int:
+        """The ref of f; every maximal subformula that is not a boolean
+        connective or Falsum is one atom, shared by formula equality."""
         kind = type(f)
         op = _CONNECTIVES.get(kind)
         if kind is Imp:
-            return self.apply(op ^ neg, self.build(f.a), self.build(f.b))
+            return self.apply(op, self.build(f.a), self.build(f.b))
         if op is not None:
             # And, Or, Iff and Xor are associative and commutative: join
             # the operands of a chain from the deepest top atom upwards, so
             # that each join adds nodes only above those built so far (a
-            # parity chain then stays linear in either atom order); the
-            # last join negates the chain
+            # parity chain then stays linear in either atom order)
             operands, todo = [], [f]
             while todo:
                 g = todo.pop()
@@ -177,21 +193,22 @@ class _BDD:
                     todo += (g.b, g.a)
                 else:
                     operands.append(self.build(g))
-            operands.sort(key=lambda u: self.nodes[u][0], reverse=True)
+            nodes = self.nodes
+            operands.sort(key=lambda u: nodes[u >> 1][0], reverse=True)
             u = operands[0]
-            for v in operands[1:-1]:
+            for v in operands[1:]:
                 u = self.apply(op, v, u)
-            return self.apply(op ^ neg, operands[-1], u)
+            return u
         if kind is Neg:
-            return self.build(f.a, neg ^ 15)
+            return self.build(f.a) ^ 1
         if kind is Falsum:
-            return neg & 1
+            return 0
         # Atom, Box, Knows, Just, Forall, Exists, Mu, FixApp: opaque
         hit = self.seen.get(id(f))
         if hit is None:
             var = self.atoms.setdefault(f, len(self.atoms))
             hit = self.seen[id(f)] = f, var
-        return self.node(hit[1], neg & 1, ~neg & 1)
+        return self.node(hit[1], 0, 1)
 
 
 def _consequence_bdd(goal: Formula, premises: list) -> tuple:

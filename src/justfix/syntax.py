@@ -59,12 +59,14 @@ tokens and a count of the stack, and few small groups come back where
 they could be served.
 
 The parser looks ahead instead of backtracking: it tries the term path of
-t : A only where a term can start and a ':' or ':@' can follow it.  Each
-node caches its language facts (the node kinds under it and its agent
-labels) the first time check_profile meets it, outside its record
-fields: nodes stay plain values, compared, hashed and printed by their
-fields alone, and no table outlives them.  Later profile and agent checks
-of the node, or of a new node over it, are mask and set tests.
+t : A only where a term can start and a ':' or ':@' can follow it, and
+in a text without ':' it never tries it.  Each node gets its language
+facts (the node kinds under it and its agent labels) when it is built,
+from its children's, in the __init__ that record generates, outside its
+record fields: nodes stay plain values, compared, hashed and printed by
+their fields alone, and no table outlives them.  So every profile and
+agent check is a few mask and set tests, and only a check that fails
+walks the formula, to name its first error.
 """
 
 from __future__ import annotations
@@ -142,10 +144,15 @@ def record(cls):
     formula's children are formulas (the term of t : A is a field, not a
     child) and a term's children are terms.  rebuild keeps every other
     field, and a node without child fields rebuilds to itself.  The
-    methods of a class that depend on its fields come from one exec; the
-    two that refuse assignment and deletion are shared by every record."""
+    __init__ of a node also sets its language facts (see _facts_source).
+    The methods of a class that depend on its fields come from one exec of
+    a source that names the class and its constants only through the
+    exec's globals, so the classes of one shape (And, Or, Imp, Iff and
+    Xor, say) share one compiled source; the two methods that refuse
+    assignment and deletion are shared by every record."""
     fields = tuple(cls.__annotations__)
-    env = {'_set': object.__setattr__, '_cls': cls, '_keep': object()}
+    env = {'_set': object.__setattr__, '_cls': cls, '_keep': object(),
+           '_labels_of': _labels_of, '_LJ': _LABELED_JUST}
     params = []
     for f in fields:
         if f in cls.__dict__:
@@ -154,6 +161,9 @@ def record(cls):
         else:
             params.append(f)
     stores = [f"    _set(self, '{f}', {f})" for f in fields]
+    if issubclass(cls, (Formula, Term)):
+        env['_bit'] = _KIND_BITS[cls] = 1 << _KIND_ORDER.index(cls.__name__)
+        stores += _facts_source(cls)
     if hasattr(cls, '__post_init__'):
         stores.append('    self.__post_init__()')
     keywords = ''.join(f', {f}=_keep' for f in fields)
@@ -179,13 +189,82 @@ def record(cls):
         args = ', '.join(from_kids.get(f, f'self.{f}') for f in fields)
         source += _NODE_METHODS.format(
             kids=shown, rebuilt=f'_cls({args})' if from_kids else 'self')
+    code = _COMPILED.get(source)
+    if code is None:
+        code = _COMPILED[source] = compile(source, '<string>', 'exec')
     methods = {}
-    exec(source, env, methods)
+    exec(code, env, methods)
     for name, fn in methods.items():
         setattr(cls, name, fn)
     cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
     cls.__match_args__ = fields
     return cls
+
+
+# The language facts of a node are the kinds of node in it, the terms under
+# its justifications included, as one bitmask, and the set of agent labels
+# it uses.  The __init__ of every node sets them from its own kind and its
+# children's facts, outside its record fields, so equality, hashing and
+# printing do not see them and they live as long as the node.  The
+# propositional kinds take the low bits, so the mask of a propositional
+# formula is a small int, which Python shares; a node whose mask equals a
+# child's shares that child's int.  A justification sets one bit when it
+# has no agent label and another when it has one, and a node sets its own
+# labels only when a labeled justification lies below it; any other node
+# has the class's empty set.
+_KIND_ORDER = ("Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor",
+               "Box", "Knows", "Just", "Forall", "Exists", "Mu", "FixApp",
+               "FMeta", "Var", "Const", "Prim", "App", "TSum", "Bang",
+               "Quest", "WQuest", "UAll", "TMeta")
+_LABELED_JUST = 1 << len(_KIND_ORDER)
+_KIND_BITS: dict = {}       # node class -> its bit, filled by record
+# record's compiled sources, by their text; see record
+_COMPILED: dict = {}
+
+
+def _facts_source(cls) -> list:
+    """The lines of the __init__ of the node class cls that set its
+    language facts, from its bit _bit and the facts of the node fields,
+    the term of a justification included: one mask operation per field."""
+    ann = cls.__annotations__
+    kids = [f for f in ann if ann[f] in ("Formula", "Term")]
+    many = [f for f in ann if ann[f] in ("tuple[Formula, ...]",
+                                         "tuple[Term, ...]")]
+    own = "(_bit if agent is None else _LJ)" if cls.__name__ == "Just" \
+        else "_bit"
+    if many:                # fix: its arguments, one by one
+        kids, = many
+        lines = [f"    _k = {own}",
+                 f"    for _g in {kids}:",
+                 "        _m = _g._kinds",
+                 "        _k = _m if _k | _m == _m else _k | _m"]
+    elif kids:              # each child's mask read once
+        lines = [f"    _{f} = {f}._kinds" for f in kids]
+        lines.append("    _k = " + "".join(f"_{f} | " for f in kids) + own)
+        lines.append("    _k = " + "".join(f"_{f} if _k == _{f} else "
+                                            for f in kids) + "_k")
+        kids = "(" + "".join(f"{f}, " for f in kids) + ")"
+    else:
+        return ["    _set(self, '_kinds', _bit)"]
+    lines.append("    _set(self, '_kinds', _k)")
+    if issubclass(cls, Formula):
+        lines.append("    if _k & _LJ:")
+        lines.append(f"        _set(self, '_labels', _labels_of(self, {kids}))")
+    return lines
+
+
+_NO_LABELS: frozenset = frozenset()
+
+
+def _labels_of(g: Node, kids: tuple) -> frozenset:
+    """The agent labels of g, from those of its children."""
+    labels = _NO_LABELS
+    for k in kids:
+        if not k._labels <= labels:
+            labels = k._labels if labels <= k._labels else labels | k._labels
+    if type(g) is Just and g.agent is not None and g.agent not in labels:
+        labels = labels | {g.agent}
+    return labels
 
 
 def replace(obj, **changes):
@@ -194,15 +273,10 @@ def replace(obj, **changes):
     return obj.__replace__(**changes)
 
 
-# the agent labels of a node that has none; see _facts
-_NO_LABELS: frozenset = frozenset()
-
-
 # ------------------------------------------------------------- the sorts
 
 class Term:
-    # language facts, set on the node by _facts; see check_profile
-    _kinds = 0
+    # the agent labels of a node without any; see _facts_source
     _labels = _NO_LABELS
 
     def __str__(self) -> str:
@@ -210,8 +284,7 @@ class Term:
 
 
 class Formula:
-    # language facts, set on the node by _facts; see check_profile
-    _kinds = 0
+    # the agent labels of a node without any; see _facts_source
     _labels = _NO_LABELS
 
     def __str__(self) -> str:
@@ -417,9 +490,9 @@ def check_profile(f: Formula, profile: LanguageProfile,
     finds the first agent label the declaration does not allow, raised only
     when f has no profile error.
 
-    The walk runs only when the language facts of f (see _facts) show an
-    error; otherwise the check is a few mask and set tests."""
-    kinds, labels = _facts(f)
+    The walk runs only when the language facts of f (see _facts_source)
+    show an error; otherwise the check is a few mask and set tests."""
+    kinds, labels = f._kinds, f._labels
     bad = kinds & ~_admitted(profile)
     if agents is not None and not bad:
         # a label where none are declared; a missing or undeclared one
@@ -466,22 +539,6 @@ def _check_term(t: Term, profile: LanguageProfile) -> None:
             raise ProfileError(f"term {cls} not in language {profile.name}")
 
 
-# The language facts of a node are the kinds of node in it, the terms under
-# its justifications included, as one bitmask, and the set of agent labels
-# it uses.  The first check_profile that meets a node computes them and
-# stores them on the node, outside its record fields, so equality,
-# hashing and printing do not see them and they live as long as the node.
-# The propositional kinds take the low bits, so the mask of a propositional
-# formula is a small int, which Python shares; a node whose facts equal a
-# child's shares that child's objects.  A justification sets one bit when
-# it has no agent label and another when it has one.
-_KIND_BITS = {cls: 1 << k for k, cls in enumerate((
-    Atom, Falsum, Neg, And, Or, Imp, Iff, Xor,
-    Box, Knows, Just, Forall, Exists, Mu, FixApp, FMeta,
-    Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll, TMeta))}
-_LABELED_JUST = 1 << len(_KIND_BITS)
-
-
 def _admitted(profile: LanguageProfile) -> int:
     """The mask of the node kinds the profile admits, metavariables
     included; computed once per profile and kept on it."""
@@ -499,52 +556,6 @@ def _admitted(profile: LanguageProfile) -> int:
             mask &= ~_KIND_BITS[Just]
         object.__setattr__(profile, "_admitted", mask)
     return mask
-
-
-def _facts(f: Node) -> tuple[int, frozenset]:
-    """(kinds, labels) of f.  One iterative walk computes them for every
-    node under f that has none, and stops at the nodes that have them."""
-    if not f._kinds:
-        bits, store = _KIND_BITS, object.__setattr__
-        order = []                  # pre-order, so children after parents
-        todo = [f]
-        while todo:
-            g = todo.pop()
-            if g._kinds:
-                continue
-            cls = type(g)
-            if cls is Just:
-                kids = (g.t, g.a)
-                bit = bits[Just] if g.agent is None else _LABELED_JUST
-            else:
-                kids = g.children()
-                bit = bits[cls]
-            order.append((g, kids, bit))
-            todo += kids
-        for g, kids, kinds in reversed(order):
-            if g._kinds:
-                continue            # met twice: a node shared in f
-            for k in kids:
-                m = k._kinds
-                if kinds | m == m:
-                    kinds = m       # share the child's int
-                else:
-                    kinds |= m
-            store(g, "_kinds", kinds)
-            if kinds & _LABELED_JUST:
-                store(g, "_labels", _labels_of(g, kids))
-    return f._kinds, f._labels
-
-
-def _labels_of(g: Node, kids: tuple) -> frozenset:
-    """The agent labels of g, from those of its children."""
-    labels = _NO_LABELS
-    for k in kids:
-        if not k._labels <= labels:
-            labels = k._labels if labels <= k._labels else labels | k._labels
-    if type(g) is Just and g.agent is not None and g.agent not in labels:
-        labels = labels | {g.agent}
-    return labels
 
 
 # ----------------------------------------------------------- traversals
@@ -777,10 +788,15 @@ _VAR_INITIALS = "stuvwxyz"
 _SYMBOLS = sorted({tok for tok in _OPERATORS if not tok.isalpha()}
                   | {"(", ")", ".", ",", ";", ":", ":@", "@"},
                   key=lambda tok: (-len(tok), tok))
-_SCAN_RE = re.compile("(%s|[%s]|[A-Za-z_][A-Za-z0-9_#]*|[0-9]+)|(\\S)" % (
+_TOKEN = "%s|[%s]|[A-Za-z_][A-Za-z0-9_#]*|[0-9]+" % (
     "|".join(re.escape(s) for s in _SYMBOLS if len(s) > 1),
-    re.escape("".join(s for s in _SYMBOLS if len(s) == 1))))
+    re.escape("".join(s for s in _SYMBOLS if len(s) == 1)))
+_TOKEN_RE = re.compile(_TOKEN)
+_SCAN_RE = re.compile("(%s)|(\\S)" % _TOKEN)
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
+# the first characters of the tokens that are identifiers or words
+_WORD_START = frozenset("_abcdefghijklmnopqrstuvwxyz"
+                        "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 # the tokens that, after an identifier or a parenthesized group, show that
 # it may be a justification term
@@ -790,13 +806,15 @@ _TERM_FOLLOW = frozenset((":", ":@", "(", *(
 
 def _tokenize(text: str) -> tuple[list, Optional[dict]]:
     """The tokens of text, and the index of the ')' that closes each closed
-    '(', or None when text has no ':' and so no justification."""
-    scan = _SCAN_RE.findall(text)
-    toks, bad = zip(*scan) if scan else ((), ())
-    if any(bad):
-        k = next(k for k, c in enumerate(bad) if c)
-        raise ParseError(f"bad character {bad[k]!r} at {_offsets(text)[k]}")
-    toks = list(toks)
+    '(', or None when text has no ':' and so no justification.  No token
+    holds a blank, so the tokens cover text exactly when their lengths
+    sum to its count of other characters; only a text with a character
+    that starts no token is scanned again, to name that character."""
+    toks = _TOKEN_RE.findall(text)
+    if sum(map(len, toks)) != len("".join(text.split())):
+        scan = _SCAN_RE.findall(text)
+        k, c = next((k, c) for k, (_, c) in enumerate(scan) if c)
+        raise ParseError(f"bad character {c!r} at {_offsets(text)[k]}")
     if ":" not in text:
         return toks, None
     close: dict = {}
@@ -893,6 +911,18 @@ class _Parser:
             table[key] = got
         return got
 
+    def binary(self, cls, a: Node, b: Node) -> Node:
+        """The node cls(a, b) of the table, as node builds it, for a class
+        of _BINARY, whose two fields are nodes."""
+        key = cls, id(a), id(b)
+        table = self.table
+        got = table.get(key)
+        if got is None:
+            got = _new(cls)
+            cls.__init__(got, a, b)
+            table[key] = got
+        return got
+
     def share(self, f: Node) -> Node:
         """f as the table's node, for nu, whose expansion substitutes into
         the parsed body: f itself when the table holds it, else a node
@@ -957,10 +987,9 @@ class _Parser:
         return tok
 
     def may_be_term(self) -> bool:
-        """Can a justification t : A or t :@a A start here?  Where it
-        cannot, trying one would fail or stop short of the colon."""
-        if self.close is None:
-            return False
+        """Can a justification t : A or t :@a A start here, in a text with
+        a ':'?  Where it cannot, trying one would fail or stop short of the
+        colon."""
         toks, pos = self.toks, self.pos
         tok = toks[pos]
         if tok in _TERM_PREFIX:
@@ -982,9 +1011,9 @@ class _Parser:
         while op is not None and op[1] == level:
             self.pos += 1
             if not level:                   # groups to the right
-                return self.node(op[0], left, self.imp())
+                return self.binary(op[0], left, self.imp())
             right = self.imp(up) if operand is None else operand(self)
-            left = self.node(op[0], left, right)
+            left = self.binary(op[0], left, right)
             op = _BINARY.get(self.toks[self.pos])
         return left
 
@@ -1012,7 +1041,7 @@ class _Parser:
             if not num.isdigit():
                 raise ParseError(f"expected time after K@, got {num!r}")
             return self.node(Knows, int(num), self.unary())
-        if not self.may_be_term():
+        if self.close is None or not self.may_be_term():
             return self.primary()
         save = self.pos
         try:
@@ -1031,6 +1060,12 @@ class _Parser:
         return self.primary()
 
     def primary(self) -> Formula:
+        tok = self.toks[self.pos]
+        # a scanned token that starts as an identifier is one or a keyword
+        if tok is not None and tok[0] in _WORD_START \
+                and tok not in _KEYWORDS:
+            self.pos += 1
+            return self.node(Atom, tok)
         tok = self.next()
         if tok == "false":
             return self.node(Falsum)
@@ -1055,8 +1090,6 @@ class _Parser:
                 if self.pos - s > _GROUP_MIN:
                     self.remember(s, f)
             return f
-        if is_ident(tok):
-            return self.node(Atom, tok)
         raise ParseError(f"unexpected token {tok!r} in {self.text!r}")
 
     def tunary(self) -> Term:

@@ -34,15 +34,19 @@ def corpus_derivations():
 
 class CountedKinds:
     """Stands in for the attribute that holds a node's kinds mask (see
-    syntax._facts): it keeps the masks beside the nodes and records each
-    node whose facts are computed, holding the node so that no id is
-    reused."""
+    syntax._facts_source), which the __init__ of every node sets, so it
+    counts constructions: it keeps the masks beside the nodes and records
+    each node whose facts are set, holding the node so that no id is
+    reused.  A node made before it was installed keeps its own mask."""
 
     def __init__(self):
         self.kinds, self.computed = {}, []
 
     def __get__(self, node, cls):
-        return self if node is None else self.kinds.get(id(node), 0)
+        if node is None:
+            return self
+        kinds = self.kinds.get(id(node))
+        return vars(node)['_kinds'] if kinds is None else kinds
 
     def __set__(self, node, kinds):
         self.computed.append(node)
@@ -53,8 +57,8 @@ class CountedKinds:
 def counted_kinds(monkeypatch):
     """A CountedKinds installed as the kinds mask of every node."""
     counted = CountedKinds()
-    monkeypatch.setattr(syntax.Formula, '_kinds', counted)
-    monkeypatch.setattr(syntax.Term, '_kinds', counted)
+    monkeypatch.setattr(syntax.Formula, '_kinds', counted, raising=False)
+    monkeypatch.setattr(syntax.Term, '_kinds', counted, raising=False)
     return counted
 
 

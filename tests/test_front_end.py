@@ -644,8 +644,10 @@ def test_facts_are_not_fields():
     assert list(Just.__match_args__) == ['t', 'agent', 'a']
     assert repr(f) == ("Just(t=Var(name='x'), agent='a', a=Imp(a=FMeta("
                        "name='A'), b=Knows(time=1, a=Atom(name='p'))))")
+    # g has f's facts from its construction, before any profile check
     g = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))
-    assert f == g and hash(f) == hash(g) and not g._kinds
+    assert f == g and hash(f) == hash(g)
+    assert (g._kinds, g._labels) == (f._kinds, f._labels)
 
 
 # -- the .drv line reader -------------------------------------------------------

@@ -317,6 +317,28 @@ def test_bdd_negation_and_equivalence_share_nodes(f, g):
                         and table_consequence([g], f))
 
 
+@settings(max_examples=300, deadline=None)
+@given(bool_formulas(8, atoms | atoms.map(Box)),
+       bool_formulas(8, atoms | atoms.map(Box)))
+def test_bdd_hi_edges_regular_and_negation_a_complement_bit(f, g):
+    # a ref is 2 * index + a complement bit; every stored node keeps its hi
+    # edge regular, so ~f is the ref of f with the bit flipped, which adds
+    # no node
+    bdd = _BDD()
+    u = bdd.build(f)
+    bdd.apply(_CONNECTIVES[Iff], u, bdd.build(g))
+    nodes = len(bdd.nodes)
+    assert bdd.build(Neg(f)) == u ^ 1
+    assert bdd.build(Neg(Neg(f))) == u
+    assert len(bdd.nodes) == nodes
+    assert bdd.nodes[0][1:] == (0, 0)
+    for var, lo, hi in bdd.nodes[1:]:
+        assert hi % 2 == 0 and lo != hi
+        assert max(lo, hi) // 2 < len(bdd.nodes)
+    assert (u == 1) == table_consequence([], f)
+    assert (u == 0) == table_consequence([f], Falsum())
+
+
 def test_true_implication_builds_no_further_premise():
     # p | ~p holds, so no premise is built: none of their atoms is numbered
     node, bdd = _consequence_bdd(parse_formula('p | ~p'),

@@ -1,0 +1,123 @@
+"""In-process A/B timing: two justfix trees in one interpreter.
+
+    python3 tools/ab_inprocess.py BASE_TREE [--tree TREE]
+        [--workload prop|corpus|inline] [--seed N] [--rounds N]
+
+Loads the justfix package of BASE_TREE (a checkout, for example one
+written by `git archive`) and that of TREE (default: this repository)
+under the package names justfix_base and justfix_tree, so both live in one
+process.  The inputs are the workload's, made by this repository's
+perfbench/gen.py from the seed (default 5) and decided through each side's
+corpus.run_entry, as one benchmark pass decides them.  The script first
+runs one untimed pass per side and checks that both sides print the same
+verdict line for every input; it stops, printing the lines that differ,
+if they do not.  It then times one pass of all the inputs per side and
+round, alternating which side goes first, for N rounds (default 20).  It
+prints one JSON line per side: its min and median pass time in ms and
+the rounds it won (a tie counts for neither side).
+
+Separate processes on a shared host can drift far more than the few per
+cent a change moves; alternating passes in one interpreter share the
+host's state at each moment, so they resolve smaller steps.  Standard
+library only.
+"""
+
+import argparse
+import gc
+import importlib.util
+import json
+import pathlib
+import statistics
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SIDES = ('base', 'tree')
+
+
+def load(tree: pathlib.Path, name: str):
+    """The corpus module of tree's justfix package, imported under the
+    package name after its cli module, as a benchmark pass imports them."""
+    pkg = tree / 'src' / 'justfix'
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / '__init__.py', submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(name + '.cli')
+    return importlib.import_module(name + '.corpus')
+
+
+def inputs(workload: str, seed: int, work: pathlib.Path) -> list:
+    """(entry fields, root) per input, in pass order."""
+    sys.path.insert(0, str(ROOT / 'perfbench'))
+    import gen
+    if workload == 'corpus':
+        return [(e, ROOT / 'corpus') for e in gen.corpus_entries()]
+    rows = []
+    for inp in gen.GENERATORS[workload](seed):
+        (work / (inp.id + '.drv')).write_text(inp.text)
+        rows.append(({'id': inp.id, 'path': inp.id + '.drv', 'kind': 'drv',
+                      'final': None, 'falsum': False,
+                      'post': [['deduce']] if inp.deduce else []}, work))
+    return rows
+
+
+def entries(corpus, rows) -> list:
+    return [(corpus.CorpusEntry(e['id'], e['path'], e['kind'], e['final'],
+                                e['falsum'], tuple(map(tuple, e['post']))),
+             str(root)) for e, root in rows]
+
+
+def one_pass(corpus, todo) -> tuple:
+    """(seconds, verdict lines) of one pass over todo."""
+    t0 = time.perf_counter()
+    lines = [corpus.run_entry(e, root).line for e, root in todo]
+    return time.perf_counter() - t0, lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument('base', type=pathlib.Path)
+    ap.add_argument('--tree', type=pathlib.Path, default=ROOT)
+    ap.add_argument('--workload', default='prop',
+                    choices=('corpus', 'prop', 'inline'))
+    ap.add_argument('--seed', type=int, default=5)
+    ap.add_argument('--rounds', type=int, default=20)
+    args = ap.parse_args(argv)
+    corpora = {side: load(tree.resolve(), 'justfix_' + side)
+               for side, tree in zip(SIDES, (args.base, args.tree))}
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = inputs(args.workload, args.seed, pathlib.Path(tmp))
+        todo = {side: entries(corpora[side], rows) for side in SIDES}
+        lines = {side: one_pass(corpora[side], todo[side])[1]
+                 for side in SIDES}
+        if lines['base'] != lines['tree']:
+            for a, b in zip(lines['base'], lines['tree']):
+                if a != b:
+                    print('verdicts differ:\n  base: %s\n  tree: %s' % (a, b))
+            return 1
+        times = {side: [] for side in SIDES}
+        wins = dict.fromkeys(SIDES, 0)
+        for k in range(args.rounds):
+            order = SIDES if k % 2 == 0 else SIDES[::-1]
+            took = {}
+            for side in order:
+                gc.collect()
+                took[side] = one_pass(corpora[side], todo[side])[0]
+                times[side].append(took[side])
+            if took['base'] != took['tree']:
+                wins[min(took, key=took.get)] += 1
+    for side, tree in zip(SIDES, (args.base, args.tree)):
+        print(json.dumps({
+            'side': side, 'tree': str(tree), 'workload': args.workload,
+            'inputs': len(rows), 'rounds': args.rounds,
+            'min_ms': round(min(times[side]) * 1e3, 3),
+            'median_ms': round(statistics.median(times[side]) * 1e3, 3),
+            'won': wins[side]}))
+    return 0
+
+
+if __name__ == '__main__':
+    sys.exit(main())

@@ -27,6 +27,7 @@ SHAPES = (
     ('formula', '[]', lambda n: '[]' * n + 'p'),
     ('formula', 'K@1', lambda n: 'K@1 ' * n + 'p'),
     ('formula', 'x :', lambda n: 'x : ' * n + 'p'),
+    ('formula', 'x :@a', lambda n: 'x :@a ' * n + 'p'),
     ('formula', '!', lambda n: '!' * n + 'x : p'),
     ('formula', 'all x .', lambda n: 'all x . ' * n + 'p'),
     ('formula', 'fix(d;', lambda n: 'fix(d; ' * n + 'p' + ')' * n),
