@@ -468,15 +468,15 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
 def memo_scope():
     """Open the memo, one table (registry._DECISIONS), for the outermost
     scope and drop it when that scope ends or raises; nested scopes share
-    it.  It holds the report on each derivation checked in the scope, the
-    inline images built in it, the verdicts of the tautology, axiom and
-    logic queries asked in it, and the folds resume registers: the state
-    of each check and each internalization after every step it finished.
-    check_derivation and elaborate open one per call; the corpus runner
-    and the command line open one per entry, so a derivation checked
-    twice in an entry is checked once, a derivation that begins with the
-    steps of one checked before is checked from where they end, and a
-    query on the same formula objects is decided once."""
+    it.  It holds the inline images built in the scope, the verdicts of
+    the tautology, axiom and logic queries asked in it, and the folds
+    resume registers: the state of each check and each internalization
+    after every step it finished.  check_derivation and elaborate open one
+    per call; the corpus runner and the command line open one per entry,
+    so a derivation checked twice in an entry has its steps checked once,
+    a derivation that begins with the steps of one checked before is
+    checked from where they end, and a query on the same formula objects
+    is decided once."""
     if registry._DECISIONS is not None:
         yield
         return
@@ -527,13 +527,6 @@ def _same_step(s: Step, t: Step, n: int) -> bool:
                  and s.args == t.args))
 
 
-@memo_scope()
-def check_derivation(d: Derivation) -> CheckReport:
-    """Check every step of d.  Within one scope the same Derivation object
-    is checked once; a changed copy is a new object and is checked anew."""
-    return registry._decide(('check', id(d)), d, _check, d)
-
-
 @record
 class _Context:
     """What the checks of one derivation share."""
@@ -545,7 +538,12 @@ class _Context:
     flags: list             # the notes raised so far
 
 
-def _check(d: Derivation) -> CheckReport:
+@memo_scope()
+def check_derivation(d: Derivation) -> CheckReport:
+    """Check every step of d.  Within one scope a repeat check of the same
+    Derivation object, or of one that begins with its steps, resumes from
+    the steps checked before (see resume), so only a changed step and the
+    steps after it are checked anew."""
     logic = get_logic(d.logic_id)
     if logic.profile.agents == 'multi' and not d.agents:
         raise DerivationError("logic %s requires an agents header"

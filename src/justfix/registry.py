@@ -35,13 +35,13 @@ Inside a kernel.memo_scope, taut_consequence, match_axiom and get_logic
 decide each query once: the decision memo keys a query by the identity of
 its formula and logic objects (by the id string for get_logic) and keeps
 those objects alive, so no id is reused while the scope is open.  It is
-the scope's one table, and the kernel keeps three more kinds of entry
-there: its reports, keyed by the derivation object; its inline images,
-keyed by the ids of the cone's formulas with the cone's rules, refs and
-args and the ids of its header objects; and the folds kernel.resume
-registers, each check's and each internalization's state after every
-step it finished, keyed by the fold's header and the first step's
-formula object.  Outside a scope every call computes.
+the scope's one table, and the kernel keeps two more kinds of entry
+there: its inline images, keyed by the ids of the cone's formulas with
+the cone's rules, refs and args and the ids of its header objects; and
+the folds kernel.resume registers, each check's and each
+internalization's state after every step it finished, keyed by the
+fold's header and the first step's formula object.  Outside a scope
+every call computes.
 """
 
 from typing import Callable, Optional
@@ -57,8 +57,8 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# the memo of one kernel.memo_scope: these decisions, kernel reports,
-# inline images and folds.  A query is keyed by the ids of the objects it
+# the memo of one kernel.memo_scope: these decisions, the kernel's inline
+# images and folds.  A query is keyed by the ids of the objects it
 # asks about, not by their content: hashing a formula walks all of it,
 # while the repeats come from re-checks that hand the same objects back.
 # Formulas and logics are frozen, so the same objects always get the same

@@ -60,13 +60,14 @@ they could be served.
 
 The parser looks ahead instead of backtracking: it tries the term path of
 t : A only where a term can start and a ':' or ':@' can follow it, and
-in a text without ':' it never tries it.  Each node gets its language
-facts (the node kinds under it and its agent labels) when it is built,
-from its children's, in the __init__ that record generates, outside its
-record fields: nodes stay plain values, compared, hashed and printed by
-their fields alone, and no table outlives them.  So every profile and
-agent check is a few mask and set tests, and only a check that fails
-walks the formula, to name its first error.
+in a text without ':' it never tries it.  Each node gets one language
+fact, the mask of the node kinds under it, when it is built, from its
+children's, in the __init__ that record generates, outside its record
+fields: nodes stay plain values, compared, hashed and printed by their
+fields alone, and no table outlives them.  So a profile check is one mask
+test.  Only a check that fails walks the formula, to name its first error,
+and so does an agent check on a formula with a justification, to compare
+its labels with the declared agents.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def record(cls):
     formula's children are formulas (the term of t : A is a field, not a
     child) and a term's children are terms.  rebuild keeps every other
     field, and a node without child fields rebuilds to itself.  The
-    __init__ of a node also sets its language facts (see _facts_source).
+    __init__ of a node also sets its kinds mask (see _facts_source).
     The methods of a class that depend on its fields come from one exec of
     a source that names the class and its constants only through the
     exec's globals, so the classes of one shape (And, Or, Imp, Iff and
@@ -152,7 +153,7 @@ def record(cls):
     assignment and deletion are shared by every record."""
     fields = tuple(cls.__annotations__)
     env = {'_set': object.__setattr__, '_cls': cls, '_keep': object(),
-           '_labels_of': _labels_of, '_LJ': _LABELED_JUST}
+           '_LJ': _LABELED_JUST}
     params = []
     for f in fields:
         if f in cls.__dict__:
@@ -201,17 +202,15 @@ def record(cls):
     return cls
 
 
-# The language facts of a node are the kinds of node in it, the terms under
-# its justifications included, as one bitmask, and the set of agent labels
-# it uses.  The __init__ of every node sets them from its own kind and its
-# children's facts, outside its record fields, so equality, hashing and
-# printing do not see them and they live as long as the node.  The
-# propositional kinds take the low bits, so the mask of a propositional
-# formula is a small int, which Python shares; a node whose mask equals a
-# child's shares that child's int.  A justification sets one bit when it
-# has no agent label and another when it has one, and a node sets its own
-# labels only when a labeled justification lies below it; any other node
-# has the class's empty set.
+# The language fact of a node is the kinds of node in it, the terms under
+# its justifications included, as one bitmask.  The __init__ of every node
+# sets it from its own kind and its children's masks, outside its record
+# fields, so equality, hashing and printing do not see it and it lives as
+# long as the node.  The propositional kinds take the low bits, so the
+# mask of a propositional formula is a small int, which Python shares.  A
+# justification sets one bit when it has no agent label and another when
+# it has one; the labels themselves are not kept, and check_profile walks
+# a formula to compare them with the declared agents.
 _KIND_ORDER = ("Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor",
                "Box", "Knows", "Just", "Forall", "Exists", "Mu", "FixApp",
                "FMeta", "Var", "Const", "Prim", "App", "TSum", "Bang",
@@ -223,48 +222,22 @@ _COMPILED: dict = {}
 
 
 def _facts_source(cls) -> list:
-    """The lines of the __init__ of the node class cls that set its
-    language facts, from its bit _bit and the facts of the node fields,
-    the term of a justification included: one mask operation per field."""
+    """The lines of the __init__ of the node class cls that set its kinds
+    mask, from its bit _bit and the masks of the node fields, the term of
+    a justification included: one | expression over the fields."""
     ann = cls.__annotations__
-    kids = [f for f in ann if ann[f] in ("Formula", "Term")]
-    many = [f for f in ann if ann[f] in ("tuple[Formula, ...]",
-                                         "tuple[Term, ...]")]
     own = "(_bit if agent is None else _LJ)" if cls.__name__ == "Just" \
         else "_bit"
-    if many:                # fix: its arguments, one by one
-        kids, = many
-        lines = [f"    _k = {own}",
-                 f"    for _g in {kids}:",
-                 "        _m = _g._kinds",
-                 "        _k = _m if _k | _m == _m else _k | _m"]
-    elif kids:              # each child's mask read once
-        lines = [f"    _{f} = {f}._kinds" for f in kids]
-        lines.append("    _k = " + "".join(f"_{f} | " for f in kids) + own)
-        lines.append("    _k = " + "".join(f"_{f} if _k == _{f} else "
-                                            for f in kids) + "_k")
-        kids = "(" + "".join(f"{f}, " for f in kids) + ")"
-    else:
-        return ["    _set(self, '_kinds', _bit)"]
-    lines.append("    _set(self, '_kinds', _k)")
-    if issubclass(cls, Formula):
-        lines.append("    if _k & _LJ:")
-        lines.append(f"        _set(self, '_labels', _labels_of(self, {kids}))")
-    return lines
-
-
-_NO_LABELS: frozenset = frozenset()
-
-
-def _labels_of(g: Node, kids: tuple) -> frozenset:
-    """The agent labels of g, from those of its children."""
-    labels = _NO_LABELS
-    for k in kids:
-        if not k._labels <= labels:
-            labels = k._labels if labels <= k._labels else labels | k._labels
-    if type(g) is Just and g.agent is not None and g.agent not in labels:
-        labels = labels | {g.agent}
-    return labels
+    for f in ann:
+        if ann[f] in ("tuple[Formula, ...]", "tuple[Term, ...]"):
+            # fix: its arguments, one by one
+            return [f"    _k = {own}",
+                    f"    for _g in {f}:",
+                    "        _k |= _g._kinds",
+                    "    _set(self, '_kinds', _k)"]
+    kids = "".join(f"{f}._kinds | " for f in ann
+                   if ann[f] in ("Formula", "Term"))
+    return [f"    _set(self, '_kinds', {kids}{own})"]
 
 
 def replace(obj, **changes):
@@ -276,17 +249,11 @@ def replace(obj, **changes):
 # ------------------------------------------------------------- the sorts
 
 class Term:
-    # the agent labels of a node without any; see _facts_source
-    _labels = _NO_LABELS
-
     def __str__(self) -> str:
         return print_term(self)
 
 
 class Formula:
-    # the agent labels of a node without any; see _facts_source
-    _labels = _NO_LABELS
-
     def __str__(self) -> str:
         return print_formula(self)
 
@@ -466,8 +433,20 @@ class LanguageProfile:
     term_nodes: frozenset[str]
     agents: str = "single"
 
-    # the admitted-kinds mask, set on the profile by _admitted
-    _admitted = None
+    def __post_init__(self) -> None:
+        # _admitted: the mask of the node kinds the profile admits,
+        # metavariables included, outside the record fields
+        mask = 0
+        for cls, bit in _KIND_BITS.items():
+            name = cls.__name__
+            if name in ("FMeta", "TMeta") or name in self.formula_nodes \
+                    or name in self.term_nodes:
+                mask |= bit
+        if mask & _KIND_BITS[Just] and self.agents != "single":
+            mask |= _LABELED_JUST
+        if self.agents == "multi":
+            mask &= ~_KIND_BITS[Just]
+        object.__setattr__(self, "_admitted", mask)
 
 
 _ALL_FORMULA_NODES = frozenset({
@@ -483,6 +462,10 @@ FULL = LanguageProfile("full", _ALL_FORMULA_NODES, _ALL_TERM_NODES, "any")
 PROP_NODES = frozenset({"Atom", "Falsum", "Neg", "And", "Or", "Imp", "Iff", "Xor"})
 
 
+# the bits of a justification, labeled or not
+_JUSTS = _KIND_BITS[Just] | _LABELED_JUST
+
+
 def check_profile(f: Formula, profile: LanguageProfile,
                   agents: Optional[tuple] = None) -> None:
     """Raise ProfileError at the first node of f outside the profile.  Given
@@ -490,15 +473,13 @@ def check_profile(f: Formula, profile: LanguageProfile,
     finds the first agent label the declaration does not allow, raised only
     when f has no profile error.
 
-    The walk runs only when the language facts of f (see _facts_source)
-    show an error; otherwise the check is a few mask and set tests."""
-    kinds, labels = f._kinds, f._labels
-    bad = kinds & ~_admitted(profile)
-    if agents is not None and not bad:
-        # a label where none are declared; a missing or undeclared one
-        bad = kinds & _LABELED_JUST if not agents else (
-            kinds & _KIND_BITS[Just] or not labels.issubset(agents))
-    if bad:
+    The kinds mask of f (see _facts_source) decides the check, with one
+    test against the profile's, unless it shows an error or agents are
+    declared and f has a justification: then the walk runs, and returns
+    when it finds no error."""
+    kinds = f._kinds
+    if kinds & ~profile._admitted or agents is not None and kinds & (
+            _JUSTS if agents else _LABELED_JUST):
         _raise_first_error(f, profile, agents)
 
 
@@ -537,25 +518,6 @@ def _check_term(t: Term, profile: LanguageProfile) -> None:
         cls = type(g).__name__
         if cls != "TMeta" and cls not in profile.term_nodes:
             raise ProfileError(f"term {cls} not in language {profile.name}")
-
-
-def _admitted(profile: LanguageProfile) -> int:
-    """The mask of the node kinds the profile admits, metavariables
-    included; computed once per profile and kept on it."""
-    mask = profile._admitted
-    if mask is None:
-        mask = 0
-        for cls, bit in _KIND_BITS.items():
-            name = cls.__name__
-            if name in ("FMeta", "TMeta") or name in profile.formula_nodes \
-                    or name in profile.term_nodes:
-                mask |= bit
-        if mask & _KIND_BITS[Just] and profile.agents != "single":
-            mask |= _LABELED_JUST
-        if profile.agents == "multi":
-            mask &= ~_KIND_BITS[Just]
-        object.__setattr__(profile, "_admitted", mask)
-    return mask
 
 
 # ----------------------------------------------------------- traversals
@@ -627,54 +589,47 @@ def free_atoms(f: Formula) -> frozenset[str]:
 
 # ---------------------------------------------------------- occurrences
 
-def occurrences(f: Formula, p: str) -> list[tuple[bool, bool, bool, int, bool]]:
-    """(under_modal, under_just, under_exists_just, polarity, opaque) per
-    free occurrence of atom p.  polarity is 1, -1 or 0 (both)."""
-    occs: list[tuple[bool, bool, bool, int, bool]] = []
-
-    def go(g: Formula, box: bool, just: bool, ejust: bool, pol: int, opq: bool) -> None:
-        match g:
-            case Atom(n):
-                if n == p:
-                    occs.append((box, just, ejust, pol, opq))
-                return
-            case Mu(q, _) if q == p:
-                return
-            case Exists(v, Just(Var(w), _, a)) if w == v:
-                return go(a, box, True, True, pol, opq)
-        kind = type(g)
-        box = box or kind in (Box, Knows)
-        just = just or kind is Just
-        opq = opq or kind is FixApp
-        pol = 0 if kind in (Iff, Xor) else -pol if kind is Neg else pol
-        for k, x in enumerate(children(g)):
-            go(x, box, just, ejust, -pol if kind is Imp and k == 0 else pol, opq)
-
-    go(f, False, False, False, 1, False)
-    return occs
-
-
 OCCURRENCE_MODES = ("modalized", "justified", "exists_justified",
                     "positive", "semi_positive")
 
 
 def occurrence_ok(f: Formula, p: str, mode: str) -> bool:
     """Does every free occurrence of p in f sit in a position the mode
-    demands?  Vacuous truth when p does not occur."""
+    demands?  Vacuous truth when p does not occur.  No occurrence inside a
+    fixed-point argument passes."""
     if mode not in OCCURRENCE_MODES:
         raise ValueError(f"unknown occurrence mode {mode!r}")
-    for box, just, ejust, pol, opq in occurrences(f, p):
-        if opq:
-            return False
-        if mode == "modalized" and not box:
-            return False
-        if mode == "justified" and not just:
-            return False
-        if mode == "exists_justified" and not ejust:
-            return False
-        if mode == "positive" and pol != 1:
-            return False
-        if mode == "semi_positive" and pol != 1 and not (box or just):
+    return _occurrence_ok(f, p, mode, False, False, False, 1)
+
+
+def _occurrence_ok(g: Formula, p: str, mode: Optional[str], box: bool,
+                   just: bool, ejust: bool, pol: int) -> bool:
+    """occurrence_ok for g, where f puts it under a modality (box), a
+    justification (just) or the x : of an ex x . x : A (ejust), at
+    polarity pol: 1, -1 or 0 (both).  Mode None, inside a fixed-point
+    argument, refuses every occurrence.  One frame per level, and the
+    walk stops at the first occurrence the mode refuses."""
+    match g:
+        case Atom(n):
+            return n != p or (
+                box if mode == "modalized" else
+                just if mode == "justified" else
+                ejust if mode == "exists_justified" else
+                pol == 1 if mode == "positive" else
+                mode == "semi_positive" and (pol == 1 or box or just))
+        case Mu(q, _) if q == p:
+            return True
+        case Exists(v, Just(Var(w), _, a)) if w == v:
+            return _occurrence_ok(a, p, mode, box, True, True, pol)
+        case FixApp():
+            mode = None
+    kind = type(g)
+    box = box or kind in (Box, Knows)
+    just = just or kind is Just
+    pol = 0 if kind in (Iff, Xor) else -pol if kind is Neg else pol
+    for k, x in enumerate(g.children()):
+        if not _occurrence_ok(x, p, mode, box, just, ejust,
+                              -pol if kind is Imp and k == 0 else pol):
             return False
     return True
 

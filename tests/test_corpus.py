@@ -241,16 +241,21 @@ def test_transform_images_build_each_node_once(entry, op):
 def test_manifest_pass_parse_work(monkeypatch):
     counts = {'node': 0, 'tokens': 0}
 
-    def node(self, *fields, fn=syntax._Parser.node):
-        counts['node'] += 1
-        return fn(self, *fields)
+    def counted(fn):
+        def build(self, *fields):
+            counts['node'] += 1
+            return fn(self, *fields)
+        return build
 
     def tokenize(text, fn=syntax._tokenize):
         toks, close = fn(text)
         counts['tokens'] += len(toks)
         return toks, close
 
-    monkeypatch.setattr(syntax._Parser, 'node', node)
+    # node builds every node but the binary ones, which binary builds
+    for name in ('node', 'binary'):
+        monkeypatch.setattr(syntax._Parser, name,
+                            counted(getattr(syntax._Parser, name)))
     monkeypatch.setattr(syntax, '_tokenize', tokenize)
     for e in MANIFEST:
         assert run_entry(e).ok

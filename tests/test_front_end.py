@@ -640,14 +640,14 @@ def test_cached_profile_check_matches_walk(f, g, t, agent, checks):
 def test_facts_are_not_fields():
     f = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))
     syntax.check_profile(f, syntax.FULL, ('a',))
-    assert f._kinds and f._labels == {'a'}
+    assert f._kinds
     assert list(Just.__match_args__) == ['t', 'agent', 'a']
     assert repr(f) == ("Just(t=Var(name='x'), agent='a', a=Imp(a=FMeta("
                        "name='A'), b=Knows(time=1, a=Atom(name='p'))))")
     # g has f's facts from its construction, before any profile check
     g = Just(Var('x'), 'a', Imp(FMeta('A'), Knows(1, Atom('p'))))
     assert f == g and hash(f) == hash(g)
-    assert (g._kinds, g._labels) == (f._kinds, f._labels)
+    assert g._kinds == f._kinds
 
 
 # -- the .drv line reader -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Derivation parsing, checking, and the inline transform hooks."""
 
+import collections
 import os
 import subprocess
 import sys
@@ -768,16 +769,28 @@ def test_transform_lift_builds_each_image_once(monkeypatch, tmp_path, capsys):
 
 def test_verdict_memo_checks_each_derivation_once(monkeypatch):
     checked = []
-    monkeypatch.setattr(kernel, '_check',
-                        lambda d, fn=kernel._check: checked.append(d) or fn(d))
+
+    def counted(c, *args, fn=kernel._check_step):
+        checked.append(c.d)
+        return fn(c, *args)
+
+    monkeypatch.setattr(kernel, '_check_step', counted)
     d = _lift_chain(3)
+
+    def steps_checked():
+        n = sum(x is d for x in checked)
+        checked.clear()
+        return n
+
     with kernel.memo_scope():
         rep = check_derivation(d)
-        assert rep.ok and check_derivation(d) is rep
+        assert rep.ok and steps_checked() == 4
+        # a repeat resumes past every step: an equal report, no step check
+        assert check_derivation(d) == rep and steps_checked() == 0
         assert transforms.lift(d).derivation.final.a == d.final
-    assert checked.count(d) == 1
+        assert steps_checked() == 0
     assert check_derivation(d).ok
-    assert checked.count(d) == 2      # a new scope checks anew
+    assert steps_checked() == 4       # a new scope checks anew
 
 
 def test_mutated_copy_is_not_served_from_the_memo():
@@ -955,6 +968,26 @@ def test_ts4_bot_walks_each_formula_node_once(monkeypatch, counted_kinds):
     assert len(ids) == len(set(ids))
     assert (loaded, len(ids)) == (140, 149)
     assert walks == []
+
+
+def test_corpus_pass_walks_only_where_labels_are_checked(monkeypatch):
+    from justfix import corpus, syntax
+    walks = collections.Counter()
+    current = []
+
+    def counted(*args, fn=syntax._raise_first_error):
+        walks[current[-1]] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(syntax, '_raise_first_error', counted)
+    for e in corpus.MANIFEST:
+        current.append(e.id)
+        assert corpus.run_entry(e).ok
+    # the kinds mask decides every check but the refused retarget of
+    # qlp-knower and the agent checks of the one entry that declares
+    # agents, which walk each formula with a justification to compare its
+    # labels with them
+    assert walks == {'qlp-knower': 2, 'qlp-blindspot': 12}
 
 
 def _loaded_roots(d):

@@ -15,7 +15,7 @@ from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             print_formula, print_term, subst_prop,
                             subst_term_for_var, uall_vars,
                             children, rebuild, walk, App, Quest, WQuest, Xor,
-                            occurrences)
+                            OCCURRENCE_MODES)
 from justfix.transforms import project
 
 QLP = get_logic('QLP').profile
@@ -442,11 +442,22 @@ _occurrence_formulas = st.recursive(
     max_leaves=4)
 
 
+def _ref_occurrence_ok(f, p, mode):
+    """occurrence_ok, folded from the occurrences _ref_occurrences lists."""
+    def ok(box, just, ejust, pol, opq):
+        return not opq and {
+            'modalized': box, 'justified': just, 'exists_justified': ejust,
+            'positive': pol == 1,
+            'semi_positive': pol == 1 or box or just}[mode]
+    return all(ok(*occ) for occ in _ref_occurrences(f, p))
+
+
 @settings(max_examples=500, deadline=None)
 @given(_occurrence_formulas)
 def test_occurrences_match_reference(f):
     for p in ATOM_NAMES:
-        assert occurrences(f, p) == _ref_occurrences(f, p)
+        for mode in OCCURRENCE_MODES:
+            assert occurrence_ok(f, p, mode) == _ref_occurrence_ok(f, p, mode)
 
 
 @settings(max_examples=500, deadline=None)

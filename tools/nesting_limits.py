@@ -4,7 +4,9 @@ that justfix.syntax.parse_formula or parse_term accepts.
     PYTHONPATH=src python3 tools/nesting_limits.py
 
 Prints one JSON line per shape, {"sort": ..., "shape": ..., "limit": ...}.
-The shape is the text repeated once per level.  Each limit is bisected
+The shape is the text repeated once per level, after 'mu p . ' for the
+shape 'mu p . ~~', whose limit is set by the walk of the positivity check
+that Mu's constructor runs on its body.  Each limit is bisected
 between 0 and HIGH, which no shape reaches at the default recursion limit;
 a depth counts as accepted when the parse returns, and as refused when it
 raises ParseError.  The limits depend on the stack the caller has used, so
@@ -32,6 +34,7 @@ SHAPES = (
     ('formula', 'all x .', lambda n: 'all x . ' * n + 'p'),
     ('formula', 'fix(d;', lambda n: 'fix(d; ' * n + 'p' + ')' * n),
     ('formula', 'nu p .', lambda n: 'nu p . ' * n + 'p'),
+    ('formula', 'mu p . ~~', lambda n: 'mu p . ' + '~~' * n + 'p'),
     ('term', '(', lambda n: '(' * n + 'x' + ')' * n),
     ('term', '!', lambda n: '!' * n + 'x'),
     ('term', '(... all y)', lambda n: '(' * n + 'x' + ' all y)' * n),
