@@ -121,9 +121,10 @@ def _deduce_roundtrip(d: Derivation) -> str | None:
         if not rep.ok:
             return 'deduction over %s rejected at step %s: %s' % (
                 (prem.name,) + rep.first_failure)
-        if dd.steps[-1].formula != Imp(prem.formula, goal):
+        f = dd.steps[-1].formula
+        if type(f) is not Imp or (f.a, f.b) != (prem.formula, goal):
             return 'deduction over %s has final %s' % (
-                prem.name, print_formula(dd.steps[-1].formula))
+                prem.name, print_formula(f))
         n = len(dd.steps)
         back = replace(
             dd,

@@ -468,15 +468,15 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
 def memo_scope():
     """Open the memo, one table (registry._DECISIONS), for the outermost
     scope and drop it when that scope ends or raises; nested scopes share
-    it.  It holds the inline images built in the scope, the verdicts of
-    the tautology, axiom and logic queries asked in it, and the folds
-    resume registers: the state of each check and each internalization
-    after every step it finished.  check_derivation and elaborate open one
-    per call; the corpus runner and the command line open one per entry,
-    so a derivation checked twice in an entry has its steps checked once,
-    a derivation that begins with the steps of one checked before is
-    checked from where they end, and a query on the same formula objects
-    is decided once."""
+    it.  It holds the inline images built in the scope, the verdicts of the
+    tautology, axiom and logic queries asked in it, the BDD the tautology
+    queries are built on, and the folds resume registers: the state of
+    each check and each internalization after every step it finished.
+    check_derivation and elaborate open one per call; the corpus runner
+    and the command line open one per entry, so a derivation checked twice
+    in an entry has its steps checked once, a derivation that begins with
+    the steps of one checked before is checked from where they end, and a
+    query on the same formula objects is decided once."""
     if registry._DECISIONS is not None:
         yield
         return
@@ -510,6 +510,8 @@ def resume(kind: str, d: Derivation, run: tuple):
     best, prior = 0, None
     for old, other in runs:
         n, k = min(len(steps), len(other[-1])), 0
+        if old is d:        # the same input under the same header
+            k = n
         while k < n and _same_step(steps[k], old.steps[k], k + 1):
             k += 1
         if k > best:
@@ -652,9 +654,10 @@ def _premise(c, s, ref):
         return "formula differs from premise %r" % name
 
 
-# _mp, _nec, _gen, _qnec, _e and _admk compare the fields of the formulas
-# they are given, as == of a node built from them would, and build none:
-# the field tuples compare item by item, an object equal to itself at once
+# _mp, _nec, _gen, _qnec, _e, _de, _reg and _admk compare the fields of
+# the formulas they are given, as == of a node built from them would, and
+# build none: the field tuples compare item by item, an object equal to
+# itself at once
 
 def _mp(c, s, ref):
     g = ref[1]
@@ -738,7 +741,10 @@ def _de(c, s, ref):
     t1, t2 = s.args
     if not t1 < t2:
         return "times must increase"
-    if s.formula != Imp(Knows(t1, ref[0]), Knows(t2, Knows(t1, ref[0]))):
+    f = s.formula
+    if not (type(f) is Imp and type(f.a) is Knows and type(f.b) is Knows
+            and (f.a.time, f.a.a) == (t1, ref[0])
+            and (f.b.time, f.b.a) == (t2, f.a)):
         return "conclusion shape mismatch"
 
 
@@ -759,7 +765,8 @@ def _reg(c, s, ref):
     if c.gl is not None and not c.gl.get(s.refs[0], False):
         return ("regularity in GLS requires a provability-law step, "
                 "step %d uses reflection" % s.refs[0])
-    if f != Imp(Box(a), Box(b)):
+    if not (type(f) is Imp and type(f.a) is Box and type(f.b) is Box
+            and (f.a.a, f.b.a) == (a, b)):
         return "conclusion is not []A -> []B for step %d" % s.refs[0]
 
 

@@ -13,19 +13,26 @@ nothing matches through the defined connectives.
 
 The tautological-consequence engine also lives here (the kernel and the
 schema for Taut both need it, and the kernel already imports us).  It
-decides each query with a reduced ordered BDD (Bryant 1986) built for
-that query alone: every maximal subformula that is not a boolean connective
-becomes one atom, atoms are ordered by first sight (goal first, then the
-premises last to first), and the node and memo tables are freed when the
-build returns.  An edge to a node is a ref, the node's index times two
-plus a complement bit, and a stored node's hi edge is always regular, so
-a function and its complement share one node and negation is free: ~f is
-the ref of f with its last bit flipped, which neither builds a node nor
-recurses.  Each connective is its truth table as a 4-bit int.  apply
-returns at once when a leaf, two equal operands or two complementary ones
-decide the result, an atom object is looked up by identity before its
-content is hashed, and the premises are not built once the implication is
-already true.
+decides each query with a reduced ordered BDD (Bryant 1986): every maximal
+subformula that is not a boolean connective becomes one atom, and atoms
+are ordered by first sight (goal first, then the premises last to first).
+Outside a scope each query builds a BDD of its own.  Inside a
+kernel.memo_scope the queries share one BDD, as a BDD package shares one
+node table among all the functions it builds: its node, apply and formula
+tables outlive each query, so a premise or subformula that an earlier
+query built costs one lookup.  The order is then the first sight across the
+scope, which an earlier query can make hostile to a later one; so a query
+may add at most _GROWTH nodes to a table that holds other queries' nodes,
+and past that it is built again on a fresh BDD that replaces the scope's,
+with its own order and no bound.  An edge to a node is a ref, the node's
+index times two plus a complement bit, and a stored node's hi edge is
+always regular, so a function and its complement share one node and
+negation is free: ~f is the ref of f with its last bit flipped, which
+neither builds a node nor recurses.  Each connective is its truth table as
+a 4-bit int.  apply returns at once when a leaf, two equal operands or two
+complementary ones decide the result, a formula object is looked up by
+identity before it is built or its content hashed, and the premises are
+not built once the implication is already true.
 Separable goals such as excluded-middle conjunctions and parity
 equivalences stay linear in the atom count.  An atom order can still make
 the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every a seen
@@ -34,14 +41,14 @@ before any b takes about 8,200 nodes.
 Inside a kernel.memo_scope, taut_consequence, match_axiom and get_logic
 decide each query once: the decision memo keys a query by the identity of
 its formula and logic objects (by the id string for get_logic) and keeps
-those objects alive, so no id is reused while the scope is open.  It is
-the scope's one table, and the kernel keeps two more kinds of entry
-there: its inline images, keyed by the ids of the cone's formulas with
-the cone's rules, refs and args and the ids of its header objects; and
-the folds kernel.resume registers, each check's and each
-internalization's state after every step it finished, keyed by the
-fold's header and the first step's formula object.  Outside a scope
-every call computes.
+those objects alive, so no id is reused while the scope is open.  It is the
+scope's one table.  It also holds the scope's BDD, under the key 'bdd', and
+the kernel keeps two more kinds of entry there: its inline images, keyed
+by the ids of the cone's formulas with the cone's rules, refs and args and
+the ids of its header objects; and the folds kernel.resume registers, each
+check's and each internalization's state after every step it finished,
+keyed by the fold's header and the first step's formula object.  Outside a
+scope every call computes.
 """
 
 from typing import Callable, Optional
@@ -57,10 +64,11 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# the memo of one kernel.memo_scope: these decisions, the kernel's inline
-# images and folds.  A query is keyed by the ids of the objects it
-# asks about, not by their content: hashing a formula walks all of it,
-# while the repeats come from re-checks that hand the same objects back.
+# the memo of one kernel.memo_scope: these decisions, the scope's BDD, and
+# the kernel's inline images and folds.  A query is keyed by the ids of
+# the objects it asks about, not by their content: hashing a formula walks
+# all of it, while the repeats come from re-checks that hand the same
+# objects back.
 # Formulas and logics are frozen, so the same objects always get the same
 # answer; a content-equal copy is another object and is decided anew.
 # None outside a scope.
@@ -80,7 +88,8 @@ def _decide(key, keep, compute: Callable, *args):
 
 
 # ---------------------------------------------------------------------------
-# tautological consequence: a reduced ordered BDD built fresh for each query
+# tautological consequence: a reduced ordered BDD per memo scope, or per
+# query outside a scope
 #
 # A function is a ref, 2 * index + a complement bit, and ref ^ 1 is its
 # complement.  Index 0 is the false leaf, so ref 0 is false and ref 1 is
@@ -93,9 +102,21 @@ def _decide(key, keep, compute: Callable, *args):
 # table this keeps the graph canonical, as in Brace, Rudell and Bryant,
 # "Efficient implementation of a BDD package" (DAC 1990): a function and
 # its complement share one node, a function has exactly one ref, and "is
-# a tautology" is "is ref 1".  The tables belong to one build and are
-# freed when it returns; only the verdict is kept, in the decision memo of
-# an open scope.
+# a tautology" is "is ref 1".  In an open scope every query builds on the
+# scope's BDD, so the tables hold the functions of every query asked there
+# and are freed with the scope; outside one they belong to one build.
+#
+# Atoms shared across a scope are numbered in first-seen order across the
+# scope, so an earlier query fixes part of a later query's order, and an
+# order can cost exponentially many nodes.  After a query that sees a0 ..
+# a13 before b0 .. b13, P -> (P | z), where P is (a0 & b0) | ... |
+# (a13 & b13), adds 65,532 nodes; a fresh table, which numbers each b
+# beside its a, takes 97.  So before a query on a table that holds other
+# queries' nodes, _consequence_bdd sets the table's limit _GROWTH nodes
+# past its size; node raises _Overgrown rather than pass it, and the query
+# is built again on a fresh BDD, with no limit, which then serves the rest
+# of the scope.  No query of the corpus or of the benchmark workloads adds
+# more than 88 nodes to a table.
 #
 # A connective is its truth table as a 4-bit int, bit 2a+b holding f(a,b).
 # Negation is free: build negates a formula's ref by ^ 1, and apply
@@ -110,6 +131,10 @@ _CONNECTIVES = {And: 8, Or: 14, Imp: 11, Iff: 9, Xor: 6}
 _LEAF = float('inf')
 
 
+class _Overgrown(Exception):
+    """A query on a shared table reached its node limit."""
+
+
 class _BDD:
     def __init__(self):
         # the false leaf tests no atom (it sorts below every var) and is
@@ -118,9 +143,12 @@ class _BDD:
         self.unique: dict = {}   # (var, lo, hi) -> regular ref
         self.memo: dict = {}     # (op, u, v) -> ref
         self.atoms: dict = {}    # Formula -> var
-        # id(Formula) -> (Formula, var): an atom object is hashed once per
+        # id(Formula) -> (Formula, ref): a formula object is built once per
         # BDD, and holding it keeps its id from being reused
         self.seen: dict = {}
+        # node raises _Overgrown rather than grow the table past limit
+        # nodes
+        self.limit: float = float('inf')
 
     def node(self, var: int, lo: int, hi: int) -> int:
         if lo == hi:
@@ -129,6 +157,8 @@ class _BDD:
         key = (var, lo ^ neg, hi ^ neg)
         u = self.unique.get(key)
         if u is None:
+            if len(self.nodes) >= self.limit:
+                raise _Overgrown
             u = self.unique[key] = 2 * len(self.nodes)
             self.nodes.append(key)
         return u ^ neg
@@ -177,11 +207,14 @@ class _BDD:
     def build(self, f: Formula) -> int:
         """The ref of f; every maximal subformula that is not a boolean
         connective or Falsum is one atom, shared by formula equality."""
+        hit = self.seen.get(id(f))
+        if hit is not None:
+            return hit[1]
         kind = type(f)
         op = _CONNECTIVES.get(kind)
         if kind is Imp:
-            return self.apply(op, self.build(f.a), self.build(f.b))
-        if op is not None:
+            u = self.apply(op, self.build(f.a), self.build(f.b))
+        elif op is not None:
             # And, Or, Iff and Xor are associative and commutative: join
             # the operands of a chain from the deepest top atom upwards, so
             # that each join adds nodes only above those built so far (a
@@ -198,24 +231,41 @@ class _BDD:
             u = operands[0]
             for v in operands[1:]:
                 u = self.apply(op, v, u)
-            return u
-        if kind is Neg:
-            return self.build(f.a) ^ 1
-        if kind is Falsum:
-            return 0
-        # Atom, Box, Knows, Just, Forall, Exists, Mu, FixApp: opaque
-        hit = self.seen.get(id(f))
-        if hit is None:
-            var = self.atoms.setdefault(f, len(self.atoms))
-            hit = self.seen[id(f)] = f, var
-        return self.node(hit[1], 0, 1)
+        elif kind is Neg:
+            u = self.build(f.a) ^ 1
+        elif kind is Falsum:
+            u = 0
+        else:
+            # Atom, Box, Knows, Just, Forall, Exists, Mu, FixApp: opaque
+            u = self.node(self.atoms.setdefault(f, len(self.atoms)), 0, 1)
+        self.seen[id(f)] = f, u
+        return u
+
+
+# the most nodes a query may add to a table that holds other queries' nodes
+_GROWTH = 2000
 
 
 def _consequence_bdd(goal: Formula, premises: list) -> tuple:
     """(node, bdd) of the implication from premises to goal; the bdd is
-    returned so that tests can read the size of its node table.  Once the
-    implication is node 1 the remaining premises are not built."""
-    bdd = _BDD()
+    returned so that tests can read the size of its node table.  In an
+    open scope the query is built on the scope's BDD, and on a fresh one
+    that replaces it if it would add more than _GROWTH nodes there.  Once
+    the implication is node 1 the remaining premises are not built."""
+    if _DECISIONS is None:
+        return _implication(_BDD(), goal, premises)
+    bdd = _DECISIONS.get('bdd')
+    if bdd is not None and len(bdd.nodes) > 1:
+        bdd.limit = len(bdd.nodes) + _GROWTH
+        try:
+            return _implication(bdd, goal, premises)
+        except _Overgrown:
+            pass
+    bdd = _DECISIONS['bdd'] = _BDD()
+    return _implication(bdd, goal, premises)
+
+
+def _implication(bdd: _BDD, goal: Formula, premises: list) -> tuple:
     u = bdd.build(goal)
     for p in reversed(premises):
         if u == 1:

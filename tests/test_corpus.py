@@ -209,9 +209,29 @@ def test_manifest_pass_apply_calls(monkeypatch):
         current.append(e.id)
         assert run_entry(e).ok
     # with a negation pass per ~ and no terminal rules, a pass took 21,243
-    # apply calls, 4,664 of them on ts4-bot
-    assert sum(calls.values()) <= 7000
-    assert calls['ts4-bot'] <= 1300
+    # apply calls, 4,664 of them on ts4-bot; with a BDD per query, 5,419
+    # and 1,065
+    assert sum(calls.values()) <= 3000
+    assert calls['ts4-bot'] <= 500
+
+
+def test_manifest_pass_bdd_nodes(monkeypatch):
+    tables = {e.id: [] for e in MANIFEST}
+    current = []
+
+    def made(self, fn=registry._BDD.__init__):
+        fn(self)
+        tables[current[-1]].append(self)
+
+    monkeypatch.setattr(registry._BDD, '__init__', made)
+    for e in MANIFEST:
+        current.append(e.id)
+        assert run_entry(e).ok
+    # every entry builds its queries on one table: none adds past
+    # registry._GROWTH nodes to what the entry built before.  A BDD per
+    # query stored 2,767 nodes per pass
+    assert max(map(len, tables.values())) == 1
+    assert sum(len(b.nodes) - 1 for t in tables.values() for b in t) <= 1000
 
 
 def test_manifest_pass_profile_facts(counted_kinds):
@@ -221,7 +241,8 @@ def test_manifest_pass_profile_facts(counted_kinds):
     # in a pass.  Parsing each formula apart computed the facts of 12,097
     # nodes per pass, and projecting each copy of a subformula apart
     # 3,333.  Counted by construction, a pass built 2,044 nodes while the
-    # rules built the node they compare a step with, and builds 1,817
+    # rules built the node they compare a step with, 1,817 while _de, _reg
+    # and the deduction round trip still did, and builds 1,800
     assert len(counted_kinds.computed) <= 2000
 
 

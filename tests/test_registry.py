@@ -7,9 +7,10 @@ import hypothesis.strategies as st
 
 from conftest import (ATOM_NAMES, any_formulas, atoms, bool_formulas,
                       corpus_paths, jl_formulas)
-from justfix.kernel import load_derivation
+from justfix import registry
+from justfix.kernel import load_derivation, memo_scope
 from justfix.registry import (EMPTY, TOTAL, SCHEMAS, Spec, UnknownLogic,
-                              _BDD, _CONNECTIVES, _consequence_bdd,
+                              _BDD, _CONNECTIVES, _GROWTH, _consequence_bdd,
                               get_logic, infer_term,
                               is_tautology, known_logics, match_axiom,
                               sigma_match, spec_membership, taut_consequence)
@@ -348,6 +349,54 @@ def test_true_implication_builds_no_further_premise():
     node, bdd = _consequence_bdd(parse_formula('q'),
                                  [parse_formula('[]r'), parse_formula('q')])
     assert node == 1 and list(bdd.atoms) == [Atom('q')]
+
+
+# -- one BDD per memo scope ----------------------------------------------------
+
+_LEAVES = atoms | atoms.map(Box)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bool_formulas(5, _LEAVES), min_size=2, max_size=5),
+       st.data())
+def test_scope_bdd_decides_every_query_as_truth_tables(pool, data):
+    # the queries of one scope share atoms, formula objects and one node
+    # table, whose order the earlier queries set; each still gets the
+    # truth-table verdict, and the table stays canonical
+    pick = st.sampled_from(pool)
+    goals = pick | st.tuples(pick, pick).map(lambda ab: Imp(*ab))
+    queries = data.draw(st.lists(st.tuples(goals, st.lists(pick, max_size=3)),
+                                 min_size=2, max_size=6))
+    with memo_scope():
+        for goal, premises in queries:
+            assert taut_consequence(goal, premises) == \
+                table_consequence(premises, goal)
+        bdd = registry._DECISIONS['bdd']
+    assert bdd.nodes[0][1:] == (0, 0)
+    for var, lo, hi in bdd.nodes[1:]:
+        assert hi % 2 == 0 and lo != hi
+
+
+def test_inherited_atom_order_costs_at_most_growth_nodes():
+    n = 14
+    a, b = (['%s%d' % (x, k) for k in range(n)] for x in 'ab')
+    pairs = ' | '.join('(%s & %s)' % ab for ab in zip(a, b))
+    first = parse_formula(' & '.join(a + b) + ' -> a0')
+    second = parse_formula('(%s) -> (%s | z)' % (pairs, pairs))
+    # alone, each b is numbered beside its a: 97 nodes and the leaf
+    node, alone = _consequence_bdd(second, [])
+    assert node == 1 and len(alone.nodes) == 98
+    with memo_scope():
+        assert taut_consequence(first, [])
+        shared = registry._DECISIONS['bdd']
+        before = len(shared.nodes)
+        # the first query numbered every a before any b, an order on which
+        # the second took 65,532 nodes; past _GROWTH it runs on a fresh
+        # table instead
+        assert taut_consequence(second, [])
+        fresh = registry._DECISIONS['bdd']
+    assert fresh is not shared
+    assert len(shared.nodes) - before + len(fresh.nodes) - 1 <= _GROWTH + 98
 
 
 # -- schema matching ----------------------------------------------------------

@@ -305,6 +305,20 @@ def test_built_steps_out_of_order_are_checked_from_there(d, k, step_checks):
         assert_same_report(got, fresh(second))
 
 
+def test_a_repeat_check_of_the_same_object_checks_no_step(step_checks):
+    # the same object is the same input under the same header, so even a
+    # step that cites a later one resumes
+    d = _built((1, 'p -> p', 'prop', ()), (2, '[](q -> q)', 'nec', (3,)),
+               (3, 'q -> q', 'prop', ()))
+    with memo_scope():
+        first = check_derivation(d)
+        step_checks.clear()
+        again = check_derivation(d)
+    assert not step_checks
+    assert again == first
+    assert_same_report(again, fresh(d))
+
+
 def test_no_fold_is_registered_outside_a_scope():
     assert kernel.resume('check', parse_derivation(_BASE), ([],)) == (0, None)
 

@@ -134,7 +134,7 @@ def test_occurrence_mode_table():
     assert occurrence_ok(f, 'p', 'modalized')
     assert not occurrence_ok(f, 'q', 'modalized')
     assert occurrence_ok(f, 'q', 'positive')
-    assert not occurrence_ok(f, 'p', 'positive') or True  # p is negative here
+    assert not occurrence_ok(f, 'p', 'positive')  # p is negative here
     assert not occurrence_ok(parse_formula('p | q'), 'p', 'modalized')
     g = parse_formula('x : p', QLP)
     assert occurrence_ok(g, 'p', 'justified')

@@ -2,6 +2,7 @@
 
     python3 tools/ab_inprocess.py BASE_TREE [--tree TREE]
         [--workload prop|corpus|inline] [--seed N] [--rounds N]
+        [--per-input]
 
 Loads the justfix package of BASE_TREE (a checkout, for example one
 written by `git archive`) and that of TREE (default: this repository)
@@ -14,7 +15,10 @@ verdict line for every input; it stops, printing the lines that differ,
 if they do not.  It then times one pass of all the inputs per side and
 round, alternating which side goes first, for N rounds (default 20).  It
 prints one JSON line per side: its min and median pass time in ms and
-the rounds it won (a tie counts for neither side).
+the rounds it won (a tie counts for neither side).  With --per-input it
+also times each input apart and then prints one JSON line per input, in
+pass order: its id and each side's min time over the rounds in ms, which
+shows where a change in the pass time lands.
 
 Separate processes on a shared host can drift far more than the few per
 cent a change moves; alternating passes in one interpreter share the
@@ -70,10 +74,19 @@ def entries(corpus, rows) -> list:
              str(root)) for e, root in rows]
 
 
-def one_pass(corpus, todo) -> tuple:
-    """(seconds, verdict lines) of one pass over todo."""
+def one_pass(corpus, todo, per_input=None) -> tuple:
+    """(seconds, verdict lines) of one pass over todo.  per_input, when
+    given, is a list of one list per input, to which each input's time is
+    appended."""
     t0 = time.perf_counter()
-    lines = [corpus.run_entry(e, root).line for e, root in todo]
+    if per_input is None:
+        lines = [corpus.run_entry(e, root).line for e, root in todo]
+    else:
+        lines = []
+        for (e, root), took in zip(todo, per_input):
+            t = time.perf_counter()
+            lines.append(corpus.run_entry(e, root).line)
+            took.append(time.perf_counter() - t)
     return time.perf_counter() - t0, lines
 
 
@@ -85,6 +98,8 @@ def main(argv=None) -> int:
                     choices=('corpus', 'prop', 'inline'))
     ap.add_argument('--seed', type=int, default=5)
     ap.add_argument('--rounds', type=int, default=20)
+    ap.add_argument('--per-input', action='store_true',
+                    help='also print each input\'s min time per side')
     args = ap.parse_args(argv)
     corpora = {side: load(tree.resolve(), 'justfix_' + side)
                for side, tree in zip(SIDES, (args.base, args.tree))}
@@ -99,13 +114,16 @@ def main(argv=None) -> int:
                     print('verdicts differ:\n  base: %s\n  tree: %s' % (a, b))
             return 1
         times = {side: [] for side in SIDES}
+        each = {side: [[] for _ in rows] if args.per_input else None
+                for side in SIDES}
         wins = dict.fromkeys(SIDES, 0)
         for k in range(args.rounds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             took = {}
             for side in order:
                 gc.collect()
-                took[side] = one_pass(corpora[side], todo[side])[0]
+                took[side] = one_pass(corpora[side], todo[side],
+                                      each[side])[0]
                 times[side].append(took[side])
             if took['base'] != took['tree']:
                 wins[min(took, key=took.get)] += 1
@@ -116,6 +134,11 @@ def main(argv=None) -> int:
             'min_ms': round(min(times[side]) * 1e3, 3),
             'median_ms': round(statistics.median(times[side]) * 1e3, 3),
             'won': wins[side]}))
+    if args.per_input:
+        for k, (e, _) in enumerate(rows):
+            print(json.dumps({'input': e['id'], **{
+                side + '_min_ms': round(min(each[side][k]) * 1e3, 3)
+                for side in SIDES}}))
     return 0
 
 
