@@ -228,8 +228,10 @@ def main(argv=None) -> int:
         print('error: %s' % ex, file=sys.stderr)
         return 1
     except RecursionError:
-        # the parser bounds nesting itself; a recursion past it (the
-        # tautology engine on a chain of over a thousand atoms) ends here
+        # the parser bounds nesting itself; a later pass that recurses past
+        # it ends here.  On a flat 1,000-atom prop step that is printing
+        # (hash and == recurse as deep), not the tautology engine: --quiet
+        # check of the same file exits 0.  See ROADMAP item 3
         print('error: formula nested too deeply', file=sys.stderr)
         return 1
 

@@ -28,7 +28,6 @@ not abort the run: later steps are checked against the stated formulas,
 so one broken citation yields one diagnostic rather than a cascade.
 """
 
-import contextlib
 import os
 import re
 from typing import Callable, Optional, Sequence
@@ -45,7 +44,7 @@ from .syntax import (
 from . import registry
 from .registry import (
     LogicSpec, get_logic, match_axiom, SCHEMAS,
-    Spec, TOTAL, EMPTY, spec_membership, taut_consequence,
+    Spec, TOTAL, EMPTY, spec_membership, taut_consequence, memo_scope,
 )
 from .fixedpoint import FPOperator, make_operator, fp_axiom_instance
 
@@ -462,29 +461,6 @@ def cone_derivation(d: Derivation, i: int) -> Derivation:
     names = {s.args[0] for s in steps if s.rule == 'premise'}
     premises = tuple(p for p in d.premises if p.name in names)
     return replace(d, premises=premises, steps=steps)
-
-
-@contextlib.contextmanager
-def memo_scope():
-    """Open the memo, one table (registry._DECISIONS), for the outermost
-    scope and drop it when that scope ends or raises; nested scopes share
-    it.  It holds the inline images built in the scope, the verdicts of the
-    tautology, axiom and logic queries asked in it, the BDD the tautology
-    queries are built on, and the folds resume registers: the state of
-    each check and each internalization after every step it finished.
-    check_derivation and elaborate open one per call; the corpus runner
-    and the command line open one per entry, so a derivation checked twice
-    in an entry has its steps checked once, a derivation that begins with
-    the steps of one checked before is checked from where they end, and a
-    query on the same formula objects is decided once."""
-    if registry._DECISIONS is not None:
-        yield
-        return
-    registry._DECISIONS = {}
-    try:
-        yield
-    finally:
-        registry._DECISIONS = None
 
 
 def resume(kind: str, d: Derivation, run: tuple):

@@ -17,40 +17,37 @@ decides each query with a reduced ordered BDD (Bryant 1986): every maximal
 subformula that is not a boolean connective becomes one atom, and atoms
 are ordered by first sight (goal first, then the premises last to first).
 Outside a scope each query builds a BDD of its own.  Inside a
-kernel.memo_scope the queries share one BDD, as a BDD package shares one
-node table among all the functions it builds: its node, apply and formula
+memo_scope the queries share one BDD, as a BDD package shares one node
+table among all the functions it builds: its node, apply and formula
 tables outlive each query, so a premise or subformula that an earlier
-query built costs one lookup.  The order is then the first sight across the
-scope, which an earlier query can make hostile to a later one; so a query
-may add at most _GROWTH nodes to a table that holds other queries' nodes,
-and past that it is built again on a fresh BDD that replaces the scope's,
-with its own order and no bound.  An edge to a node is a ref, the node's
-index times two plus a complement bit, and a stored node's hi edge is
-always regular, so a function and its complement share one node and
-negation is free: ~f is the ref of f with its last bit flipped, which
-neither builds a node nor recurses.  Each connective is its truth table as
-a 4-bit int.  apply returns at once when a leaf, two equal operands or two
-complementary ones decide the result, a formula object is looked up by
-identity before it is built or its content hashed, and the premises are
-not built once the implication is already true.
+query built costs one lookup, and a repeated query is lookups only, with no
+verdict cache in front of the tables.  The order is then the first sight
+across the scope, which an earlier query can make hostile to a later one;
+so a query may add at most _GROWTH nodes to a table that holds other
+queries' nodes, and past that it is built again on a fresh BDD that
+replaces the scope's, with its own order and no bound.  An edge to a node
+is a ref, the node's index times two plus a complement bit, and a stored
+node's hi edge is always regular, so a function and its complement share
+one node and negation is free: ~f is the ref of f with its last bit
+flipped, which neither builds a node nor recurses.  Each connective is its
+truth table as a 4-bit int.  apply returns at once when a leaf, two equal
+operands or two complementary ones decide the result, a formula object is
+looked up by identity before it is built or its content hashed, and the
+premises are not built once the implication is already true.
 Separable goals such as excluded-middle conjunctions and parity
 equivalences stay linear in the atom count.  An atom order can still make
 the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every a seen
 before any b takes about 8,200 nodes.
 
-Inside a kernel.memo_scope, taut_consequence, match_axiom and get_logic
-decide each query once: the decision memo keys a query by the identity of
-its formula and logic objects (by the id string for get_logic) and keeps
-those objects alive, so no id is reused while the scope is open.  It is the
-scope's one table.  It also holds the scope's BDD, under the key 'bdd', and
-the kernel keeps two more kinds of entry there: its inline images, keyed
-by the ids of the cone's formulas with the cone's rules, refs and args and
-the ids of its header objects; and the folds kernel.resume registers, each
-check's and each internalization's state after every step it finished,
-keyed by the fold's header and the first step's formula object.  Outside a
-scope every call computes.
+The memo of a scope is one table, opened and dropped by memo_scope and
+by nothing else; memo_scope says what it holds.  Inside a scope,
+match_axiom and get_logic decide each query once, keyed by the identity of
+its formula and logic objects (by the id string for get_logic), and a
+repeated taut_consequence is lookups in the scope's BDD.  Outside a scope
+every call computes.
 """
 
+import contextlib
 from typing import Callable, Optional
 
 from .syntax import (
@@ -64,15 +61,35 @@ from .syntax import (
 
 
 # ---------------------------------------------------------------------------
-# the memo of one kernel.memo_scope: these decisions, the scope's BDD, and
-# the kernel's inline images and folds.  A query is keyed by the ids of
-# the objects it asks about, not by their content: hashing a formula walks
-# all of it, while the repeats come from re-checks that hand the same
+# the table of memo_scope, None outside a scope.  A query is keyed by the
+# ids of the objects it asks about, not by their content: hashing a formula
+# walks all of it, while the repeats come from re-checks that hand the same
 # objects back.
 # Formulas and logics are frozen, so the same objects always get the same
 # answer; a content-equal copy is another object and is decided anew.
-# None outside a scope.
 _DECISIONS = None
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Open the memo, one table (_DECISIONS), for the outermost scope and
+    drop it when that scope ends or raises; nested scopes share it.  It
+    holds the axiom and logic decisions (_decide), the BDD the tautology
+    queries are built on, and the kernel's inline images, keyed by the ids
+    of the cone's formulas with the cone's rules, refs and args and the ids
+    of its header objects, and the folds kernel.resume registers, keyed by
+    the fold's header and the first step's formula object.
+    kernel.check_derivation and elaborate open one per call; the corpus
+    runner and the command line open one per entry."""
+    global _DECISIONS
+    if _DECISIONS is not None:
+        yield
+        return
+    _DECISIONS = {}
+    try:
+        yield
+    finally:
+        _DECISIONS = None
 
 
 def _decide(key, keep, compute: Callable, *args):
@@ -274,16 +291,10 @@ def _implication(bdd: _BDD, goal: Formula, premises: list) -> tuple:
     return u, bdd
 
 
-def _entails(goal: Formula, premises: tuple) -> bool:
-    return _consequence_bdd(goal, premises)[0] == 1
-
-
 def taut_consequence(goal: Formula, premises: list) -> bool:
     """True iff goal follows truth-functionally from premises, atomizing
     maximal non-boolean subformulas consistently across all of them."""
-    query = (goal, *premises)
-    return _decide(('taut', *map(id, query)), query,
-                   _entails, goal, query[1:])
+    return _consequence_bdd(goal, premises)[0] == 1
 
 
 def is_tautology(f: Formula) -> bool:

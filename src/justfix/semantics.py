@@ -329,14 +329,16 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
             if not m2:
                 raise ModelError("bad evidence line: %r" % line)
             reason = m2.group(1)
-            cond = []
-            if m2.group(2):
-                inner = m2.group(2)[1:-1].strip()
-                if inner:
-                    for piece in inner.split(','):
-                        x, _, r = piece.partition('=')
-                        cond.append((x.strip(), r.strip()))
-            evidence.append(EvEntry(agent, reason, tuple(sorted(cond)),
+            cond = {}
+            inner = (m2.group(2) or '{}')[1:-1]
+            for piece in inner.split(',') if inner.strip() else ():
+                x, eq, r = (w.strip() for w in piece.partition('='))
+                if not (x and eq and r) or x in cond:
+                    raise ModelError("bad evidence condition %r (one "
+                                     "var=reason per var): %r"
+                                     % (piece.strip(), line))
+                cond[x] = r
+            evidence.append(EvEntry(agent, reason, tuple(sorted(cond.items())),
                                     parse_formula(m2.group(3), h.logic.profile,
                                                   table=h.table)))
             continue
@@ -367,6 +369,10 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
     for e in evidence:      # check_evidence_conditions checks no other agent
         if e.agent is not None and e.agent not in (h.agents or ()):
             raise ModelError("evidence for undeclared agent %r" % e.agent)
+        for x, r in e.cond:
+            if r not in domain:
+                raise ModelError("evidence condition %s=%s outside the "
+                                 "domain" % (x, r))
     return MModel(domain, interp, tuple(evidence), truth, truth_default,
                   h.logic_id, h.spec, h.spec_src, h.agents, tuple(claims))
 

@@ -62,6 +62,38 @@ def counted_kinds(monkeypatch):
     return counted
 
 
+class BDDWork:
+    """The work of the tautology engine: misses, the build calls that
+    miss their BDD's seen memo (a formula object that BDD has not built
+    yet), and tables, every BDD made while it was installed."""
+
+    def __init__(self):
+        self.misses, self.tables = 0, []
+
+    @property
+    def nodes(self) -> int:
+        """The nodes stored in those tables, the false leaf aside."""
+        return sum(len(t.nodes) - 1 for t in self.tables)
+
+
+@pytest.fixture
+def bdd_work(monkeypatch):
+    """A BDDWork installed on registry._BDD."""
+    work = BDDWork()
+
+    def build(self, f, fn=registry._BDD.build):
+        work.misses += id(f) not in self.seen
+        return fn(self, f)
+
+    def made(self, fn=registry._BDD.__init__):
+        fn(self)
+        work.tables.append(self)
+
+    monkeypatch.setattr(registry._BDD, 'build', build)
+    monkeypatch.setattr(registry._BDD, '__init__', made)
+    return work
+
+
 def node_objects(roots):
     """Every distinct node object under roots, the terms of justifications
     included."""

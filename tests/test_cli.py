@@ -428,7 +428,14 @@ def _mutants(draw):
 @example((['fp', '--logic', 'QLP(FP)', 'd p (E) := ex x . x : (p & E)',
            'x : q'], None, None))
 def test_mutated_corpus_ends_in_an_exit_code(case):
-    argv, suffix, text = case
+    code, out = _run_mutant(*case)
+    assert code in (0, 1), out
+
+
+def _run_mutant(argv, suffix, text) -> tuple:
+    """(exit code, output) of cli.main on argv and, unless text is None, a
+    file of text with the corpus spec files beside it; the output names
+    the file's directory <tmp>."""
     out = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
@@ -443,4 +450,4 @@ def test_mutated_corpus_ends_in_an_exit_code(case):
             code = cli.main(argv)
         except SystemExit as e:
             code = e.code
-    assert code in (0, 1), out.getvalue()
+    return code, out.getvalue().replace(tmp, '<tmp>')

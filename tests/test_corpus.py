@@ -176,24 +176,18 @@ def test_each_entry_checks_each_derivation_once(monkeypatch):
     assert steps['ts4-bot'] <= 68
 
 
-def test_each_entry_decides_each_query_once(monkeypatch):
-    builds = dict.fromkeys((e.id for e in MANIFEST), 0)
-    current = []
-
-    def counted(*args, fn=registry._consequence_bdd):
-        builds[current[-1]] += 1
-        return fn(*args)
-
-    monkeypatch.setattr(registry, '_consequence_bdd', counted)
+def test_each_entry_decides_each_query_once(bdd_work):
+    misses = {}
     for e in MANIFEST:
-        current.append(e.id)
+        before = bdd_work.misses
         assert run_entry(e).ok
-    # asking again about the same formula objects took 292 BDD builds per
-    # pass, 36 of them on ts4-bot and 31 on ts4-surprise; projecting each
-    # copy of a subformula apart took 188
-    assert sum(builds.values()) <= 182
-    assert builds['ts4-bot'] <= 16
-    assert builds['ts4-surprise'] <= 13
+        misses[e.id] = bdd_work.misses - before
+    # a query asked again in an entry builds no formula object anew: the
+    # scope's BDD has each one in its seen memo.  820 misses per pass, 109
+    # of them on ts4-bot and 106 on ts4-surprise
+    assert sum(misses.values()) <= 820
+    assert misses['ts4-bot'] <= 109
+    assert misses['ts4-surprise'] <= 106
 
 
 def test_manifest_pass_apply_calls(monkeypatch):

@@ -126,6 +126,48 @@ def test_detector_sees_logic_id_piece():
     assert _logic_id_pieces(tree) == [(3, 'JT4'), (3, '_n')]
 
 
+def _memo_table_assignments(tree: ast.Module) -> list:
+    """Lines that assign _DECISIONS, the memo table of registry.memo_scope,
+    as a name or as an attribute."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets += t.elts
+            elif isinstance(t, ast.Name) and t.id == '_DECISIONS' or \
+                    isinstance(t, ast.Attribute) and t.attr == '_DECISIONS':
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_memo_table_only_in_registry(path):
+    # only memo_scope opens and drops the table, so one module owns it
+    if os.path.basename(path) == 'registry.py':
+        return
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    assert _memo_table_assignments(tree) == []
+
+
+def test_detector_sees_memo_table_assignment():
+    tree = ast.parse('from . import registry\n'
+                     'registry._DECISIONS = {}\n'
+                     'table = registry._DECISIONS\n'
+                     'a, registry._DECISIONS = 1, None\n'
+                     'def f():\n    global _DECISIONS\n    _DECISIONS = {}\n'
+                     'registry._DECISIONS[1] = 2\n')
+    assert _memo_table_assignments(tree) == [2, 4, 7]
+
+
 _PROCESS_MEMOS = frozenset(('lru_cache', 'cache'))
 
 

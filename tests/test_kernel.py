@@ -833,57 +833,68 @@ def test_profile_error_wins_over_agent_error():
         'missing agent label in multi-agent logic'
 
 
-# -- the decision memo ------------------------------------------------------------
+# -- the decision memo and the scope's BDD ---------------------------------------
 
-def _count_decisions(monkeypatch):
-    """Count the BDD builds and the match_axiom evaluations, which run only
-    when the decision memo has no answer."""
-    calls = {'bdd': 0, 'axiom': 0}
+def _count_axiom_matches(monkeypatch):
+    """Count the match_axiom evaluations, which run only when the decision
+    memo has no answer."""
+    calls = {'axiom': 0}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args, fn=registry._first_match):
+        calls['axiom'] += 1
+        return fn(*args)
 
-    for name, attr in (('bdd', '_consequence_bdd'), ('axiom', '_first_match')):
-        monkeypatch.setattr(registry, attr,
-                            counted(name, getattr(registry, attr)))
+    monkeypatch.setattr(registry, '_first_match', counted)
     return calls
 
 
-def test_nested_inline_decides_each_query_once(monkeypatch):
-    calls = _count_decisions(monkeypatch)
+def test_nested_inline_decides_each_query_once(monkeypatch, bdd_work):
+    calls = _count_axiom_matches(monkeypatch)
     d = _lift_chain(6)
     with kernel.memo_scope():
         assert check_derivation(d).ok
+        misses, nodes = bdd_work.misses, bdd_work.nodes
         assert transforms.lift(d).derivation.final.a == d.final
-    # the re-checks of the images asked again about the same formula
-    # objects: 134 BDD builds and 127 match_axiom evaluations
-    assert calls['bdd'] <= 1 and calls['axiom'] <= 1
+        # the re-checks of the images ask again about the same formula
+        # objects, which the scope's BDD has built: lookups only
+        assert (bdd_work.misses, bdd_work.nodes) == (misses, nodes)
+    # with no decision memo, the re-checks took 127 match_axiom evaluations
+    assert calls['axiom'] <= 1
 
 
-def test_content_equal_copy_is_decided_anew(monkeypatch):
+def test_content_equal_copy_is_decided_anew(monkeypatch, bdd_work):
     logic = get_logic('K')
     f, copy = (parse_formula('[](p -> q) -> ([]p -> []q)', logic.profile)
                for _ in range(2))
     p, q, r = (parse_formula(a, logic.profile) for a in 'pqr')
     assert f == copy and f is not copy
-    calls = _count_decisions(monkeypatch)
+    calls = _count_axiom_matches(monkeypatch)
     for g in (f, f, copy):
         assert match_axiom(logic, g) == match_axiom(logic, f)
         assert not taut_consequence(g, [])
-    assert calls == {'bdd': 3, 'axiom': 6}     # outside a scope, every call
-    calls.update(bdd=0, axiom=0)
+    # outside a scope, every call computes: a BDD per query, on which each
+    # of the 5 formula objects of the query is built
+    assert calls == {'axiom': 6}
+    assert (len(bdd_work.tables), bdd_work.misses) == (3, 15)
+    calls.update(axiom=0)
     with kernel.memo_scope():
+        work = []
         for g in (f, f, copy, copy):
+            misses, nodes = bdd_work.misses, bdd_work.nodes
             assert match_axiom(logic, g)[0] == 'K'
             assert not taut_consequence(g, [])
-        assert calls == {'bdd': 2, 'axiom': 2}
-        # the same goal object under another premise is another query
+            work.append((bdd_work.misses - misses, bdd_work.nodes - nodes))
+        assert calls == {'axiom': 2}
+        # a repeat of f is lookups only; the copy's objects are built, but
+        # the unique table gives them f's nodes
+        assert work[1] == work[3] == (0, 0)
+        assert work[0][0] == work[2][0] == 5 and work[2][1] == 0
+        # the same goal object under another premise is another query,
+        # which builds only the objects the scope has not seen: p, q and r
+        misses = bdd_work.misses
         assert taut_consequence(q, [q]) and not taut_consequence(q, [r])
         assert taut_consequence(f, [f]) and not taut_consequence(f, [p])
-        assert calls['bdd'] == 6
+        assert bdd_work.misses - misses == 3
         # and the same formula object under another logic
         t = parse_formula('[]p -> p', logic.profile)
         assert match_axiom(get_logic('T'), t)[0] == 'T'

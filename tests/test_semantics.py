@@ -460,6 +460,19 @@ truth E = 1
     ("logic: QLP-_n\ndomain r1\nevidence @a1 r1 : p\nagents: s\n",
      "evidence for undeclared agent 'a1'"),
     ("domain r1\nevidence @s r1 : p\n", "evidence for undeclared agent 's'"),
+    # a condition is var=reason, one per variable, with a reason of the
+    # domain, wherever the domain line is
+    ("domain r s\nevidence r {x} : (x : p -> p)\n",
+     "bad evidence condition 'x'"),
+    ("domain r s\nevidence r {x=} : x : p\n", 'bad evidence condition'),
+    ("domain r s\nevidence r {=s} : x : p\n", 'bad evidence condition'),
+    ("domain r s\nevidence r {x=s,} : x : p\n", 'bad evidence condition'),
+    ("domain r s\nevidence r {x=r, y=s, x=s} : x : y : p\n",
+     "bad evidence condition 'x=s'"),
+    ("domain r s\nevidence r {x=q} : x : p\n",
+     'condition x=q outside the domain'),
+    ("evidence r {x=s} : x : p\ndomain r s\n", None),
+    ("evidence r {x=t} : x : p\ndomain r s\n", 'x=t outside the domain'),
 ])
 def test_parse_model_errors(text, fragment, tmp_path):
     (tmp_path / 'x.spec').write_text('p -> p\n')
