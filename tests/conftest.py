@@ -1,5 +1,7 @@
 import glob
+import importlib.util
 import os
+import sys
 
 import hypothesis.strategies as st
 import pytest
@@ -16,6 +18,17 @@ CORPUS = os.path.join(ROOT, 'corpus')
 
 def corpus_paths(suffix='.drv'):
     return sorted(glob.glob(os.path.join(CORPUS, '*' + suffix)))
+
+
+def perfbench_gen(name: str):
+    """perfbench/gen.py, the benchmark's input generator, loaded read-only
+    under the module name name."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, 'perfbench', 'gen.py'))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses looks the module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

@@ -22,11 +22,9 @@ checked across logics, and mutated, in one scope; and a sample of the
 crash fuzzer's mutants.
 """
 
-import importlib.util
 import os
 import pathlib
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +36,7 @@ from justfix.kernel import (DerivationError, check_derivation, format_report,
 from justfix.registry import memo_scope
 from justfix.syntax import replace
 
-from conftest import CORPUS, ROOT, corpus_paths
+from conftest import CORPUS, corpus_paths, perfbench_gen
 from test_cli import _mutants, _run_mutant
 
 SWITCHES = {
@@ -55,22 +53,12 @@ SWITCHES = {
 }
 
 
-def _gen():
-    """perfbench/gen.py, loaded under a name of its own."""
-    spec = importlib.util.spec_from_file_location(
-        'memos_off_gen', os.path.join(ROOT, 'perfbench', 'gen.py'))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # dataclasses looks the module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope='module')
 def inputs(tmp_path_factory):
     """(entry, root) for every corpus entry and every prop and inline
     input of one benchmark pass."""
     rows = [(e, str(corpus_dir())) for e in MANIFEST]
-    gen = _gen()
+    gen = perfbench_gen('memos_off_gen')
     for workload in ('prop', 'inline'):
         root = tmp_path_factory.mktemp(workload)
         for inp in gen.GENERATORS[workload](5):
