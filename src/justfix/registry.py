@@ -54,7 +54,7 @@ from .syntax import (
     Term, Var, Const, Prim, App, TSum, Bang, Quest, WQuest, UAll, TMeta,
     Formula, Falsum, Neg, And, Or, Imp, Iff, Xor, Box, Knows, Just,
     Forall, Exists, Mu, FixApp, FMeta, Node,
-    LanguageProfile, PROP_NODES, check_profile, ProfileError, children,
+    LanguageProfile, PROP_NODES, check_profile, ProfileError,
     free_vars, subst_prop, subst_term_for_var, NotFreeFor,
     record,
 )
@@ -365,10 +365,10 @@ def match_node(pat: Node, tgt: Node, b: dict, binds: frozenset = frozenset(),
         return (pat.symbol == tgt.symbol and len(pat.args) == len(tgt.args)
                 and all(match_node(Var(x), Var(y), b, binds, bound)
                         for x, y in zip(pat.args, tgt.args)))
-    kids = children(pat)
+    kids = pat.children()
     if not kids:
         return pat == tgt
-    for p, q in zip(kids, children(tgt)):
+    for p, q in zip(kids, tgt.children()):
         if not match_node(p, q, b, binds, bound):
             return False
     return True

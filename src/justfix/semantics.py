@@ -366,13 +366,27 @@ def parse_model(text: str, base_dir: str = '.') -> MModel:
         raise ModelError("unrecognized line: %r" % line)
     if domain is None:
         raise ModelError("missing domain")
+    # a reason outside the domain is one no term denotes and no valuation
+    # gives, so an entry or a table row that names one never applies
     for e in evidence:      # check_evidence_conditions checks no other agent
         if e.agent is not None and e.agent not in (h.agents or ()):
             raise ModelError("evidence for undeclared agent %r" % e.agent)
+        if e.reason not in domain:
+            raise ModelError("evidence reason %s outside the domain"
+                             % e.reason)
         for x, r in e.cond:
             if r not in domain:
                 raise ModelError("evidence condition %s=%s outside the "
                                  "domain" % (x, r))
+    for key, table in interp.items():
+        for args, val in table.items():
+            for r in () if args == 'default' else args:
+                if r not in domain:
+                    raise ModelError("interp %s argument %s outside the "
+                                     "domain" % (key[-1], r))
+            if val not in domain:
+                raise ModelError("interp %s value %s outside the domain"
+                                 % (key[-1], val))
     return MModel(domain, interp, tuple(evidence), truth, truth_default,
                   h.logic_id, h.spec, h.spec_src, h.agents, tuple(claims))
 

@@ -74,7 +74,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 
 class ParseError(Exception):
@@ -144,8 +144,9 @@ def record(cls):
     of it (the arguments of fix, its only child field), in field order: a
     formula's children are formulas (the term of t : A is a field, not a
     child) and a term's children are terms.  rebuild keeps every other
-    field, and a node without child fields rebuilds to itself.  The
-    __init__ of a node also sets its kinds mask (see _facts_source).
+    field, a node without child fields rebuilds to itself, and a rebuilt
+    mu re-checks positivity.  The __init__ of a node also sets its kinds
+    mask (see _facts_source).
     The methods of a class that depend on its fields come from one exec of
     a source that names the class and its constants only through the
     exec's globals, so the classes of one shape (And, Or, Imp, Iff and
@@ -522,18 +523,6 @@ def _check_term(t: Term, profile: LanguageProfile) -> None:
 
 # ----------------------------------------------------------- traversals
 
-def children(f: Node) -> tuple[Node, ...]:
-    """Immediate subformulas of a formula (fix arguments in order), or
-    immediate subterms of a term, left to right."""
-    return f.children()
-
-
-def rebuild(f: Node, kids: Sequence[Node]) -> Node:
-    """f with its immediate children replaced by kids, in children()
-    order; every other field is kept.  A rebuilt mu re-checks positivity."""
-    return f.rebuild(kids)
-
-
 def walk(f: Node) -> Iterator[Node]:
     """Pre-order over all subformulas (including fix arguments) of a
     formula, or over all subterms of a term."""
@@ -563,7 +552,7 @@ def free_vars(f: Node) -> frozenset[str]:
         case UAll(a, v) | Forall(v, a) | Exists(v, a):
             return free_vars(a) - {v}
     out: frozenset[str] = frozenset()
-    for g in children(f):
+    for g in f.children():
         out |= free_vars(g)
     return out
 
@@ -582,7 +571,7 @@ def free_atoms(f: Formula) -> frozenset[str]:
         case Mu(v, a):
             return free_atoms(a) - {v}
     out: frozenset[str] = frozenset()
-    for g in children(f):
+    for g in f.children():
         out |= free_atoms(g)
     return out
 
@@ -663,7 +652,7 @@ def subst_term_for_var(f: Node, x: str, t: Term) -> Node:
             if x in free_vars(a) and v in free_vars(t):
                 raise NotFreeFor(f"{t} not free for {x}: capture by "
                                  f"{_BINDER_WORDS[type(f)]} {v}")
-    return rebuild(f, [subst_term_for_var(k, x, t) for k in children(f)])
+    return f.rebuild([subst_term_for_var(k, x, t) for k in f.children()])
 
 
 def subst_prop_multi(f: Formula, mapping: dict[str, Formula]) -> Formula:
@@ -683,7 +672,7 @@ def subst_prop_multi(f: Formula, mapping: dict[str, Formula]) -> Formula:
                 if any(q in free_atoms(r) for r in m2.values()):
                     raise NotFreeFor(f"substitution captured by mu {q}")
                 return Mu(q, go(a, m2))
-        return rebuild(g, [go(k, m) for k in children(g)])
+        return g.rebuild([go(k, m) for k in g.children()])
 
     return go(f, dict(mapping))
 

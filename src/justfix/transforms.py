@@ -45,7 +45,7 @@ from .syntax import (
     Formula, Term, Falsum, Neg, Imp, Iff, Box, Knows,
     Just, Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim, App, Bang, UAll,
-    Node, NotFreeFor, PROP_NODES, print_formula, children, rebuild, share,
+    Node, NotFreeFor, PROP_NODES, print_formula, share,
     free_vars, subst_term_for_var, imp_chain, record, replace,
 )
 from .registry import (
@@ -142,11 +142,9 @@ def deduction(d: Derivation, name: str) -> Derivation:
     a = pre.formula
 
     b = _Build()
-    wrapped = {}
     for s in d.steps:
         if name not in rep.deps[s.index]:
             b.add(s.formula, s.rule, s.refs, s.args)
-            wrapped[s.index] = False
             continue
         img = Imp(a, s.formula)
         if s.rule == 'premise':
@@ -160,8 +158,7 @@ def deduction(d: Derivation, name: str) -> Derivation:
             raise TransformError(
                 "step %d (%s) depends on %r but is not propositional"
                 % (s.index, s.rule, name))
-        wrapped[s.index] = True
-    if not wrapped[d.steps[-1].index]:
+    if name not in rep.deps[d.steps[-1].index]:
         b.add(Imp(a, d.final), 'prop', (len(b.steps),))
     premises = tuple(p for p in d.premises if p.name != name)
     out = replace(d, premises=premises, steps=b.tuple())
@@ -171,79 +168,107 @@ def deduction(d: Derivation, name: str) -> Derivation:
 
 # -- lifting -----------------------------------------------------------------
 
-def _chain(b: _Build, state: dict, tau: dict, refs, goal: Formula,
-           agent, fresh, intro_rule: str, mk_const):
-    """Internalize a consequence  refs |- goal  through the implication
-    chain tautology; returns the justification term for goal."""
-    chain = imp_chain([tau[r][1] for r in refs], goal)
-    t = mk_const(fresh)
-    cur = b.add(Just(t, agent, chain), intro_rule)
-    for r in refs:
-        jk = _jk(t, tau[r][0], chain, agent)
-        cur = b.detach(jk, 'jk', cur, state[r])
-        t, chain = jk.b.b.t, chain.b
-    return t, cur
-
-
-def _internalize(d: Derivation, agent, intro_rule: str, mk_term, cases,
-                 what: str) -> LiftResult:
-    """The loop lift and internalize_qlp share.  Premises become fresh
-    proof variables, modus ponens goes through two jk applications, and
-    prop steps through the implication chain.  cases(s, b, fresh, tau,
-    state) handles every other rule and returns (term, step index).
+def _internalize(d: Derivation, what: str) -> LiftResult:
+    """The loop lift and internalize_qlp share, for the transform named
+    what: from d, accepted and elaborated, one derivation of  t : F  per
+    step of d proving F.  Premises become fresh proof variables, and
+    every other rule is handled below.  Fresh terms are constants c#n
+    introduced by ian in the justification logics, and primitive terms
+    f#n introduced by an in the quantified ones, labelled with the first
+    agent of the header.
 
     What a step adds depends only on the steps up to it, so a fold whose
     first steps an earlier one in the memo scope went through starts
     where they end (kernel.resume), with that fold's steps: the image of
     a cone that extends another begins with the other's image, whose
     check the re-check below resumes in turn."""
+    logic = get_logic(d.logic_id)
+    qlp = logic.family == 'qlp'
+    intro = 'an' if qlp else 'ian'
+    agent = d.agents[0] if qlp and d.agents else None
     fresh = _Fresh()
     b = _Build()
-    state = {}   # original index -> step proving tau : F
-    tau = {}     # original index -> (term, original formula)
+    got = {}     # original index -> (term, original formula, step of b
+                 # proving  term : formula)
     marks = []   # after each step of d: (steps built, fresh name counts)
     pvar = {p.name: Var(fresh('x')) for p in d.premises}
     premises = tuple(Premise(p.name, Just(pvar[p.name], agent, p.formula))
                      for p in d.premises)
-    # the logic decides the cases and, with the agents header, the agent
-    k, prior = kernel.resume(what, d, (b, state, tau, marks))
+    k, prior = kernel.resume(what, d, (b, got, marks))
     if k:
-        pb, pstate, ptau, pmarks = prior
+        pb, pgot, pmarks = prior
         n, counts = pmarks[k - 1]
         b.steps[:], fresh.n = pb.steps[:n], dict(counts)
-        for s in d.steps[:k]:
-            state[s.index], tau[s.index] = pstate[s.index], ptau[s.index]
+        got.update((s.index, pgot[s.index]) for s in d.steps[:k])
         marks += pmarks[:k]
 
+    def introduce(g: Formula) -> tuple:
+        """A fresh term for g, introduced by the specification."""
+        t = Prim(fresh('f'), ()) if qlp else Const(fresh('c'))
+        return t, g, b.add(Just(t, agent, g), intro)
+
+    def checker(ju: Just, i: int) -> tuple:
+        """!u : ju  from step i, which proves ju = u : A, by j4."""
+        t = Bang(ju.t)
+        return t, ju, b.detach(Imp(ju, Just(t, agent, ju)), 'j4', i)
+
+    def apply(t: Term, chain: Imp, i: int, cited) -> tuple:
+        """Apply t, which step i proves of the implication chain, to each
+        cited (term, formula, step) in turn through jk: the last
+        application term and its step."""
+        for u, _, j in cited:
+            jk = _jk(t, u, chain, agent)
+            i = b.detach(jk, 'jk', i, j)
+            t, chain = jk.b.b.t, chain.b
+        return t, i
+
     for s in d.steps[k:]:
-        f = s.formula
-        if s.rule == 'premise':
+        f, rule = s.formula, s.rule
+        if rule == 'premise':
             t = pvar[s.args[0]]
-            state[s.index] = b.add(Just(t, agent, f), 'premise', (), s.args)
-        elif s.rule == 'mp':
-            i, j = s.refs
-            jk = _jk(tau[j][0], tau[i][0], tau[j][1], agent)
-            t = jk.b.b.t
-            state[s.index] = b.detach(jk, 'jk', state[j], state[i])
-        elif s.rule == 'prop':
-            t, state[s.index] = _chain(b, state, tau, s.refs, f, agent,
-                                       fresh, intro_rule, mk_term)
+            i = b.add(Just(t, agent, f), 'premise', (), s.args)
+        elif rule == 'mp':
+            # the implication's term applied to the antecedent's
+            a, imp = s.refs
+            t, i = apply(*got[imp], [got[a]])
+        elif rule == 'prop':
+            # through the implication chain  F1 -> ... -> f  of the cited
+            # formulas, a tautology
+            cited = [got[r] for r in s.refs]
+            chain = imp_chain([g for _, g, _ in cited], f)
+            t, i = apply(*introduce(chain), cited)
+        elif rule == 'an' and qlp:
+            # f is already  p : A  for a primitive p; re-prefix with the
+            # proof checker instead of asking the specification for a
+            # second layer
+            t, _, i = checker(f, b.add(f, 'an'))
+        elif rule in ('ax', 'fp', 'mu-cl', 'ian', 'an'):
+            t, _, i = introduce(f)
+        elif rule == 'gen':
+            if 'qnec' not in logic.rules:
+                raise TransformError(
+                    "Gen step %d cannot be internalized without uniform "
+                    "verifiers" % s.index)
+            u, g, j = got[s.refs[0]]
+            t, i = _upgrade(b, j, Just(u, agent, g), s.args[0], fresh('y'), f)
+        elif rule == 'qnec':
+            # an existential axiom  u : A -> f  under a fresh primitive,
+            # applied to the checked proof  !u : u : A
+            u, g, j = got[s.refs[0]]
+            ju = Just(u, agent, g)
+            bang = checker(ju, j)
+            t, i = apply(*introduce(Imp(ju, f)), [bang])
+        elif rule == 'mu-ind':
+            raise TransformError("induction steps cannot be lifted")
         else:
-            t, state[s.index] = cases(s, b, fresh, tau, state)
-        tau[s.index] = (t, f)
+            raise TransformError("unexpected rule %r in a %s derivation"
+                                 % (rule, logic.name))
+        got[s.index] = (t, f, i)
         marks.append((len(b.steps), dict(fresh.n)))
 
     out = replace(d, premises=premises, steps=b.tuple())
     _accepted(out, what, True)
-    return LiftResult(tau[d.steps[-1].index][0], out)
-
-
-def _const(fresh) -> Term:
-    return Const(fresh('c'))
-
-
-def _prim(fresh) -> Term:
-    return Prim(fresh('f'), ())
+    return LiftResult(got[d.steps[-1].index][0], out)
 
 
 def lift(d: Derivation) -> LiftResult:
@@ -263,17 +288,7 @@ def lift(d: Derivation) -> LiftResult:
         raise TransformError("lift requires the total specification, "
                              "which is closed under fresh constants")
     _accepted(d, "lift", False)
-
-    def cases(s, b, fresh, tau, state):
-        if s.rule in ('ax', 'fp', 'mu-cl', 'ian', 'an'):
-            t = _const(fresh)
-            return t, b.add(Just(t, None, s.formula), 'ian')
-        if s.rule == 'mu-ind':
-            raise TransformError("induction steps cannot be lifted")
-        raise TransformError("unexpected rule %r in a justification "
-                             "derivation" % s.rule)
-
-    return _internalize(elaborate(d), None, 'ian', _const, cases, "lift")
+    return _internalize(elaborate(d), "lift")
 
 
 # -- quantified internalization ----------------------------------------------
@@ -293,51 +308,8 @@ def internalize_qlp(d: Derivation) -> LiftResult:
     if d.spec.kind != 'total':
         raise TransformError("internalization requires the total "
                              "specification")
-    minus = 'qnec' not in logic.rules
     _accepted(d, "internalize", False)
-    d = elaborate(d)
-    agent = d.agents[0] if d.agents else None
-
-    def cases(s, b, fresh, tau, state):
-        f = s.formula
-        if s.rule in ('ax', 'fp'):
-            t = _prim(fresh)
-            return t, b.add(Just(t, agent, f), 'an')
-        if s.rule == 'an':
-            # f is already  p : A  for a primitive p; re-prefix with the
-            # proof checker instead of asking the specification for a
-            # second layer
-            t = Bang(f.t)
-            a0 = b.add(f, 'an')
-            return t, b.detach(Imp(f, Just(t, agent, f)), 'j4', a0)
-        if s.rule == 'gen':
-            if minus:
-                raise TransformError(
-                    "Gen step %d cannot be internalized without uniform "
-                    "verifiers" % s.index)
-            i, x = s.refs[0], s.args[0]
-            u, g = tau[i]
-            g1 = b.add(Forall(x, Just(u, agent, g)), 'gen', (state[i],), (x,))
-            y = fresh('y')
-            ex = Exists(y, Just(Var(y), agent, Forall(x, Just(u, agent, g))))
-            g2 = b.add(ex, 'qnec', (g1,), (y,))
-            t = UAll(u, x)
-            return t, b.detach(Imp(ex, Just(t, agent, f)), 'uf', g2)
-        if s.rule == 'qnec':
-            i = s.refs[0]
-            u, g = tau[i]
-            ju = Just(u, agent, g)
-            j4 = Imp(ju, Just(Bang(u), agent, ju))
-            m1 = b.detach(j4, 'j4', state[i])
-            p = _prim(fresh)
-            q3 = Imp(ju, f)
-            a1 = b.add(Just(p, agent, q3), 'an')
-            jk = _jk(p, j4.b.t, q3, agent)
-            return jk.b.b.t, b.detach(jk, 'jk', a1, m1)
-        raise TransformError("unexpected rule %r in a quantified "
-                             "derivation" % s.rule)
-
-    return _internalize(d, agent, 'an', _prim, cases, "internalize")
+    return _internalize(elaborate(d), "internalize")
 
 
 # -- substitution ------------------------------------------------------------
@@ -377,6 +349,19 @@ def substitute_proof(d: Derivation, x: str, t: Term) -> Derivation:
 
 # -- justification upgrade ---------------------------------------------------
 
+def _upgrade(b: _Build, i: int, ju: Just, x: str, y: str,
+             goal: Formula) -> tuple:
+    """From step i of b, which proves ju = u : A, prove  (u all x) : goal
+    for goal = all x . A: generalize, introduce the verifier existentially
+    as y, then apply the uniform-verifier axiom.  The term and its step."""
+    gen = Forall(x, ju)
+    ex = Exists(y, Just(Var(y), ju.agent, gen))
+    t = UAll(ju.t, x)
+    i = b.add(gen, 'gen', (i,), (x,))
+    i = b.add(ex, 'qnec', (i,), (y,))
+    return t, b.detach(Imp(ex, Just(t, ju.agent, goal)), 'uf', i)
+
+
 def jug(d: Derivation, x: str) -> Derivation:
     """From a premise-free derivation of  t : A  build one of
     (t all x) : all x . A   (generalize, introduce the verifier
@@ -391,19 +376,14 @@ def jug(d: Derivation, x: str) -> Derivation:
     f = d.final
     if not isinstance(f, Just):
         raise TransformError("final formula must be a justification")
-    u, agent, a = f.t, f.agent, f.a
 
     b = _Build()
     for s in d.steps:
         b.add(s.formula, s.rule, s.refs, s.args)
-    n = len(b.steps)
-    g1 = b.add(Forall(x, f), 'gen', (n,), (x,))
     y = 'y#1'
     while y in free_vars(f):
-        y   = 'y#' + str(int(y.split('#')[1]) + 1)
-    ex = Exists(y, Just(Var(y), agent, Forall(x, f)))
-    g2 = b.add(ex, 'qnec', (g1,), (y,))
-    b.detach(Imp(ex, Just(UAll(u, x), agent, Forall(x, a))), 'uf', g2)
+        y = 'y#' + str(int(y.split('#')[1]) + 1)
+    _upgrade(b, len(b.steps), f, x, y, Forall(x, f.a))
     out = replace(d, steps=b.tuple())
     _accepted(out, "upgrade", True)
     return out
@@ -511,14 +491,6 @@ def project(f: Formula, *, table: Optional[dict] = None) -> Formula:
     return go(f)
 
 
-def _peel(f: Formula):
-    n = 0
-    while isinstance(f, Just):
-        f = f.a
-        n += 1
-    return n, f
-
-
 def project_derivation(d: Derivation) -> Derivation:
     """Map a justification derivation to its modal counterpart, step by
     step.  Constant-specification steps become the image axiom followed
@@ -572,16 +544,21 @@ def project_derivation(d: Derivation) -> Derivation:
         raise TransformError("axiom %s has no modal image"
                              % print_formula(g))
 
+    def tower(g: Formula):
+        """Emit steps proving project(g) for g = c_k : ... : c_1 : A, A an
+        axiom instance: those of A, then one necessitation per constant,
+        each of the projected prefix; returns the concluding index."""
+        if not isinstance(g, Just):
+            return axiom_steps(g)
+        k = tower(g.a)
+        return b.add(proj(g), 'nec', (k,))
+
     for s in d.steps:
         f = s.formula
         if s.rule == 'ax':
             last[s.index] = axiom_steps(f)
         elif s.rule in ('ian', 'an'):
-            n, core = _peel(f)
-            k = axiom_steps(core)
-            for _ in range(n):
-                k = b.add(node(Box, b.steps[k - 1].formula), 'nec', (k,))
-            last[s.index] = k
+            last[s.index] = tower(f)
         elif s.rule in ('fp', 'mu-cl', 'mu-ind', 'mp', 'prop', 'premise'):
             last[s.index] = b.add(proj(f), s.rule,
                                   tuple(last[r] for r in s.refs),
@@ -613,7 +590,7 @@ def exists_translate(f: Formula) -> Formula:
         if type(g).__name__ not in PROP_NODES:
             raise TransformError("translation is defined on "
                                  "propositional modal formulas")
-        return rebuild(g, [go(k) for k in children(g)])
+        return g.rebuild([go(k) for k in g.children()])
     return go(f)
 
 

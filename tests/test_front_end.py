@@ -281,10 +281,10 @@ _PROFILES['full'] = syntax.FULL
 
 def _labelled(f):
     """f with every justification labelled by one of two agents."""
-    kids = [_labelled(k) for k in syntax.children(f)]
+    kids = [_labelled(k) for k in f.children()]
     if isinstance(f, Just):
         return Just(f.t, 'a' if len(kids) % 2 else 'b', kids[0])
-    return syntax.rebuild(f, kids)
+    return f.rebuild(kids)
 
 
 def _mu(vf):

@@ -274,9 +274,13 @@ def test_detector_sees_parallel_walk():
         '    return inner(a, b)\n'
         'def single(a, xs):\n'
         '    ka = children(a)\n'
-        '    return zip(ka, xs), zip(a.args, children(a))\n')
+        '    return zip(ka, xs), zip(a.args, children(a))\n'
+        'def method(a, b):\n'
+        '    ka = a.children()\n'
+        '    return zip(ka, b.children())\n')
     assert _parallel_walks(tree) == [(1, 'direct'), (3, 'named'),
-                                     (6, 'mixed'), (10, 'inner')]
+                                     (6, 'mixed'), (10, 'inner'),
+                                     (17, 'method')]
 
 
 _READER_CALLS = frozenset(('strip_comment', 'splitlines'))

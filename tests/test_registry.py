@@ -670,10 +670,9 @@ from justfix.fixedpoint import (FixedPointError, fp_axiom,  # noqa: E402
                                 make_operator)
 from justfix.registry import sacchetti_schema  # noqa: E402
 from justfix.syntax import (Exists, FixApp, FMeta, Forall, Mu,  # noqa: E402
-                            NotFreeFor, Prim, TMeta, UAll, children,
-                            free_atoms, free_vars, occurrence_ok, parse_term,
-                            rebuild, subst_prop, subst_prop_multi,
-                            subst_term_for_var)
+                            NotFreeFor, Prim, TMeta, UAll, free_atoms,
+                            free_vars, occurrence_ok, parse_term, subst_prop,
+                            subst_prop_multi, subst_term_for_var)
 from hypothesis import example  # noqa: E402
 from conftest import _bool_layer, atoms  # noqa: E402
 
@@ -698,12 +697,12 @@ def _ref_match_term(pat, t, b):
         return isinstance(t, Var) and _ref_bind(b, 'v:' + pat.name[1:], t.name)
     if type(pat) is not type(t):
         return False
-    kp = children(pat)
+    kp = pat.children()
     if not kp:
         return pat == t
     if isinstance(pat, UAll) and not _ref_match_slot('v', pat.var, t.var, b):
         return False
-    return all(_ref_match_term(p, s, b) for p, s in zip(kp, children(t)))
+    return all(_ref_match_term(p, s, b) for p, s in zip(kp, t.children()))
 
 
 def _ref_match_formula(pat, f, b):
@@ -711,7 +710,7 @@ def _ref_match_formula(pat, f, b):
         return _ref_bind(b, 'F:' + pat.name, f)
     if type(pat) is not type(f):
         return False
-    kp, kf = children(pat), children(f)
+    kp, kf = pat.children(), f.children()
     if not kp:
         return pat == f
     match pat:
@@ -753,15 +752,15 @@ def _ref_match_free(base, target, binds):
             if u.var != v.var:
                 return False
             bound = bound | {u.var}
-        ku = children(u)
+        ku = u.children()
         if not ku:
             return u == v
-        return all(wt(p, q, bound) for p, q in zip(ku, children(v)))
+        return all(wt(p, q, bound) for p, q in zip(ku, v.children()))
 
     def wf(a, c, bound):
         if type(a) is not type(c):
             return False
-        ka, kc = children(a), children(c)
+        ka, kc = a.children(), c.children()
         if not ka:
             return a == c
         match a:
@@ -1016,8 +1015,8 @@ def _naive_subst(node, sigma, bound=frozenset()):
     if kind is Just:
         return Just(_naive_subst(node.t, sigma, bound), node.agent,
                     _naive_subst(node.a, sigma, bound))
-    return rebuild(node, [_naive_subst(k, sigma, bound)
-                          for k in children(node)])
+    return node.rebuild([_naive_subst(k, sigma, bound)
+                         for k in node.children()])
 
 
 def _instantiate(pat, env, alt, rnd):
@@ -1047,7 +1046,7 @@ def _instantiate(pat, env, alt, rnd):
             return kind(slot(p.var, 'v'), go(p.a))
         if kind is UAll:
             return UAll(go(p.inner), slot(p.var, 'v'))
-        return rebuild(p, [go(k) for k in children(p)])
+        return p.rebuild([go(k) for k in p.children()])
     return go(pat)
 
 

@@ -473,6 +473,20 @@ truth E = 1
      'condition x=q outside the domain'),
     ("evidence r {x=s} : x : p\ndomain r s\n", None),
     ("evidence r {x=t} : x : p\ndomain r s\n", 'x=t outside the domain'),
+    # so is every reason an evidence entry or an interp line names, other
+    # than an interp line's lone default
+    ("domain r s\nevidence q : p\n", 'evidence reason q outside the domain'),
+    ("evidence q : p\ndomain r s\n", 'evidence reason q outside the domain'),
+    ("domain r s\nevidence @a1 q : p\nagents: a1\nlogic: QLP-_n\n",
+     'evidence reason q outside the domain'),
+    ("domain r s\ninterp app r r -> q\n", 'interp app value q outside'),
+    ("domain r s\ninterp app default -> q\n", 'interp app value q outside'),
+    ("domain r s\ninterp f q -> r\n", 'interp f argument q outside'),
+    ("interp f r q -> r\ndomain r s\n", 'interp f argument q outside'),
+    ("domain r s\ninterp app default r -> r\n",
+     'interp app argument default outside'),
+    ("domain r s\ninterp f -> s\ninterp app default -> r\n"
+     "interp bang s -> r\nevidence s : p\n", None),
 ])
 def test_parse_model_errors(text, fragment, tmp_path):
     (tmp_path / 'x.spec').write_text('p -> p\n')

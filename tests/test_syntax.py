@@ -14,7 +14,7 @@ from justfix.syntax import (And, Atom, Bang, Box, Const, Exists, Falsum,
                             occurrence_ok, parse_formula, parse_term,
                             print_formula, print_term, subst_prop,
                             subst_term_for_var, uall_vars,
-                            children, rebuild, walk, App, Quest, WQuest, Xor,
+                            walk, App, Quest, WQuest, Xor,
                             OCCURRENCE_MODES)
 from justfix.transforms import project
 
@@ -291,14 +291,14 @@ def test_field_walkers_reach_inner_nodes():
 
 def _preorder(f):
     yield f
-    for k in children(f):
+    for k in f.children():
         yield from _preorder(k)
 
 
 @settings(max_examples=300, deadline=None)
 @given(with_fix(any_formulas(max_leaves=4)))
 def test_rebuild_children_and_walk_order(f):
-    assert rebuild(f, children(f)) == f
+    assert f.rebuild(f.children()) == f
     assert list(walk(f)) == list(_preorder(f))
 
 
@@ -463,7 +463,7 @@ def test_occurrences_match_reference(f):
 @settings(max_examples=500, deadline=None)
 @given(qlp_terms | lp_terms)
 def test_term_traversals_match_reference(t):
-    assert rebuild(t, children(t)) == t
+    assert t.rebuild(t.children()) == t
     assert list(walk(t)) == list(_preorder(t)) == list(_ref_subterms(t))
     assert free_vars(t) == _ref_term_vars(t)
 
@@ -556,22 +556,22 @@ def test_node_samples_cover_every_class():
 
 @pytest.mark.parametrize('node', _NODE_SAMPLES, ids=repr)
 def test_children_and_rebuild_match_reference(node):
-    kids = children(node)
+    kids = node.children()
     assert kids == _ref_children(node)
-    assert rebuild(node, kids) == _ref_rebuild(node, kids) == node
+    assert node.rebuild(kids) == _ref_rebuild(node, kids) == node
     # fresh children, one distinct leaf per place, in children() order
     leaf = Atom if isinstance(node, Formula) else Const
     fresh = [leaf('k%d' % k) for k in range(len(kids))]
-    assert rebuild(node, fresh) == _ref_rebuild(node, fresh)
-    assert children(rebuild(node, fresh)) == tuple(fresh)
+    assert node.rebuild(fresh) == _ref_rebuild(node, fresh)
+    assert node.rebuild(fresh).children() == tuple(fresh)
     if type(node) not in _REF_REBUILD:      # a leaf
-        assert rebuild(node, ()) is node
+        assert node.rebuild(()) is node
 
 
 def test_rebuilt_mu_rechecks_positivity():
     mu = Mu('p', Or(_p, _q))
     with pytest.raises(PositivityError):
-        rebuild(mu, [Neg(_p)])
+        mu.rebuild([Neg(_p)])
     with pytest.raises(PositivityError):
         _ref_rebuild(mu, [Neg(_p)])
 

@@ -10,8 +10,8 @@ from justfix.kernel import check_derivation, load_derivation, parse_derivation
 from justfix.registry import EMPTY, Spec
 from justfix.syntax import (App, Atom, Bang, Box, Const, Exists, FMeta,
                             Forall, Imp, Just, Knows, Mu, Neg, Or, Prim, UAll,
-                            Var, children, parse_formula, print_formula,
-                            free_vars, rebuild, replace)
+                            Var, parse_formula, print_formula, free_vars,
+                            replace)
 from justfix.transforms import (TransformError, collapse_agents,
                                 collapse_derivation, deduction,
                                 exists_translate, internalize_qlp, jd_lemma,
@@ -374,7 +374,7 @@ def _naive_project(f):
         case Box() | Knows() | Forall() | Exists() | FMeta():
             raise TransformError("projection undefined on %s"
                                  % type(f).__name__)
-    return rebuild(f, [_naive_project(k) for k in children(f)])
+    return f.rebuild([_naive_project(k) for k in f.children()])
 
 
 def _naive_collapse(f):
@@ -385,7 +385,7 @@ def _naive_collapse(f):
         case Box() | Knows() | Mu() | FMeta():
             raise TransformError("agent collapse undefined on %s"
                                  % type(f).__name__)
-    return rebuild(f, [_naive_collapse(k) for k in children(f)])
+    return f.rebuild([_naive_collapse(k) for k in f.children()])
 
 
 _TERMS = st.sampled_from(('x', 'y')).map(Var) | st.just(Const('c')) \

@@ -11,14 +11,18 @@ process.  The inputs are the workload's, made by this repository's
 perfbench/gen.py from the seed (default 5) and decided through each side's
 corpus.run_entry, as one benchmark pass decides them.  The script first
 runs one untimed pass per side and checks that both sides print the same
-verdict line for every input; it stops, printing the lines that differ,
-if they do not.  It then times one pass of all the inputs per side and
-round, alternating which side goes first, for N rounds (default 20).  It
-prints one JSON line per side: its min and median pass time in ms and
-the rounds it won (a tie counts for neither side).  With --per-input it
-also times each input apart and then prints one JSON line per input, in
-pass order: its id and each side's min time over the rounds in ms, which
-shows where a change in the pass time lands.
+verdict line for every input, and the same elaborated derivation (the
+text of kernel.print_derivation after kernel.elaborate, which runs every
+inline transform, or the error it raises) for every .drv input; it
+stops, printing the inputs that differ, if they do not.  So it is also a
+differential oracle for a change to the transforms.  It then times one
+pass of all the inputs per side and round, alternating which side goes
+first, for N rounds (default 20).  It prints one JSON line per side: its
+min and median pass time in ms and the rounds it won (a tie counts for
+neither side).  With --per-input it also times each input apart and then
+prints one JSON line per input, in pass order: its id and each side's min
+time over the rounds in ms, which shows where a change in the pass time
+lands.
 
 Separate processes on a shared host can drift far more than the few per
 cent a change moves; alternating passes in one interpreter share the
@@ -29,7 +33,9 @@ library only.
 import argparse
 import gc
 import importlib.util
+import itertools
 import json
+import os
 import pathlib
 import statistics
 import sys
@@ -74,6 +80,33 @@ def entries(corpus, rows) -> list:
              str(root)) for e, root in rows]
 
 
+def elaborated(corpus, todo) -> list:
+    """(id, text) per .drv input of todo: its elaborated derivation as
+    print_derivation prints it, or the error elaborating it raised."""
+    kernel = importlib.import_module(corpus.__package__ + '.kernel')
+    transforms = importlib.import_module(corpus.__package__ + '.transforms')
+    out = []
+    for e, root in todo:
+        if e.kind != 'drv':
+            continue
+        d = kernel.load_derivation(os.path.join(root, e.path))
+        try:
+            text = kernel.print_derivation(kernel.elaborate(d))
+        except (kernel.DerivationError, transforms.TransformError) as ex:
+            text = 'error: %s: %s' % (type(ex).__name__, ex)
+        out.append((e.id, text))
+    return out
+
+
+def first_difference(a: str, b: str) -> tuple:
+    """The first line at which texts a and b differ, from each."""
+    for x, y in itertools.zip_longest(a.splitlines(), b.splitlines(),
+                                      fillvalue='<end>'):
+        if x != y:
+            return x, y
+    return '', ''
+
+
 def one_pass(corpus, todo, per_input=None) -> tuple:
     """(seconds, verdict lines) of one pass over todo.  per_input, when
     given, is a list of one list per input, to which each input's time is
@@ -112,6 +145,14 @@ def main(argv=None) -> int:
             for a, b in zip(lines['base'], lines['tree']):
                 if a != b:
                     print('verdicts differ:\n  base: %s\n  tree: %s' % (a, b))
+            return 1
+        texts = {side: elaborated(corpora[side], todo[side])
+                 for side in SIDES}
+        if texts['base'] != texts['tree']:
+            for (name, a), (_, b) in zip(texts['base'], texts['tree']):
+                if a != b:
+                    print('elaborations differ: %s\n  base: %s\n  tree: %s'
+                          % (name, *first_difference(a, b)))
             return 1
         times = {side: [] for side in SIDES}
         each = {side: [[] for _ in rows] if args.per_input else None
