@@ -370,6 +370,9 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             raise DerivationError("unrecognized line: %r" % line)
     if h.logic is None:
         raise DerivationError("missing logic header")
+    if h.agents and h.logic.profile.agents == 'single':
+        raise DerivationError("logic %s is single-agent and takes no "
+                              "agents header" % h.logic.name)
     if not steps:
         raise DerivationError("no steps")
     return Derivation(h.logic_id, h.spec, h.spec_src, h.agents, tuple(ops),
@@ -929,7 +932,9 @@ def inline_image(d: Derivation, s: Step) -> Derivation:
                id(d.ops), *_cone_key(d, s.refs[0]))
     img = registry._decide(('image', key), d, _build_image, d, s)
     if isinstance(img, transforms.TransformError):
-        raise img.with_traceback(None)
+        # a fresh error: raising the kept one would give it a traceback
+        # through this frame, whose img holds it, a reference cycle
+        raise transforms.TransformError(*img.args)
     return img
 
 
@@ -961,7 +966,8 @@ def _build_image(d: Derivation, s: Step):
             return transforms.internalize_qlp(cone).derivation
         return transforms.substitute_proof(cone, s.args[1], s.args[2])
     except transforms.TransformError as e:
-        return e
+        # kept without its traceback, whose frames reach inline_image's
+        return e.with_traceback(None)
 
 
 @memo_scope()

@@ -68,6 +68,15 @@ fields alone, and no table outlives them.  So a profile check is one mask
 test.  Only a check that fails walks the formula, to name its first error,
 and so does an agent check on a formula with a justification, to compare
 its labels with the declared agents.
+
+Every node, and every value class of the other modules (steps, verdicts,
+derivations, profiles), is a frozen record (see record): a class with
+__slots__, the fields in order and then its declared extras (_kinds on a
+node, _admitted on a LanguageProfile), so an instance is one allocation
+with no __dict__; Formula and Term have empty __slots__.  The generated
+__init__ stores each field through its slot's descriptor, because the
+class refuses assignment, and __reduce__ rebuilds an instance from its
+fields, so copy, deepcopy and pickle go through __init__ too.
 """
 
 from __future__ import annotations
@@ -102,8 +111,6 @@ class FrozenRecordError(AttributeError):
 _RECORD_METHODS = '''
 def __init__(self, {params}):
 {stores}
-def __repr__(self):
-    return self.__class__.__qualname__ + f"({shown})"
 def __eq__(self, other):
     if other.__class__ is self.__class__:
         return ({mine}) == ({theirs})
@@ -129,14 +136,31 @@ def _refuse_del(self, name):
     raise FrozenRecordError(f"cannot delete field {name!r}")
 
 
+def _repr(self):
+    return self.__class__.__qualname__ + "(" + ", ".join(
+        [f"{f}={getattr(self, f)!r}" for f in self.__match_args__]) + ")"
+
+
+def _reduce(self):
+    return self.__class__, tuple([getattr(self, f)
+                                  for f in self.__match_args__])
+
+
 def record(cls):
     """Class decorator: a frozen value class over the annotated fields of
-    cls, in order, with their class attributes as defaults.  It adds an
-    __init__ that stores each field (then runs __post_init__, if cls has
-    one), a repr of the form Name(field=value, ...), == and hash on the
-    field tuple between instances of one class, an assignment and deletion
-    that raise, a __replace__ that takes each field by keyword only and
-    keeps the current value of every field not given, and
+    cls, in order, with their class attributes as defaults.  It returns a
+    new class, built from the body of cls, whose __slots__ are the fields
+    and then the names cls declares in its own __slots__ (attributes it
+    sets itself, outside the fields; a node also gets _kinds), so an
+    instance is one allocation with no __dict__.  The defaults move to
+    the parameters of the __init__ it adds, which stores each field
+    through its slot's descriptor (then runs __post_init__, if cls has
+    one).  It also adds a repr of the form Name(field=value, ...), == and
+    hash on the field tuple between instances of one class, an assignment
+    and deletion that raise, a __replace__ that takes each field by
+    keyword only and keeps the current value of every field not given, a
+    __reduce__ that rebuilds an instance from its fields through
+    __init__, so copy and pickle never assign to a slot, and
     __match_args__, the field names.
 
     A Formula or Term node also gets children() and rebuild(kids).  Its
@@ -148,23 +172,31 @@ def record(cls):
     mu re-checks positivity.  The __init__ of a node also sets its kinds
     mask (see _facts_source).
     The methods of a class that depend on its fields come from one exec of
-    a source that names the class and its constants only through the
-    exec's globals, so the classes of one shape (And, Or, Imp, Iff and
-    Xor, say) share one compiled source; the two methods that refuse
-    assignment and deletion are shared by every record."""
+    a source that names the class, its constants and its slot stores
+    (_set_<name>, the __set__ of the slot's descriptor, bound once) only
+    through the exec's globals, so the classes of one shape (And, Or, Imp,
+    Iff and Xor, say) share one compiled source.  The methods go into the
+    body before the class is made, so no slot of the type is updated
+    after.  The methods that refuse assignment and deletion, and the
+    repr and __reduce__, which no check calls, read no field by name, so
+    every record shares them: in each source they would be compiled at
+    every start for printing, copy and pickle alone."""
     fields = tuple(cls.__annotations__)
-    env = {'_set': object.__setattr__, '_cls': cls, '_keep': object(),
-           '_LJ': _LABELED_JUST}
+    node = issubclass(cls, (Formula, Term))
+    body = dict(cls.__dict__)
+    extras = body.pop('__slots__', ())
+    for name in (*extras, '__dict__', '__weakref__'):
+        body.pop(name, None)
+    env = {'_keep': object(), '_LJ': _LABELED_JUST}
     params = []
     for f in fields:
-        if f in cls.__dict__:
-            env['_d_' + f] = cls.__dict__[f]
+        if f in body:
+            env['_d_' + f] = body.pop(f)
             params.append(f'{f}=_d_{f}')
         else:
             params.append(f)
-    stores = [f"    _set(self, '{f}', {f})" for f in fields]
-    if issubclass(cls, (Formula, Term)):
-        env['_bit'] = _KIND_BITS[cls] = 1 << _KIND_ORDER.index(cls.__name__)
+    stores = [f"    _set_{f}(self, {f})" for f in fields]
+    if node:
         stores += _facts_source(cls)
     if hasattr(cls, '__post_init__'):
         stores.append('    self.__post_init__()')
@@ -172,7 +204,6 @@ def record(cls):
     parts = {
         'params': ', '.join(params),
         'stores': '\n'.join(stores) or '    pass',
-        'shown': ', '.join(f'{f}={{self.{f}!r}}' for f in fields),
         'mine': ''.join(f'self.{f}, ' for f in fields),
         'theirs': ''.join(f'other.{f}, ' for f in fields),
         # a record without fields takes no keyword, so it has no bare *
@@ -194,12 +225,16 @@ def record(cls):
     code = _COMPILED.get(source)
     if code is None:
         code = _COMPILED[source] = compile(source, '<string>', 'exec')
-    methods = {}
-    exec(code, env, methods)
-    for name, fn in methods.items():
-        setattr(cls, name, fn)
-    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
-    cls.__match_args__ = fields
+    exec(code, env, body)
+    stored = fields + ('_kinds',) * node
+    body.update(__slots__=stored + extras, __qualname__=cls.__qualname__,
+                __match_args__=fields, __setattr__=_refuse_set,
+                __delattr__=_refuse_del, __repr__=_repr, __reduce__=_reduce)
+    env['_cls'] = cls = type(cls)(cls.__name__, cls.__bases__, body)
+    for name in stored:
+        env['_set_' + name] = cls.__dict__[name].__set__
+    if node:
+        env['_bit'] = _KIND_BITS[cls] = 1 << _KIND_ORDER.index(cls.__name__)
     return cls
 
 
@@ -235,10 +270,10 @@ def _facts_source(cls) -> list:
             return [f"    _k = {own}",
                     f"    for _g in {f}:",
                     "        _k |= _g._kinds",
-                    "    _set(self, '_kinds', _k)"]
+                    "    _set__kinds(self, _k)"]
     kids = "".join(f"{f}._kinds | " for f in ann
                    if ann[f] in ("Formula", "Term"))
-    return [f"    _set(self, '_kinds', {kids}{own})"]
+    return [f"    _set__kinds(self, {kids}{own})"]
 
 
 def replace(obj, **changes):
@@ -250,11 +285,15 @@ def replace(obj, **changes):
 # ------------------------------------------------------------- the sorts
 
 class Term:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return print_term(self)
 
 
 class Formula:
+    __slots__ = ()
+
     def __str__(self) -> str:
         return print_formula(self)
 
@@ -429,14 +468,15 @@ class FMeta(Formula):
 @record
 class LanguageProfile:
     """Which syntax a logic admits.  agents: 'single', 'multi' or 'any'."""
+    # _admitted: the mask of the node kinds the profile admits,
+    # metavariables included, outside the record fields
+    __slots__ = ('_admitted',)
     name: str
     formula_nodes: frozenset[str]
     term_nodes: frozenset[str]
     agents: str = "single"
 
     def __post_init__(self) -> None:
-        # _admitted: the mask of the node kinds the profile admits,
-        # metavariables included, outside the record fields
         mask = 0
         for cls, bit in _KIND_BITS.items():
             name = cls.__name__
@@ -657,24 +697,27 @@ def subst_term_for_var(f: Node, x: str, t: Term) -> Node:
 
 def subst_prop_multi(f: Formula, mapping: dict[str, Formula]) -> Formula:
     """Simultaneous substitution of formulas for propositional atoms."""
-    def go(g: Formula, m: dict[str, Formula]) -> Formula:
-        if not m:
-            return g
-        match g:
-            case Atom(n):
-                return m.get(n, g)
-            case Forall(v, a) | Exists(v, a):
-                live = {k: r for k, r in m.items() if k in free_atoms(a)}
-                if any(v in free_vars(r) for r in live.values()):
-                    raise NotFreeFor(f"substitution captured by quantifier on {v}")
-            case Mu(q, a):
-                m2 = {k: r for k, r in m.items() if k != q and k in free_atoms(a)}
-                if any(q in free_atoms(r) for r in m2.values()):
-                    raise NotFreeFor(f"substitution captured by mu {q}")
-                return Mu(q, go(a, m2))
-        return g.rebuild([go(k, m) for k in g.children()])
+    return _subst_atoms(f, dict(mapping))
 
-    return go(f, dict(mapping))
+
+def _subst_atoms(g: Formula, m: dict[str, Formula]) -> Formula:
+    """subst_prop_multi's walk, a module-level function, so that no
+    closure refers to itself and a call leaves no reference cycle."""
+    if not m:
+        return g
+    match g:
+        case Atom(n):
+            return m.get(n, g)
+        case Forall(v, a) | Exists(v, a):
+            live = {k: r for k, r in m.items() if k in free_atoms(a)}
+            if any(v in free_vars(r) for r in live.values()):
+                raise NotFreeFor(f"substitution captured by quantifier on {v}")
+        case Mu(q, a):
+            m2 = {k: r for k, r in m.items() if k != q and k in free_atoms(a)}
+            if any(q in free_atoms(r) for r in m2.values()):
+                raise NotFreeFor(f"substitution captured by mu {q}")
+            return Mu(q, _subst_atoms(a, m2))
+    return g.rebuild([_subst_atoms(k, m) for k in g.children()])
 
 
 def subst_prop(f: Formula, p: str, g: Formula) -> Formula:

@@ -39,6 +39,7 @@ exists_translate has no table: it numbers its fresh variables by
 occurrence, so two occurrences of one object have different images.
 """
 
+from itertools import repeat
 from typing import Optional
 
 from .syntax import (
@@ -467,28 +468,30 @@ def project(f: Formula, *, table: Optional[dict] = None) -> Formula:
     once, through table (a fresh one when None): it maps id(src) to
     (src, image), which keeps src alive, and holds the image nodes under
     the key of syntax.share.  One frame per nesting level."""
-    if table is None:
-        table = {}
+    return _project(f, {} if table is None else table)
 
-    def go(f: Formula) -> Formula:
-        got = table.get(id(f))
-        if got is not None:
-            return got[1]
-        match f:
-            case Just(_, _, a):
-                img = Box(go(a))
-            case Exists(x, Just(Var(n), _, a)) if n == x \
-                    and x not in free_vars(a):
-                img = Box(go(a))
-            case Box() | Knows() | Forall() | Exists() | FMeta():
-                raise TransformError("projection undefined on %s"
-                                     % type(f).__name__)
-            case _:
-                img = f.rebuild([*map(go, f.children())])
-        img = share(table, img)
-        table[id(f)] = f, img
-        return img
-    return go(f)
+
+def _project(f: Formula, table: dict) -> Formula:
+    """project's walk.  It and the other walks of this module are
+    module-level functions, so that no closure refers to itself and a call
+    leaves no reference cycle to the garbage collector."""
+    got = table.get(id(f))
+    if got is not None:
+        return got[1]
+    match f:
+        case Just(_, _, a):
+            img = Box(_project(a, table))
+        case Exists(x, Just(Var(n), _, a)) if n == x \
+                and x not in free_vars(a):
+            img = Box(_project(a, table))
+        case Box() | Knows() | Forall() | Exists() | FMeta():
+            raise TransformError("projection undefined on %s"
+                                 % type(f).__name__)
+        case _:
+            img = f.rebuild([*map(_project, f.children(), repeat(table))])
+    img = share(table, img)
+    table[id(f)] = f, img
+    return img
 
 
 def project_derivation(d: Derivation) -> Derivation:
@@ -548,10 +551,14 @@ def project_derivation(d: Derivation) -> Derivation:
         """Emit steps proving project(g) for g = c_k : ... : c_1 : A, A an
         axiom instance: those of A, then one necessitation per constant,
         each of the projected prefix; returns the concluding index."""
-        if not isinstance(g, Just):
-            return axiom_steps(g)
-        k = tower(g.a)
-        return b.add(proj(g), 'nec', (k,))
+        prefixes = []
+        while isinstance(g, Just):
+            prefixes.append(g)
+            g = g.a
+        k = axiom_steps(g)
+        for j in reversed(prefixes):
+            k = b.add(proj(j), 'nec', (k,))
+        return k
 
     for s in d.steps:
         f = s.formula
@@ -580,18 +587,19 @@ def exists_translate(f: Formula) -> Formula:
     """Replace each box by an existentially quantified verifier, fresh
     variables numbered outermost-first.  A section of project().  Every
     occurrence gets its own variable, so no table maps a node once."""
-    counter = [0]
+    return _exists(f, [0])
 
-    def go(g: Formula) -> Formula:
-        if isinstance(g, Box):
-            counter[0] += 1
-            x = 'x#%d' % counter[0]
-            return Exists(x, Just(Var(x), None, go(g.a)))
-        if type(g).__name__ not in PROP_NODES:
-            raise TransformError("translation is defined on "
-                                 "propositional modal formulas")
-        return g.rebuild([go(k) for k in g.children()])
-    return go(f)
+
+def _exists(g: Formula, counter: list) -> Formula:
+    """exists_translate's walk; counter holds the last variable drawn."""
+    if isinstance(g, Box):
+        counter[0] += 1
+        x = 'x#%d' % counter[0]
+        return Exists(x, Just(Var(x), None, _exists(g.a, counter)))
+    if type(g).__name__ not in PROP_NODES:
+        raise TransformError("translation is defined on "
+                             "propositional modal formulas")
+    return g.rebuild([_exists(k, counter) for k in g.children()])
 
 
 # -- agent collapse ----------------------------------------------------------
@@ -600,25 +608,25 @@ def collapse_agents(f: Formula, *, table: Optional[dict] = None) -> Formula:
     """Erase agent labels:  t :@a A  becomes  t : A.  Each node object of
     f, the terms of justifications included, is mapped once and each
     image node built once through table, as in project."""
-    if table is None:
-        table = {}
+    return _collapse(f, {} if table is None else table)
 
-    def go(f: Node) -> Node:
-        got = table.get(id(f))
-        if got is not None:
-            return got[1]
-        match f:
-            case Just(t, _, a):
-                img = Just(go(t), None, go(a))
-            case Box() | Knows() | Mu() | FMeta():
-                raise TransformError("agent collapse undefined on %s"
-                                     % type(f).__name__)
-            case _:
-                img = f.rebuild([*map(go, f.children())])
-        img = share(table, img)
-        table[id(f)] = f, img
-        return img
-    return go(f)
+
+def _collapse(f: Node, table: dict) -> Node:
+    """collapse_agents's walk."""
+    got = table.get(id(f))
+    if got is not None:
+        return got[1]
+    match f:
+        case Just(t, _, a):
+            img = Just(_collapse(t, table), None, _collapse(a, table))
+        case Box() | Knows() | Mu() | FMeta():
+            raise TransformError("agent collapse undefined on %s"
+                                 % type(f).__name__)
+        case _:
+            img = f.rebuild([*map(_collapse, f.children(), repeat(table))])
+    img = share(table, img)
+    table[id(f)] = f, img
+    return img
 
 
 def collapse_derivation(d: Derivation) -> Derivation:

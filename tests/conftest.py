@@ -46,32 +46,31 @@ def corpus_derivations():
 
 
 class CountedKinds:
-    """Stands in for the attribute that holds a node's kinds mask (see
-    syntax._facts_source), which the __init__ of every node sets, so it
-    counts constructions: it keeps the masks beside the nodes and records
-    each node whose facts are set, holding the node so that no id is
-    reused.  A node made before it was installed keeps its own mask."""
+    """Counts the constructions of nodes: it wraps the store that sets a
+    node's kinds mask (see syntax._facts_source), which the __init__ of
+    every node calls once, and records each node whose facts are set,
+    holding the node so that no id is reused.  The store is the
+    _set__kinds of each node class's exec globals (see syntax.record), the
+    __set__ of its _kinds slot."""
 
     def __init__(self):
-        self.kinds, self.computed = {}, []
+        self.computed = []
 
-    def __get__(self, node, cls):
-        if node is None:
-            return self
-        kinds = self.kinds.get(id(node))
-        return vars(node)['_kinds'] if kinds is None else kinds
-
-    def __set__(self, node, kinds):
-        self.computed.append(node)
-        self.kinds[id(node)] = kinds
+    def counting(self, store):
+        def counted(node, kinds):
+            self.computed.append(node)
+            store(node, kinds)
+        return counted
 
 
 @pytest.fixture
 def counted_kinds(monkeypatch):
-    """A CountedKinds installed as the kinds mask of every node."""
+    """A CountedKinds installed in the __init__ of every node class."""
     counted = CountedKinds()
-    monkeypatch.setattr(syntax.Formula, '_kinds', counted, raising=False)
-    monkeypatch.setattr(syntax.Term, '_kinds', counted, raising=False)
+    for cls in syntax._KIND_BITS:
+        env = cls.__init__.__globals__
+        monkeypatch.setitem(env, '_set__kinds',
+                            counted.counting(env['_set__kinds']))
     return counted
 
 

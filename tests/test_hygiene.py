@@ -4,7 +4,8 @@ registry spells out the pieces of the logic-id grammar, no module
 keeps a functools memo, which would outlive the call that filled it,
 only one function walks two structures in parallel, no function
 passes a pattern literal to a module-level re function, no module
-imports dataclasses, which loading the package does not pay for,
+imports dataclasses, which loading the package does not pay for, no
+closure refers to itself, which would leave a reference cycle per call,
 only the line reader, kernel.read_lines, calls strip_comment or
 .splitlines(), in transforms only _Build.detach adds an mp step, and
 transforms does not name the inline rule: the kernel alone reads inline
@@ -281,6 +282,59 @@ def test_detector_sees_parallel_walk():
     assert _parallel_walks(tree) == [(1, 'direct'), (3, 'named'),
                                      (6, 'mixed'), (10, 'inner'),
                                      (17, 'method')]
+
+
+def _self_referring_closures(tree: ast.Module) -> list:
+    """(line, name) of each function defined inside another function that
+    names itself, in its own body or in a function nested in it.  Such a
+    closure holds the cell that holds it, a reference cycle, so each call
+    of the function that defines it leaves garbage to the collector; a
+    recursive walk is a module-level function instead."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in _own_nodes(fn):
+            for inner in ast.iter_child_nodes(node):
+                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and any(isinstance(n, ast.Name) and n.id == inner.name
+                                and isinstance(n.ctx, ast.Load)
+                                for n in ast.walk(inner)):
+                    found.append((inner.lineno, inner.name))
+    return sorted(found)
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_no_closure_refers_to_itself(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    assert _self_referring_closures(tree) == []
+
+
+def test_detector_sees_self_referring_closure():
+    tree = ast.parse(
+        'def outer(x):\n'
+        '    def go(y):\n'
+        '        return go(y - 1) if y else 0\n'
+        '    return go(x)\n'
+        'def through_helper(x):\n'
+        '    def walk(y):\n'
+        '        def step(z):\n'
+        '            return walk(z)\n'
+        '        return step(y)\n'
+        '    return walk(x)\n'
+        'def top(n):\n'
+        '    return top(n - 1)\n'
+        'class C:\n'
+        '    def m(self):\n'
+        '        return self.m() or m\n'
+        'def fine(x):\n'
+        '    def helper(y):\n'
+        '        return top(y)\n'
+        '    go = helper\n'
+        '    return go(x)\n')
+    assert _self_referring_closures(tree) == [(2, 'go'), (6, 'walk')]
 
 
 _READER_CALLS = frozenset(('strip_comment', 'splitlines'))

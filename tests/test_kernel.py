@@ -442,6 +442,32 @@ def test_multi_agent_logic_requires_agents_header():
         check_text("logic: QLP-_n\n1. p -> p ; prop\n")
 
 
+@pytest.mark.parametrize('logic', ['J', 'LP', 'QLP', 'QLP-', 'K', 'K(FP)'])
+@pytest.mark.parametrize('agents', ['s', '2', 'a, b'])
+def test_single_agent_logic_refuses_agents_header(logic, agents):
+    # before, the header was accepted, and then no step with a
+    # justification checked: each failed on a missing or a stray label
+    for text in ("logic: %s\nagents: %s\n" % (logic, agents),
+                 "agents: %s\nlogic: %s\n" % (agents, logic)):
+        with pytest.raises(DerivationError) as e:
+            parse_derivation(text + "1. p -> p ; prop\n")
+        assert str(e.value) == ("logic %s is single-agent and takes no "
+                                "agents header" % get_logic(logic).name)
+    # an empty header declares no agent, and is still accepted
+    assert parse_derivation("logic: %s\nagents:\n1. p -> p ; prop\n"
+                            % logic).agents == ()
+
+
+def test_unlabeled_step_of_a_built_multi_agent_derivation():
+    # no file reaches this reason since the refusal above: the CLI reached
+    # it by retargeting a single-agent file with an agents header
+    from justfix.kernel import Derivation
+    f = parse_formula('x : p -> x : p', FULL)
+    d = Derivation('QLP-_n', TOTAL, 'tcs', ('s',), (), (),
+                   (Step(1, f, 'prop', (), ()),))
+    assert first_reason(check_derivation(d)) == 'missing agent label in qlp'
+
+
 def test_agents_shorthand_count():
     d = parse_derivation("logic: QLP-_n\nagents: 3\n"
                          "1. x :@a2 p -> x :@a2 p ; prop\n")
@@ -828,9 +854,6 @@ def test_profile_error_wins_over_agent_error():
     assert first_reason(check_text("logic: QLP-_n\nagents: s\n"
                                    "1. x :@t p -> x :@u p ; prop\n")) == \
         "undeclared agent 't'"
-    assert first_reason(check_text("logic: LP\nagents: s\n"
-                                   "1. x : p -> x : p ; prop\n")) == \
-        'missing agent label in multi-agent logic'
 
 
 # -- the decision memo and the scope's BDD ---------------------------------------

@@ -11,11 +11,16 @@ instance.  For a deliberate change, regenerate it with
 The other tests pin what syntax.record gives every class: == and hash
 agree, a record refuses assignment and deletion, one that holds a list
 or a dict is unhashable, positional match patterns take records apart,
-and replace copies a record and refuses an unknown field.
+replace copies a record and refuses an unknown field, copy.copy,
+copy.deepcopy and a pickle round trip give an equal frozen record, and
+an instance holds its fields and declared extras in slots, with no
+__dict__.
 """
 
+import copy
 import json
 import os
+import pickle
 
 import pytest
 
@@ -94,12 +99,20 @@ def _is_frozen(r) -> bool:
     return False
 
 
+def _defaults(cls) -> dict:
+    """The defaults of cls's fields, read from the parameters of the
+    __init__ that syntax.record generates."""
+    init = cls.__init__
+    params = init.__code__.co_varnames[1:init.__code__.co_argcount]
+    values = init.__defaults__ or ()
+    return dict(zip(params[len(params) - len(values):], values))
+
+
 def _describe(cls, sample) -> dict:
     fields = list(cls.__match_args__)
     return {
         'fields': fields,
-        'defaults': {f: repr(cls.__dict__[f]) for f in fields
-                     if f in cls.__dict__},
+        'defaults': {f: repr(v) for f, v in _defaults(cls).items()},
         'frozen': _is_frozen(sample),
         'hashable': cls.__hash__ is not None,
         'sample': repr(sample),
@@ -147,6 +160,31 @@ def test_record_contract(key):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == b
+
+
+@pytest.mark.parametrize('key', sorted(_record_classes()))
+def test_copies_are_equal_and_frozen(key):
+    a = _samples()[key]
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is type(a) and b == a and repr(b) == repr(a)
+        assert _is_frozen(b)
+        if isinstance(a, (syntax.Formula, syntax.Term)):
+            assert b._kinds == a._kinds
+
+
+@pytest.mark.parametrize('key', sorted(_record_classes()))
+def test_slots_are_the_fields_and_declared_extras(key):
+    cls, a = _record_classes()[key], _samples()[key]
+    if isinstance(a, (syntax.Formula, syntax.Term)):
+        extras = ('_kinds',)
+    elif cls is LanguageProfile:
+        extras = ('_admitted',)
+    else:
+        extras = ()
+    assert cls.__slots__ == cls.__match_args__ + extras
+    assert not hasattr(a, '__dict__')
+    for name in extras:
+        getattr(a, name)            # set by __init__ or __post_init__
 
 
 def test_equality_is_per_class():

@@ -2,7 +2,7 @@
 
     python3 tools/ab_inprocess.py BASE_TREE [--tree TREE]
         [--workload prop|corpus|inline] [--seed N] [--rounds N]
-        [--per-input]
+        [--per-input] [--memory]
 
 Loads the justfix package of BASE_TREE (a checkout, for example one
 written by `git archive`) and that of TREE (default: this repository)
@@ -24,6 +24,15 @@ prints one JSON line per input, in pass order: its id and each side's min
 time over the rounds in ms, which shows where a change in the pass time
 lands.
 
+With --memory it then runs one more pass per side under tracemalloc,
+untimed, and adds each side's traced peak in KB to its line: the most
+memory the pass's own allocations held at once, above what was held when
+it began.  With --per-input as well, each input's line also gets each
+side's traced peak for that input, above what was held when the input
+began.  Tracing covers Python's allocations only, so the process's peak
+resident set, which also holds the interpreter, the imported modules and
+the heap that freed memory leaves mapped, can move the other way.
+
 Separate processes on a shared host can drift far more than the few per
 cent a change moves; alternating passes in one interpreter share the
 host's state at each moment, so they resolve smaller steps.  Standard
@@ -41,6 +50,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SIDES = ('base', 'tree')
@@ -123,6 +133,27 @@ def one_pass(corpus, todo, per_input=None) -> tuple:
     return time.perf_counter() - t0, lines
 
 
+def traced_peaks(corpus, todo) -> tuple:
+    """(pass peak, [peak per input]) in bytes of one pass over todo under
+    tracemalloc: each the traced peak above the memory traced when the
+    pass, or the input, began."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, each = tracemalloc.get_traced_memory()[0], []
+        top = start
+        for e, root in todo:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            corpus.run_entry(e, root)
+            peak = tracemalloc.get_traced_memory()[1]
+            each.append(peak - held)
+            top = max(top, peak)
+    finally:
+        tracemalloc.stop()
+    return top - start, each
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument('base', type=pathlib.Path)
@@ -133,6 +164,8 @@ def main(argv=None) -> int:
     ap.add_argument('--rounds', type=int, default=20)
     ap.add_argument('--per-input', action='store_true',
                     help='also print each input\'s min time per side')
+    ap.add_argument('--memory', action='store_true',
+                    help='also print each side\'s traced peak per pass')
     args = ap.parse_args(argv)
     corpora = {side: load(tree.resolve(), 'justfix_' + side)
                for side, tree in zip(SIDES, (args.base, args.tree))}
@@ -168,18 +201,24 @@ def main(argv=None) -> int:
                 times[side].append(took[side])
             if took['base'] != took['tree']:
                 wins[min(took, key=took.get)] += 1
+        peaks = {side: traced_peaks(corpora[side], todo[side])
+                 for side in SIDES if args.memory}
     for side, tree in zip(SIDES, (args.base, args.tree)):
         print(json.dumps({
             'side': side, 'tree': str(tree), 'workload': args.workload,
             'inputs': len(rows), 'rounds': args.rounds,
             'min_ms': round(min(times[side]) * 1e3, 3),
             'median_ms': round(statistics.median(times[side]) * 1e3, 3),
-            'won': wins[side]}))
+            'won': wins[side],
+            **({'peak_kb': round(peaks[side][0] / 1024, 1)} if peaks
+               else {})}))
     if args.per_input:
         for k, (e, _) in enumerate(rows):
             print(json.dumps({'input': e['id'], **{
                 side + '_min_ms': round(min(each[side][k]) * 1e3, 3)
-                for side in SIDES}}))
+                for side in SIDES}, **{
+                side + '_peak_kb': round(peaks[side][1][k] / 1024, 1)
+                for side in peaks}}))
     return 0
 
 
