@@ -155,7 +155,9 @@ def read_lines(text: str, headers: Optional['Headers'] = None):
     directory: one formula per line, read in the logic in force (a .drv
     file must set one first).  `agents: <n>` names a1 ... an, n at most
     _AGENTS_MAX; other names must be identifiers, separated by spaces or
-    commas.  Errors are raised in headers.error, the format's own class."""
+    commas.  After the last line, a file whose logic is single-agent may
+    not have declared an agent, whichever header came first.  Errors are
+    raised in headers.error, the format's own class."""
     for raw in text.splitlines():
         line = strip_comment(raw).strip()
         if not line:
@@ -165,6 +167,11 @@ def read_lines(text: str, headers: Optional['Headers'] = None):
             headers.read(line)
         else:
             yield line
+    h = headers
+    if h is not None and h.agents and h.logic is not None \
+            and h.logic.profile.agents == 'single':
+        raise h.error("logic %s is single-agent and takes no agents header"
+                      % h.logic.name)
 
 
 class Headers:
@@ -370,9 +377,6 @@ def parse_derivation(text: str, base_dir: str = '.') -> Derivation:
             raise DerivationError("unrecognized line: %r" % line)
     if h.logic is None:
         raise DerivationError("missing logic header")
-    if h.agents and h.logic.profile.agents == 'single':
-        raise DerivationError("logic %s is single-agent and takes no "
-                              "agents header" % h.logic.name)
     if not steps:
         raise DerivationError("no steps")
     return Derivation(h.logic_id, h.spec, h.spec_src, h.agents, tuple(ops),

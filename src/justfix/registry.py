@@ -4,12 +4,16 @@ Every logic the workbench knows is declared once, in the base table, and
 assembled from its family and its schemas.  A schema is one or more
 alternative pattern formulas over metavariables (FMeta/TMeta for
 formula/term slots, '?'-prefixed names for bound-variable, time, and agent
-slots) plus side conditions on the resulting binding.  One matcher,
-match_node, serves schemas, term substitution instances (sigma_match, and
-infer_term for the quantifier axioms) and, through sigma_match,
-fixed-point instances: metavariables bind whole subtrees, so do the free
-variables a caller names unless a binder would capture the term, and
-nothing matches through the defined connectives.
+slots) plus side conditions on the resulting binding.  One semantics of
+matching, match_node's, serves schemas, term substitution instances
+(sigma_match, and infer_term for the quantifier axioms) and, through
+sigma_match, fixed-point instances: metavariables bind whole subtrees, so
+do the free variables a caller names unless a binder would capture the
+term, and nothing matches through the defined connectives.  A schema's
+patterns are fixed, so each is compiled once into a flat program that one
+loop runs (_compile), with match_node's binding; the patterns built per
+query (a fixed-point unfolding, a quantifier's body) are walked by
+match_node itself, since compiling one costs about twice a walk.
 
 The tautological-consequence engine also lives here (the kernel and the
 schema for Taut both need it, and the kernel already imports us).  It
@@ -48,6 +52,7 @@ every call computes.
 """
 
 import contextlib
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .syntax import (
@@ -302,8 +307,8 @@ def is_tautology(f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pattern matching: one walk for schemas, substitution instances and
-# fixed-point instances
+# pattern matching: one walk for substitution instances and fixed-point
+# instances, whose order the schemas' programs follow
 
 def _bind(b: dict, key: str, val) -> bool:
     if key in b:
@@ -332,6 +337,11 @@ def match_node(pat: Node, tgt: Node, b: dict, binds: frozenset = frozenset(),
     variable of the term it meets.  Everything else must agree node for
     node; binders are not renamed.  bound is internal: the individual
     variables bound by the binders of pat above this node.
+
+    The walk is pre-order (a justification's term, agent, then body; any
+    other node's slot before its children), with a call per pattern node.
+    A schema runs its patterns' programs instead (_compile), which give
+    the same binding.
     """
     kind = type(pat)
     if kind is FMeta:
@@ -413,14 +423,99 @@ class AxiomSchema:
     match: Callable   # Formula -> Optional[binding]
 
 
+# The instructions (op, register, a, c) of a program; register 0 holds
+# the formula.  _NODE checks that its register holds a node of class a and
+# appends the fields the attrgetter c reads (_NODE1: the one field c
+# reads); _BIND binds the key a to its register; _SAME compares it with
+# the key's binding; _EQ compares it with the constant a.
+_NODE, _NODE1, _BIND, _SAME, _EQ = range(5)
+# the fields of a node that are slots, and their key kinds
+_SLOTS = {'agent': 'a', 'time': 'i', 'var': 'v'}
+
+
+def _compile(pat: Node) -> tuple:
+    """The flat program that matches pat as match_node does with no
+    variable in binds: the instructions come in match_node's pre-order, so
+    the first occurrence of a key binds and each later one compares, and
+    the binding is match_node's.  It is built with a stack, not a call per
+    level, since a pattern can be as deep as the parser allows.  A stack
+    item is a register, the piece of pat it must match and how: None for
+    a node, '=' for a field that must be equal, or the key kind of a slot,
+    which binds when it is '?'-named.  A tuple field, the arguments of fix
+    or of a primitive term, must be equal as a whole, so no schema puts a
+    metavariable or a '?' slot there."""
+    program, keys, todo, regs = [], set(), [(0, pat, None)], 1
+    while todo:
+        r, p, how = todo.pop()
+        kind = type(p)
+        if how is None:
+            if kind is FMeta or kind is TMeta:
+                p, how = '?' + p.name, kind.__name__[0]
+            elif kind is Var and p.name.startswith('?'):
+                program.append((_NODE1, r, Var, attrgetter('name')))
+                r, p, how, regs = regs, p.name, 'v', regs + 1
+            elif not p.children():
+                how = '='
+            else:
+                # match_node's order: a justification's term, agent and
+                # body; the slot of any other node, then its other fields
+                fields = p.__match_args__
+                if kind is not Just:
+                    fields = sorted(fields, key=_SLOTS.__contains__,
+                                    reverse=True)
+                program.append((_NODE1 if len(fields) == 1 else _NODE, r,
+                                kind, attrgetter(*fields)))
+                items = []
+                for f in fields:
+                    v = getattr(p, f)
+                    items.append((regs, v, _SLOTS.get(f) or (
+                        None if isinstance(v, (Formula, Term)) else '=')))
+                    regs += 1
+                todo += reversed(items)
+                continue
+        if how == '=' or not (isinstance(p, str) and p.startswith('?')):
+            program.append((_EQ, r, p, None))
+        else:
+            key = how + ':' + p[1:]
+            program.append((_SAME if key in keys else _BIND, r, key, None))
+            keys.add(key)
+    return tuple(program)
+
+
 def _schema(name: str, *patterns: Formula, conditions: tuple = ()) -> AxiomSchema:
     """The schema whose instances match one of the patterns, tried in order,
-    with a binding that meets every condition (callables binding -> bool)."""
+    with a binding that meets every condition (callables binding -> bool).
+    Each pattern is compiled once, when the schema is made (_compile), and
+    a match runs each program in one loop, with no call per pattern node.
+    Compiling at the first match instead would bill the compile to the
+    first check that tries the schema in each process."""
+    programs = tuple(map(_compile, patterns))
+
     def match_schema(f: Formula) -> Optional[dict]:
-        for pat in patterns:
-            b: dict = {}
-            if match_node(pat, f, b) and all(cond(b) for cond in conditions):
-                return b
+        for program in programs:
+            regs, b = [f], {}
+            for op, r, a, c in program:
+                x = regs[r]
+                if op == _NODE:
+                    if type(x) is not a:
+                        break
+                    regs += c(x)
+                elif op == _BIND:
+                    b[a] = x
+                elif op == _SAME:
+                    # a record equals itself, so the same object is equal
+                    y = b[a]
+                    if y is not x and not y == x:
+                        break
+                elif op == _NODE1:
+                    if type(x) is not a:
+                        break
+                    regs.append(c(x))
+                elif not a == x:
+                    break
+            else:
+                if not conditions or all(cond(b) for cond in conditions):
+                    return b
         return None
     return AxiomSchema(name, match_schema)
 

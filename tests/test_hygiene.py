@@ -4,12 +4,14 @@ registry spells out the pieces of the logic-id grammar, no module
 keeps a functools memo, which would outlive the call that filled it,
 only one function walks two structures in parallel, no function
 passes a pattern literal to a module-level re function, no module
-imports dataclasses, which loading the package does not pay for, no
-closure refers to itself, which would leave a reference cycle per call,
-only the line reader, kernel.read_lines, calls strip_comment or
-.splitlines(), in transforms only _Build.detach adds an mp step, and
-transforms does not name the inline rule: the kernel alone reads inline
-steps, and a transform sees them expanded by kernel.elaborate."""
+imports dataclasses, which loading the package does not pay for, the
+only source text the package compiles as it loads is one per record shape
+of syntax.record, no closure refers to itself, which would leave a
+reference cycle per call, only the line reader, kernel.read_lines, calls
+strip_comment or .splitlines(), in transforms only _Build.detach adds an
+mp step, and transforms does not name the inline rule: the kernel alone
+reads inline steps, and a transform sees them expanded by
+kernel.elaborate."""
 
 import ast
 import glob
@@ -520,3 +522,30 @@ def test_loading_the_package_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, '-S', '-c', probe], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == '[]'
+
+
+def test_loading_the_package_compiles_only_the_record_shapes():
+    # every start compiles what it generates, so the only source text that
+    # justfix code hands to compile, exec or eval as the package loads is
+    # one per record shape; the import system's own compiles of the
+    # modules, and those of the standard library, are not counted
+    probe = '\n'.join((
+        'import builtins, sys',
+        'sys.path.insert(0, %r)' % os.path.dirname(SRC),
+        'calls = []',
+        'def counted(fn):',
+        '    def call(source, *args, **kw):',
+        '        caller = sys._getframe(1).f_globals.get("__name__", "")',
+        '        if isinstance(source, (str, bytes)) and \\',
+        '                caller.partition(".")[0] == "justfix":',
+        '            calls.append(fn.__name__)',
+        '        return fn(source, *args, **kw)',
+        '    return call',
+        'for name in ("compile", "exec", "eval"):',
+        '    setattr(builtins, name, counted(getattr(builtins, name)))',
+        'import justfix.cli, justfix.corpus, justfix.syntax',
+        'print(len(calls), len(justfix.syntax._COMPILED))'))
+    out = subprocess.run([sys.executable, '-S', '-c', probe], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert int(out[1]) > 0
+    assert out[0] == out[1]

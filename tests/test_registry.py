@@ -1,5 +1,7 @@
 import copy
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -668,9 +670,9 @@ def test_infer_term_primitive_argument_occurrences():
 from justfix.fixedpoint import (FixedPointError, fp_axiom,  # noqa: E402
                                 fp_axiom_instance, gl_obligation,
                                 make_operator)
-from justfix.registry import sacchetti_schema  # noqa: E402
+from justfix.registry import _SACCHETTI_MAX, sacchetti_schema  # noqa: E402
 from justfix.syntax import (Exists, FixApp, FMeta, Forall, Mu,  # noqa: E402
-                            NotFreeFor, Prim, TMeta, UAll, free_atoms,
+                            FULL, NotFreeFor, Prim, TMeta, UAll, free_atoms,
                             free_vars, occurrence_ok, parse_term, subst_prop,
                             subst_prop_multi, subst_term_for_var)
 from hypothesis import example  # noqa: E402
@@ -1095,6 +1097,10 @@ def test_reference_table_names_every_schema():
 @example(parse_formula('x : p -> (x + y) : p'))
 @example(parse_formula('x : p -> (y + x) : p'))
 @example(parse_formula('(all x . ex y . x : p) -> (ex y . y : p)'))
+# a repeated metavariable, and a repeated agent, that differ
+@example(parse_formula('x : p -> (x + y) : q'))
+@example(parse_formula('x :@a (p -> q) -> y :@a p -> (x * y) :@a q', FULL))
+@example(parse_formula('x :@a (p -> q) -> y :@b p -> (x * y) :@a q', FULL))
 def test_schemas_agree_with_the_replaced_matchers(f):
     for name, schema in SCHEMAS.items():
         assert schema.match(f) == _ref_schema_match(name, f), name
@@ -1103,13 +1109,35 @@ def test_schemas_agree_with_the_replaced_matchers(f):
             _ref_schema_match(_ref_sacchetti(n), f)
 
 
+def _within(frames, fn, *args):
+    """fn(*args) with a recursion limit frames above the caller's depth;
+    hypothesis raises the limit while it runs a test."""
+    depth, f = 0, sys._getframe()
+    while f is not None:
+        depth, f = depth + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), _fillers(), _fillers(),
        st.randoms(use_true_random=False))
+# the deepest schema, on an instance and on a near miss built in code; the
+# match has 100 frames, a tenth of the schema's depth, and the reference
+# walk, like _instantiate, a frame per level
+@example(_SACCHETTI_MAX, {'F:A': Atom('p')}, {'F:A': Atom('p')},
+         random.Random(0))
+@example(_SACCHETTI_MAX, {'F:A': Atom('p')}, {'F:A': Atom('q')},
+         random.Random(2))     # the last A, under the conclusion's box
 def test_sacchetti_agrees_with_the_replaced_matcher(n, env, alt, rnd):
-    f = _instantiate(_ref_sacchetti(n)[0], env, alt, rnd)
-    assert sacchetti_schema(n).match(f) == \
-        _ref_schema_match(_ref_sacchetti(n), f)
+    deep = 4 * _SACCHETTI_MAX
+    f = _within(deep, _instantiate, _ref_sacchetti(n)[0], env, alt, rnd)
+    assert _within(100, sacchetti_schema(n).match, f) == \
+        _within(deep, _ref_schema_match, _ref_sacchetti(n), f)
 
 
 @settings(max_examples=300, deadline=None)

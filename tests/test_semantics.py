@@ -460,6 +460,18 @@ truth E = 1
     ("logic: QLP-_n\ndomain r1\nevidence @a1 r1 : p\nagents: s\n",
      "evidence for undeclared agent 'a1'"),
     ("domain r1\nevidence @s r1 : p\n", "evidence for undeclared agent 's'"),
+    # a single-agent logic takes no agents header, in either header order,
+    # with parse_derivation's wording
+    ("logic: QLP-\nagents: s\nspec: empty\ndomain r\nevidence @s r : p\n"
+     "truth p = 1\ntruth default = 0\nvalid p\n",
+     'logic QLP- is single-agent and takes no agents header'),
+    ("agents: s\nlogic: QLP\ndomain r\n",
+     'logic QLP is single-agent and takes no agents header'),
+    ("agents: 2\ndomain r\n",
+     'logic QLP- is single-agent and takes no agents header'),
+    ("logic: QLP-(FP)\ndomain r\nagents: a1\n",
+     'logic QLP-(FP) is single-agent and takes no agents header'),
+    ("logic: QLP-\nagents:\ndomain r\n", None),
     # a condition is var=reason, one per variable, with a reason of the
     # domain, wherever the domain line is
     ("domain r s\nevidence r {x} : (x : p -> p)\n",
