@@ -981,33 +981,50 @@ def elaborate(d: Derivation) -> Derivation:
     formula; premise-bearing steps are untouched (inline steps are always
     premise-free).  An internalization over the empty specification
     expands into steps that only the total one licenses, as inline_image
-    reads its cone, so the result then states the total specification."""
+    reads its cone, so the result then states the total specification.
+
+    What a step emits depends only on the header and the steps up to it,
+    so within one scope elaborating a derivation that begins with the
+    steps of one elaborated before starts where that fold ended, with the
+    Step objects it emitted (see resume); the folds that read the result,
+    a check and an internalization, then resume over the same objects."""
     if not any(s.rule == 'inline' for s in d.steps):
         return d
     new_steps = []
     remap = {}
+    marks = []      # after each step of d: (steps emitted, total)
     total = False
+    k, prior = resume('elaborate', d, (new_steps, remap, marks))
+    if k:
+        psteps, premap, pmarks = prior
+        n, total = pmarks[k - 1]
+        new_steps[:] = psteps[:n]
+        remap.update((s.index, premap[s.index]) for s in d.steps[:k])
+        marks += pmarks[:k]
 
     def emit(formula, rule, refs, args):
         new_steps.append(Step(len(new_steps) + 1, formula, rule, refs, args))
         return len(new_steps)
 
-    for s in d.steps:
+    for s in d.steps[k:]:
         if s.rule != 'inline':
             remap[s.index] = emit(s.formula, s.rule,
                                   tuple(remap[r] for r in s.refs), s.args)
-            continue
-        sub = inline_image(d, s)
-        total = total or s.args[0] == 'internalize'
-        offset = len(new_steps)
-        for t in sub.steps:
-            if t.rule == 'inline':
-                raise DerivationError("transform emitted an inline step")
-            emit(t.formula, t.rule, tuple(r + offset for r in t.refs), t.args)
-        if sub.steps[-1].formula != s.formula:
-            raise DerivationError(
-                "elaborated step %d proves a different formula" % s.index)
-        remap[s.index] = len(new_steps)
+        else:
+            sub = inline_image(d, s)
+            total = total or s.args[0] == 'internalize'
+            offset = len(new_steps)
+            for t in sub.steps:
+                if t.rule == 'inline':
+                    raise DerivationError("transform emitted an inline step")
+                emit(t.formula, t.rule, tuple(r + offset for r in t.refs),
+                     t.args)
+            if sub.steps[-1].formula != s.formula:
+                raise DerivationError(
+                    "elaborated step %d proves a different formula"
+                    % s.index)
+            remap[s.index] = len(new_steps)
+        marks.append((len(new_steps), total))
     if total and d.spec.kind == 'empty':
         return replace(d, spec=TOTAL, spec_src='tcs', steps=tuple(new_steps))
     return replace(d, steps=tuple(new_steps))

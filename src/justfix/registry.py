@@ -44,14 +44,20 @@ the BDD exponential: (a1 & b1) | ... | (a12 & b12) with every a seen
 before any b takes about 8,200 nodes.
 
 The memo of a scope is one table, opened and dropped by memo_scope and
-by nothing else; memo_scope says what it holds.  Inside a scope,
+by nothing else; memo_scope says what it holds.  memo_scope is one small
+class, a context manager that also serves as the decorator of the
+functions that open a scope, and a nested entry costs one test of the
+table.  The outermost scope pauses the cycle collector while it is open,
+and memo_scope alone may touch the collector; its docstring says why the
+pause is safe and what it costs.  Inside a scope,
 match_axiom and get_logic decide each query once, keyed by the identity of
 its formula and logic objects (by the id string for get_logic), and a
 repeated taut_consequence is lookups in the scope's BDD.  Outside a scope
 every call computes.
 """
 
-import contextlib
+import gc
+from functools import wraps
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -75,26 +81,67 @@ from .syntax import (
 _DECISIONS = None
 
 
-@contextlib.contextmanager
-def memo_scope():
-    """Open the memo, one table (_DECISIONS), for the outermost scope and
-    drop it when that scope ends or raises; nested scopes share it.  It
-    holds the axiom and logic decisions (_decide), the BDD the tautology
-    queries are built on, and the kernel's inline images, keyed by the ids
-    of the cone's formulas with the cone's rules, refs and args and the ids
-    of its header objects, and the folds kernel.resume registers, keyed by
-    the fold's header and the first step's formula object.
-    kernel.check_derivation and elaborate open one per call; the corpus
-    runner and the command line open one per entry."""
-    global _DECISIONS
-    if _DECISIONS is not None:
-        yield
-        return
-    _DECISIONS = {}
-    try:
-        yield
-    finally:
+class memo_scope:
+    """The memo of a check, as `with memo_scope():` or as the decorator
+    `@memo_scope()`.  The outermost scope opens the memo, one table
+    (_DECISIONS), and drops it when it ends or raises; nested scopes share
+    it, and a nested call of a decorated function is one test of the
+    table and a direct call.  The decorator adds one frame to a call, as
+    contextlib's does.  The table holds the axiom and logic decisions
+    (_decide), the BDD the tautology queries are built on, and the
+    kernel's inline images, keyed by the ids of the cone's formulas with
+    the cone's rules, refs and args and the ids of its header objects, and
+    the folds kernel.resume registers, keyed by the fold's header and the
+    first step's formula object.  kernel.check_derivation and elaborate
+    open one per call; the corpus runner and the command line open one
+    per entry.
+
+    The outermost scope also pauses the cycle collector, and restores the
+    state it found when it ends or raises: it disables the collector only
+    if it was enabled, and enables it again only if it disabled it.  No
+    collection could free anything of the scope's: the table keeps what
+    it holds alive until the scope ends, and a check makes no reference
+    cycle, so everything else it makes is freed by reference counts
+    (tests/test_cycles.py).  So a collection inside a scope is work that
+    finds nothing, taken from the check it interrupts.  The pause is the
+    process's: other threads run without the collector while a scope is
+    open."""
+    __slots__ = ('_paused',)
+
+    def __enter__(self):
+        global _DECISIONS
+        if _DECISIONS is not None:
+            self._paused = None         # nested: the outer scope owns it
+            return
+        self._paused = gc.isenabled()
+        if self._paused:
+            gc.disable()
+        _DECISIONS = {}
+
+    def __exit__(self, *exc):
+        global _DECISIONS
+        if self._paused is None:
+            return
         _DECISIONS = None
+        if self._paused:
+            gc.enable()
+
+    def __call__(self, fn: Callable) -> Callable:
+        @wraps(fn)
+        def scoped(*args, **kwargs):
+            if _DECISIONS is not None:
+                return fn(*args, **kwargs)
+            # while a call of fn holds the outermost scope every other call
+            # is nested, so this instance serves each outermost one.  Not
+            # `with self`, whose lookups of __enter__ and __exit__ make two
+            # bound methods, objects whose allocation can start a
+            # collection before the pause
+            self.__enter__()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.__exit__()
+        return scoped
 
 
 def _decide(key, keep, compute: Callable, *args):

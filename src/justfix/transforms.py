@@ -29,12 +29,13 @@ cited step; _jk builds the application instance  s : (A -> B) ->
 (t : A -> s*t : B), whose last consequent holds the App term the caller
 goes on with, so each such term is built once.
 
-project and collapse_agents map each node object once and build each
-image node once, through a table (the hash-consing of Filliatre and
-Conchon, "Type-safe modular hash-consing", ML Workshop 2006, keyed as
-syntax.share keys it).  project_derivation and collapse_derivation keep
-one table per call and drop it when the call returns, so equal image
-formulas are one object and the re-check decides each once.
+project and collapse_agents map each node object once, through a table
+from its id to its image.  project_derivation and collapse_derivation
+keep one table per call and drop it when the call returns, so a node
+that occurs again in the input, as a subformula or in another step,
+costs one lookup.  Equal images built from different input objects are
+not made one object: building them again costs less than a table that
+would find them.
 exists_translate has no table: it numbers its fresh variables by
 occurrence, so two occurrences of one object have different images.
 """
@@ -46,7 +47,7 @@ from .syntax import (
     Formula, Term, Falsum, Neg, Imp, Iff, Box, Knows,
     Just, Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim, App, Bang, UAll,
-    Node, NotFreeFor, PROP_NODES, print_formula, share,
+    Node, NotFreeFor, PROP_NODES, print_formula,
     free_vars, subst_term_for_var, imp_chain, record, replace,
 )
 from .registry import (
@@ -464,10 +465,9 @@ def project(f: Formula, *, table: Optional[dict] = None) -> Formula:
     an existentially quantified verifier  ex x . x : A  (x not free in A)
     is also  [] A, which makes the translation below a section.
 
-    Each node object of f is mapped once, and each image node is built
-    once, through table (a fresh one when None): it maps id(src) to
-    (src, image), which keeps src alive, and holds the image nodes under
-    the key of syntax.share.  One frame per nesting level."""
+    Each node object of f is mapped once, through table (a fresh one when
+    None): it maps id(src) to (src, image), which keeps src alive.  One
+    frame per nesting level."""
     return _project(f, {} if table is None else table)
 
 
@@ -489,7 +489,6 @@ def _project(f: Formula, table: dict) -> Formula:
                                  % type(f).__name__)
         case _:
             img = f.rebuild([*map(_project, f.children(), repeat(table))])
-    img = share(table, img)
     table[id(f)] = f, img
     return img
 
@@ -498,9 +497,9 @@ def project_derivation(d: Derivation) -> Derivation:
     """Map a justification derivation to its modal counterpart, step by
     step.  Constant-specification steps become the image axiom followed
     by necessitation; the seriality schema needs a short detour since
-    its modal form is derived rather than primitive.  Every formula of
-    the image, those the detour and the necessitations build included,
-    goes through one project table, dropped when the call returns."""
+    its modal form is derived rather than primitive.  Every formula the
+    image takes from d goes through one project table, dropped when the
+    call returns."""
     logic = get_logic(d.logic_id)
     if logic.family != 'jl':
         raise TransformError("projection applies to justification logics")
@@ -515,9 +514,6 @@ def project_derivation(d: Derivation) -> Derivation:
     def proj(f: Formula) -> Formula:
         return project(f, table=table)
 
-    def node(cls, *fields) -> Formula:
-        return share(table, cls(*fields))
-
     def axiom_steps(g: Formula):
         """Emit steps proving project(g) for an axiom instance g; returns
         the concluding index."""
@@ -531,12 +527,11 @@ def project_derivation(d: Derivation) -> Derivation:
         if name in ('sum', 'taut'):
             return b.add(img, 'prop')
         if name == 'jd':
-            nf = node(Neg, node(Falsum))
-            bx = node(Box, nf)
+            nf = Neg(Falsum())
+            bx = Box(nf)
             k = b.add(nf, 'prop')
             k = b.add(bx, 'nec', (k,))
-            dx = b.add(node(Imp, node(Box, node(Falsum)), node(Neg, bx)),
-                       'ax', (), ('D',))
+            dx = b.add(Imp(Box(Falsum()), Neg(bx)), 'ax', (), ('D',))
             return b.add(img, 'prop', (k, dx))
         if name == 'mu-cl':
             return b.add(img, 'mu-cl')
@@ -606,8 +601,8 @@ def _exists(g: Formula, counter: list) -> Formula:
 
 def collapse_agents(f: Formula, *, table: Optional[dict] = None) -> Formula:
     """Erase agent labels:  t :@a A  becomes  t : A.  Each node object of
-    f, the terms of justifications included, is mapped once and each
-    image node built once through table, as in project."""
+    f, the terms of justifications included, is mapped once through
+    table, as in project."""
     return _collapse(f, {} if table is None else table)
 
 
@@ -624,7 +619,6 @@ def _collapse(f: Node, table: dict) -> Node:
                                  % type(f).__name__)
         case _:
             img = f.rebuild([*map(_collapse, f.children(), repeat(table))])
-    img = share(table, img)
     table[id(f)] = f, img
     return img
 

@@ -1,3 +1,4 @@
+import gc
 import glob
 import importlib.util
 import os
@@ -33,10 +34,13 @@ def perfbench_gen(name: str):
 
 @pytest.fixture(autouse=True)
 def no_memo_outlives_a_test():
-    """The table of kernel.memo_scope is None after each test, so a scope
-    left open fails the test that leaked it."""
+    """The table of kernel.memo_scope is None after each test, and the
+    cycle collector, which the outermost scope pauses, runs again, so a
+    scope left open or a pause left behind fails the test that leaked
+    it."""
     yield
     assert registry._DECISIONS is None, 'a memo scope outlived the test'
+    assert gc.isenabled(), 'the cycle collector is off after the test'
 
 
 @pytest.fixture(scope='session')

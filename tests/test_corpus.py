@@ -183,9 +183,12 @@ def test_each_entry_decides_each_query_once(bdd_work):
         assert run_entry(e).ok
         misses[e.id] = bdd_work.misses - before
     # a query asked again in an entry builds no formula object anew: the
-    # scope's BDD has each one in its seen memo.  820 misses per pass, 109
-    # of them on ts4-bot and 106 on ts4-surprise
-    assert sum(misses.values()) <= 820
+    # scope's BDD has each one in its seen memo.  848 misses per pass, 109
+    # of them on ts4-bot and 106 on ts4-surprise.  The bound was 820 while
+    # project and collapse made equal image nodes one object through a
+    # table; the 28 misses more are images equal to ones built before,
+    # and building them costs less than the table that saved them
+    assert sum(misses.values()) <= 848
     assert misses['ts4-bot'] <= 109
     assert misses['ts4-surprise'] <= 106
 
@@ -240,6 +243,17 @@ def test_manifest_pass_profile_facts(counted_kinds):
     assert len(counted_kinds.computed) <= 2000
 
 
+# the node objects of each entry's image.  A tree recursion built
+# jl-believer's from 1,445 node objects for 100 contents.  While project
+# and collapse made equal image nodes one object through a table, each
+# image held one object per content (jl-believer 100, jl-knower 32,
+# jd-lemma 22); each input node object is still mapped once, but equal
+# images of different input objects stay different objects, as building
+# them costs less than the table that found them
+_IMAGE_NODES = {'jl-believer': 155, 'jl-knower': 53, 'jd-lemma': 25,
+                'qlp-blindspot': 26, 'mu-trivial': 18, 'egl-fp': 10}
+
+
 @pytest.mark.parametrize('entry, op', [
     (e, op[0]) for e in MANIFEST for op in e.post
     if op[0] in ('project', 'collapse')], ids=lambda v: getattr(v, 'id', v))
@@ -247,10 +261,8 @@ def test_transform_images_build_each_node_once(entry, op):
     d = load_derivation(str(corpus_dir() / entry.path))
     out = (transforms.project_derivation if op == 'project'
            else transforms.collapse_derivation)(d)
-    # a tree recursion built jl-believer's image from 1,445 node objects
-    # for 100 contents
     objs = node_objects(s.formula for s in out.steps)
-    assert len(objs) == len(set(objs))
+    assert len(objs) <= _IMAGE_NODES[entry.id]
 
 
 def test_manifest_pass_parse_work(monkeypatch):

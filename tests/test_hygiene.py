@@ -2,6 +2,7 @@
 private module-level name is used somewhere in justfix, only the
 registry spells out the pieces of the logic-id grammar, no module
 keeps a functools memo, which would outlive the call that filled it,
+only registry.memo_scope switches the cycle collector off or on,
 only one function walks two structures in parallel, no function
 passes a pattern literal to a module-level re function, no module
 imports dataclasses, which loading the package does not pay for, the
@@ -169,6 +170,58 @@ def test_detector_sees_memo_table_assignment():
                      'def f():\n    global _DECISIONS\n    _DECISIONS = {}\n'
                      'registry._DECISIONS[1] = 2\n')
     assert _memo_table_assignments(tree) == [2, 4, 7]
+
+
+_COLLECTOR_SWITCHES = frozenset(('disable', 'enable', 'freeze',
+                                 'set_threshold'))
+
+
+def _collector_switches(tree: ast.Module, owner: str = None) -> list:
+    """(line, name) of each gc.disable, gc.enable, gc.freeze or
+    gc.set_threshold named, as an attribute of gc or of a name gc is
+    imported as, or imported from gc, outside the module-level function
+    or class owner."""
+    modules = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for a in node.names if a.name == 'gc'}
+    found = []
+    for top in tree.body:
+        if owner is not None and getattr(top, 'name', None) == owner:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) \
+                    and node.attr in _COLLECTOR_SWITCHES \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                found.append((node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == 'gc':
+                found += [(node.lineno, a.name) for a in node.names
+                          if a.name in _COLLECTOR_SWITCHES]
+    return sorted(found)
+
+
+@pytest.mark.parametrize('path', sorted(glob.glob(os.path.join(SRC, '*.py'))),
+                         ids=os.path.basename)
+def test_collector_switched_only_in_memo_scope(path):
+    # the outermost memo scope pauses the cycle collector and restores the
+    # caller's state; a switch anywhere else could leave it off
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    owner = 'memo_scope' if os.path.basename(path) == 'registry.py' else None
+    assert _collector_switches(tree, owner) == []
+
+
+def test_detector_sees_collector_switch():
+    tree = ast.parse('import gc\nimport gc as g\n'
+                     'from gc import freeze, collect\n'
+                     'class memo_scope:\n'
+                     '    def __enter__(self):\n        gc.disable()\n'
+                     'def f():\n    g.set_threshold(1)\n    gc.collect()\n'
+                     'gc.enable()\n')
+    assert _collector_switches(tree, 'memo_scope') == [
+        (3, 'freeze'), (8, 'set_threshold'), (10, 'enable')]
+    assert _collector_switches(tree) == [
+        (3, 'freeze'), (6, 'disable'), (8, 'set_threshold'), (10, 'enable')]
 
 
 _PROCESS_MEMOS = frozenset(('lru_cache', 'cache'))

@@ -1,6 +1,6 @@
 """Each memo switched off in turn: no verdict may move.
 
-The kernel skips work it has done before in five ways.  Each is turned
+The kernel skips work it has done before in four ways.  Each is turned
 off here by monkeypatching, with no switch in src:
 
     decide  registry._decide computes every time (the axiom, logic and
@@ -10,9 +10,7 @@ off here by monkeypatching, with no switch in src:
     group   syntax._GROUP_MIN is huge, so the parser's group memo
             stores nothing;
     bdd     registry._consequence_bdd builds each query on a fresh BDD,
-            not on the scope's;
-    share   transforms.share returns its node unchanged (the tables of
-            project and collapse).
+            not on the scope's.
 
 With any one of them off, these must give the run_entry lines, the
 verbose reports and the command output that they give with all of them
@@ -29,7 +27,7 @@ import re
 import pytest
 from hypothesis import given, settings
 
-from justfix import kernel, registry, syntax, transforms
+from justfix import kernel, registry, syntax
 from justfix.corpus import MANIFEST, CorpusEntry, corpus_dir, run_entry
 from justfix.kernel import (DerivationError, check_derivation, format_report,
                             load_derivation, parse_derivation)
@@ -49,7 +47,6 @@ SWITCHES = {
         registry, '_consequence_bdd',
         lambda goal, premises, fn=registry._implication:
         fn(registry._BDD(), goal, premises)),
-    'share': lambda m: m.setattr(transforms, 'share', lambda table, f: f),
 }
 
 

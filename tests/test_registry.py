@@ -1,4 +1,6 @@
 import copy
+import gc
+import inspect
 import itertools
 import random
 import sys
@@ -399,6 +401,71 @@ def test_inherited_atom_order_costs_at_most_growth_nodes():
         fresh = registry._DECISIONS['bdd']
     assert fresh is not shared
     assert len(shared.nodes) - before + len(fresh.nodes) - 1 <= _GROWTH + 98
+
+
+# -- the memo scope and the cycle collector --------------------------------------
+
+@memo_scope()
+def _scoped(fail: bool, inner: bool):
+    """What a decorated function sees: the table, whether the collector
+    runs, and with inner those of a nested with-scope and a nested
+    decorated call."""
+    seen = [(registry._DECISIONS, gc.isenabled())]
+    if inner:
+        with memo_scope():
+            seen.append((registry._DECISIONS, gc.isenabled()))
+            seen += _scoped(False, False)
+        seen.append((registry._DECISIONS, gc.isenabled()))
+    if fail:
+        raise ZeroDivisionError
+    return seen
+
+
+def _in_with(fail: bool, inner: bool):
+    """_scoped's view, from a with-scope instead of the decorator."""
+    with memo_scope():
+        seen = [(registry._DECISIONS, gc.isenabled())]
+        if inner:
+            seen += _scoped(False, False)
+        seen.append((registry._DECISIONS, gc.isenabled()))
+        if fail:
+            raise ZeroDivisionError
+    return seen
+
+
+@pytest.mark.parametrize('form', (_scoped, _in_with),
+                         ids=('decorator', 'with'))
+@pytest.mark.parametrize('fail', (False, True), ids=('return', 'raise'))
+@pytest.mark.parametrize('inner', (False, True), ids=('alone', 'nested'))
+@pytest.mark.parametrize('enabled', (True, False), ids=('on', 'off'))
+def test_memo_scope_restores_the_collector(form, fail, inner, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail:
+            with pytest.raises(ZeroDivisionError):
+                form(fail, inner)
+        else:
+            seen = form(fail, inner)
+            # one table for every nested scope, and no collector inside
+            assert {id(t) for t, _ in seen} == {id(seen[0][0])}
+            assert seen[0][0] is not None
+            assert not any(on for _, on in seen)
+        assert registry._DECISIONS is None
+        # as the caller left it: a collector it disabled stays disabled
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_memo_scope_decorator_adds_one_frame():
+    def depth():
+        return len(inspect.stack(0))
+
+    scoped = memo_scope()(depth)
+    assert scoped() == depth() + 1
+    with memo_scope():
+        assert scoped() == depth() + 1
+    assert scoped.__wrapped__ is depth and scoped.__name__ == 'depth'
 
 
 # -- schema matching ----------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Resumed folds: a check or an internalization that begins with the steps
-of one made before in the same memo scope starts where they end
-(kernel.resume).  Every report it gives must be the report a fresh scope
+"""Resumed folds: a check, an elaboration or an internalization that
+begins with the steps of one made before in the same memo scope starts
+where they end (kernel.resume).  Every report it gives must be the report a fresh scope
 gives, and what it saves is gated by counters."""
 
 import os
@@ -317,6 +317,35 @@ def test_a_repeat_check_of_the_same_object_checks_no_step(step_checks):
     assert not step_checks
     assert again == first
     assert_same_report(again, fresh(d))
+
+
+def test_an_elaboration_resumes_with_the_steps_it_emitted():
+    d = parse_derivation(inline_chain('logic: J\nspec: tcs', 'lift',
+                                      _LIFT_TERMS[:4]))
+    cones = [cone_derivation(d, k) for k in range(2, len(d.steps) + 1)]
+    with memo_scope():
+        got = [kernel.elaborate(c) for c in cones]
+    # each alone, in a scope of its own
+    assert got == [kernel.elaborate(c) for c in cones]
+    # cone k + 1 begins with cone k, so its elaboration begins with the
+    # very steps that of cone k emitted
+    for a, b in zip(got, got[1:]):
+        assert len(a.steps) < len(b.steps)
+        assert all(s is t for s, t in zip(a.steps, b.steps))
+
+
+def test_an_elaboration_resumes_only_the_steps_it_finished():
+    good = parse_derivation(_BASE)
+    bad = _with_step(good, 3, 'c#2 : (p -> p | q) ; inline lift 1')
+    with pytest.raises(kernel.DerivationError) as alone:
+        kernel.elaborate(bad)
+    with memo_scope():
+        for _ in range(2):
+            with pytest.raises(kernel.DerivationError) as shared:
+                kernel.elaborate(bad)
+            assert str(shared.value) == str(alone.value)
+        got = kernel.elaborate(good)
+    assert got == kernel.elaborate(good)
 
 
 def test_no_fold_is_registered_outside_a_scope():

@@ -2,7 +2,7 @@
 
     python3 tools/ab_inprocess.py BASE_TREE [--tree TREE]
         [--workload prop|corpus|inline] [--seed N] [--rounds N]
-        [--per-input] [--memory]
+        [--per-input] [--memory | --fresh]
 
 Loads the justfix package of BASE_TREE (a checkout, for example one
 written by `git archive`) and that of TREE (default: this repository)
@@ -33,6 +33,17 @@ began.  Tracing covers Python's allocations only, so the process's peak
 resident set, which also holds the interpreter, the imported modules and
 the heap that freed memory leaves mapped, can move the other way.
 
+With --fresh, each timed pass runs in a new interpreter instead, after
+the same check in this one: perfbench/passrun.py, given the side's source
+and the inputs, imports that source, decides the inputs in order and
+times each verdict as a benchmark pass does, which is what a pass time
+and a per-input time then sum or show.  The sides still alternate.  The
+in-process rounds run gc.collect() before each pass and time passes after
+the check pass has warmed every structure a first use builds, so they
+cannot see a cost each process pays once, or a change to when the
+collector runs; a fresh pass sees both, as the benchmark does.  A fresh
+pass whose verdict lines differ from the checked ones stops the run.
+
 Separate processes on a shared host can drift far more than the few per
 cent a change moves; alternating passes in one interpreter share the
 host's state at each moment, so they resolve smaller steps.  Standard
@@ -47,6 +58,7 @@ import json
 import os
 import pathlib
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -133,6 +145,19 @@ def one_pass(corpus, todo, per_input=None) -> tuple:
     return time.perf_counter() - t0, lines
 
 
+def fresh_pass(tree: pathlib.Path, pass_file: pathlib.Path) -> tuple:
+    """(verdict lines, seconds per input) of one pass over the inputs of
+    pass_file in a new interpreter, on tree's source, timed by
+    perfbench/passrun.py."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / 'perfbench' / 'passrun.py'),
+         str(tree / 'src'), str(pass_file), '0'],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONHASHSEED='0'))
+    verdicts = json.loads(proc.stdout.splitlines()[-1])['verdicts']
+    return [line for _, line, _ in verdicts], [dt for _, _, dt in verdicts]
+
+
 def traced_peaks(corpus, todo) -> tuple:
     """(pass peak, [peak per input]) in bytes of one pass over todo under
     tracemalloc: each the traced peak above the memory traced when the
@@ -164,11 +189,15 @@ def main(argv=None) -> int:
     ap.add_argument('--rounds', type=int, default=20)
     ap.add_argument('--per-input', action='store_true',
                     help='also print each input\'s min time per side')
-    ap.add_argument('--memory', action='store_true',
-                    help='also print each side\'s traced peak per pass')
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument('--memory', action='store_true',
+                      help='also print each side\'s traced peak per pass')
+    mode.add_argument('--fresh', action='store_true',
+                      help='time each pass in a new interpreter')
     args = ap.parse_args(argv)
-    corpora = {side: load(tree.resolve(), 'justfix_' + side)
-               for side, tree in zip(SIDES, (args.base, args.tree))}
+    trees = {side: tree.resolve()
+             for side, tree in zip(SIDES, (args.base, args.tree))}
+    corpora = {side: load(trees[side], 'justfix_' + side) for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         rows = inputs(args.workload, args.seed, pathlib.Path(tmp))
         todo = {side: entries(corpora[side], rows) for side in SIDES}
@@ -187,6 +216,10 @@ def main(argv=None) -> int:
                     print('elaborations differ: %s\n  base: %s\n  tree: %s'
                           % (name, *first_difference(a, b)))
             return 1
+        pass_file = pathlib.Path(tmp) / 'pass.json'
+        pass_file.write_text(json.dumps({
+            'inputs': [dict(e, root=str(root)) for e, root in rows],
+            'bench_dir': str(ROOT / 'perfbench')}))
         times = {side: [] for side in SIDES}
         each = {side: [[] for _ in rows] if args.per_input else None
                 for side in SIDES}
@@ -195,9 +228,18 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             took = {}
             for side in order:
-                gc.collect()
-                took[side] = one_pass(corpora[side], todo[side],
-                                      each[side])[0]
+                if args.fresh:
+                    got, secs = fresh_pass(trees[side], pass_file)
+                    if got != lines[side]:
+                        print('a fresh %s pass gave other verdicts' % side)
+                        return 1
+                    for per, dt in zip(each[side] or (), secs):
+                        per.append(dt)
+                    took[side] = sum(secs)
+                else:
+                    gc.collect()
+                    took[side] = one_pass(corpora[side], todo[side],
+                                          each[side])[0]
                 times[side].append(took[side])
             if took['base'] != took['tree']:
                 wins[min(took, key=took.get)] += 1
@@ -207,6 +249,7 @@ def main(argv=None) -> int:
         print(json.dumps({
             'side': side, 'tree': str(tree), 'workload': args.workload,
             'inputs': len(rows), 'rounds': args.rounds,
+            'mode': 'fresh' if args.fresh else 'in-process',
             'min_ms': round(min(times[side]) * 1e3, 3),
             'median_ms': round(statistics.median(times[side]) * 1e3, 3),
             'won': wins[side],
