@@ -19,10 +19,12 @@ arguments and the parse error for malformed ones, how many steps it
 cites, whether those must be premise-free (necessitation-like rules, which
 keeps the deduction transform total), whether the step carries their
 premises, its role in GLS's provability-law bookkeeping, and its check.
-The parser and printer read the grammar, and the checker runs the check
-after the tests every step shares: its number and citations (which a
-derivation built in code may break), profile, availability and
-premise-freedom.
+A shape rule (nec, reg, gen, qnec, e, de) holds its check as data:
+patterns over its formulas, matched as schemas are, and named side
+conditions, each with its reason.  The parser and printer read the
+grammar, and the checker runs the check after the tests every step
+shares: its number and citations (which a derivation built in code may
+break), profile, availability and premise-freedom.
 The checker tracks which premises each step depends on.  Failed steps do
 not abort the run: later steps are checked against the stated formulas,
 so one broken citation yields one diagnostic rather than a cascade.
@@ -34,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .syntax import (
     Formula, Neg, Imp, Iff, Box, Knows, Just,
-    Forall, Exists, Mu, FixApp,
+    Forall, Exists, Mu, FixApp, FMeta,
     Var, Const, Prim,
     NotFreeFor, ProfileError,
     parse_formula, parse_term, print_formula, print_term,
@@ -43,7 +45,7 @@ from .syntax import (
 )
 from . import registry
 from .registry import (
-    LogicSpec, get_logic, match_axiom, SCHEMAS,
+    LogicSpec, get_logic, match_axiom, match_node, SCHEMAS,
     Spec, TOTAL, EMPTY, spec_membership, taut_consequence, memo_scope,
 )
 from .fixedpoint import FPOperator, make_operator, fp_axiom_instance
@@ -609,7 +611,10 @@ def _check_step(c: _Context, s: Step, row, n: int) -> Optional[str]:
             if c.deps.get(r):
                 return ("%s applied to step %d, which depends on premises %s"
                         % (label, r, sorted(c.deps[r])))
-    return row.check(c, s, [c.d.step(r).formula for r in s.refs])
+    ref = [c.d.step(r).formula for r in s.refs]
+    if type(row.check) is dict:
+        return _shaped(c, s, ref, row.check[c.logic.family])
+    return row.check(c, s, ref)
 
 
 # -- the rules: each check takes the context, the step and the formulas of
@@ -637,41 +642,15 @@ def _premise(c, s, ref):
         return "formula differs from premise %r" % name
 
 
-# _mp, _nec, _gen, _qnec, _e, _de, _reg and _admk compare the fields of
-# the formulas they are given, as == of a node built from them would, and
-# build none: the field tuples compare item by item, an object equal to
-# itself at once
+# _mp and _admk compare the fields of the formulas they are given, as ==
+# of a node built from them would, and build none: the field tuples
+# compare item by item, an object equal to itself at once
 
 def _mp(c, s, ref):
     g = ref[1]
     if type(g) is not Imp or (g.a, g.b) != (ref[0], s.formula):
         return "step %d is not %s" % (s.refs[1],
                                       print_formula(Imp(ref[0], s.formula)))
-
-
-def _nec(c, s, ref):
-    if c.gl is not None and not c.gl.get(s.refs[0], False):
-        return ("necessitation in GLS requires a provability-law step, "
-                "step %d uses reflection" % s.refs[0])
-    f = s.formula
-    if type(f) is not Box or (f.a,) != (ref[0],):
-        return "conclusion is not [] of step %d" % s.refs[0]
-
-
-def _gen(c, s, ref):
-    x, f = s.args[0], s.formula
-    if type(f) is not Forall or (f.var, f.a) != (x, ref[0]):
-        return "conclusion is not all %s of step %d" % (x, s.refs[0])
-
-
-def _qnec(c, s, ref):
-    x, f = s.args[0], s.formula
-    if x in free_vars(ref[0]):
-        return "%s is free in step %d" % (x, s.refs[0])
-    j = f.a if type(f) is Exists and f.var == x else None
-    if type(j) is not Just or type(j.t) is not Var or j.t.name != x \
-            or (j.a,) != (ref[0],):
-        return "conclusion is not ex %s . %s : A" % (x, x)
 
 
 def _ian(c, s, ref):
@@ -709,48 +688,6 @@ def _mu_ind(c, s, ref):
             print_formula(f.b), f.a.var, ex)
     if ref[0] != want:
         return "step %d is not %s" % (s.refs[0], print_formula(want))
-
-
-def _e(c, s, ref):
-    t = s.args[0]
-    if t < 0:
-        return "negative time"
-    f = s.formula
-    if type(f) is not Knows or (f.time, f.a) != (t, ref[0]):
-        return "conclusion is not K@%d of step %d" % (t, s.refs[0])
-
-
-def _de(c, s, ref):
-    t1, t2 = s.args
-    if not t1 < t2:
-        return "times must increase"
-    f = s.formula
-    if not (type(f) is Imp and type(f.a) is Knows and type(f.b) is Knows
-            and (f.a.time, f.a.a) == (t1, ref[0])
-            and (f.b.time, f.b.a) == (t2, f.a)):
-        return "conclusion shape mismatch"
-
-
-def _reg(c, s, ref):
-    f = s.formula
-    if not isinstance(ref[0], Imp):
-        return "step %d is not an implication" % s.refs[0]
-    a, b = ref[0].a, ref[0].b
-    if c.logic.family == 'tmel':
-        if not (isinstance(f, Imp) and isinstance(f.a, Knows)
-                and isinstance(f.b, Knows)):
-            return "conclusion must relate two knowledge times"
-        if f.a.a != a or f.b.a != b:
-            return "conclusion bodies differ from step %d" % s.refs[0]
-        if not f.a.time < f.b.time:
-            return "times must increase"
-        return None
-    if c.gl is not None and not c.gl.get(s.refs[0], False):
-        return ("regularity in GLS requires a provability-law step, "
-                "step %d uses reflection" % s.refs[0])
-    if not (type(f) is Imp and type(f.a) is Box and type(f.b) is Box
-            and (f.a.a, f.b.a) == (a, b)):
-        return "conclusion is not []A -> []B for step %d" % s.refs[0]
 
 
 def _fp(c, s, ref):
@@ -814,6 +751,36 @@ def _inline(c, s, ref):
         return _INLINE_FORMS[form][2].format(*s.refs, f=print_formula(img))
 
 
+def _shaped(c, s, ref, tests):
+    """Why step s fails the first of tests it fails, or None.  A test is
+    the name of a side condition in _SIDE, a function of c, s and the
+    binding, or the key of a formula in the binding and a pattern that
+    registry.match_node matches it against.  The binding starts with the
+    cited formulas as FMeta '0' and '1', the conclusion as FMeta 'C' and
+    each arg as the slot '?0' or '?1' of either kind, a time or a
+    variable.  A reason is formatted with the refs, then the args."""
+    b = dict(zip(('F:0', 'F:1'), ref))
+    b['F:C'] = s.formula
+    for k, a in zip('01', s.args):
+        b['i:' + k] = b['v:' + k] = a
+    for test, reason in tests:
+        if not (_SIDE[test](c, s, b) if type(test) is str
+                else match_node(test[1], b[test[0]], b)):
+            return reason.format(*s.refs, *s.args)
+
+
+# the side conditions of the shape rules, by name; 'law' holds outside GLS,
+# and in GLS when the cited step is a provability-law step (_gl_status)
+_SIDE = {
+    'law': lambda c, s, b: c.gl is None or c.gl.get(s.refs[0], False),
+    'increasing': lambda c, s, b: b['i:0'] < b['i:1'],
+    'not negative': lambda c, s, b: b['i:0'] >= 0,
+    'not free': lambda c, s, b: b['v:0'] not in free_vars(b['F:0']),
+}
+_0, _A, _B, _P, _Q = map(FMeta, '0ABPQ')
+_IMPLICATION = (('F:0', Imp(_A, _B)), "step {0} is not an implication")
+
+
 @record
 class Rule:
     """One inference rule.  Its grammar names the argument slots after
@@ -821,11 +788,13 @@ class Rule:
     space-separated, as many as nrefs allows), ref (one step reference),
     var, time, name and an optional [name]; refs and ref fill Step.refs
     and the others Step.args, in order.  usage is the parse error for
-    malformed arguments."""
+    malformed arguments.  check is a function of the context, the step
+    and its cited formulas; a shape rule's is its tests, with a reason
+    each, per logic family that has the rule (see _shaped)."""
     name: str
     grammar: tuple
     usage: str
-    check: Optional[Callable]
+    check: object
     nrefs: tuple = (0, None)        # least and most references, None: any
     premise_free: bool = False      # cited steps may not depend on premises
     carries: str = ''               # the step depends on the premises of
@@ -856,21 +825,47 @@ RULES = {r.name: r for r in (
          carries='refs', gl='refs'),
     Rule('prop', ('refs',), "prop takes step references", _prop,
          carries='refs', gl='refs'),
-    Rule('nec', ('refs',), "nec takes one step reference", _nec,
+    Rule('nec', ('refs',), "nec takes one step reference", {'modal': (
+        ('law', "necessitation in GLS requires a provability-law step, "
+                "step {0} uses reflection"),
+        (('F:C', Box(_0)), "conclusion is not [] of step {0}"))},
          nrefs=(1, 1), premise_free=True, gl='law'),
-    Rule('reg', ('refs',), "reg takes one step reference", _reg,
+    Rule('reg', ('refs',), "reg takes one step reference", {
+        'modal': (_IMPLICATION,
+                  ('law', "regularity in GLS requires a provability-law "
+                          "step, step {0} uses reflection"),
+                  (('F:C', Imp(Box(_A), Box(_B))),
+                   "conclusion is not []A -> []B for step {0}")),
+        'tmel': (_IMPLICATION,
+                 (('F:C', Imp(Knows('?0', _P), Knows('?1', _Q))),
+                  "conclusion must relate two knowledge times"),
+                 (('F:C', Imp(Knows('?0', _A), Knows('?1', _B))),
+                  "conclusion bodies differ from step {0}"),
+                 ('increasing', "times must increase"))},
          nrefs=(1, 1), premise_free=True, gl='law'),
     Rule('gen', ('ref', 'var'), "gen takes a step reference and a variable",
-         _gen, premise_free=True),
+         {'qlp': ((('F:C', Forall('?0', _0)),
+                   "conclusion is not all {1} of step {0}"),)},
+         premise_free=True),
     Rule('qnec', ('ref', 'var'),
-         "qnec takes a step reference and a variable", _qnec,
+         "qnec takes a step reference and a variable", {'qlp': (
+             ('not free', "{1} is free in step {0}"),
+             (('F:C', Exists('?0', Just(Var('?0'), '?g', _0))),
+              "conclusion is not ex {1} . {1} : A"))},
          premise_free=True),
     Rule('ian', (), "ian takes no arguments", _ian),
     Rule('an', (), "an takes no arguments", _an),
-    Rule('e', ('ref', 'time'), "e takes a step reference and a time", _e,
+    Rule('e', ('ref', 'time'), "e takes a step reference and a time", {
+        'tmel': (('not negative', "negative time"),
+                 (('F:C', Knows('?0', _0)),
+                  "conclusion is not K@{1} of step {0}"))},
          premise_free=True),
     Rule('de', ('ref', 'time', 'time'),
-         "de takes a step reference and two times", _de, premise_free=True),
+         "de takes a step reference and two times", {'tmel': (
+             ('increasing', "times must increase"),
+             (('F:C', Imp(Knows('?0', _0), Knows('?1', Knows('?0', _0)))),
+              "conclusion shape mismatch"))},
+         premise_free=True),
     Rule('admk', ('refs', 'time'), "admk takes step references and a time",
          _admk, nrefs=(1, None), carries='refs'),
     Rule('fp', ('name',), "fp takes an operator name", _fp),

@@ -6,14 +6,16 @@ alternative pattern formulas over metavariables (FMeta/TMeta for
 formula/term slots, '?'-prefixed names for bound-variable, time, and agent
 slots) plus side conditions on the resulting binding.  One semantics of
 matching, match_node's, serves schemas, term substitution instances
-(sigma_match, and infer_term for the quantifier axioms) and, through
-sigma_match, fixed-point instances: metavariables bind whole subtrees, so
-do the free variables a caller names unless a binder would capture the
-term, and nothing matches through the defined connectives.  A schema's
-patterns are fixed, so each is compiled once into a flat program that one
-loop runs (_compile), with match_node's binding; the patterns built per
-query (a fixed-point unfolding, a quantifier's body) are walked by
-match_node itself, since compiling one costs about twice a walk.
+(sigma_match, and infer_term for the quantifier axioms), through
+sigma_match, fixed-point instances, and the kernel's shape rules:
+metavariables bind whole subtrees, so do the free variables a caller
+names unless a binder would capture the term, and nothing matches through
+the defined connectives.  A schema's patterns are fixed, so each is
+compiled once into a flat program that one loop runs (_compile), with
+match_node's binding.  match_node itself walks the patterns built per
+query (a fixed-point unfolding, a quantifier's body), since compiling one
+costs about twice a walk, and the kernel's rule rows, whose bindings
+start seeded with the formulas of a step.
 
 The tautological-consequence engine also lives here (the kernel and the
 schema for Taut both need it, and the kernel already imports us).  It

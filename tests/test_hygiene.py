@@ -12,15 +12,20 @@ reference cycle per call, only the line reader, kernel.read_lines, calls
 strip_comment or .splitlines(), in transforms only _Build.detach adds an
 mp step, and transforms does not name the inline rule: the kernel alone
 reads inline steps, and a transform sees them expanded by
-kernel.elaborate."""
+kernel.elaborate.  Every module but kernel.py stays below the 8,192
+tokens that tools/size.py counts and past which CPython 3.11 compiles a
+file at a higher peak."""
 
 import ast
 import glob
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from conftest import ROOT
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    'src', 'justfix')
@@ -602,3 +607,35 @@ def test_loading_the_package_compiles_only_the_record_shapes():
                          capture_output=True, text=True).stdout.split()
     assert int(out[1]) > 0
     assert out[0] == out[1]
+
+
+# CPython 3.11's parser doubles its token array as a file passes this many
+# tokens, which raises the peak memory of compiling it.  kernel.py is
+# above it (ROADMAP item 12); every other module is below, and stays so
+_TOKEN_STEP = 8192
+_ABOVE_TOKEN_STEP = {'kernel.py'}
+
+
+def _sizes(tree: str) -> dict:
+    """What tools/size.py --json prints for tree."""
+    out = subprocess.run(
+        [sys.executable, os.path.join(ROOT, 'tools', 'size.py'), tree,
+         '--json'], check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def test_modules_stay_below_the_token_step():
+    sizes = _sizes(ROOT)
+    assert set(sizes) == {os.path.basename(p)
+                          for p in glob.glob(os.path.join(SRC, '*.py'))}
+    assert {name for name, n in sizes.items()
+            if n['tokens'] >= _TOKEN_STEP} <= _ABOVE_TOKEN_STEP
+
+
+def test_size_counts_lines_and_code_tokens(tmp_path):
+    pkg = tmp_path / 'src' / 'justfix'
+    pkg.mkdir(parents=True)
+    # NAME OP NUMBER NEWLINE, then the docstring's STRING NEWLINE, and
+    # ENDMARKER; the comment and the blank line are not tokens
+    (pkg / 'm.py').write_text('x = 1  # one\n\n"""doc\nstring"""\n')
+    assert _sizes(str(tmp_path)) == {'m.py': {'lines': 4, 'tokens': 7}}

@@ -7,12 +7,24 @@ registered in the repository), then for each workload of BENCHMARK.json
 runs the unchanged perfbench/run.py of each side, the base and the working
 tree, for N pairs (default 10), alternating which side runs first.  Every
 run lasts BENCHMARK.json's run_seconds and uses the one seed SEED.  Each
-side's run.py measures the justfix source of its own tree.  Writes one
-JSON file: every pair's end-to-end metrics, and per metric each side's
-median and quartiles and how many pairs the working tree won (ties count
-for neither side), with the direction and bound of each metric taken from
-BENCHMARK.json.  Runs one benchmark process at a time; standard library
-only.
+side's run.py measures the justfix source of its own tree.
+
+Every run of both sides gets PYTHONPYCACHEPREFIX set to one fresh
+temporary directory, so neither side loads bytecode that an earlier run
+left in its own __pycache__ directories.  A prefix moves the standard
+library's bytecode too, so before the pairs of each workload one run of
+each side writes the bytecode of all it imports there, and the bytecode
+of the two trees is then removed (warm).  The timed runs load the
+standard library's bytecode, as runs without a prefix do; with
+PYTHONDONTWRITEBYTECODE set both sides compile their own source on every
+run, and without it each side writes its bytecode on its first timed run
+and loads it after.
+
+Writes one JSON file: every pair's end-to-end metrics, and per metric
+each side's median and quartiles and how many pairs the working tree won
+(ties count for neither side), with the direction and bound of each
+metric taken from BENCHMARK.json.  Runs one benchmark process at a time;
+standard library only.
 """
 
 import argparse
@@ -20,6 +32,7 @@ import json
 import os
 import pathlib
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,14 +56,21 @@ def export(rev: str, into: pathlib.Path) -> None:
                    check=True)
 
 
-def run_once(tree: pathlib.Path, workload: str, seconds: float) -> dict:
-    """The last line perfbench/run.py prints in tree: correctness and the
+def run_once(tree: pathlib.Path, workload: str, seconds: float,
+             pycache: str, write: bool = False) -> dict:
+    """The last line perfbench/run.py prints in tree, run with the
+    bytecode cache prefix pycache, and writing bytecode there even under
+    PYTHONDONTWRITEBYTECODE when write is true: correctness and the
     end-to-end metrics, as {name: value}."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=pycache)
+    if write:
+        env.pop('PYTHONDONTWRITEBYTECODE', None)
     proc = subprocess.run(
         [sys.executable, str(tree / 'perfbench' / 'run.py'),
          '--workload', workload, '--seed', str(SEED),
          '--seconds', str(seconds)],
-        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        env=env)
     if proc.returncode != 0:
         raise RuntimeError('%s run in %s exited with %d:\n%s' % (
             workload, tree, proc.returncode, proc.stderr[-2000:]))
@@ -58,6 +78,17 @@ def run_once(tree: pathlib.Path, workload: str, seconds: float) -> dict:
     return {'correct': out['correct'], 'attempted': out['attempted'],
             'failed': out['failed'],
             'metrics': {k: v['value'] for k, v in out['metrics'].items()}}
+
+
+def warm(trees: list, workload: str, pycache: str) -> None:
+    """Leave under the prefix pycache the bytecode of the standard library
+    modules that a run of workload imports, and none of the trees': each
+    tree's run writes the bytecode of all it imports, and the mirror of
+    each tree under pycache is then removed."""
+    for tree in trees:
+        run_once(tree, workload, 0, pycache, write=True)
+        shutil.rmtree(pathlib.Path(pycache).joinpath(
+            *tree.resolve().parts[1:]), ignore_errors=True)
 
 
 def spread(xs: list) -> dict:
@@ -109,10 +140,12 @@ def main(argv=None) -> int:
         'python': platform.python_version(), 'nproc': os.cpu_count(),
         'workloads': {},
     }
-    with tempfile.TemporaryDirectory(prefix='bench-base-') as tmp:
+    with tempfile.TemporaryDirectory(prefix='bench-base-') as tmp, \
+            tempfile.TemporaryDirectory(prefix='bench-pycache-') as pycache:
         base_tree = pathlib.Path(tmp)
         export(args.base, base_tree)
         for workload in (w['name'] for w in bench['workloads']):
+            warm([base_tree, ROOT], workload, pycache)
             pairs = []
             for k in range(args.pairs):
                 first = 'base' if k % 2 == 0 else 'work'
@@ -120,7 +153,7 @@ def main(argv=None) -> int:
                 pair = {'first': first}
                 for side in order:
                     tree = base_tree if side == 'base' else ROOT
-                    pair[side] = run_once(tree, workload, seconds)
+                    pair[side] = run_once(tree, workload, seconds, pycache)
                 pairs.append(pair)
                 shown = {s: pair[s]['metrics'] for s in ('base', 'work')}
                 print('%s pair %d/%d: %s' % (workload, k + 1, args.pairs,
